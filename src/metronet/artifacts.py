@@ -44,25 +44,42 @@ def write_stations_geojson(path: Path, genome: StationGenome, report: CoverageRe
     _dump_geojson(path, {"type": "FeatureCollection", "features": features})
 
 
-def read_stations_geojson(path: Path) -> tuple[tuple[PlanarPoint, ...], np.ndarray]:
-    """Load station coordinates and serviced populations back from disk."""
-    path = Path(path)
+def _feature_collection(path: Path) -> list[dict]:
+    """The features of a non-empty GeoJSON FeatureCollection, each with object properties."""
     try:
         doc = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    features = doc.get("features")
-    if doc.get("type") != "FeatureCollection" or not isinstance(features, list) or not features:
+    features = doc.get("features") if isinstance(doc, dict) else None
+    if not isinstance(features, list) or not features or doc.get("type") != "FeatureCollection":
         raise ParseError(f"{path}: expected a non-empty FeatureCollection")
+    for i, feat in enumerate(features):
+        if not isinstance(feat, dict) or not isinstance(feat.get("properties"), dict):
+            raise ParseError(f"{path}: feature {i}: feature and its properties must be objects")
+    return features
+
+
+def _index(props: dict, key: str, count: int, path: Path, i: int) -> int:
+    """A required integer property in [0, count); bools and floats are rejected."""
+    value = props.get(key)
+    if isinstance(value, bool) or not isinstance(value, int) or not (0 <= value < count):
+        raise ParseError(f"{path}: feature {i}: {key} must be an integer in [0, {count}), got {value!r}")
+    return value
+
+
+def read_stations_geojson(path: Path) -> tuple[tuple[PlanarPoint, ...], np.ndarray]:
+    """Load station coordinates and serviced populations back from disk."""
+    path = Path(path)
+    features = _feature_collection(path)
     stations: list[PlanarPoint | None] = [None] * len(features)
     serviced = np.zeros(len(features))
-    for feat in features:
-        props = feat.get("properties") or {}
+    for i, feat in enumerate(features):
+        props = feat["properties"]
+        idx = _index(props, "station_id", len(features), path, i)
         try:
-            idx = int(props["station_id"])
             stations[idx] = PlanarPoint(float(props["x"]), float(props["y"]))
             serviced[idx] = float(props.get("serviced_population", 0.0))
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"{path}: malformed station feature: {exc}") from exc
     if any(s is None for s in stations):
         raise ParseError(f"{path}: station_id values must cover 0..{len(features) - 1}")
@@ -88,22 +105,20 @@ def write_lines_geojson(path: Path, genome: LineGenome,
 
 
 def read_lines_geojson(path: Path) -> LineGenome:
+    """Load a line layout; station ids are checked against the stations by ``validate``."""
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    features = doc.get("features")
-    if doc.get("type") != "FeatureCollection" or not isinstance(features, list) or not features:
-        raise ParseError(f"{path}: expected a non-empty FeatureCollection")
-    lines = []
-    for feat in sorted(features, key=lambda f: (f.get("properties") or {}).get("line_id", 0)):
-        props = feat.get("properties") or {}
-        try:
-            lines.append(tuple(int(s) for s in props["station_ids"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"{path}: malformed line feature: {exc}") from exc
-    return LineGenome(tuple(lines))
+    features = _feature_collection(path)
+    lines: list[tuple[int, ...] | None] = [None] * len(features)
+    for i, feat in enumerate(features):
+        props = feat["properties"]
+        idx = _index(props, "line_id", len(features), path, i)
+        ids = props.get("station_ids")
+        if not isinstance(ids, list) or any(isinstance(s, bool) or not isinstance(s, int) for s in ids):
+            raise ParseError(f"{path}: feature {i}: station_ids must be a list of integers")
+        lines[idx] = tuple(ids)
+    if any(line is None for line in lines):
+        raise ParseError(f"{path}: line_id values must cover 0..{len(features) - 1}")
+    return LineGenome(tuple(lines))  # type: ignore[arg-type]
 
 
 def write_grid_csv(path: Path, grid: DemandGrid) -> None:

@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geomodel import DemandGrid, GeneratorPoint, PlanarPoint
+from .geomodel import DemandGrid, GeneratorPoint, PlanarPoint, station_xy
 
 SIGMA_SOFT_MIN = 400.0
 SIGMA_SOFT_MAX = 3000.0
@@ -53,14 +53,6 @@ class CoverageReport:
     generator: np.ndarray
 
 
-def _station_xy(stations: Sequence[PlanarPoint] | np.ndarray) -> np.ndarray:
-    arr = np.asarray(
-        [(p.x, p.y) for p in stations] if not isinstance(stations, np.ndarray) else stations,
-        dtype=float,
-    )
-    return arr.reshape(-1, 2)
-
-
 def _gaussian_shares(sxy: np.ndarray, px: np.ndarray, py: np.ndarray,
                      weight: np.ndarray, params: CoverageParams) -> np.ndarray:
     """Per-station sums of weight * exp(-r^2 / sigma^2) over the given points."""
@@ -79,7 +71,7 @@ def _gaussian_shares(sxy: np.ndarray, px: np.ndarray, py: np.ndarray,
 def district_coverage(stations: Sequence[PlanarPoint], grid: DemandGrid,
                       params: CoverageParams) -> np.ndarray:
     """Population coverage share per station, integrated over the demand grid."""
-    sxy = _station_xy(stations)
+    sxy = station_xy(stations)
     if len(sxy) == 0:
         return np.zeros(0)
     return _gaussian_shares(sxy, grid.x, grid.y, grid.population, params)
@@ -89,7 +81,7 @@ def generator_coverage(stations: Sequence[PlanarPoint],
                        generators: Sequence[GeneratorPoint],
                        params: CoverageParams) -> np.ndarray:
     """Daily-visitor coverage share per station, summed over all generators."""
-    sxy = _station_xy(stations)
+    sxy = station_xy(stations)
     if len(sxy) == 0 or len(generators) == 0:
         return np.zeros(len(sxy))
     gx = np.array([g.planar.x for g in generators])
@@ -101,7 +93,7 @@ def generator_coverage(stations: Sequence[PlanarPoint],
 def evaluate(stations: Sequence[PlanarPoint], grid: DemandGrid,
              generators: Sequence[GeneratorPoint], params: CoverageParams) -> CoverageReport:
     """Full coverage fitness: district term plus generator term, and s_i per station."""
-    sxy = _station_xy(stations)
+    sxy = station_xy(stations)
     if len(sxy) == 0:
         empty = np.zeros(0)
         return CoverageReport(0.0, empty, empty, empty)

@@ -100,24 +100,20 @@ def selection_weights(fitnesses: Sequence[float], sense: Sense) -> np.ndarray:
     return base + eps
 
 
-def roulette_select(fitnesses: Sequence[float], sense: Sense,
-                    rng: np.random.Generator, raw: bool = False) -> int:
-    """Draw one index with probability proportional to its selection weight.
+def roulette_wheel(fitnesses: Sequence[float], sense: Sense) -> Callable[[np.random.Generator], int]:
+    """Roulette wheel over the shifted selection weights of ``fitnesses``.
 
-    With ``raw=True`` the fitnesses themselves are the weights (they must be
-    nonnegative); an all-zero list falls back to a uniform draw.
+    The returned ``spin(rng)`` draws one index with probability proportional
+    to its weight, using exactly one ``rng.random()``.
     """
-    if raw:
-        w = np.asarray(fitnesses, dtype=float)
-        if (w < 0).any():
-            raise ValueError("raw roulette weights must be nonnegative")
-        if w.sum() == 0:
-            return int(rng.integers(len(w)))
-    else:
-        w = selection_weights(fitnesses, sense)
-    cum = np.cumsum(w)
-    r = rng.random() * cum[-1]
-    return min(int(np.searchsorted(cum, r, side="right")), len(w) - 1)
+    cum = np.cumsum(selection_weights(fitnesses, sense))
+    total = cum[-1]
+    last = len(cum) - 1
+
+    def spin(rng: np.random.Generator) -> int:
+        return min(int(np.searchsorted(cum, rng.random() * total, side="right")), last)
+
+    return spin
 
 
 def run(
@@ -197,16 +193,10 @@ def _breed(
     ranked = sorted(range(n), key=key)
     new_population = [population[i] for i in ranked[: config.elite_count]]
 
-    # fitnesses are fixed while breeding, so the roulette wheel is built once
-    cum = np.cumsum(selection_weights(fits, sense))
-    total = cum[-1]
-
-    def select() -> int:
-        return min(int(np.searchsorted(cum, rng.random() * total, side="right")), n - 1)
-
+    spin = roulette_wheel(fits, sense)
     while len(new_population) < n:
-        i = select()
-        j = select()
+        i = spin(rng)
+        j = spin(rng)
         if rng.random() < config.crossover_rate:
             children = list(crossover_fn(population[i], population[j], rng))
         else:

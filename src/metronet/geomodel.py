@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -53,6 +53,13 @@ class PlanarPoint:
             raise ValueError("planar coordinates must be finite")
         if abs(self.x) >= 1e7 or abs(self.y) >= 1e7:
             raise ValueError(f"planar point ({self.x}, {self.y}) outside regional sanity bound")
+
+
+def station_xy(stations: Sequence[PlanarPoint] | np.ndarray) -> np.ndarray:
+    """Planar points as an (N, 2) float array; arrays pass through reshaped."""
+    if isinstance(stations, np.ndarray):
+        return np.asarray(stations, dtype=float).reshape(-1, 2)
+    return np.array([(p.x, p.y) for p in stations], dtype=float).reshape(-1, 2)
 
 
 def project(p: GeoPoint, origin: GeoPoint) -> PlanarPoint:
@@ -175,10 +182,6 @@ class DemandGrid:
     def __len__(self) -> int:
         return len(self.population)
 
-    def cells(self) -> Iterator[tuple[PlanarPoint, float]]:
-        for cx, cy, pop in zip(self.x, self.y, self.population):
-            yield PlanarPoint(float(cx), float(cy)), float(pop)
-
 
 # ---------------------------------------------------------------------------
 # planar geometry helpers
@@ -299,9 +302,12 @@ def load_densities(path: Path) -> dict[str, float]:
             out = {}
             for i, row in enumerate(reader, start=2):
                 try:
-                    out[row["district_id"].strip()] = float(row["density_per_km2"])
+                    district_id, density = row["district_id"].strip(), float(row["density_per_km2"])
                 except (TypeError, ValueError, AttributeError) as exc:
                     raise ParseError(f"{path}: row {i}: {exc}") from exc
+                if not math.isfinite(density):
+                    raise ParseError(f"{path}: row {i}: density must be finite, got {density!r}")
+                out[district_id] = density
             return out
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from exc
@@ -392,6 +398,8 @@ def load_generators(path: Path, region: Region) -> tuple[GeneratorPoint, ...]:
                     geo = GeoPoint(float(row["latitude"]), float(row["longitude"]))
                 except (TypeError, ValueError, AttributeError) as exc:
                     raise ParseError(f"{path}: row {i}: {exc}") from exc
+                if not math.isfinite(visitors):
+                    raise ParseError(f"{path}: row {i}: daily visitors must be finite, got {visitors!r}")
                 if visitors < 0:
                     raise NegativeVisitors(i, visitors)
                 planar = project(geo, region.origin)

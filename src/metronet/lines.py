@@ -9,7 +9,7 @@ import numpy as np
 from . import evolve, netgraph
 from .errors import NoFeasibleIndividual, RepairFailed, TooFewStations
 from .evolve import EvolutionHistory, GaConfig, GenerationHook
-from .geomodel import PlanarPoint
+from .geomodel import PlanarPoint, station_xy
 
 _MAX_MUTATION_TRIES = 16
 _CACHE_LIMIT = 200_000
@@ -52,12 +52,6 @@ def canonical(genome: LineGenome) -> LineGenome:
     return LineGenome(tuple(min(line, line[::-1]) for line in genome.lines))
 
 
-def _station_xy(stations: Sequence[PlanarPoint] | np.ndarray) -> np.ndarray:
-    if isinstance(stations, np.ndarray):
-        return stations.reshape(-1, 2)
-    return np.array([(p.x, p.y) for p in stations], dtype=float).reshape(-1, 2)
-
-
 def line_fitness(genome: LineGenome, stations: Sequence[PlanarPoint],
                  serviced: Sequence[float], transfer_penalty_m: float = 0.0) -> LineFitness:
     """Sum over unordered station pairs of d_ij * (s_i + s_j).
@@ -66,7 +60,7 @@ def line_fitness(genome: LineGenome, stations: Sequence[PlanarPoint],
     connected layout while staying finite.
     """
     s = np.asarray(serviced, dtype=float)
-    sxy = _station_xy(stations)
+    sxy = station_xy(stations)
     n = len(sxy)
     if len(s) != n:
         raise ValueError(f"serviced counts ({len(s)}) must match stations ({n})")
@@ -209,33 +203,6 @@ def crossover_lines(parent_a: LineGenome, parent_b: LineGenome,
 # ---------------------------------------------------------------------------
 
 
-def _components(lines: Sequence[Sequence[int]], station_count: int) -> list[int]:
-    """Component label per station (union-find); uncovered stations are singletons."""
-    parent = list(range(station_count))
-    for line in lines:
-        prev = line[0]
-        for b in line[1:]:
-            ra = prev
-            while parent[ra] != ra:
-                parent[ra] = parent[parent[ra]]
-                ra = parent[ra]
-            rb = b
-            while parent[rb] != rb:
-                parent[rb] = parent[parent[rb]]
-                rb = parent[rb]
-            if ra != rb:
-                parent[rb] = ra
-            prev = b
-    labels = []
-    for i in range(station_count):
-        r = i
-        while parent[r] != r:
-            parent[r] = parent[parent[r]]
-            r = parent[r]
-        labels.append(r)
-    return labels
-
-
 def repair(genome: LineGenome, stations: Sequence[PlanarPoint]) -> LineGenome:
     """Restore per-line uniqueness and whole-network connectivity.
 
@@ -247,7 +214,7 @@ def repair(genome: LineGenome, stations: Sequence[PlanarPoint]) -> LineGenome:
     to the globally nearest line end). Idempotent; at most one station joins
     per iteration, so it terminates within station_count rounds.
     """
-    sxy = _station_xy(stations)
+    sxy = station_xy(stations)
     n = len(sxy)
     changed = False
     lines: list[tuple[int, ...]] = []
@@ -266,7 +233,7 @@ def repair(genome: LineGenome, stations: Sequence[PlanarPoint]) -> LineGenome:
 
     dmat = None
     for _ in range(n + 1):
-        comp = _components(lines, n)
+        comp = netgraph.components(lines, n)
         root0 = comp[0]
         if all(c == root0 for c in comp):
             break
@@ -330,7 +297,7 @@ def init_lines(stations: Sequence[PlanarPoint], line_count: int,
     When stations are too few for L disjoint chains of two, the extra lines
     are short station-to-nearest-neighbor links sharing already-used stations.
     """
-    sxy = _station_xy(stations)
+    sxy = station_xy(stations)
     n = len(sxy)
     if n < 2:
         raise TooFewStations(f"line layouts need >= 2 stations, got {n}")
@@ -358,7 +325,7 @@ def optimize_lines(
     on_generation: GenerationHook | None = None,
 ) -> tuple[LineGenome, EvolutionHistory]:
     """Run the stage-2 GA over line layouts for a fixed station set."""
-    sxy = _station_xy(stations)
+    sxy = station_xy(stations)
     s = np.asarray(serviced, dtype=float)
     ga = replace(config.ga, objective_sense="minimize")
     init_rng = np.random.default_rng(np.random.SeedSequence(ga.rng_seed, spawn_key=(0,)))

@@ -1,15 +1,13 @@
 """Line-induced network graph: construction, connectivity, all-pairs shortest paths."""
 from __future__ import annotations
 
-import heapq
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import LineTooShort, LoopInLine
-from .geomodel import PlanarPoint
+from .geomodel import PlanarPoint, station_xy
 
 
 @dataclass(frozen=True)
@@ -36,15 +34,9 @@ class DistanceMatrix:
     reachable: bool
 
 
-def _station_xy(stations: Sequence[PlanarPoint] | np.ndarray) -> np.ndarray:
-    if isinstance(stations, np.ndarray):
-        return stations.reshape(-1, 2)
-    return np.array([(p.x, p.y) for p in stations], dtype=float).reshape(-1, 2)
-
-
 def build(lines: Sequence[Sequence[int]], stations: Sequence[PlanarPoint]) -> LineNetwork:
     """Validate a line layout and derive its edge set."""
-    sxy = _station_xy(stations)
+    sxy = station_xy(stations)
     n = len(sxy)
     edge_set: dict[tuple[int, int], float] = {}
     for li, line in enumerate(lines):
@@ -65,121 +57,63 @@ def build(lines: Sequence[Sequence[int]], stations: Sequence[PlanarPoint]) -> Li
     return LineNetwork(n, tuple(tuple(line) for line in lines), edges)
 
 
-def _adjacency(net: LineNetwork) -> list[list[tuple[int, float]]]:
-    adj: list[list[tuple[int, float]]] = [[] for _ in range(net.station_count)]
-    for a, b, length in net.edges:
-        adj[a].append((b, length))
-        adj[b].append((a, length))
-    return adj
+def components(lines: Sequence[Sequence[int]], station_count: int) -> list[int]:
+    """Component label per station (union-find); stations on no line are singletons.
+
+    The root walks are inlined: repair calls this for every GA child.
+    """
+    parent = list(range(station_count))
+    for line in lines:
+        for a, b in zip(line, line[1:]):
+            while parent[a] != a:
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            while parent[b] != b:
+                parent[b] = parent[parent[b]]
+                b = parent[b]
+            if a != b:
+                parent[b] = a
+    labels = []
+    for r in range(station_count):
+        while parent[r] != r:
+            parent[r] = parent[parent[r]]
+            r = parent[r]
+        labels.append(r)
+    return labels
 
 
 def is_connected(net: LineNetwork) -> bool:
     """True iff every station is reachable from every other (isolated stations count)."""
-    if net.station_count == 0:
-        return True
-    adj = _adjacency(net)
-    seen = [False] * net.station_count
-    stack = [0]
-    seen[0] = True
-    count = 1
-    while stack:
-        u = stack.pop()
-        for v, _ in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                count += 1
-                stack.append(v)
-    return count == net.station_count
-
-
-def _dijkstra(adj: list[list[tuple[int, float]]], source: int, n: int) -> list[float]:
-    dist = [math.inf] * n
-    dist[source] = 0.0
-    heap = [(0.0, source)]
-    while heap:
-        du, u = heapq.heappop(heap)
-        if du > dist[u]:
-            continue
-        for v, w in adj[u]:
-            dv = du + w
-            if dv < dist[v]:
-                dist[v] = dv
-                heapq.heappush(heap, (dv, v))
-    return dist
+    return len(set(components(net.lines, net.station_count))) <= 1
 
 
 def all_pairs_distances(net: LineNetwork, transfer_penalty_m: float = 0.0) -> DistanceMatrix:
-    """Dijkstra from every source over the line-induced graph.
+    """Floyd-Warshall over (station, line) nodes, reduced to station pairs.
 
-    With a positive ``transfer_penalty_m``, runs on a line-expanded graph in
-    which switching lines at a shared station costs a fixed equivalent length.
+    Consecutive stops of a line are joined by their edge length; the nodes of
+    one station are joined by ``transfer_penalty_m``, so 0 means free
+    transfers. Boarding at the origin is free: a station pair's distance is
+    the minimum over the two stations' nodes. Stations on no line keep inf
+    rows with a 0 diagonal.
     """
     n = net.station_count
-    if transfer_penalty_m > 0.0:
-        return _all_pairs_with_transfers(net, transfer_penalty_m)
-    adj = _adjacency(net)
-    d = np.empty((n, n))
-    for s in range(n):
-        d[s] = _dijkstra(adj, s, n)
-    reachable = bool(np.isfinite(d).all())
-    return DistanceMatrix(d, reachable)
-
-
-def _all_pairs_with_transfers(net: LineNetwork, penalty: float) -> DistanceMatrix:
-    """Shortest paths over (station, line) nodes with per-line-change penalties.
-
-    Boarding at the origin is free; every subsequent line change at a shared
-    station adds ``penalty`` meters of equivalent length.
-    """
-    n = net.station_count
-    lengths = {(a, b): w for a, b, w in net.edges}
-    lengths.update({(b, a): w for a, b, w in net.edges})
-
-    # expanded node = (station, line index); plus transfer edges at shared stations
-    nodes: list[tuple[int, int]] = []
-    node_id: dict[tuple[int, int], int] = {}
-    for li, line in enumerate(net.lines):
-        for s in line:
-            node_id[(s, li)] = len(nodes)
-            nodes.append((s, li))
-    adj: list[list[tuple[int, float]]] = [[] for _ in nodes]
-    for li, line in enumerate(net.lines):
-        for a, b in zip(line, line[1:]):
-            u, v = node_id[(a, li)], node_id[(b, li)]
-            w = lengths[(a, b)]
-            adj[u].append((v, w))
-            adj[v].append((u, w))
-    by_station: dict[int, list[int]] = {}
-    for idx, (s, _) in enumerate(nodes):
-        by_station.setdefault(s, []).append(idx)
-    for idxs in by_station.values():
-        for i in idxs:
-            for j in idxs:
-                if i != j:
-                    adj[i].append((j, penalty))
-
-    d = np.full((n, n), math.inf)
+    node_station = np.array([s for line in net.lines for s in line], dtype=np.intp)
+    m = len(node_station)
+    d = np.where(node_station[:, None] == node_station[None, :], transfer_penalty_m, np.inf)
     np.fill_diagonal(d, 0.0)
-    for s, sources in by_station.items():
-        # multi-source Dijkstra: board any line at the origin for free
-        dist = [math.inf] * len(nodes)
-        heap = []
-        for src in sources:
-            dist[src] = 0.0
-            heap.append((0.0, src))
-        heapq.heapify(heap)
-        while heap:
-            du, u = heapq.heappop(heap)
-            if du > dist[u]:
-                continue
-            for v, w in adj[u]:
-                dv = du + w
-                if dv < dist[v]:
-                    dist[v] = dv
-                    heapq.heappush(heap, (dv, v))
-        for idx, (t, _) in enumerate(nodes):
-            if dist[idx] < d[s, t]:
-                d[s, t] = dist[idx]
-    d = np.minimum(d, d.T)  # symmetric by construction; guard float asymmetry
-    reachable = bool(np.isfinite(d).all())
-    return DistanceMatrix(d, reachable)
+    lengths = {(a, b): w for a, b, w in net.edges}
+    head = 0
+    for line in net.lines:
+        for k, (a, b) in enumerate(zip(line, line[1:]), start=head):
+            d[k, k + 1] = d[k + 1, k] = lengths[(a, b) if a < b else (b, a)]
+        head += len(line)
+    for k in range(m):  # in place: pivot k leaves its own row and column unchanged
+        np.minimum(d, d[:, k, None] + d[None, k, :], out=d)
+
+    order = np.argsort(node_station, kind="stable")
+    covered, starts = np.unique(node_station[order], return_index=True)
+    by_station = np.minimum.reduceat(d[np.ix_(order, order)], starts, axis=0)
+    dist = np.full((n, n), np.inf)
+    np.fill_diagonal(dist, 0.0)
+    dist[np.ix_(covered, covered)] = np.minimum.reduceat(by_station, starts, axis=1)
+    return DistanceMatrix(dist, bool(np.isfinite(dist).all()))

@@ -303,7 +303,7 @@ def test_criterion_07_pipeline_determinism(pipeline_fixture):
 
 
 # ---------------------------------------------------------------------------
-# criterion 8: Dijkstra vs Floyd-Warshall on random connected networks
+# criterion 8: production shortest paths vs a station-level Floyd-Warshall oracle
 # ---------------------------------------------------------------------------
 
 

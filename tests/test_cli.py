@@ -1,5 +1,9 @@
 """CLI tests: config resolution, subcommands, artifacts, exit codes."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -111,6 +115,29 @@ class TestGridCommand:
         )
         assert code == 2
         assert "nope.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("density", ["inf", "-inf", "nan"])
+    def test_non_finite_density_exit_2(self, tmp_path, capsys, density):
+        boundaries, densities = write_region_files(
+            tmp_path, [("unit", -500.0, -500.0, 500.0, 500.0, 1000.0)]
+        )
+        densities.write_text(f"district_id,density_per_km2\nunit,{density}\n")
+        code = cli.main(
+            ["grid", "--boundaries", str(boundaries), "--densities", str(densities), "--out", str(tmp_path / "o")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "densities.csv: row 2" in err and "finite" in err
+
+    @pytest.mark.parametrize("visitors", ["nan", "inf"])
+    def test_non_finite_visitors_exit_2(self, tmp_path, capsys, region_files, visitors):
+        generators = write_generator_file(tmp_path, [("Mall", 100, 0.0, 0.0), ("Bad", 1, 0.0, 0.0)])
+        generators.write_text(generators.read_text().replace(",1,", f",{visitors},"))
+        files = {**region_files, "generators": generators}
+        code = cli.main(["grid", *base_args(files, tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "generators.csv: row 3" in err and "finite" in err
 
     def test_reference_generator_count(self, tmp_path, selangor_paths):
         out = tmp_path / "out"
@@ -322,3 +349,59 @@ class TestValidateCommand:
         code = cli.main(["validate", str(out / "stations.geojson"), str(out / "lines.geojson")])
         assert code == 4
         assert "disconnected" in capsys.readouterr().err
+
+    def _edit(self, path, edit):
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+
+    def _assert_load_error(self, out, capsys):
+        code = cli.main(["validate", str(out / "stations.geojson"), str(out / "lines.geojson")])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_negative_station_id_exit_2(self, tmp_path, region_files, capsys):
+        out = self._run_once(tmp_path, region_files)
+
+        def renumber(doc):
+            doc["features"][-1]["properties"]["station_id"] = -1
+
+        self._edit(out / "stations.geojson", renumber)
+        self._assert_load_error(out, capsys)
+
+    def test_station_ids_string_exit_2(self, tmp_path, region_files, capsys):
+        out = self._run_once(tmp_path, region_files)
+
+        def stringify(doc):
+            props = doc["features"][0]["properties"]
+            props["station_ids"] = "".join(str(s) for s in props["station_ids"])
+
+        self._edit(out / "lines.geojson", stringify)
+        self._assert_load_error(out, capsys)
+
+    def test_non_object_line_feature_exit_2(self, tmp_path, region_files, capsys):
+        out = self._run_once(tmp_path, region_files)
+
+        def scalar_feature(doc):
+            doc["features"] = [5]
+
+        self._edit(out / "lines.geojson", scalar_feature)
+        self._assert_load_error(out, capsys)
+
+    def test_non_object_properties_exit_2(self, tmp_path, region_files, capsys):
+        out = self._run_once(tmp_path, region_files)
+
+        def string_properties(doc):
+            doc["features"][0]["properties"] = "line 0"
+
+        self._edit(out / "lines.geojson", string_properties)
+        self._assert_load_error(out, capsys)
+
+
+def test_cli_import_needs_no_scipy():
+    """numpy is the only runtime dependency; scipy must never be imported."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    probe = "import sys, metronet.cli; print('scipy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from metronet.errors import FitnessNotFinite, InvalidInitialPopulation
-from metronet.evolve import GaConfig, roulette_select, run, selection_weights
+from metronet.evolve import GaConfig, roulette_wheel, run, selection_weights
 
 
 class TestGaConfig:
@@ -37,32 +37,30 @@ class TestGaConfig:
 
 
 class TestRouletteSelect:
-    def test_raw_proportionality(self):
+    """The wheel ``_breed`` spins for every parent draw."""
+
+    def test_shifted_weight_proportionality(self):
+        # maximize weights are f - min(f) + eps: here about 0 : 1 : 3
         rng = np.random.default_rng(0)
-        draws = Counter(roulette_select([1.0, 3.0], "maximize", rng, raw=True) for _ in range(100_000))
-        assert draws[0] / 100_000 == pytest.approx(0.25, abs=0.01)
-        assert draws[1] / 100_000 == pytest.approx(0.75, abs=0.01)
+        spin = roulette_wheel([1.0, 2.0, 4.0], "maximize")
+        draws = Counter(spin(rng) for _ in range(100_000))
+        assert draws[0] / 100_000 < 1e-3
+        assert draws[1] / 100_000 == pytest.approx(0.25, abs=0.01)
+        assert draws[2] / 100_000 == pytest.approx(0.75, abs=0.01)
 
     def test_all_equal_is_uniform(self):
         rng = np.random.default_rng(1)
-        draws = Counter(roulette_select([5.0, 5.0, 5.0], "maximize", rng) for _ in range(90_000))
+        spin = roulette_wheel([5.0, 5.0, 5.0], "maximize")
+        draws = Counter(spin(rng) for _ in range(90_000))
         for i in range(3):
             assert draws[i] / 90_000 == pytest.approx(1 / 3, abs=0.01)
 
     def test_minimize_prefers_smallest(self):
         rng = np.random.default_rng(2)
-        draws = Counter(roulette_select([10.0, 30.0], "minimize", rng) for _ in range(100_000))
+        spin = roulette_wheel([10.0, 30.0], "minimize")
+        draws = Counter(spin(rng) for _ in range(100_000))
         # weights (20 + eps) : eps, so index 0 dominates as eps -> 0
         assert draws[0] / 100_000 > 0.99
-
-    def test_raw_rejects_negative(self):
-        with pytest.raises(ValueError):
-            roulette_select([-1.0, 2.0], "maximize", np.random.default_rng(0), raw=True)
-
-    def test_raw_all_zero_uniform_fallback(self):
-        rng = np.random.default_rng(3)
-        draws = Counter(roulette_select([0.0, 0.0], "maximize", rng, raw=True) for _ in range(10_000))
-        assert draws[0] / 10_000 == pytest.approx(0.5, abs=0.03)
 
     def test_empirical_matches_weights_within_3_sigma(self):
         fits = [2.0, 5.0, 11.0, 3.0]
@@ -70,10 +68,21 @@ class TestRouletteSelect:
         p = w / w.sum()
         rng = np.random.default_rng(4)
         n = 100_000
-        draws = Counter(roulette_select(fits, "maximize", rng) for _ in range(n))
+        spin = roulette_wheel(fits, "maximize")
+        draws = Counter(spin(rng) for _ in range(n))
         for i, pi in enumerate(p):
             sigma = math.sqrt(pi * (1 - pi) / n)
             assert abs(draws[i] / n - pi) < 3 * sigma + 1e-4
+
+    def test_one_uniform_draw_per_spin(self):
+        # the GA's byte-identical histories rest on this exact draw sequence
+        fits = [2.0, 5.0, 11.0, 3.0]
+        cum = np.cumsum(selection_weights(fits, "maximize"))
+        spin = roulette_wheel(fits, "maximize")
+        rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+        for _ in range(1000):
+            want = min(int(np.searchsorted(cum, twin.random() * cum[-1], side="right")), len(fits) - 1)
+            assert spin(rng) == want
 
 
 # toy problem for run(): genome is a float, target value 7

@@ -313,7 +313,7 @@ def exhaustive_single_line_optimum(stations, s):
     for perm in permutations(range(n)):
         if perm[0] > perm[-1]:
             continue
-        # path distances via prefix sums along the line (independent of Dijkstra)
+        # path distances via prefix sums along the line (independent of netgraph)
         edge = [float(np.hypot(*(sxy[a] - sxy[b]))) for a, b in zip(perm, perm[1:])]
         prefix = np.concatenate([[0.0], np.cumsum(edge)])
         value = 0.0
@@ -367,7 +367,7 @@ def exhaustive_two_line_optimum(stations, s):
 
     Oracle route: line pairs are enumerated by bitmask (connected iff they
     overlap and cover everything), distances come from a batched
-    Floyd-Warshall, never from the production Dijkstra.
+    Floyd-Warshall, never from the production netgraph.all_pairs_distances.
     """
     n = len(stations)
     sxy = np.array([(p.x, p.y) for p in stations])

@@ -1,12 +1,22 @@
-"""Network graph tests: construction, connectivity, Dijkstra vs Floyd-Warshall."""
+"""Network graph tests: construction, connectivity, shortest paths.
+
+Production computes shortest paths with a numpy Floyd-Warshall over
+(station, line) nodes. The references here are independent of it: a
+station-level Floyd-Warshall and a heapq Dijkstra, plain and with transfer
+penalties.
+"""
+import heapq
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metronet.errors import LineTooShort, LoopInLine
 from metronet.geomodel import PlanarPoint
-from metronet.netgraph import all_pairs_distances, build, is_connected
+from metronet.lines import LineGenome, repair
+from metronet.netgraph import all_pairs_distances, build, components, is_connected
 
 
 def pts(*xy):
@@ -21,6 +31,65 @@ def floyd_warshall_oracle(n, edges):
         d[b, a] = min(d[b, a], w)
     for k in range(n):
         d = np.minimum(d, d[:, k : k + 1] + d[k : k + 1, :])
+    return d
+
+
+def _dijkstra(adj, sources, size):
+    """Multi-source Dijkstra over an adjacency list of (neighbor, weight) pairs."""
+    dist = [math.inf] * size
+    heap = []
+    for src in sources:
+        dist[src] = 0.0
+        heap.append((0.0, src))
+    heapq.heapify(heap)
+    while heap:
+        du, u = heapq.heappop(heap)
+        if du > dist[u]:
+            continue
+        for v, w in adj[u]:
+            dv = du + w
+            if dv < dist[v]:
+                dist[v] = dv
+                heapq.heappush(heap, (dv, v))
+    return dist
+
+
+def dijkstra_reference(net, transfer_penalty_m=0.0):
+    """Station distances by Dijkstra; a positive penalty runs on (station, line) nodes.
+
+    Boarding at the origin is free; every line change at a shared station
+    adds the penalty.
+    """
+    n = net.station_count
+    if transfer_penalty_m == 0.0:
+        adj = [[] for _ in range(n)]
+        for a, b, w in net.edges:
+            adj[a].append((b, w))
+            adj[b].append((a, w))
+        return np.array([_dijkstra(adj, [s], n) for s in range(n)]).reshape(n, n)
+    lengths = {}
+    for a, b, w in net.edges:
+        lengths[(a, b)] = lengths[(b, a)] = w
+    nodes = [(s, li) for li, line in enumerate(net.lines) for s in line]
+    node_id = {node: i for i, node in enumerate(nodes)}
+    adj = [[] for _ in nodes]
+    for li, line in enumerate(net.lines):
+        for a, b in zip(line, line[1:]):
+            u, v = node_id[(a, li)], node_id[(b, li)]
+            adj[u].append((v, lengths[(a, b)]))
+            adj[v].append((u, lengths[(a, b)]))
+    by_station = {}
+    for i, (s, _) in enumerate(nodes):
+        by_station.setdefault(s, []).append(i)
+    for idxs in by_station.values():
+        for i in idxs:
+            adj[i] += [(j, transfer_penalty_m) for j in idxs if j != i]
+    d = np.full((n, n), np.inf)
+    np.fill_diagonal(d, 0.0)
+    for s, sources in by_station.items():
+        dist = _dijkstra(adj, sources, len(nodes))
+        for i, (t, _) in enumerate(nodes):
+            d[s, t] = min(d[s, t], dist[i])
     return d
 
 
@@ -165,3 +234,52 @@ class TestTransferPenalty:
         base = all_pairs_distances(net).d
         taxed = all_pairs_distances(net, transfer_penalty_m=500.0).d
         assert np.all(taxed >= base - 1e-9)
+
+
+def random_network(rng, n):
+    """Random stations and 1-3 random lines; often disconnected or leaving stations uncovered."""
+    stations = pts(*rng.uniform(-5000, 5000, (n, 2)))
+    lines = []
+    for _ in range(int(rng.integers(1, 4))):
+        size = int(rng.integers(2, n + 1))
+        lines.append([int(v) for v in rng.choice(n, size=size, replace=False)])
+    return build(lines, stations)
+
+
+class TestDijkstraReference:
+    # Floyd-Warshall and Dijkstra sum the same edge lengths in different
+    # orders; float64 keeps that drift far below this tolerance.
+    RTOL = 1e-12
+
+    @pytest.mark.parametrize("penalty", [0.0, 250.0, 4000.0])
+    def test_matches_production(self, penalty):
+        rng = np.random.default_rng(53)
+        nets = [random_network(rng, int(rng.integers(2, 12))) for _ in range(40)]
+        nets += [random_connected_network(rng, n=int(rng.integers(3, 15)))[0] for _ in range(25)]
+        for net in nets:
+            got = all_pairs_distances(net, transfer_penalty_m=penalty)
+            want = dijkstra_reference(net, penalty)
+            np.testing.assert_allclose(got.d, want, rtol=self.RTOL, atol=0.0)
+            assert got.reachable == bool(np.isfinite(want).all())
+
+
+@st.composite
+def layouts(draw):
+    """Station count, seeded coordinates and 1-4 duplicate-free lines (often disconnected)."""
+    n = draw(st.integers(2, 9))
+    line = st.lists(st.integers(0, n - 1), min_size=2, max_size=n, unique=True)
+    lines = draw(st.lists(line, min_size=1, max_size=4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return n, pts(*np.random.default_rng(seed).uniform(-5000, 5000, (n, 2))), lines
+
+
+@settings(max_examples=200, deadline=None)
+@given(layouts())
+def test_connectivity_routines_agree(layout):
+    n, stations, lines = layout
+    net = build(lines, stations)
+    connected = is_connected(net)
+    assert all_pairs_distances(net).reachable == connected
+    assert (len(set(components(lines, n))) == 1) == connected
+    repaired = repair(LineGenome(tuple(tuple(line) for line in lines)), stations)
+    assert is_connected(build(repaired.lines, stations))
