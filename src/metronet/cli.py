@@ -7,6 +7,7 @@ prefixed with ``stage1_`` or ``stage2_``.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -74,8 +75,18 @@ class RunConfig:
         return CoverageParams(sigma=self.sigma, mode=self.coverage_mode)
 
 
+# '#' opens a comment at the start of a line or after whitespace, so it may
+# appear inside a value such as a path.
+_COMMENT = re.compile(r"(?:^|\s)#")
+_PATH_KEYS = ("boundaries", "densities", "generators", "out")
+
+
+def _strip_comment(line: str) -> str:
+    return _COMMENT.split(line, maxsplit=1)[0].strip()
+
+
 def load_config_file(path: Path) -> dict[str, object]:
-    """Parse a flat key = value file; '#' starts a comment."""
+    """Parse a flat key = value file; '#' at line start or after whitespace starts a comment."""
     path = Path(path)
     try:
         text = path.read_text()
@@ -83,7 +94,7 @@ def load_config_file(path: Path) -> dict[str, object]:
         raise ParseError(f"{path}: {exc}") from exc
     values: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _strip_comment(raw)
         if not line:
             continue
         key, sep, value = line.partition("=")
@@ -108,6 +119,17 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             merged[key] = flag_value
+
+    for key in _PATH_KEYS:
+        if key not in merged:
+            continue
+        value = str(merged[key])
+        # the manifest must read back as the same path when replayed with --config
+        if len(value.splitlines()) > 1 or _strip_comment(value) != value:
+            raise ParseError(
+                f"{key}: path {value!r} cannot be replayed from a manifest: it has "
+                "whitespace before '#', surrounding whitespace or a line break"
+            )
 
     def get(key: str, default):
         return merged.get(key, default)

@@ -53,19 +53,41 @@ class CoverageReport:
     generator: np.ndarray
 
 
+# Cells per block of the nearest-mode kernel: temporaries stay K x _NEAREST_CHUNK.
+_NEAREST_CHUNK = 2048
+
+
 def _gaussian_shares(sxy: np.ndarray, px: np.ndarray, py: np.ndarray,
                      weight: np.ndarray, params: CoverageParams) -> np.ndarray:
-    """Per-station sums of weight * exp(-r^2 / sigma^2) over the given points."""
-    dx = sxy[:, 0:1] - px[None, :]
-    dy = sxy[:, 1:2] - py[None, :]
-    kernel = np.exp(-(dx * dx + dy * dy) / (params.sigma**2))
+    """Per-station sums of weight * exp(-r^2 / sigma^2) over the given points.
+
+    In sum mode each station's share is one row dotted with the weights, so
+    it depends only on that station's coordinate, never on the others in the
+    batch; temporaries are O(points).
+    """
+    sigma2 = params.sigma**2
+    shares = np.zeros(len(sxy))
     if params.mode == "nearest":
-        # Only the closest station earns each point's contribution.
-        owner = np.argmin(dx * dx + dy * dy, axis=0)
-        shares = np.zeros(len(sxy))
-        np.add.at(shares, owner, weight * kernel[owner, np.arange(kernel.shape[1])])
+        # Only the closest station earns each point's contribution. Blocks of
+        # points are added in order, so every station accumulates its points
+        # in the same sequence as one unblocked pass would.
+        for start in range(0, len(px), _NEAREST_CHUNK):
+            bx, by = px[start:start + _NEAREST_CHUNK], py[start:start + _NEAREST_CHUNK]
+            # dx * dx + dy * dy, updated in place to hold two K x chunk arrays at most
+            r2 = sxy[:, 0:1] - bx[None, :]
+            r2 *= r2
+            dy2 = sxy[:, 1:2] - by[None, :]
+            dy2 *= dy2
+            r2 += dy2
+            owner = np.argmin(r2, axis=0)
+            nearest_r2 = r2[owner, np.arange(len(bx))]
+            np.add.at(shares, owner, weight[start:start + _NEAREST_CHUNK] * np.exp(-nearest_r2 / sigma2))
         return shares
-    return kernel @ weight
+    for k, (sx, sy) in enumerate(sxy):
+        dx = sx - px
+        dy = sy - py
+        shares[k] = np.exp(-(dx * dx + dy * dy) / sigma2) @ weight
+    return shares
 
 
 def district_coverage(stations: Sequence[PlanarPoint], grid: DemandGrid,
@@ -99,5 +121,10 @@ def evaluate(stations: Sequence[PlanarPoint], grid: DemandGrid,
         return CoverageReport(0.0, empty, empty, empty)
     district = district_coverage(sxy, grid, params)
     generator = generator_coverage(sxy, generators, params)
+    return report_from_shares(district, generator)
+
+
+def report_from_shares(district: np.ndarray, generator: np.ndarray) -> CoverageReport:
+    """The report of stations whose district and generator shares are given in order."""
     per_station = district + generator
     return CoverageReport(float(per_station.sum()), per_station, district, generator)

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -128,18 +128,56 @@ def crossover(
 
 
 def make_validator(districts: Sequence[District]):
-    """Repair hook: clamp any station outside the study area to the boundary."""
+    """Repair hook: clamp any station outside the study area to the boundary.
+
+    A coordinate found inside once is not checked again: crossover only
+    swaps coordinates the hook has seen, and mutation yields points that are
+    inside or clamped onto the boundary.
+    """
+    inside: set[PlanarPoint] = set()
 
     def validator(genome: StationGenome) -> StationGenome:
         fixed = None
         for i, p in enumerate(genome.stations):
-            if not point_in_region(p, districts):
-                if fixed is None:
-                    fixed = list(genome.stations)
-                fixed[i], _ = nearest_boundary_point(p, districts)
+            if p in inside:
+                continue
+            if point_in_region(p, districts):
+                inside.add(p)
+                continue
+            if fixed is None:
+                fixed = list(genome.stations)
+            fixed[i], _ = nearest_boundary_point(p, districts)
         return genome if fixed is None else StationGenome(tuple(fixed))
 
     return validator
+
+
+def _coverage_of(
+    grid: DemandGrid,
+    generators: Sequence[GeneratorPoint],
+    params: CoverageParams,
+) -> Callable[[Sequence[PlanarPoint]], CoverageReport]:
+    """Coverage report of a station list, memoized per coordinate in sum mode.
+
+    A sum-mode share depends only on the station's own coordinate, so each
+    coordinate is evaluated once and the report is assembled from the memo;
+    it equals ``coverage.evaluate`` of the whole list bit for bit. Nearest
+    mode is not separable and evaluates every list in full.
+    """
+    if params.mode != "sum":
+        return lambda points: coverage.evaluate(points, grid, generators, params)
+    shares: dict[PlanarPoint, tuple[float, float]] = {}
+
+    def report(points: Sequence[PlanarPoint]) -> CoverageReport:
+        missing = list(dict.fromkeys(p for p in points if p not in shares))
+        if missing:
+            fresh = coverage.evaluate(missing, grid, generators, params)
+            shares.update(zip(missing, zip(fresh.district, fresh.generator)))
+        district = np.array([shares[p][0] for p in points])
+        generator = np.array([shares[p][1] for p in points])
+        return coverage.report_from_shares(district, generator)
+
+    return report
 
 
 def optimize_stations(
@@ -154,8 +192,10 @@ def optimize_stations(
     init_rng = np.random.default_rng(np.random.SeedSequence(ga.rng_seed, spawn_key=(0,)))
     initial = init_population(grid, districts, config.station_count, ga.population_size, init_rng)
 
+    coverage_of = _coverage_of(grid, generators, config.coverage)
+
     def fitness(genome: StationGenome) -> float:
-        return coverage.evaluate(genome.stations, grid, generators, config.coverage).total
+        return coverage_of(genome.stations).total
 
     def mutation(genome: StationGenome, rng: np.random.Generator) -> StationGenome:
         return mutate(genome, config.mutation_sigma, rng, districts)
@@ -169,5 +209,4 @@ def optimize_stations(
         ga,
         on_generation=on_generation,
     )
-    report = coverage.evaluate(best.stations, grid, generators, config.coverage)
-    return best, report, history
+    return best, coverage_of(best.stations), history

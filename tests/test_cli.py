@@ -52,6 +52,17 @@ class TestConfigResolution:
         values = cli.load_config_file(cfg_file)
         assert values == {"cell_size": 250.0, "sigma": 900.0, "seed": 7, "stage2_generations": 40}
 
+    def test_hash_starts_comment_only_after_whitespace(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(
+            "#comment\n"
+            "cell_size = 500   # meters\n"
+            "out = runs/d#x\n"
+            "boundaries = a#b.geojson\t# tab before the comment\n"
+        )
+        values = cli.load_config_file(cfg_file)
+        assert values == {"cell_size": 500.0, "out": "runs/d#x", "boundaries": "a#b.geojson"}
+
     def test_unknown_key_rejected(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("walrus = 9\n")
@@ -218,6 +229,33 @@ class TestRunCommand:
         assert code == 0
         for artifact in ("stations.geojson", "lines.geojson", "history_stage1.csv", "history_stage2.csv"):
             assert (out1 / artifact).read_bytes() == (out2 / artifact).read_bytes()
+
+    def test_manifest_with_hash_in_paths_replays(self, tmp_path, region_files):
+        inputs = tmp_path / "d#x"
+        inputs.mkdir()
+        files = {key: inputs / path.name for key, path in region_files.items()}
+        for key, path in region_files.items():
+            files[key].write_bytes(path.read_bytes())
+        out1 = tmp_path / "o#1"
+        args = ["--station-count", "3", "--line-count", "2", "--population-size", "10", "--generations", "3"]
+        assert cli.main(["run", *base_args(files, out1, args)]) == 0
+        assert f"boundaries = {files['boundaries']}" in (out1 / "manifest.txt").read_text()
+        out2 = tmp_path / "two"
+        assert cli.main(["run", "--config", str(out1 / "manifest.txt"), "--out", str(out2)]) == 0
+        for artifact in ("stations.geojson", "lines.geojson", "history_stage1.csv", "history_stage2.csv"):
+            assert (out1 / artifact).read_bytes() == (out2 / artifact).read_bytes()
+
+    @pytest.mark.parametrize("key, value", [("out", "runs #3"), ("densities", "d.csv "), ("generators", "g\n.csv")])
+    def test_unreplayable_path_exit_2(self, tmp_path, region_files, capsys, key, value):
+        files = dict(region_files)
+        out = tmp_path / "out"
+        if key == "out":
+            out = tmp_path / value
+        else:
+            files[key] = value
+        assert cli.main(["run", *base_args(files, out, ["--station-count", "2"])]) == 2
+        assert f"error: {key}: " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_artifact_round_trip_exact(self, tmp_path, region_files):
         out = tmp_path / "out"

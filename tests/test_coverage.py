@@ -1,5 +1,6 @@
 """Coverage fitness tests against brute-force oracles and analytic values."""
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metronet import coverage
 from metronet.coverage import (
     CoverageParams,
     district_coverage,
@@ -242,3 +244,57 @@ class TestNearestMode:
         shares = district_coverage(stations, grid, CoverageParams(800.0, mode="nearest"))
         assert shares[1] == 0.0
         assert shares[0] == pytest.approx(100.0 * math.exp(-(100.0**2) / 800.0**2))
+
+
+def unchunked_nearest_shares(sxy, px, py, weight, sigma):
+    """The nearest-mode kernel as one K x N pass: the reference for the chunked one."""
+    dx = sxy[:, 0:1] - px[None, :]
+    dy = sxy[:, 1:2] - py[None, :]
+    kernel = np.exp(-(dx * dx + dy * dy) / (sigma**2))
+    owner = np.argmin(dx * dx + dy * dy, axis=0)
+    shares = np.zeros(len(sxy))
+    np.add.at(shares, owner, weight * kernel[owner, np.arange(kernel.shape[1])])
+    return shares
+
+
+class TestExactFastPaths:
+    @pytest.mark.parametrize("chunk", [1, 7, 2048])
+    def test_chunked_nearest_equals_unchunked(self, monkeypatch, chunk):
+        monkeypatch.setattr(coverage, "_NEAREST_CHUNK", chunk)
+        rng = np.random.default_rng(23)
+        stations, grid, generators = random_instance(rng, 9, 5000, 40, span=9000.0)
+        # a repeated coordinate makes argmin ties; the first station keeps them
+        stations[4] = stations[1]
+        report = evaluate(stations, grid, generators, CoverageParams(800.0, mode="nearest"))
+        sxy = np.array([(p.x, p.y) for p in stations])
+        gw = np.array([g.daily_visitors for g in generators])
+        gx = np.array([g.planar.x for g in generators])
+        gy = np.array([g.planar.y for g in generators])
+        assert np.array_equal(report.district, unchunked_nearest_shares(sxy, grid.x, grid.y, grid.population, 800.0))
+        assert np.array_equal(report.generator, unchunked_nearest_shares(sxy, gx, gy, gw, 800.0))
+
+    def test_sum_share_independent_of_batch(self):
+        rng = np.random.default_rng(29)
+        stations, grid, generators = random_instance(rng, 61, 3000, 12)
+        params = CoverageParams(800.0)
+        batch = evaluate(stations, grid, generators, params)
+        for i, p in enumerate(stations):
+            alone = evaluate([p], grid, generators, params)
+            assert alone.per_station[0] == batch.per_station[i]
+            assert alone.district[0] == batch.district[i]
+            assert alone.generator[0] == batch.generator[i]
+
+    @pytest.mark.parametrize("mode", ["sum", "nearest"])
+    def test_peak_memory_does_not_scale_with_stations_times_cells(self, mode):
+        rng = np.random.default_rng(31)
+        k, n = 128, 100_000
+        stations, grid, _ = random_instance(rng, k, n, 0, span=30000.0)
+        params = CoverageParams(800.0, mode=mode)
+        tracemalloc.start()
+        try:
+            evaluate(stations, grid, (), params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one K x N float64 temporary alone would be k * n * 8 bytes
+        assert peak < k * n * 8 / 8

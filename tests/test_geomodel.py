@@ -1,11 +1,14 @@
 """Projection, loading, and rasterization tests."""
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+
+from metronet import geomodel
 
 from metronet.errors import EmptyGrid, InvalidPolygon, MissingDensity, NegativeVisitors, ParseError
 from metronet.geomodel import (
@@ -19,6 +22,7 @@ from metronet.geomodel import (
     nearest_boundary_point,
     point_in_district,
     point_in_region,
+    points_in_rings,
     project,
     rasterize,
     shoelace_area,
@@ -312,3 +316,125 @@ class TestPointHelpers:
         p, dist = nearest_boundary_point(PlanarPoint(-300.0, 400.0), [unit_square_km])
         assert (p.x, p.y) == (0.0, 400.0)
         assert dist == pytest.approx(300.0)
+
+
+def per_edge_crossings(xs, ys, edges):
+    """Even-odd test one edge at a time: the reference for ``points_in_rings``."""
+    inside = np.zeros(len(xs), dtype=bool)
+    for ex1, ey1, ex2, ey2 in edges:
+        if ey1 == ey2:
+            continue
+        straddles = (ey1 > ys) != (ey2 > ys)
+        cross_x = (ex2 - ex1) * (ys - ey1) / (ey2 - ey1) + ex1
+        inside ^= straddles & (xs < cross_x)
+    return inside
+
+
+def reference_points_in_rings(xs, ys, rings):
+    edges = []
+    for ring in rings:
+        x1, y1 = ring[:, 0], ring[:, 1]
+        edges += zip(x1, y1, np.roll(x1, -1), np.roll(y1, -1))
+    return per_edge_crossings(xs, ys, edges)
+
+
+def reference_nearest_boundary_point(p, districts):
+    """Nearest boundary point ring by ring, the first ring winning ties."""
+    best, best_d2 = None, math.inf
+    for d in districts:
+        for a in d.ring_arrays:
+            ab = np.roll(a, -1, axis=0) - a
+            ap = np.array([p.x, p.y]) - a
+            seg_len2 = np.einsum("ij,ij->i", ab, ab)
+            t = np.clip(np.einsum("ij,ij->i", ap, ab) / np.where(seg_len2 == 0, 1.0, seg_len2), 0.0, 1.0)
+            closest = a + t[:, None] * ab
+            diff = closest - np.array([p.x, p.y])
+            d2 = np.einsum("ij,ij->i", diff, diff)
+            k = int(np.argmin(d2))
+            if d2[k] < best_d2:
+                best_d2 = float(d2[k])
+                best = PlanarPoint(float(closest[k, 0]), float(closest[k, 1]))
+    return best, math.sqrt(best_d2)
+
+
+@st.composite
+def star_ring(draw, cx, cy, r_lo, r_hi):
+    """A star-shaped ring on a 1 m grid; some vertices copy the previous y (horizontal edges)."""
+    n = draw(st.integers(3, 10))
+    start = draw(st.floats(0.0, 2 * math.pi))
+    jitter = draw(st.lists(st.floats(0.0, 0.9), min_size=n, max_size=n))
+    radii = draw(st.lists(st.integers(r_lo, r_hi), min_size=n, max_size=n))
+    flat = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    ring = []
+    for k in range(n):
+        angle = start + 2 * math.pi * (k + jitter[k]) / n
+        x = float(round(cx + radii[k] * math.cos(angle)))
+        y = float(round(cy + radii[k] * math.sin(angle)))
+        if flat[k] and ring:
+            y = ring[-1].y
+        ring.append(PlanarPoint(x, y))
+    return tuple(ring)
+
+
+@st.composite
+def star_districts(draw):
+    """One or two star parts, each with an optional star hole, possibly overlapping."""
+    polygons = []
+    for _ in range(draw(st.integers(1, 2))):
+        cx, cy = draw(st.integers(-2000, 2000)), draw(st.integers(-2000, 2000))
+        outer = draw(star_ring(cx, cy, 500, 1500))
+        holes = (draw(star_ring(cx, cy, 50, 300)),) if draw(st.booleans()) else ()
+        polygons.append(PlanarPolygon(outer, holes))
+    try:
+        return District("star", tuple(polygons), 1000.0)
+    except InvalidPolygon:
+        assume(False)
+
+
+class TestContainmentMatchesPerEdgeLoop:
+    @given(district=star_districts(), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_points_district_and_raster_match(self, district, data):
+        xmin, ymin, xmax, ymax = district.bounds
+        rings = district.ring_arrays
+        vertices = np.concatenate(rings)
+        midpoints = np.concatenate([(r + np.roll(r, -1, axis=0)) / 2.0 for r in rings])
+        grid_pts = data.draw(st.lists(
+            st.tuples(st.integers(int(xmin) - 200, int(xmax) + 200), st.integers(int(ymin) - 200, int(ymax) + 200)),
+            min_size=1, max_size=40,
+        ))
+        grid_pts = np.array(grid_pts, dtype=float)
+        # rays through vertex heights, from random x
+        through = np.column_stack([grid_pts[: len(vertices), 0], vertices[: len(grid_pts), 1]])
+        pts = np.concatenate([vertices, midpoints, grid_pts, through])
+        xs, ys = pts[:, 0].copy(), pts[:, 1].copy()
+
+        want = reference_points_in_rings(xs, ys, rings)
+        assert np.array_equal(points_in_rings(xs, ys, district.crossing_edges), want)
+        assert [point_in_district(PlanarPoint(x, y), district) for x, y in pts] == want.tolist()
+
+        for x, y in pts[:: max(1, len(pts) // 8)]:
+            p = PlanarPoint(x, y)
+            assert nearest_boundary_point(p, [district]) == reference_nearest_boundary_point(p, [district])
+
+        cell = data.draw(st.sampled_from([97.0, 250.0]))
+
+        def raster():
+            # overlapping parts cancel under even-odd, so the grid may be empty
+            try:
+                grid = rasterize([district], cell)
+            except EmptyGrid:
+                return None
+            return grid.x.tolist(), grid.y.tolist(), grid.population.tolist()
+
+        got = raster()
+        with mock.patch.object(geomodel, "points_in_rings", per_edge_crossings):
+            assert got == raster()
+
+    def test_bounds_prefilter_is_exact_at_the_box(self):
+        d = rect_district("box", -1000.0, -1000.0, 1000.0, 1000.0, 10.0)
+        edge_points = [(1000.0, 0.0), (-1000.0, 0.0), (0.0, 1000.0), (0.0, -1000.0), (1000.0, 1000.0)]
+        outside = [(np.nextafter(1000.0, 2000.0), 0.0), (0.0, np.nextafter(-1000.0, -2000.0))]
+        for x, y in edge_points + outside:
+            want = bool(reference_points_in_rings(np.array([x]), np.array([y]), d.ring_arrays)[0])
+            assert point_in_district(PlanarPoint(x, y), d) == want

@@ -1,12 +1,14 @@
 """Station-placement stage tests: operators, initialization, small optimizations."""
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from metronet import coverage, stations
 from metronet.coverage import CoverageParams, evaluate
 from metronet.evolve import GaConfig
-from metronet.geomodel import DemandGrid, PlanarPoint, point_in_region, rasterize
+from metronet.geomodel import DemandGrid, GeneratorPoint, GeoPoint, PlanarPoint, point_in_region, rasterize
 from metronet.stations import (
     StationGenome,
     StationStageConfig,
@@ -197,6 +199,85 @@ class TestOptimize:
         assert b1 == b2
         assert r1.total == r2.total
         assert h1.records == h2.records
+
+
+class TestValidator:
+    def test_checks_each_inside_coordinate_once(self, monkeypatch, square_10km):
+        calls = []
+
+        def counting(p, districts):
+            calls.append(p)
+            return point_in_region(p, districts)
+
+        monkeypatch.setattr(stations, "point_in_region", counting)
+        validator = make_validator([square_10km])
+        genome = StationGenome((PlanarPoint(0.0, 0.0), PlanarPoint(100.0, 0.0), PlanarPoint(0.0, 0.0)))
+        assert validator(genome) is genome
+        assert validator(genome) is genome
+        assert calls == [PlanarPoint(0.0, 0.0), PlanarPoint(100.0, 0.0)]
+
+    def test_outside_coordinate_clamped_every_time(self, square_10km):
+        validator = make_validator([square_10km])
+        genome = StationGenome((PlanarPoint(0.0, 0.0), PlanarPoint(9000.0, 0.0)))
+        for _ in range(2):
+            fixed = validator(genome)
+            assert fixed.stations[0] == genome.stations[0]
+            assert fixed.stations[1] == PlanarPoint(5000.0, 0.0)
+
+
+class TestMemoizedCoverage:
+    @pytest.fixture
+    def instance(self, two_district_region):
+        grid = rasterize(two_district_region, 500.0)
+        generators = (
+            GeneratorPoint("mall", 30000.0, GeoPoint(3.0, 101.5), PlanarPoint(-3000.0, 500.0)),
+            GeneratorPoint("campus", 12000.0, GeoPoint(3.0, 101.5), PlanarPoint(2500.0, -700.0)),
+        )
+        return grid, generators, two_district_region
+
+    @pytest.mark.parametrize("mode", ["sum", "nearest"])
+    def test_fitness_and_report_equal_full_evaluate(self, instance, mode):
+        grid, generators, districts = instance
+        cfg = StationStageConfig(
+            station_count=6,
+            ga=GaConfig(population_size=12, generations=6, mutation_rate=0.6, rng_seed=4),
+            coverage=CoverageParams(800.0, mode=mode),
+        )
+        seen = []
+
+        def check(gen, population, fits):
+            for genome, fit in zip(population, fits):
+                assert fit == evaluate(genome.stations, grid, generators, cfg.coverage).total
+            seen.append(gen)
+
+        best, report, _ = optimize_stations(grid, generators, districts, cfg, on_generation=check)
+        assert seen == list(range(7))
+        full = evaluate(best.stations, grid, generators, cfg.coverage)
+        assert report.total == full.total
+        for name in ("per_station", "district", "generator"):
+            assert np.array_equal(getattr(report, name), getattr(full, name))
+
+    def test_sum_mode_computes_each_coordinate_once(self, monkeypatch, instance):
+        grid, generators, districts = instance
+        computed = []
+        original = coverage.evaluate
+
+        def counting(points, *args):
+            computed.extend(points)
+            return original(points, *args)
+
+        monkeypatch.setattr(coverage, "evaluate", counting)
+        cfg = StationStageConfig(
+            station_count=6,
+            ga=GaConfig(population_size=12, generations=6, mutation_rate=0.6, rng_seed=4),
+        )
+        genomes_seen = set()
+        optimize_stations(
+            grid, generators, districts, cfg,
+            on_generation=lambda gen, pop, fits: genomes_seen.update(p for g in pop for p in g.stations),
+        )
+        assert max(Counter(computed).values()) == 1
+        assert set(computed) == genomes_seen
 
 
 def test_station_count_heuristic():
