@@ -211,8 +211,8 @@ def repair(genome: LineGenome, stations: Sequence[PlanarPoint]) -> LineGenome:
     network is split, the station outside the component of station 0 that is
     closest to it gets appended at the nearest end of a line inside that
     component (if station 0 sits on no line yet, station 0 itself is appended
-    to the globally nearest line end). Idempotent; at most one station joins
-    per iteration, so it terminates within station_count rounds.
+    to the globally nearest line end). Idempotent; every round merges one
+    more component into station 0's, so it ends within station_count rounds.
     """
     sxy = station_xy(stations)
     n = len(sxy)
@@ -231,38 +231,40 @@ def repair(genome: LineGenome, stations: Sequence[PlanarPoint]) -> LineGenome:
             changed = True
         lines.append(deduped)
 
-    dmat = None
-    for _ in range(n + 1):
-        comp = netgraph.components(lines, n)
-        root0 = comp[0]
-        if all(c == root0 for c in comp):
-            break
-        changed = True
-        if dmat is None:
-            diff = sxy[:, None, :] - sxy[None, :, :]
-            dmat = np.sqrt((diff * diff).sum(axis=2))
-        inside = np.array([c == root0 for c in comp])
-        line_in_c0 = [li for li, line in enumerate(lines) if comp[line[0]] == root0]
+    comp = netgraph.components(lines, n)
+    if comp.count(comp[0]) == n:
+        return LineGenome(tuple(lines)) if changed else genome
+    # Each attach merges station 0's component with one other whole
+    # component, so these labels stay valid for the components outside it.
+    comp = np.array(comp)
+    inside = comp == comp[0]
+    dx = sxy[:, None, 0] - sxy[None, :, 0]
+    dy = sxy[:, None, 1] - sxy[None, :, 1]
+    dmat = np.sqrt(dx * dx + dy * dy)
+    for _ in range(n):
+        line_in_c0 = [li for li, line in enumerate(lines) if inside[line[0]]]
         if line_in_c0:
-            sub = dmat[np.ix_(inside.nonzero()[0], (~inside).nonzero()[0])]
-            v = int((~inside).nonzero()[0][int(np.argmin(sub.min(axis=0)))])
-            _attach_to_nearest_end(lines, line_in_c0, v, dmat)
+            # the outside station nearest to station 0's component
+            joined = int(np.argmin(np.where(inside, np.inf, dmat[inside].min(axis=0))))
+            _attach_to_nearest_end(lines, line_in_c0, joined, dmat)
         else:
             # station 0 sits on no line: hook it onto the nearest line end anywhere
-            _attach_to_nearest_end(lines, range(len(lines)), 0, dmat)
-    else:
-        raise RepairFailed("connectivity loop exceeded the station count")
-    return LineGenome(tuple(lines)) if changed else genome
+            joined = _attach_to_nearest_end(lines, range(len(lines)), 0, dmat)
+        inside |= comp == comp[joined]
+        if inside.all():
+            return LineGenome(tuple(lines))
+    raise RepairFailed("connectivity loop exceeded the station count")
 
 
-def _attach_to_nearest_end(lines: list[tuple[int, ...]], candidates, v: int, dmat: np.ndarray) -> None:
-    """Splice station v onto whichever candidate line head/tail lies closest."""
-    _, li, end = min(
-        (dmat[line_end, v], li, end)
+def _attach_to_nearest_end(lines: list[tuple[int, ...]], candidates, v: int, dmat: np.ndarray) -> int:
+    """Splice station v onto the closest candidate line head/tail; return that end station."""
+    _, li, end, joined = min(
+        (dmat[line_end, v], li, end, line_end)
         for li in candidates
         for end, line_end in ((0, lines[li][-1]), (1, lines[li][0]))
     )
     lines[li] = lines[li] + (v,) if end == 0 else (v,) + lines[li]
+    return joined
 
 
 # ---------------------------------------------------------------------------

@@ -49,10 +49,10 @@ def build(lines: Sequence[Sequence[int]], stations: Sequence[PlanarPoint]) -> Li
             if s in seen:
                 raise LoopInLine(li, s)
             seen.add(s)
-        for a, b in zip(line, line[1:]):
-            key = (a, b) if a < b else (b, a)
-            if key not in edge_set:
-                edge_set[key] = float(np.hypot(*(sxy[a] - sxy[b])))
+        stops = np.asarray(line, dtype=np.intp)
+        lengths = np.hypot(*(sxy[stops[:-1]] - sxy[stops[1:]]).T).tolist()
+        for a, b, length in zip(line, line[1:], lengths):
+            edge_set.setdefault((a, b) if a < b else (b, a), length)
     edges = tuple((a, b, length) for (a, b), length in sorted(edge_set.items()))
     return LineNetwork(n, tuple(tuple(line) for line in lines), edges)
 
@@ -88,32 +88,51 @@ def is_connected(net: LineNetwork) -> bool:
 
 
 def all_pairs_distances(net: LineNetwork, transfer_penalty_m: float = 0.0) -> DistanceMatrix:
-    """Floyd-Warshall over (station, line) nodes, reduced to station pairs.
+    """Shortest station-pair distances over the line graph, in meters.
 
-    Consecutive stops of a line are joined by their edge length; the nodes of
-    one station are joined by ``transfer_penalty_m``, so 0 means free
-    transfers. Boarding at the origin is free: a station pair's distance is
-    the minimum over the two stations' nodes. Stations on no line keep inf
-    rows with a 0 diagonal.
+    Each stop of a line is a node. The nodes of one station are joined by
+    ``transfer_penalty_m``; at 0 (free transfers) they merge, so the node map
+    sends every stop to its station and the matrix is n x n. With a positive
+    penalty the nodes stay (station, line) pairs, and a station pair's
+    distance is the minimum over the two stations' nodes, since boarding at
+    the origin is free. The matrix is seeded with each line's exact
+    along-line distances, then Floyd-Warshall pivots only on nodes of
+    stations served by two or more lines: a shortest path splits into
+    along-line runs whose break points all lie at such stations. Stations on
+    no line keep inf rows with a 0 diagonal.
     """
     n = net.station_count
-    node_station = np.array([s for line in net.lines for s in line], dtype=np.intp)
-    m = len(node_station)
+    stops = np.array([s for line in net.lines for s in line], dtype=np.intp)
+    # node map: the node of every stop, in line order, and the station of every node
+    if transfer_penalty_m == 0:
+        stop_node, node_station = stops, np.arange(n)
+    else:
+        stop_node, node_station = np.arange(len(stops)), stops
     d = np.where(node_station[:, None] == node_station[None, :], transfer_penalty_m, np.inf)
     np.fill_diagonal(d, 0.0)
     lengths = {(a, b): w for a, b, w in net.edges}
     head = 0
     for line in net.lines:
-        for k, (a, b) in enumerate(zip(line, line[1:]), start=head):
-            d[k, k + 1] = d[k + 1, k] = lengths[(a, b) if a < b else (b, a)]
-        head += len(line)
-    for k in range(m):  # in place: pivot k leaves its own row and column unchanged
+        size = len(line)
+        w = np.array([lengths[(a, b) if a < b else (b, a)] for a, b in zip(line, line[1:])])
+        # row i sums the edges from stop i onward, left to right
+        r = np.arange(size - 1)
+        along = np.zeros((size, size))
+        along[:-1, 1:] = np.cumsum(w * (r[:, None] <= r), axis=1)
+        along += along.T
+        block = np.ix_(stop_node[head : head + size], stop_node[head : head + size])
+        d[block] = np.minimum(d[block], along)
+        head += size
+    lines_at = np.bincount(stops, minlength=n)
+    for k in np.nonzero(lines_at[node_station] >= 2)[0]:
+        # in place: pivot k leaves its own row and column unchanged
         np.minimum(d, d[:, k, None] + d[None, k, :], out=d)
 
-    order = np.argsort(node_station, kind="stable")
-    covered, starts = np.unique(node_station[order], return_index=True)
-    by_station = np.minimum.reduceat(d[np.ix_(order, order)], starts, axis=0)
-    dist = np.full((n, n), np.inf)
-    np.fill_diagonal(dist, 0.0)
-    dist[np.ix_(covered, covered)] = np.minimum.reduceat(by_station, starts, axis=1)
-    return DistanceMatrix(dist, bool(np.isfinite(dist).all()))
+    if transfer_penalty_m != 0:
+        order = np.argsort(node_station, kind="stable")
+        covered, starts = np.unique(node_station[order], return_index=True)
+        by_station = np.minimum.reduceat(d[np.ix_(order, order)], starts, axis=0)
+        d = np.full((n, n), np.inf)
+        np.fill_diagonal(d, 0.0)
+        d[np.ix_(covered, covered)] = np.minimum.reduceat(by_station, starts, axis=1)
+    return DistanceMatrix(d, bool(np.isfinite(d).all()))

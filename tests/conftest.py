@@ -2,7 +2,9 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from metronet.geomodel import (
     District,
@@ -99,3 +101,14 @@ def selangor_paths():
         "densities": DATA_DIR / "selangor_densities.csv",
         "generators": DATA_DIR / "selangor_generators.csv",
     }
+
+
+@st.composite
+def layouts(draw):
+    """Station count, seeded coordinates and 1-4 duplicate-free lines (often disconnected)."""
+    n = draw(st.integers(2, 9))
+    line = st.lists(st.integers(0, n - 1), min_size=2, max_size=n, unique=True)
+    lines = draw(st.lists(line, min_size=1, max_size=4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    xy = np.random.default_rng(seed).uniform(-5000, 5000, (n, 2))
+    return n, [PlanarPoint(float(x), float(y)) for x, y in xy], lines

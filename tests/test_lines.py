@@ -4,10 +4,14 @@ from itertools import combinations, permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from metronet.errors import TooFewStations
+from conftest import layouts
+from metronet import netgraph
+from metronet.errors import RepairFailed, TooFewStations
 from metronet.evolve import GaConfig
-from metronet.geomodel import PlanarPoint
+from metronet.geomodel import PlanarPoint, station_xy
 from metronet.lines import (
     LineGenome,
     LineStageConfig,
@@ -269,6 +273,65 @@ class TestRepair:
         assert twice is once  # unchanged input comes back as the same object
         assert_valid_genome(once, 7, line_count=3)
         assert is_connected(build(once.lines, stations))
+
+
+def relabeling_repair_reference(genome, stations):
+    """Repair as a loop that labels the components again after every attach.
+
+    Production labels them once and grows station 0's component in place;
+    both must attach the same stations in the same order.
+    """
+    sxy = station_xy(stations)
+    n = len(sxy)
+    changed = False
+    lines = []
+    for line in genome.lines:
+        deduped = tuple(dict.fromkeys(line))
+        if deduped != tuple(line):
+            changed = True
+        if len(deduped) < 2:
+            others = np.setdiff1d(np.arange(n), deduped)
+            dist = np.hypot(*(sxy[others] - sxy[deduped[0]]).T)
+            deduped = deduped + (int(others[int(np.argmin(dist))]),)
+            changed = True
+        lines.append(deduped)
+
+    def attach(candidates, v):
+        _, li, end = min(
+            (dmat[line_end, v], li, end)
+            for li in candidates
+            for end, line_end in ((0, lines[li][-1]), (1, lines[li][0]))
+        )
+        lines[li] = lines[li] + (v,) if end == 0 else (v,) + lines[li]
+
+    diff = sxy[:, None, :] - sxy[None, :, :]
+    dmat = np.sqrt((diff * diff).sum(axis=2))
+    for _ in range(n + 1):
+        comp = netgraph.components(lines, n)
+        root0 = comp[0]
+        if all(c == root0 for c in comp):
+            break
+        changed = True
+        inside = np.array([c == root0 for c in comp])
+        line_in_c0 = [li for li, line in enumerate(lines) if comp[line[0]] == root0]
+        if line_in_c0:
+            sub = dmat[np.ix_(inside.nonzero()[0], (~inside).nonzero()[0])]
+            attach(line_in_c0, int((~inside).nonzero()[0][int(np.argmin(sub.min(axis=0)))]))
+        else:
+            attach(range(len(lines)), 0)
+    else:
+        raise RepairFailed("connectivity loop exceeded the station count")
+    return LineGenome(tuple(lines)) if changed else genome
+
+
+@settings(max_examples=300, deadline=None)
+@given(layouts(), st.booleans())
+def test_repair_matches_relabeling_reference(layout, drop_station_zero):
+    n, stations, lines = layout
+    if drop_station_zero:
+        lines = [[s for s in line if s != 0] for line in lines]
+    genome = LineGenome(tuple(tuple(line) for line in lines))
+    assert repair(genome, stations) == relabeling_repair_reference(genome, stations)
 
 
 class TestInitLines:

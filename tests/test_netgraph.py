@@ -1,9 +1,9 @@
 """Network graph tests: construction, connectivity, shortest paths.
 
-Production computes shortest paths with a numpy Floyd-Warshall over
-(station, line) nodes. The references here are independent of it: a
-station-level Floyd-Warshall and a heapq Dijkstra, plain and with transfer
-penalties.
+Production seeds a distance matrix with along-line distances and runs
+Floyd-Warshall over transfer nodes only. The references here are independent
+of it: a station-level Floyd-Warshall over every station and a heapq
+Dijkstra, plain and with transfer penalties.
 """
 import heapq
 import math
@@ -11,8 +11,8 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from conftest import layouts
 from metronet.errors import LineTooShort, LoopInLine
 from metronet.geomodel import PlanarPoint
 from metronet.lines import LineGenome, repair
@@ -126,6 +126,23 @@ class TestBuild:
         assert {(a, b) for a, b, _ in net.edges} == {(0, 1), (1, 2), (1, 3)}
         lengths = {(a, b): w for a, b, w in net.edges}
         assert lengths[(1, 2)] == pytest.approx(1000.0)
+
+    def test_lengths_equal_scalar_hypot(self):
+        # one vectorized hypot per line gives each edge the bits of a scalar call
+        rng = np.random.default_rng(59)
+        for _ in range(20):
+            n = int(rng.integers(2, 40))
+            xy = rng.uniform(-50000, 50000, (n, 2)) * 10.0 ** rng.uniform(-3, 1, (n, 1))
+            lines = []
+            for _ in range(int(rng.integers(1, 5))):
+                size = int(rng.integers(2, n + 1))
+                lines.append([int(v) for v in rng.choice(n, size=size, replace=False)])
+            net = build(lines, pts(*xy))
+            want = {}
+            for line in lines:
+                for a, b in zip(line, line[1:]):
+                    want.setdefault((min(a, b), max(a, b)), float(np.hypot(*(xy[a] - xy[b]))))
+            assert net.edges == tuple((a, b, w) for (a, b), w in sorted(want.items()))
 
 
 class TestConnectivity:
@@ -262,15 +279,45 @@ class TestDijkstraReference:
             np.testing.assert_allclose(got.d, want, rtol=self.RTOL, atol=0.0)
             assert got.reachable == bool(np.isfinite(want).all())
 
+    @settings(max_examples=200, deadline=None)
+    @given(layouts())
+    def test_matches_production_on_layouts(self, layout):
+        n, stations, lines = layout
+        net = build(lines, stations)
+        for penalty in (0.0, 250.0):
+            got = all_pairs_distances(net, transfer_penalty_m=penalty)
+            want = dijkstra_reference(net, penalty)
+            np.testing.assert_allclose(got.d, want, rtol=self.RTOL, atol=0.0)
+            assert got.reachable == bool(np.isfinite(want).all())
 
-@st.composite
-def layouts(draw):
-    """Station count, seeded coordinates and 1-4 duplicate-free lines (often disconnected)."""
-    n = draw(st.integers(2, 9))
-    line = st.lists(st.integers(0, n - 1), min_size=2, max_size=n, unique=True)
-    lines = draw(st.lists(line, min_size=1, max_size=4))
-    seed = draw(st.integers(0, 2**32 - 1))
-    return n, pts(*np.random.default_rng(seed).uniform(-5000, 5000, (n, 2))), lines
+    @pytest.mark.parametrize("penalty", [0.0, 250.0])
+    def test_many_transfer_stations(self, penalty):
+        # 150 stations on 8 lines of 29-30 stops: many stations lie on two
+        # lines, station 7 on four, and stations 0-6 on none
+        rng = np.random.default_rng(61)
+        stations = pts(*rng.uniform(-20000, 20000, (150, 2)))
+        lines = [[int(v) for v in rng.choice(np.arange(8, 150), size=29, replace=False)]
+                 for _ in range(8)]
+        for line in lines[:4]:
+            line.insert(int(rng.integers(len(line) + 1)), 7)
+        net = build(lines, stations)
+        lines_at = np.bincount([s for line in lines for s in line], minlength=150)
+        assert (lines_at >= 2).sum() > 40 and lines_at.max() >= 4 and (lines_at == 0).any()
+        got = all_pairs_distances(net, transfer_penalty_m=penalty)
+        want = dijkstra_reference(net, penalty)
+        np.testing.assert_allclose(got.d, want, rtol=self.RTOL, atol=0.0)
+        assert not got.reachable
+
+    @pytest.mark.parametrize("penalty", [0.0, 250.0])
+    def test_stations_on_no_line_keep_inf_rows(self, penalty):
+        stations = pts((0, 0), (1000, 0), (2000, 0), (9000, 9000), (3000, 0), (-4000, 0))
+        net = build([[0, 1, 2], [4, 2, 1]], stations)
+        d = all_pairs_distances(net, transfer_penalty_m=penalty).d
+        for s in (3, 5):
+            assert d[s, s] == 0.0
+            assert np.isinf(np.delete(d[s], s)).all()
+            assert np.isinf(np.delete(d[:, s], s)).all()
+        assert np.isfinite(d[np.ix_([0, 1, 2, 4], [0, 1, 2, 4])]).all()
 
 
 @settings(max_examples=200, deadline=None)
