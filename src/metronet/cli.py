@@ -2,14 +2,17 @@
 
 Configuration is a flat ``key = value`` file; any key can be overridden by
 the flag of the same name (flags win). GA keys apply to both stages unless
-prefixed with ``stage1_`` or ``stage2_``.
+prefixed with ``stage1_`` or ``stage2_``. A key left unset takes the default
+of the library config class that holds it; only ``out`` and ``cell_size``
+have defaults of their own here.
 """
 from __future__ import annotations
 
 import argparse
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from operator import attrgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -17,36 +20,39 @@ from . import artifacts, coverage, lines, netgraph, stations
 from .coverage import CoverageParams
 from .errors import MetronetError, ParseError
 from .evolve import GaConfig
-from .geomodel import Region, load_generators, load_region, rasterize
+from .geomodel import check_cell_size, load_generators, load_region, rasterize
 from .lines import LineStageConfig
-from .stations import StationStageConfig, suggest_station_count
+from .stations import StationStageConfig
 
-_BASE_KEYS: dict[str, type] = {
-    "boundaries": str,
-    "densities": str,
-    "generators": str,
-    "out": str,
-    "cell_size": float,
-    "sigma": float,
-    "coverage_mode": str,
-    "station_count": int,
-    "line_count": int,
-    "mutation_sigma": float,
-    "transfer_penalty_m": float,
+# Each key's type and the attribute of a RunConfig that holds its value.
+_BASE_KEYS: dict[str, tuple[type, str]] = {
+    "boundaries": (str, "boundaries"),
+    "densities": (str, "densities"),
+    "generators": (str, "generators"),
+    "out": (str, "out"),
+    "cell_size": (float, "cell_size"),
+    "sigma": (float, "stage1.coverage.sigma"),
+    "coverage_mode": (str, "stage1.coverage.mode"),
+    "station_count": (int, "stage1.station_count"),
+    "line_count": (int, "stage2.line_count"),
+    "mutation_sigma": (float, "stage1.mutation_sigma"),
+    "transfer_penalty_m": (float, "stage2.transfer_penalty_m"),
 }
-_GA_KEYS: dict[str, type] = {
-    "population_size": int,
-    "generations": int,
-    "crossover_rate": float,
-    "mutation_rate": float,
-    "elite_count": int,
-    "seed": int,
+# GA keys: the type and the GaConfig field of each stage they set.
+_GA_KEYS: dict[str, tuple[type, str]] = {
+    "population_size": (int, "population_size"),
+    "generations": (int, "generations"),
+    "crossover_rate": (float, "crossover_rate"),
+    "mutation_rate": (float, "mutation_rate"),
+    "elite_count": (int, "elite_count"),
+    "seed": (int, "rng_seed"),
 }
-ALL_KEYS: dict[str, type] = {
-    **_BASE_KEYS,
-    **_GA_KEYS,
-    **{f"stage{n}_{k}": t for n in (1, 2) for k, t in _GA_KEYS.items()},
-}
+_STAGE_GA_KEYS = {f"stage{n}_{key}": (t, f"stage{n}.ga.{field}")
+                  for n in (1, 2) for key, (t, field) in _GA_KEYS.items()}
+ALL_KEYS: dict[str, type] = {key: t for key, (t, _) in (_BASE_KEYS | _GA_KEYS | _STAGE_GA_KEYS).items()}
+# The shared GA keys have no home of their own: they fill the unset stage keys.
+_HOMES: dict[str, str] = {key: home for key, (_, home) in (_BASE_KEYS | _STAGE_GA_KEYS).items()}
+_CLI_DEFAULTS: dict[str, object] = {"out": "metronet_out", "cell_size": 500.0}
 
 EXIT_LOAD_ERROR = 2
 EXIT_STAGE_FAILURE = 3
@@ -55,24 +61,15 @@ EXIT_VALIDATION = 4
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved pipeline configuration."""
+    """Fully resolved pipeline configuration; every value in it has been checked."""
 
     boundaries: Path | None
     densities: Path | None
     generators: Path | None
     out: Path
     cell_size: float
-    sigma: float
-    coverage_mode: str
-    station_count: int | None
-    line_count: int
-    mutation_sigma: float
-    transfer_penalty_m: float
-    stage1: GaConfig
-    stage2: GaConfig
-
-    def coverage_params(self) -> CoverageParams:
-        return CoverageParams(sigma=self.sigma, mode=self.coverage_mode)
+    stage1: StationStageConfig  # station_count None: sized once the grid is loaded
+    stage2: LineStageConfig
 
 
 # '#' opens a comment at the start of a line or after whitespace, so it may
@@ -111,8 +108,13 @@ def load_config_file(path: Path) -> dict[str, object]:
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Merge defaults, the --config file, and explicit flags (flags win)."""
-    merged: dict[str, object] = {}
+    """Merge the --config file and explicit flags (flags win) into checked configs.
+
+    Only the keys that are set reach the library config classes, which
+    supply every other default and raise on an invalid value, so a bad
+    setting fails here, before any input is read.
+    """
+    merged: dict[str, object] = dict(_CLI_DEFAULTS)
     if getattr(args, "config", None):
         merged.update(load_config_file(args.config))
     for key in ALL_KEYS:
@@ -130,45 +132,40 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
                 f"{key}: path {value!r} cannot be replayed from a manifest: it has "
                 "whitespace before '#', surrounding whitespace or a line break"
             )
+    check_cell_size(merged["cell_size"])
 
-    def get(key: str, default):
-        return merged.get(key, default)
+    # stage 2 shifts the shared seed so the stages draw distinct streams
+    merged.setdefault("stage2_seed", merged.get("seed", GaConfig.rng_seed) + 1)
+    for key in _GA_KEYS:
+        if key in merged:
+            for n in (1, 2):
+                merged.setdefault(f"stage{n}_{key}", merged[key])
 
-    def ga_for(stage: int) -> GaConfig:
-        def pick(key: str, default):
-            return merged.get(f"stage{stage}_{key}", merged.get(key, default))
-
-        shared_seed = int(get("seed", 0))
-        # stage 2 shifts the shared seed so the stages draw distinct streams
-        default_seed = shared_seed if stage == 1 else shared_seed + 1
-        return GaConfig(
-            population_size=int(pick("population_size", 50)),
-            generations=int(pick("generations", 10)),
-            crossover_rate=float(pick("crossover_rate", 0.9)),
-            mutation_rate=float(pick("mutation_rate", 0.3)),
-            elite_count=int(pick("elite_count", 2)),
-            rng_seed=int(merged.get(f"stage{stage}_seed", default_seed)),
-        )
-
-    def path_or_none(key: str) -> Path | None:
-        value = merged.get(key)
-        return Path(str(value)) if value is not None else None
+    def given(owner: str) -> dict[str, object]:
+        """The set values that live directly on the object at ``owner``, by field name."""
+        fields = {}
+        for key, home in _HOMES.items():
+            parent, _, field = home.rpartition(".")
+            if parent == owner and key in merged:
+                fields[field] = merged[key]
+        return fields
 
     return RunConfig(
-        boundaries=path_or_none("boundaries"),
-        densities=path_or_none("densities"),
-        generators=path_or_none("generators"),
-        out=Path(str(get("out", "metronet_out"))),
-        cell_size=float(get("cell_size", 500.0)),
-        sigma=float(get("sigma", 800.0)),
-        coverage_mode=str(get("coverage_mode", "sum")),
-        station_count=int(merged["station_count"]) if "station_count" in merged else None,
-        line_count=int(get("line_count", 5)),
-        mutation_sigma=float(get("mutation_sigma", 1000.0)),
-        transfer_penalty_m=float(get("transfer_penalty_m", 0.0)),
-        stage1=ga_for(1),
-        stage2=ga_for(2),
+        **{key: Path(merged[key]) if key in merged else None for key in _PATH_KEYS},
+        cell_size=merged["cell_size"],
+        stage1=StationStageConfig(
+            **given("stage1"),
+            ga=GaConfig(**given("stage1.ga")),
+            coverage=CoverageParams(**given("stage1.coverage")),
+        ),
+        stage2=LineStageConfig(**given("stage2"), ga=GaConfig(**given("stage2.ga"))),
     )
+
+
+def _manifest_entries(cfg: RunConfig) -> list[tuple[str, str]]:
+    """Every resolved setting that has a value, in ``ALL_KEYS`` order."""
+    values = ((key, attrgetter(home)(cfg)) for key, home in _HOMES.items())
+    return [(key, str(value)) for key, value in values if value is not None]
 
 
 def _load_inputs(cfg: RunConfig):
@@ -181,182 +178,97 @@ def _load_inputs(cfg: RunConfig):
     return region, grid, generators
 
 
-def _manifest_entries(cfg: RunConfig, station_count: int) -> list[tuple[str, str]]:
-    entries: list[tuple[str, str]] = []
-    for key in ("boundaries", "densities", "generators"):
-        value = getattr(cfg, key)
-        if value is not None:
-            entries.append((key, str(value)))
-    entries += [
-        ("out", str(cfg.out)),
-        ("cell_size", repr(cfg.cell_size)),
-        ("sigma", repr(cfg.sigma)),
-        ("coverage_mode", cfg.coverage_mode),
-        ("station_count", str(station_count)),
-        ("line_count", str(cfg.line_count)),
-        ("mutation_sigma", repr(cfg.mutation_sigma)),
-        ("transfer_penalty_m", repr(cfg.transfer_penalty_m)),
-    ]
-    for name, ga in (("stage1", cfg.stage1), ("stage2", cfg.stage2)):
-        entries += [
-            (f"{name}_population_size", str(ga.population_size)),
-            (f"{name}_generations", str(ga.generations)),
-            (f"{name}_crossover_rate", repr(ga.crossover_rate)),
-            (f"{name}_mutation_rate", repr(ga.mutation_rate)),
-            (f"{name}_elite_count", str(ga.elite_count)),
-            (f"{name}_seed", str(ga.rng_seed)),
-        ]
-    return entries
-
-
 def _fail(exc: Exception, code: int) -> int:
     print(f"error: {exc}", file=sys.stderr)
     return code
 
 
-class _ArtifactWriter:
-    """Collects written paths so a failed run can remove partial artifacts."""
+def _drive(args: argparse.Namespace) -> int:
+    """Run one config command: resolve and load, then its body.
 
-    def __init__(self, out_dir: Path):
-        self.out_dir = out_dir
-        self.written: list[Path] = []
-
-    def path(self, name: str) -> Path:
-        self.out_dir.mkdir(parents=True, exist_ok=True)
-        p = self.out_dir / name
-        self.written.append(p)
-        return p
-
-    def discard_all(self) -> None:
-        for p in self.written:
-            p.unlink(missing_ok=True)
-
-
-def cmd_grid(args: argparse.Namespace) -> int:
-    """Rasterize the region and emit the demand grid plus a summary."""
+    Any error while resolving or loading exits 2. The body writes its files
+    through ``artifact(name)`` and returns the lines to print; any error in
+    it exits 3 and removes the files it had opened.
+    """
     try:
         cfg = resolve_config(args)
-        cfg.coverage_params()  # validate sigma/mode early
         region, grid, generators = _load_inputs(cfg)
+        cfg = replace(cfg, stage1=cfg.stage1.sized(grid.total_population))
+        extra = args.read_extra(args)
     except (MetronetError, ValueError) as exc:
         return _fail(exc, EXIT_LOAD_ERROR)
-    cfg.out.mkdir(parents=True, exist_ok=True)
-    artifacts.write_grid_csv(cfg.out / "grid.csv", grid)
+    written: list[Path] = []
+
+    def artifact(name: str) -> Path:
+        cfg.out.mkdir(parents=True, exist_ok=True)
+        written.append(cfg.out / name)
+        return written[-1]
+
+    try:
+        printed = args.body(cfg, region, grid, generators, extra, artifact)
+    except Exception as exc:
+        for path in written:
+            path.unlink(missing_ok=True)
+        return _fail(exc, EXIT_STAGE_FAILURE)
+    print("\n".join(printed))
+    return 0
+
+
+def _grid(cfg, region, grid, generators, _extra, artifact) -> list[str]:
+    """Rasterize the region and emit the demand grid plus a summary."""
+    artifacts.write_grid_csv(artifact("grid.csv"), grid)
     summary = [
         f"districts = {len(region.districts)}",
         f"cells = {len(grid)}",
         f"total_population = {grid.total_population!r}",
         f"generators = {len(generators)}",
     ]
-    (cfg.out / "grid_summary.txt").write_text("\n".join(summary) + "\n")
-    print("\n".join(summary))
-    return 0
+    artifact("grid_summary.txt").write_text("\n".join(summary) + "\n")
+    return summary
 
 
-def _run_stage1(cfg: RunConfig, grid, generators, region: Region, station_count: int):
-    stage_cfg = StationStageConfig(
-        station_count=station_count,
-        mutation_sigma=cfg.mutation_sigma,
-        ga=cfg.stage1,
-        coverage=cfg.coverage_params(),
-    )
-    return stations.optimize_stations(grid, generators, region.districts, stage_cfg)
-
-
-def _run_stage2(cfg: RunConfig, best_stations, serviced):
-    stage_cfg = LineStageConfig(
-        line_count=cfg.line_count,
-        ga=cfg.stage2,
-        transfer_penalty_m=cfg.transfer_penalty_m,
-    )
-    return lines.optimize_lines(best_stations, serviced, stage_cfg)
-
-
-def cmd_optimize_stations(args: argparse.Namespace) -> int:
+def _optimize_stations(cfg, region, grid, generators, _extra, artifact) -> list[str]:
     """Stage 1 only: station placement."""
-    try:
-        cfg = resolve_config(args)
-        cfg.coverage_params()  # validate sigma/mode early
-        region, grid, generators = _load_inputs(cfg)
-    except (MetronetError, ValueError) as exc:
-        return _fail(exc, EXIT_LOAD_ERROR)
-    station_count = cfg.station_count or suggest_station_count(grid.total_population)
-    writer = _ArtifactWriter(cfg.out)
-    try:
-        best, report, history = _run_stage1(cfg, grid, generators, region, station_count)
-        artifacts.write_stations_geojson(writer.path("stations.geojson"), best, report, region.origin)
-        history.write_csv(writer.path("history_stage1.csv"))
-        artifacts.write_manifest(
-            writer.path("manifest.txt"),
-            _manifest_entries(cfg, station_count),
-            [("stage1_best_fitness", repr(report.total))],
-        )
-    except Exception as exc:
-        writer.discard_all()
-        return _fail(exc, EXIT_STAGE_FAILURE)
-    print(f"stage1_best_fitness = {report.total!r}")
-    return 0
+    best, report, history = stations.optimize_stations(grid, generators, region.districts, cfg.stage1)
+    artifacts.write_stations_geojson(artifact("stations.geojson"), best, report, region.origin)
+    history.write_csv(artifact("history_stage1.csv"))
+    results = [("stage1_best_fitness", repr(report.total))]
+    artifacts.write_manifest(artifact("manifest.txt"), _manifest_entries(cfg), results)
+    return [f"{key} = {value}" for key, value in results]
 
 
-def cmd_optimize_lines(args: argparse.Namespace) -> int:
+def _read_stations(args: argparse.Namespace):
+    """The station coordinates of the --stations artifact optimize-lines builds on."""
+    if not args.stations:
+        raise ParseError("optimize-lines requires --stations <stations.geojson>")
+    station_points, _ = artifacts.read_stations_geojson(args.stations)
+    return station_points
+
+
+def _optimize_lines(cfg, region, grid, generators, station_points, artifact) -> list[str]:
     """Stage 2 only, against a pre-existing stations artifact."""
-    try:
-        cfg = resolve_config(args)
-        params = cfg.coverage_params()
-        if not getattr(args, "stations", None):
-            raise ParseError("optimize-lines requires --stations <stations.geojson>")
-        region, grid, generators = _load_inputs(cfg)
-        station_points, _ = artifacts.read_stations_geojson(args.stations)
-    except (MetronetError, ValueError) as exc:
-        return _fail(exc, EXIT_LOAD_ERROR)
-    writer = _ArtifactWriter(cfg.out)
-    try:
-        report = coverage.evaluate(station_points, grid, generators, params)
-        best, history = _run_stage2(cfg, station_points, report.per_station)
-        artifacts.write_lines_geojson(writer.path("lines.geojson"), best, station_points, region.origin)
-        history.write_csv(writer.path("history_stage2.csv"))
-    except Exception as exc:
-        writer.discard_all()
-        return _fail(exc, EXIT_STAGE_FAILURE)
-    fitness = lines.line_fitness(best, station_points, report.per_station, cfg.transfer_penalty_m)
-    print(f"stage2_best_fitness = {fitness.value!r}")
-    return 0
+    report = coverage.evaluate(station_points, grid, generators, cfg.stage1.coverage)
+    best, history = lines.optimize_lines(station_points, report.per_station, cfg.stage2)
+    artifacts.write_lines_geojson(artifact("lines.geojson"), best, station_points, region.origin)
+    history.write_csv(artifact("history_stage2.csv"))
+    fitness = lines.line_fitness(best, station_points, report.per_station, cfg.stage2.transfer_penalty_m)
+    return [f"stage2_best_fitness = {fitness.value!r}"]
 
 
-def cmd_run(args: argparse.Namespace) -> int:
+def _run(cfg, region, grid, generators, _extra, artifact) -> list[str]:
     """Full pipeline: stage 1 stations feed their serviced counts into stage 2."""
-    try:
-        cfg = resolve_config(args)
-        cfg.coverage_params()
-        region, grid, generators = _load_inputs(cfg)
-    except (MetronetError, ValueError) as exc:
-        return _fail(exc, EXIT_LOAD_ERROR)
-    station_count = cfg.station_count or suggest_station_count(grid.total_population)
-    writer = _ArtifactWriter(cfg.out)
-    try:
-        best_st, report, hist1 = _run_stage1(cfg, grid, generators, region, station_count)
-        best_ln, hist2 = _run_stage2(cfg, best_st.stations, report.per_station)
-        fitness2 = lines.line_fitness(
-            best_ln, best_st.stations, report.per_station, cfg.transfer_penalty_m
-        )
-        artifacts.write_stations_geojson(writer.path("stations.geojson"), best_st, report, region.origin)
-        artifacts.write_lines_geojson(writer.path("lines.geojson"), best_ln, best_st.stations, region.origin)
-        hist1.write_csv(writer.path("history_stage1.csv"))
-        hist2.write_csv(writer.path("history_stage2.csv"))
-        artifacts.write_manifest(
-            writer.path("manifest.txt"),
-            _manifest_entries(cfg, station_count),
-            [
-                ("stage1_best_fitness", repr(report.total)),
-                ("stage2_best_fitness", repr(fitness2.value)),
-            ],
-        )
-    except Exception as exc:
-        writer.discard_all()
-        return _fail(exc, EXIT_STAGE_FAILURE)
-    print(f"stage1_best_fitness = {report.total!r}")
-    print(f"stage2_best_fitness = {fitness2.value!r}")
-    return 0
+    best_st, report, hist1 = stations.optimize_stations(grid, generators, region.districts, cfg.stage1)
+    best_ln, hist2 = lines.optimize_lines(best_st.stations, report.per_station, cfg.stage2)
+    fitness2 = lines.line_fitness(
+        best_ln, best_st.stations, report.per_station, cfg.stage2.transfer_penalty_m
+    )
+    artifacts.write_stations_geojson(artifact("stations.geojson"), best_st, report, region.origin)
+    artifacts.write_lines_geojson(artifact("lines.geojson"), best_ln, best_st.stations, region.origin)
+    hist1.write_csv(artifact("history_stage1.csv"))
+    hist2.write_csv(artifact("history_stage2.csv"))
+    results = [("stage1_best_fitness", repr(report.total)), ("stage2_best_fitness", repr(fitness2.value))]
+    artifacts.write_manifest(artifact("manifest.txt"), _manifest_entries(cfg), results)
+    return [f"{key} = {value}" for key, value in results]
 
 
 def validate_artifacts(stations_file: Path, lines_file: Path) -> list[str]:
@@ -394,11 +306,15 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+def _add_config_command(sub, name: str, summary: str, body, read_extra=lambda args: None):
+    """A subcommand taking every config key as a flag, run by ``_drive`` with ``body``."""
+    parser = sub.add_parser(name, help=summary)
     parser.add_argument("--config", type=Path, default=None, help="key = value config file")
     for key, caster in ALL_KEYS.items():
         flag = "--" + key.replace("_", "-")
         parser.add_argument(flag, dest=key, type=caster, default=None, help=argparse.SUPPRESS)
+    parser.set_defaults(func=_drive, body=body, read_extra=read_extra)
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -407,23 +323,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Design a metro network from geospatial demand data with a two-stage GA.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_grid = sub.add_parser("grid", help="rasterize the region into a demand grid")
-    _add_config_flags(p_grid)
-    p_grid.set_defaults(func=cmd_grid)
-
-    p_st = sub.add_parser("optimize-stations", help="run stage 1 (station placement)")
-    _add_config_flags(p_st)
-    p_st.set_defaults(func=cmd_optimize_stations)
-
-    p_ln = sub.add_parser("optimize-lines", help="run stage 2 against existing stations")
-    _add_config_flags(p_ln)
+    _add_config_command(sub, "grid", "rasterize the region into a demand grid", _grid)
+    _add_config_command(sub, "optimize-stations", "run stage 1 (station placement)", _optimize_stations)
+    p_ln = _add_config_command(
+        sub, "optimize-lines", "run stage 2 against existing stations", _optimize_lines, _read_stations
+    )
     p_ln.add_argument("--stations", type=Path, default=None, help="stations.geojson from a prior run")
-    p_ln.set_defaults(func=cmd_optimize_lines)
-
-    p_run = sub.add_parser("run", help="full two-stage pipeline")
-    _add_config_flags(p_run)
-    p_run.set_defaults(func=cmd_run)
+    _add_config_command(sub, "run", "full two-stage pipeline", _run)
 
     p_val = sub.add_parser("validate", help="re-check invariants on emitted artifacts")
     p_val.add_argument("stations_file", type=Path)

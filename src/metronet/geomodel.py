@@ -390,12 +390,8 @@ def load_region(boundaries_file: Path, densities_file: Path) -> Region:
         planar_polys = []
         for rings in polys:
             projected = []
-            for ring in rings:
+            for ring in rings:  # District rejects a ring of fewer than 3 vertices
                 ring = _dedup_closing_vertex(ring)
-                if len(ring) < 3:
-                    raise InvalidPolygon(
-                        f"district {district_id!r}: ring with {len(ring)} vertices"
-                    )
                 projected.append(tuple(project(GeoPoint(lat, lon), origin) for lon, lat in ring))
             planar_polys.append(PlanarPolygon(outer=projected[0], holes=tuple(projected[1:])))
         districts.append(District(district_id, tuple(planar_polys), densities[district_id]))
@@ -452,14 +448,19 @@ def load_generators(path: Path, region: Region) -> tuple[GeneratorPoint, ...]:
 # ---------------------------------------------------------------------------
 
 
+def check_cell_size(cell_size: float) -> None:
+    """Raise ValueError unless ``cell_size`` is a usable raster cell edge in meters."""
+    if not (math.isfinite(cell_size) and cell_size > 0):
+        raise ValueError(f"cell_size must be finite and > 0, got {cell_size}")
+
+
 def rasterize(districts: Sequence[District], cell_size: float) -> DemandGrid:
     """Sample districts onto an axis-aligned grid over their union bounding box.
 
     A cell belongs to a district when its centroid passes the even-odd test;
     its population is density * cell area. Zero-population cells are dropped.
     """
-    if cell_size <= 0:
-        raise ValueError("cell_size must be > 0")
+    check_cell_size(cell_size)
     if not districts:
         raise ValueError("need at least one district")
 

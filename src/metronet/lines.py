@@ -1,6 +1,7 @@
 """Stage 2: evolve line layouts minimizing demand-weighted network travel cost."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -39,8 +40,8 @@ class LineStageConfig:
     def __post_init__(self):
         if self.line_count < 1:
             raise ValueError("line_count must be >= 1")
-        if self.transfer_penalty_m < 0:
-            raise ValueError("transfer_penalty_m must be >= 0")
+        if not (math.isfinite(self.transfer_penalty_m) and self.transfer_penalty_m >= 0):
+            raise ValueError(f"transfer_penalty_m must be finite and >= 0, got {self.transfer_penalty_m}")
 
 
 def canonical(genome: LineGenome) -> LineGenome:

@@ -1,6 +1,7 @@
 """Stage 1: evolve station coordinates to maximize Gaussian demand coverage."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -35,16 +36,22 @@ class StationGenome:
 
 @dataclass(frozen=True)
 class StationStageConfig:
-    station_count: int
+    station_count: int | None = None  # None: sized from the grid population
     mutation_sigma: float = 1000.0  # std-dev of the coordinate shift, meters
     ga: GaConfig = GaConfig()
     coverage: CoverageParams = CoverageParams()
 
     def __post_init__(self):
-        if self.station_count < 1:
+        if self.station_count is not None and self.station_count < 1:
             raise ValueError("station_count must be >= 1")
-        if self.mutation_sigma <= 0:
-            raise ValueError("mutation_sigma must be > 0")
+        if not (math.isfinite(self.mutation_sigma) and self.mutation_sigma > 0):
+            raise ValueError(f"mutation_sigma must be finite and > 0, got {self.mutation_sigma}")
+
+    def sized(self, total_population: float) -> StationStageConfig:
+        """This config with an omitted station_count set by ``suggest_station_count``."""
+        if self.station_count is not None:
+            return self
+        return replace(self, station_count=suggest_station_count(total_population))
 
 
 def suggest_station_count(total_population: float) -> int:
@@ -188,6 +195,7 @@ def optimize_stations(
     on_generation: GenerationHook | None = None,
 ) -> tuple[StationGenome, CoverageReport, EvolutionHistory]:
     """Run the stage-1 GA; returns the best genome, its coverage report, and history."""
+    config = config.sized(grid.total_population)
     ga = replace(config.ga, objective_sense="maximize")
     init_rng = np.random.default_rng(np.random.SeedSequence(ga.rng_seed, spawn_key=(0,)))
     initial = init_population(grid, districts, config.station_count, ga.population_size, init_rng)

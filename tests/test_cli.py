@@ -1,14 +1,22 @@
 """CLI tests: config resolution, subcommands, artifacts, exit codes."""
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metronet import artifacts, cli
+from metronet.coverage import CoverageParams
 from metronet.errors import ParseError
+from metronet.evolve import GaConfig
+from metronet.lines import LineStageConfig
+from metronet.stations import StationStageConfig
 
 from conftest import write_generator_file, write_region_files
 
@@ -76,26 +84,112 @@ class TestConfigResolution:
             ["run", "--config", str(cfg_file), "--sigma", "1200"]
         )
         cfg = cli.resolve_config(args)
-        assert cfg.sigma == 1200.0
-        assert cfg.stage1.rng_seed == 7
-        assert cfg.stage2.rng_seed == 8  # shared seed shifted for stage 2
+        assert cfg.stage1.coverage.sigma == 1200.0
+        assert cfg.stage1.ga.rng_seed == 7
+        assert cfg.stage2.ga.rng_seed == 8  # shared seed shifted for stage 2
 
     def test_stage_overrides(self, tmp_path):
         args = cli.build_parser().parse_args(
             ["run", "--generations", "12", "--stage2-generations", "99", "--stage2-seed", "5"]
         )
         cfg = cli.resolve_config(args)
-        assert cfg.stage1.generations == 12
-        assert cfg.stage2.generations == 99
-        assert cfg.stage2.rng_seed == 5
+        assert cfg.stage1.ga.generations == 12
+        assert cfg.stage2.ga.generations == 99
+        assert cfg.stage2.ga.rng_seed == 5
 
     def test_defaults(self):
         cfg = cli.resolve_config(cli.build_parser().parse_args(["run"]))
         assert cfg.cell_size == 500.0
-        assert cfg.sigma == 800.0
-        assert cfg.line_count == 5
-        assert cfg.stage1.generations == 10
-        assert cfg.stage1.population_size == 50
+        assert cfg.stage1.coverage.sigma == 800.0
+        assert cfg.stage2.line_count == 5
+        assert cfg.stage1.ga.generations == 10
+        assert cfg.stage1.ga.population_size == 50
+
+    def test_defaults_are_the_library_defaults(self):
+        cfg = cli.resolve_config(cli.build_parser().parse_args(["run"]))
+        assert cfg.stage1.coverage == CoverageParams()
+        assert cfg.stage1.ga == GaConfig()
+        assert cfg.stage1 == StationStageConfig()  # station_count left to the grid
+        assert cfg.stage2 == LineStageConfig(ga=dataclasses.replace(GaConfig(), rng_seed=1))
+
+
+SHARED_GA_KEYS = ("population_size", "generations", "crossover_rate", "mutation_rate", "elite_count", "seed")
+NUMERIC_KEYS = [key for key, caster in cli.ALL_KEYS.items() if caster in (int, float)]
+INVALID_SETTINGS = [
+    ("--station-count", "0"),
+    ("--station-count", "-3"),
+    ("--line-count", "0"),
+    ("--transfer-penalty-m", "-1"),
+    ("--transfer-penalty-m", "nan"),
+    ("--transfer-penalty-m", "inf"),
+    ("--mutation-sigma", "-5"),
+    ("--mutation-sigma", "nan"),
+    ("--cell-size", "nan"),
+    ("--cell-size", "inf"),
+]
+
+
+def _numbers(obj):
+    """Every int and float field of a (nested) config dataclass."""
+    for field in dataclasses.fields(obj):
+        value = getattr(obj, field.name)
+        if dataclasses.is_dataclass(value):
+            yield from _numbers(value)
+        elif isinstance(value, (int, float)):
+            yield field.name, value
+
+
+def _drawn(caster):
+    if caster is int:
+        return st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70), st.sampled_from([2**64 - 1, 2**64]))
+    return st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.sampled_from([0.0, -0.0, -1.0, 0.5, 1.0, 1e308, 5e-324, math.nan, math.inf, -math.inf]),
+    )
+
+
+class TestSettingChecks:
+    @pytest.mark.parametrize("command", ["grid", "optimize-stations", "optimize-lines", "run"])
+    @pytest.mark.parametrize("flag, value", INVALID_SETTINGS)
+    def test_invalid_value_exits_2_before_loading(self, tmp_path, region_files, monkeypatch, capsys,
+                                                   command, flag, value):
+        loads = []
+
+        def load_region(*args):
+            loads.append(args)
+            raise ParseError("inputs were read")
+
+        monkeypatch.setattr(cli, "load_region", load_region)
+        out = tmp_path / "out"
+        extra = ["--stations", str(tmp_path / "stations.geojson")] if command == "optimize-lines" else []
+        code = cli.main([command, *base_args(region_files, out, [f"{flag}={value}", *extra])])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert loads == []
+        assert not out.exists()
+
+    def test_grid_out_is_a_file_exits_3(self, tmp_path, region_files, capsys):
+        out = tmp_path / "taken"
+        out.write_text("keep\n")
+        before = sorted(tmp_path.rglob("*"))
+        assert cli.main(["grid", *base_args(region_files, out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert sorted(tmp_path.rglob("*")) == before
+        assert out.read_text() == "keep\n"
+
+    @given(values=st.fixed_dictionaries({}, optional={key: _drawn(cli.ALL_KEYS[key]) for key in NUMERIC_KEYS}))
+    @settings(max_examples=300, deadline=None)
+    @pytest.mark.filterwarnings("ignore:sigma=")
+    def test_resolved_numeric_settings_are_finite(self, values):
+        # resolution only: a drawn cell_size of 5e-324 would make an unbounded grid
+        argv = ["run", *(f"--{key.replace('_', '-')}={value!r}" for key, value in values.items())]
+        try:
+            cfg = cli.resolve_config(cli.build_parser().parse_args(argv))
+        except (ParseError, ValueError):
+            return
+        for name, number in _numbers(cfg):
+            assert math.isfinite(number), name
 
 
 class TestGridCommand:
@@ -229,6 +323,22 @@ class TestRunCommand:
         assert code == 0
         for artifact in ("stations.geojson", "lines.geojson", "history_stage1.csv", "history_stage2.csv"):
             assert (out1 / artifact).read_bytes() == (out2 / artifact).read_bytes()
+
+    def test_manifest_names_each_setting_once_and_replays(self, tmp_path, region_files):
+        argv = ["run", *base_args(region_files, tmp_path / "one", [
+            "--station-count", "3", "--line-count", "2", "--population-size", "10", "--generations", "2",
+            "--seed", "11", "--sigma", "900", "--stage2-mutation-rate", "0.5", "--transfer-penalty-m", "120",
+        ])]
+        assert cli.main(argv) == 0
+        manifest = tmp_path / "one" / "manifest.txt"
+        keys = [line.partition(" = ")[0] for line in manifest.read_text().splitlines() if not line.startswith("#")]
+        assert keys == [key for key in cli.ALL_KEYS if key not in SHARED_GA_KEYS]
+        original = cli.resolve_config(cli.build_parser().parse_args(argv))
+        out2 = tmp_path / "two"
+        replayed = cli.resolve_config(
+            cli.build_parser().parse_args(["run", "--config", str(manifest), "--out", str(out2)])
+        )
+        assert replayed == dataclasses.replace(original, out=out2)
 
     def test_manifest_with_hash_in_paths_replays(self, tmp_path, region_files):
         inputs = tmp_path / "d#x"

@@ -1,6 +1,7 @@
 """Projection, loading, and rasterization tests."""
 import json
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -161,6 +162,17 @@ class TestLoadRegion:
         assert d.area_km2 == pytest.approx(2.0, rel=1e-9)
         assert d.area_km2 * d.density == pytest.approx(1000.0, rel=1e-9)
 
+    @pytest.mark.parametrize("hole", [False, True])
+    def test_short_ring_rejected(self, tmp_path, hole):
+        boundaries, densities = write_region_files(tmp_path, [("a", -500, -500, 500, 500, 10)])
+        doc = json.loads(boundaries.read_text())
+        rings = doc["features"][0]["geometry"]["coordinates"]
+        short = [rings[0][0], rings[0][2], rings[0][0]]  # closed ring of 2 distinct vertices
+        doc["features"][0]["geometry"]["coordinates"] = [rings[0], short] if hole else [short]
+        boundaries.write_text(json.dumps(doc))
+        with pytest.raises(InvalidPolygon, match="district 'a': ring with 2 vertices"):
+            load_region(boundaries, densities)
+
     def test_missing_district_id(self, tmp_path):
         doc = {
             "type": "FeatureCollection",
@@ -245,6 +257,13 @@ class TestRasterize:
         # single centroid lands on the square's corner, outside by the even-odd rule
         with pytest.raises(EmptyGrid):
             rasterize([unit_square_km], 2000.0)
+
+    @pytest.mark.parametrize("cell_size", [math.nan, math.inf, -math.inf, 0.0, -500.0])
+    def test_unusable_cell_size_rejected(self, unit_square_km, cell_size):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning before the check
+            with pytest.raises(ValueError, match="cell_size must be finite and > 0"):
+                rasterize([unit_square_km], cell_size)
 
     def test_l_shaped_polygon(self):
         ring = (

@@ -389,6 +389,21 @@ def exhaustive_single_line_optimum(stations, s):
     return best_value, best_order
 
 
+class TestLineStageConfig:
+    @pytest.mark.parametrize("penalty", [math.nan, math.inf, -math.inf, -1.0])
+    def test_transfer_penalty_must_be_finite_and_non_negative(self, penalty):
+        with pytest.raises(ValueError, match="transfer_penalty_m"):
+            LineStageConfig(transfer_penalty_m=penalty)
+
+    @pytest.mark.parametrize("penalty", [0.0, 250.0])
+    def test_finite_penalty_accepted(self, penalty):
+        assert LineStageConfig(transfer_penalty_m=penalty).transfer_penalty_m == penalty
+
+    def test_line_count_must_be_positive(self):
+        with pytest.raises(ValueError, match="line_count"):
+            LineStageConfig(line_count=0)
+
+
 class TestOptimizeLines:
     def test_two_stations_forced_topology(self):
         stations = pts((0, 0), (3000, 0))

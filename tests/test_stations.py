@@ -283,3 +283,29 @@ class TestMemoizedCoverage:
 def test_station_count_heuristic():
     assert suggest_station_count(1_800_000) == 12
     assert suggest_station_count(100_000) == 2  # clamped floor
+
+
+class TestStationStageConfig:
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf, 0.0, -5.0])
+    def test_mutation_sigma_must_be_finite_and_positive(self, sigma):
+        with pytest.raises(ValueError, match="mutation_sigma"):
+            StationStageConfig(station_count=3, mutation_sigma=sigma)
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_station_count_must_be_positive(self, count):
+        with pytest.raises(ValueError, match="station_count"):
+            StationStageConfig(station_count=count)
+
+    def test_omitted_station_count_sized_from_population(self):
+        assert StationStageConfig().sized(1_800_000).station_count == suggest_station_count(1_800_000)
+        given = StationStageConfig(station_count=3)
+        assert given.sized(1_800_000) is given
+
+    def test_optimize_sizes_omitted_station_count(self, two_district_region):
+        grid = rasterize(two_district_region, 1000.0)
+        ga = GaConfig(population_size=6, generations=2, rng_seed=5)
+        sized = StationStageConfig(station_count=suggest_station_count(grid.total_population), ga=ga)
+        best, report, _ = optimize_stations(grid, (), two_district_region, StationStageConfig(ga=ga))
+        expected, expected_report, _ = optimize_stations(grid, (), two_district_region, sized)
+        assert best == expected
+        assert report.total == expected_report.total
