@@ -141,24 +141,33 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             for n in (1, 2):
                 merged.setdefault(f"stage{n}_{key}", merged[key])
 
-    def given(owner: str) -> dict[str, object]:
-        """The set values that live directly on the object at ``owner``, by field name."""
-        fields = {}
+    def build(owner: str, cls, **parts):
+        """``cls`` from the set values that live directly on ``owner``, by field name.
+
+        The config classes open each error message with the rejected field,
+        so a rejected value is reported under its key.
+        """
+        fields, key_of = {}, {}
         for key, home in _HOMES.items():
             parent, _, field = home.rpartition(".")
-            if parent == owner and key in merged:
-                fields[field] = merged[key]
-        return fields
+            if parent == owner:
+                key_of[field] = key
+                if key in merged:
+                    fields[field] = merged[key]
+        try:
+            return cls(**fields, **parts)
+        except ValueError as exc:
+            key = key_of.get(str(exc).split(" ", 1)[0])
+            if key is None:
+                raise
+            raise ValueError(f"{key}: {exc}") from exc
 
     return RunConfig(
         **{key: Path(merged[key]) if key in merged else None for key in _PATH_KEYS},
         cell_size=merged["cell_size"],
-        stage1=StationStageConfig(
-            **given("stage1"),
-            ga=GaConfig(**given("stage1.ga")),
-            coverage=CoverageParams(**given("stage1.coverage")),
-        ),
-        stage2=LineStageConfig(**given("stage2"), ga=GaConfig(**given("stage2.ga"))),
+        stage1=build("stage1", StationStageConfig, ga=build("stage1.ga", GaConfig),
+                     coverage=build("stage1.coverage", CoverageParams)),
+        stage2=build("stage2", LineStageConfig, ga=build("stage2.ga", GaConfig)),
     )
 
 

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -170,6 +170,31 @@ class Region:
     bounds: tuple[float, float, float, float]  # planar (xmin, ymin, xmax, ymax)
 
 
+class PointRows(NamedTuple):
+    """Weighted points grouped by distinct y: the layout of the separable sum-mode kernel.
+
+    Row j holds the points whose y equals ``ys[j]``, from offset ``starts[j]``
+    up to the next row's start in ``col`` and ``weight``; ``col[i]`` indexes
+    the point's x in ``xs``. It is exact for any point set, on a lattice or
+    not, duplicates included, and holds O(points) memory.
+    """
+
+    xs: np.ndarray  # distinct x, ascending
+    ys: np.ndarray  # distinct y, ascending
+    col: np.ndarray  # int32 index into xs of each point, points ordered by row
+    weight: np.ndarray  # each point's weight, points ordered by row
+    starts: np.ndarray  # offset of each row's first point
+
+
+def group_rows(x: np.ndarray, y: np.ndarray, weight: np.ndarray) -> PointRows:
+    """Group weighted points by distinct y; within a row they keep their input order."""
+    ys, row = np.unique(y, return_inverse=True)
+    xs, col = np.unique(x, return_inverse=True)
+    order = np.argsort(row, kind="stable")
+    starts = np.searchsorted(row[order], np.arange(len(ys)))  # every row holds a point
+    return PointRows(xs, ys, col[order].astype(np.int32), weight[order], starts)
+
+
 @dataclass(frozen=True, eq=False)
 class DemandGrid:
     """Raster of populated cells; the quadrature nodes for coverage integrals."""
@@ -191,6 +216,11 @@ class DemandGrid:
 
     def __len__(self) -> int:
         return len(self.population)
+
+    @cached_property
+    def rows(self) -> PointRows:
+        """The cells grouped by row, for the separable sum-mode coverage kernel."""
+        return group_rows(self.x, self.y, self.population)
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +326,13 @@ def point_in_region(p: PlanarPoint, districts: Sequence[District], tol: float = 
 def _geo_rings_of_feature(geometry: dict, path: Path, idx: int) -> list[list[list[tuple[float, float]]]]:
     """Normalize a Polygon/MultiPolygon geometry to a list of polygons.
 
-    Each polygon is a list of rings; each ring a list of (lon, lat) pairs.
+    Each polygon is a non-empty list of rings; each ring a list of (lon, lat)
+    pairs. Any other shape of ``coordinates`` (null, empty, a vertex that is
+    not two numbers) raises ParseError.
     """
+    where = f"{path}: feature {idx}"
+    if not isinstance(geometry, dict):
+        raise ParseError(f"{where}: geometry must be an object")
     gtype = geometry.get("type")
     coords = geometry.get("coordinates")
     if gtype == "Polygon":
@@ -305,14 +340,31 @@ def _geo_rings_of_feature(geometry: dict, path: Path, idx: int) -> list[list[lis
     elif gtype == "MultiPolygon":
         polys = coords
     else:
-        raise ParseError(f"{path}: feature {idx}: unsupported geometry type {gtype!r}")
+        raise ParseError(f"{where}: unsupported geometry type {gtype!r}")
+    if not isinstance(polys, list) or not polys:
+        raise ParseError(f"{where}: {gtype} has no coordinates")
     out = []
     for poly in polys:
+        if not isinstance(poly, list) or not poly:
+            raise ParseError(f"{where}: polygon without rings")
         rings = []
         for ring in poly:
-            rings.append([(float(lon), float(lat)) for lon, lat in ring])
+            if not isinstance(ring, list):
+                raise ParseError(f"{where}: ring {ring!r:.60} is not a list of vertices")
+            rings.append([_lon_lat(vertex, where) for vertex in ring])
         out.append(rings)
     return out
+
+
+def _lon_lat(vertex: object, where: str) -> tuple[float, float]:
+    """A GeoJSON position as a (lon, lat) pair of floats."""
+    if (isinstance(vertex, list) and len(vertex) == 2
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in vertex)):
+        try:
+            return float(vertex[0]), float(vertex[1])
+        except OverflowError:  # an integer too large for a float
+            pass
+    raise ParseError(f"{where}: vertex {vertex!r:.60} is not a [lon, lat] pair of numbers")
 
 
 def _dedup_closing_vertex(ring: list[tuple[float, float]]) -> list[tuple[float, float]]:
@@ -362,16 +414,18 @@ def load_region(boundaries_file: Path, densities_file: Path) -> Region:
     except json.JSONDecodeError as exc:
         raise ParseError(f"{boundaries_file}: invalid JSON: {exc}") from exc
 
-    if doc.get("type") != "FeatureCollection" or not isinstance(doc.get("features"), list):
+    features = doc.get("features") if isinstance(doc, dict) else None
+    if not isinstance(features, list) or doc.get("type") != "FeatureCollection":
         raise ParseError(f"{boundaries_file}: expected a GeoJSON FeatureCollection")
-    features = doc["features"]
     if not features:
         raise ParseError(f"{boundaries_file}: FeatureCollection has no features")
 
     raw = []  # (district_id, polygons as lon/lat rings)
     for idx, feat in enumerate(features):
-        props = feat.get("properties") or {}
-        district_id = props.get("district_id")
+        if not isinstance(feat, dict):
+            raise ParseError(f"{boundaries_file}: feature {idx}: expected a GeoJSON Feature object")
+        props = feat.get("properties")
+        district_id = props.get("district_id") if isinstance(props, dict) else None
         if not isinstance(district_id, str):
             raise ParseError(f"{boundaries_file}: feature {idx}: missing string property 'district_id'")
         geom = feat.get("geometry") or {}

@@ -69,6 +69,28 @@ def write_region_files(tmp_path: Path, rects, origin: GeoPoint = FIXTURE_ORIGIN)
     return boundaries, densities
 
 
+# Geometries that are not a Polygon/MultiPolygon of [lon, lat] rings.
+MALFORMED_GEOMETRIES = {
+    "polygon_empty": {"type": "Polygon", "coordinates": []},
+    "multipolygon_empty_part": {"type": "MultiPolygon", "coordinates": [[]]},
+    "polygon_null": {"type": "Polygon", "coordinates": None},
+    "multipolygon_null": {"type": "MultiPolygon", "coordinates": None},
+    "one_number_vertex": {"type": "Polygon", "coordinates": [[[101.0], [101.1, 3.0], [101.1, 3.1], [101.0]]]},
+    "ring_of_numbers": {"type": "Polygon", "coordinates": [[101.0, 3.0, 101.1, 3.0, 101.1, 3.1]]},
+}
+
+
+def write_malformed_region(tmp_path: Path, geometry: dict):
+    """Region files with a valid district followed by one whose geometry is ``geometry``."""
+    boundaries, densities = write_region_files(
+        tmp_path, [("ok", -500, -500, 0, 500, 100), ("bad", 0, -500, 500, 500, 100)]
+    )
+    doc = json.loads(boundaries.read_text())
+    doc["features"][1]["geometry"] = geometry
+    boundaries.write_text(json.dumps(doc))
+    return boundaries, densities
+
+
 def write_generator_file(tmp_path: Path, rows, origin: GeoPoint = FIXTURE_ORIGIN) -> Path:
     """Write generators.csv from (name, daily_visitors, x_m, y_m) planar rows."""
     out = ["name,daily_visitors,latitude,longitude"]

@@ -18,7 +18,7 @@ from metronet.evolve import GaConfig
 from metronet.lines import LineStageConfig
 from metronet.stations import StationStageConfig
 
-from conftest import write_generator_file, write_region_files
+from conftest import MALFORMED_GEOMETRIES, write_generator_file, write_malformed_region, write_region_files
 
 
 @pytest.fixture
@@ -126,6 +126,9 @@ INVALID_SETTINGS = [
     ("--mutation-sigma", "nan"),
     ("--cell-size", "nan"),
     ("--cell-size", "inf"),
+    ("--sigma", "0"),
+    ("--stage2-population-size", "1"),
+    ("--stage2-seed", "-4"),
 ]
 
 
@@ -164,7 +167,8 @@ class TestSettingChecks:
         extra = ["--stations", str(tmp_path / "stations.geojson")] if command == "optimize-lines" else []
         code = cli.main([command, *base_args(region_files, out, [f"{flag}={value}", *extra])])
         assert code == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag[2:].replace('-', '_')}")
         assert loads == []
         assert not out.exists()
 
@@ -220,6 +224,14 @@ class TestGridCommand:
         )
         assert code == 2
         assert "nope.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("shape", sorted(MALFORMED_GEOMETRIES))
+    def test_malformed_coordinates_exit_2(self, tmp_path, capsys, shape):
+        boundaries, densities = write_malformed_region(tmp_path, MALFORMED_GEOMETRIES[shape])
+        argv = ["grid", "--boundaries", str(boundaries), "--densities", str(densities), "--out", str(tmp_path / "o")]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "feature 1: " in err
 
     @pytest.mark.parametrize("density", ["inf", "-inf", "nan"])
     def test_non_finite_density_exit_2(self, tmp_path, capsys, density):

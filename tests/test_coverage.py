@@ -222,6 +222,64 @@ class TestEvaluate:
         assert np.allclose(moved.per_station, base.per_station, rtol=1e-12)
 
 
+@st.composite
+def point_sets(draw):
+    """Weighted points of every layout the row-grouped kernel must handle exactly.
+
+    Points lie within 3 km of a drawn offset and sigma is at least 400 m, so
+    every kernel factor stays a normal float.
+    """
+    layout = draw(st.sampled_from(["off_lattice", "duplicates", "single_row", "single_column", "lattice"]))
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    offset = draw(st.sampled_from([0.0, 1e6, -4.5e6])) + draw(st.floats(-1e4, 1e4))
+    xy = rng.uniform(-3000.0, 3000.0, (n, 2))
+    if layout == "duplicates":
+        xy = xy[rng.integers(0, max(1, n // 3), n)]
+    elif layout == "single_row":
+        xy[:, 1] = xy[0, 1]
+    elif layout == "single_column":
+        xy[:, 0] = xy[0, 0]
+    elif layout == "lattice":
+        xy = 500.0 * rng.integers(-6, 7, (n, 2)) + 250.0
+    return xy + offset, rng.uniform(1.0, 1e4, n), offset
+
+
+class TestSeparableSumKernel:
+    @given(points=point_sets(), sigma=st.floats(400.0, 3000.0), station_seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_oracle(self, points, sigma, station_seed):
+        xy, weight, offset = points
+        rng = np.random.default_rng(station_seed)
+        stations = [PlanarPoint(float(x), float(y)) for x, y in rng.uniform(-3000.0, 3000.0, (3, 2)) + offset]
+        params = CoverageParams(sigma)
+        grid = DemandGrid(500.0, xy[:, 0], xy[:, 1], weight)
+        got = district_coverage(stations, grid, params)
+        assert np.allclose(got, oracle_district(stations, grid, sigma), rtol=1e-9, atol=0.0)
+        generators = [make_generator(f"g{i}", float(w), float(x), float(y))
+                      for i, ((x, y), w) in enumerate(zip(xy, weight))]
+        got = generator_coverage(stations, generators, params)
+        assert np.allclose(got, oracle_generator(stations, generators, sigma), rtol=1e-9, atol=0.0)
+
+    def test_row_grouping_is_linear_in_cells(self):
+        n = 20_000
+        rng = np.random.default_rng(37)
+        grid = DemandGrid(500.0, rng.uniform(-3e4, 3e4, n), rng.uniform(-3e4, 3e4, n), rng.uniform(1.0, 800.0, n))
+        rows = grid.rows
+        assert rows is grid.rows
+        assert len(rows.xs) == len(rows.ys) == n  # off the lattice: every x and y distinct
+        assert rows.col.dtype == np.int32
+        # distinct axes, int32 columns, sorted weights and row starts: 36 bytes per cell
+        assert sum(a.nbytes for a in rows) <= 36 * n
+
+    def test_rasterized_cells_keep_their_order(self, two_district_region):
+        grid = rasterize(two_district_region, 1000.0)
+        rows = grid.rows
+        assert np.array_equal(rows.weight, grid.population)
+        assert np.array_equal(rows.xs[rows.col], grid.x)
+        assert np.array_equal(np.repeat(rows.ys, np.diff(rows.starts, append=len(grid))), grid.y)
+
+
 class TestNearestMode:
     def test_single_station_same_as_sum(self):
         rng = np.random.default_rng(17)

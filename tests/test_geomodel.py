@@ -30,7 +30,7 @@ from metronet.geomodel import (
     unproject,
 )
 
-from conftest import rect_district, write_region_files
+from conftest import MALFORMED_GEOMETRIES, rect_district, write_malformed_region, write_region_files
 
 ORIGIN = GeoPoint(3.0, 101.5)
 
@@ -171,6 +171,12 @@ class TestLoadRegion:
         doc["features"][0]["geometry"]["coordinates"] = [rings[0], short] if hole else [short]
         boundaries.write_text(json.dumps(doc))
         with pytest.raises(InvalidPolygon, match="district 'a': ring with 2 vertices"):
+            load_region(boundaries, densities)
+
+    @pytest.mark.parametrize("shape", sorted(MALFORMED_GEOMETRIES))
+    def test_malformed_coordinates_next_to_valid_feature(self, tmp_path, shape):
+        boundaries, densities = write_malformed_region(tmp_path, MALFORMED_GEOMETRIES[shape])
+        with pytest.raises(ParseError, match="feature 1: "):
             load_region(boundaries, densities)
 
     def test_missing_district_id(self, tmp_path):
