@@ -15,7 +15,7 @@ import numpy as np
 
 from .coverage import CoverageReport
 from .errors import ParseError
-from .geomodel import DemandGrid, GeoPoint, PlanarPoint, unproject
+from .geomodel import DemandGrid, GeoPoint, PlanarPoint, json_number, unproject
 from .lines import LineGenome
 from .stations import StationGenome
 
@@ -48,7 +48,7 @@ def _feature_collection(path: Path) -> list[dict]:
     """The features of a non-empty GeoJSON FeatureCollection, each with object properties."""
     try:
         doc = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: malformed JSON or an integer over the digit limit
         raise ParseError(f"{path}: {exc}") from exc
     features = doc.get("features") if isinstance(doc, dict) else None
     if not isinstance(features, list) or not features or doc.get("type") != "FeatureCollection":
@@ -77,10 +77,10 @@ def read_stations_geojson(path: Path) -> tuple[tuple[PlanarPoint, ...], np.ndarr
         props = feat["properties"]
         idx = _index(props, "station_id", len(features), path, i)
         try:
-            stations[idx] = PlanarPoint(float(props["x"]), float(props["y"]))
-            serviced[idx] = float(props.get("serviced_population", 0.0))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"{path}: malformed station feature: {exc}") from exc
+            stations[idx] = PlanarPoint(json_number(props["x"]), json_number(props["y"]))
+            serviced[idx] = json_number(props.get("serviced_population", 0.0))
+        except (KeyError, ValueError) as exc:
+            raise ParseError(f"{path}: feature {i}: malformed station: {exc}") from exc
     if any(s is None for s in stations):
         raise ParseError(f"{path}: station_id values must cover 0..{len(features) - 1}")
     return tuple(stations), serviced  # type: ignore[return-value]

@@ -63,7 +63,6 @@ class GenerationRecord:
     generation: int
     best_fitness: float
     mean_fitness: float
-    best_index: int
 
 
 @dataclass
@@ -161,9 +160,7 @@ def run(
         if _is_better(fits[idx], best_fit, sense):
             best_fit = float(fits[idx])
             best_genome = pop[idx]
-        history.records.append(
-            GenerationRecord(gen, float(fits[idx]), float(fits.mean()), idx)
-        )
+        history.records.append(GenerationRecord(gen, float(fits[idx]), float(fits.mean())))
         if on_generation is not None:
             on_generation(gen, pop, fits)
         return fits

@@ -62,6 +62,15 @@ def station_xy(stations: Sequence[PlanarPoint] | np.ndarray) -> np.ndarray:
     return np.array([(p.x, p.y) for p in stations], dtype=float).reshape(-1, 2)
 
 
+def station_distances(stations: Sequence[PlanarPoint] | np.ndarray) -> np.ndarray:
+    """(N, N) Euclidean distances in meters; entry [a, b] is ``np.hypot`` of point a minus point b.
+
+    ``netgraph.build`` takes the same operands for an edge's length, so both agree bit for bit.
+    """
+    sxy = station_xy(stations)
+    return np.hypot(sxy[:, None, 0] - sxy[None, :, 0], sxy[:, None, 1] - sxy[None, :, 1])
+
+
 def project(p: GeoPoint, origin: GeoPoint) -> PlanarPoint:
     """Equirectangular projection of ``p`` into the planar frame anchored at ``origin``."""
     y = EARTH_RADIUS_M * (p.lat - origin.lat) * _DEG
@@ -285,8 +294,10 @@ def point_in_district(p: PlanarPoint, district: District) -> bool:
     return bool(points_in_rings(np.array([p.x]), np.array([p.y]), district.crossing_edges)[0])
 
 
-def point_in_any_district(p: PlanarPoint, districts: Sequence[District]) -> bool:
-    return any(point_in_district(p, d) for d in districts)
+def union_bounds(districts: Sequence[District]) -> tuple[float, float, float, float]:
+    """The bounding box (xmin, ymin, xmax, ymax) of all the districts together."""
+    x0, y0, x1, y1 = zip(*(d.bounds for d in districts))
+    return min(x0), min(y0), max(x1), max(y1)
 
 
 def nearest_boundary_point(p: PlanarPoint, districts: Sequence[District]) -> tuple[PlanarPoint, float]:
@@ -312,7 +323,7 @@ def nearest_boundary_point(p: PlanarPoint, districts: Sequence[District]) -> tup
 
 def point_in_region(p: PlanarPoint, districts: Sequence[District], tol: float = SNAP_TOLERANCE_M) -> bool:
     """Inside some district, or within ``tol`` meters of a district boundary."""
-    if point_in_any_district(p, districts):
+    if any(point_in_district(p, d) for d in districts):
         return True
     _, dist = nearest_boundary_point(p, districts)
     return dist <= tol
@@ -356,21 +367,24 @@ def _geo_rings_of_feature(geometry: dict, path: Path, idx: int) -> list[list[lis
     return out
 
 
+def json_number(value: object) -> float:
+    """A parsed JSON number as a float; ValueError for a bool, a non-number or an integer too large."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ValueError(f"expected a number that fits a float, got {type(value).__name__}")
+
+
 def _lon_lat(vertex: object, where: str) -> tuple[float, float]:
     """A GeoJSON position as a (lon, lat) pair of floats."""
-    if (isinstance(vertex, list) and len(vertex) == 2
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in vertex)):
+    if isinstance(vertex, list) and len(vertex) == 2:
         try:
-            return float(vertex[0]), float(vertex[1])
-        except OverflowError:  # an integer too large for a float
+            return json_number(vertex[0]), json_number(vertex[1])
+        except ValueError:
             pass
     raise ParseError(f"{where}: vertex {vertex!r:.60} is not a [lon, lat] pair of numbers")
-
-
-def _dedup_closing_vertex(ring: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    if len(ring) > 1 and ring[0] == ring[-1]:
-        return ring[:-1]
-    return ring
 
 
 def load_densities(path: Path) -> dict[str, float]:
@@ -411,7 +425,7 @@ def load_region(boundaries_file: Path, densities_file: Path) -> Region:
             doc = json.load(fh)
     except OSError as exc:
         raise ParseError(f"{boundaries_file}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON or text, or an integer literal over the digit limit
         raise ParseError(f"{boundaries_file}: invalid JSON: {exc}") from exc
 
     features = doc.get("features") if isinstance(doc, dict) else None
@@ -445,16 +459,13 @@ def load_region(boundaries_file: Path, densities_file: Path) -> Region:
         for rings in polys:
             projected = []
             for ring in rings:  # District rejects a ring of fewer than 3 vertices
-                ring = _dedup_closing_vertex(ring)
+                if len(ring) > 1 and ring[0] == ring[-1]:  # the closing vertex repeats the first
+                    ring = ring[:-1]
                 projected.append(tuple(project(GeoPoint(lat, lon), origin) for lon, lat in ring))
             planar_polys.append(PlanarPolygon(outer=projected[0], holes=tuple(projected[1:])))
         districts.append(District(district_id, tuple(planar_polys), densities[district_id]))
 
-    xmin = min(d.bounds[0] for d in districts)
-    ymin = min(d.bounds[1] for d in districts)
-    xmax = max(d.bounds[2] for d in districts)
-    ymax = max(d.bounds[3] for d in districts)
-    return Region(tuple(districts), origin, (xmin, ymin, xmax, ymax))
+    return Region(tuple(districts), origin, union_bounds(districts))
 
 
 GENERATOR_HEADER = ["name", "daily_visitors", "latitude", "longitude"]
@@ -518,11 +529,7 @@ def rasterize(districts: Sequence[District], cell_size: float) -> DemandGrid:
     if not districts:
         raise ValueError("need at least one district")
 
-    xmin = min(d.bounds[0] for d in districts)
-    ymin = min(d.bounds[1] for d in districts)
-    xmax = max(d.bounds[2] for d in districts)
-    ymax = max(d.bounds[3] for d in districts)
-
+    xmin, ymin, xmax, ymax = union_bounds(districts)
     nx = max(1, math.ceil((xmax - xmin) / cell_size))
     ny = max(1, math.ceil((ymax - ymin) / cell_size))
     cx = xmin + (np.arange(nx) + 0.5) * cell_size

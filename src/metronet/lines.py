@@ -10,7 +10,7 @@ import numpy as np
 from . import evolve, netgraph
 from .errors import NoFeasibleIndividual, RepairFailed, TooFewStations
 from .evolve import EvolutionHistory, GaConfig, GenerationHook
-from .geomodel import PlanarPoint, station_xy
+from .geomodel import PlanarPoint, station_distances, station_xy
 
 _MAX_MUTATION_TRIES = 16
 _CACHE_LIMIT = 200_000
@@ -68,14 +68,11 @@ def line_fitness(genome: LineGenome, stations: Sequence[PlanarPoint],
     net = netgraph.build(genome.lines, sxy)
     dm = netgraph.all_pairs_distances(net, transfer_penalty_m=transfer_penalty_m)
     pair_weight = s[:, None] + s[None, :]
+    iu = np.triu_indices(n, 1)
     if not dm.reachable:
-        diff = sxy[:, None, :] - sxy[None, :, :]
-        max_euclid = float(np.sqrt((diff * diff).sum(axis=2)).max())
-        max_pair = (n - 1) * (max_euclid + transfer_penalty_m)
-        iu = np.triu_indices(n, 1)
+        max_pair = (n - 1) * (float(station_distances(sxy).max()) + transfer_penalty_m)
         bound = max_pair * float(pair_weight[iu].sum())
         return LineFitness(1e3 * max(bound, 1.0), False)
-    iu = np.triu_indices(n, 1)
     return LineFitness(float((dm.d[iu] * pair_weight[iu]).sum()), True)
 
 
@@ -204,19 +201,19 @@ def crossover_lines(parent_a: LineGenome, parent_b: LineGenome,
 # ---------------------------------------------------------------------------
 
 
-def repair(genome: LineGenome, stations: Sequence[PlanarPoint]) -> LineGenome:
+def repair(genome: LineGenome, dist: np.ndarray) -> LineGenome:
     """Restore per-line uniqueness and whole-network connectivity.
 
-    Duplicate stations within a line lose their later occurrences; lines cut
-    below two stations get their nearest missing station appended. While the
-    network is split, the station outside the component of station 0 that is
-    closest to it gets appended at the nearest end of a line inside that
-    component (if station 0 sits on no line yet, station 0 itself is appended
-    to the globally nearest line end). Idempotent; every round merges one
-    more component into station 0's, so it ends within station_count rounds.
+    ``dist`` is the stations' ``station_distances`` matrix. Duplicate
+    stations within a line lose their later occurrences; lines cut below two
+    stations get their nearest missing station appended. While the network
+    is split, the station outside the component of station 0 that is closest
+    to it gets appended at the nearest end of a line inside that component
+    (if station 0 sits on no line yet, station 0 itself is appended to the
+    globally nearest line end). Idempotent; every round merges one more
+    component into station 0's, so it ends within station_count rounds.
     """
-    sxy = station_xy(stations)
-    n = len(sxy)
+    n = len(dist)
     changed = False
     lines: list[tuple[int, ...]] = []
     for line in genome.lines:
@@ -226,9 +223,7 @@ def repair(genome: LineGenome, stations: Sequence[PlanarPoint]) -> LineGenome:
         if deduped != tuple(line):
             changed = True
         if len(deduped) < 2:
-            others = np.setdiff1d(np.arange(n), deduped)
-            dist = np.hypot(*(sxy[others] - sxy[deduped[0]]).T)
-            deduped = deduped + (int(others[int(np.argmin(dist))]),)
+            deduped = deduped + (_nearest_other(dist, deduped[0]),)
             changed = True
         lines.append(deduped)
 
@@ -239,28 +234,31 @@ def repair(genome: LineGenome, stations: Sequence[PlanarPoint]) -> LineGenome:
     # component, so these labels stay valid for the components outside it.
     comp = np.array(comp)
     inside = comp == comp[0]
-    dx = sxy[:, None, 0] - sxy[None, :, 0]
-    dy = sxy[:, None, 1] - sxy[None, :, 1]
-    dmat = np.sqrt(dx * dx + dy * dy)
     for _ in range(n):
         line_in_c0 = [li for li, line in enumerate(lines) if inside[line[0]]]
         if line_in_c0:
             # the outside station nearest to station 0's component
-            joined = int(np.argmin(np.where(inside, np.inf, dmat[inside].min(axis=0))))
-            _attach_to_nearest_end(lines, line_in_c0, joined, dmat)
+            joined = int(np.argmin(np.where(inside, np.inf, dist[inside].min(axis=0))))
+            _attach_to_nearest_end(lines, line_in_c0, joined, dist)
         else:
             # station 0 sits on no line: hook it onto the nearest line end anywhere
-            joined = _attach_to_nearest_end(lines, range(len(lines)), 0, dmat)
+            joined = _attach_to_nearest_end(lines, range(len(lines)), 0, dist)
         inside |= comp == comp[joined]
         if inside.all():
             return LineGenome(tuple(lines))
     raise RepairFailed("connectivity loop exceeded the station count")
 
 
-def _attach_to_nearest_end(lines: list[tuple[int, ...]], candidates, v: int, dmat: np.ndarray) -> int:
+def _nearest_other(dist: np.ndarray, a: int) -> int:
+    """The station closest to station a other than a itself; ties go to the lower index."""
+    others = np.delete(np.arange(len(dist)), a)
+    return int(others[np.argmin(dist[a, others])])
+
+
+def _attach_to_nearest_end(lines: list[tuple[int, ...]], candidates, v: int, dist: np.ndarray) -> int:
     """Splice station v onto the closest candidate line head/tail; return that end station."""
     _, li, end, joined = min(
-        (dmat[line_end, v], li, end, line_end)
+        (dist[line_end, v], li, end, line_end)
         for li in candidates
         for end, line_end in ((0, lines[li][-1]), (1, lines[li][0]))
     )
@@ -280,28 +278,27 @@ def _split_sizes(station_count: int, line_count: int) -> list[int]:
     return [base + 1] * rem + [base] * (parts - rem)
 
 
-def _nearest_neighbor_chain(subset: np.ndarray, sxy: np.ndarray,
+def _nearest_neighbor_chain(subset: np.ndarray, dist: np.ndarray,
                             rng: np.random.Generator) -> tuple[int, ...]:
     """Order a station subset by greedy nearest-neighbor walking from a random start."""
     remaining = [int(s) for s in subset]
     current = remaining.pop(int(rng.integers(len(remaining))))
     chain = [current]
     while remaining:
-        dist = np.hypot(*(sxy[remaining] - sxy[current]).T)
-        current = remaining.pop(int(np.argmin(dist)))
+        current = remaining.pop(int(np.argmin(dist[current, remaining])))
         chain.append(current)
     return tuple(chain)
 
 
-def init_lines(stations: Sequence[PlanarPoint], line_count: int,
+def init_lines(dist: np.ndarray, line_count: int,
                population_size: int, rng: np.random.Generator) -> list[LineGenome]:
     """Seed genomes: shuffle stations, split into chains, pad to L lines, repair.
 
-    When stations are too few for L disjoint chains of two, the extra lines
-    are short station-to-nearest-neighbor links sharing already-used stations.
+    ``dist`` is the stations' ``station_distances`` matrix. When stations are
+    too few for L disjoint chains of two, the extra lines are short
+    station-to-nearest-neighbor links sharing already-used stations.
     """
-    sxy = station_xy(stations)
-    n = len(sxy)
+    n = len(dist)
     if n < 2:
         raise TooFewStations(f"line layouts need >= 2 stations, got {n}")
     population = []
@@ -310,14 +307,12 @@ def init_lines(stations: Sequence[PlanarPoint], line_count: int,
         chains = []
         offset = 0
         for size in _split_sizes(n, line_count):
-            chains.append(_nearest_neighbor_chain(perm[offset : offset + size], sxy, rng))
+            chains.append(_nearest_neighbor_chain(perm[offset : offset + size], dist, rng))
             offset += size
         while len(chains) < line_count:
             a = int(rng.integers(n))
-            dist = np.hypot(*(sxy - sxy[a]).T)
-            dist[a] = np.inf
-            chains.append((a, int(np.argmin(dist))))
-        population.append(repair(LineGenome(tuple(chains)), sxy))
+            chains.append((a, _nearest_other(dist, a)))
+        population.append(repair(LineGenome(tuple(chains)), dist))
     return population
 
 
@@ -329,10 +324,11 @@ def optimize_lines(
 ) -> tuple[LineGenome, EvolutionHistory]:
     """Run the stage-2 GA over line layouts for a fixed station set."""
     sxy = station_xy(stations)
+    dist = station_distances(sxy)
     s = np.asarray(serviced, dtype=float)
     ga = replace(config.ga, objective_sense="minimize")
     init_rng = np.random.default_rng(np.random.SeedSequence(ga.rng_seed, spawn_key=(0,)))
-    initial = init_lines(sxy, config.line_count, ga.population_size, init_rng)
+    initial = init_lines(dist, config.line_count, ga.population_size, init_rng)
 
     cache: dict[tuple, LineFitness] = {}
 
@@ -354,7 +350,7 @@ def optimize_lines(
         fitness,
         crossover_lines,
         mutation,
-        lambda g: repair(g, sxy),
+        lambda g: repair(g, dist),
         ga,
         on_generation=on_generation,
     )

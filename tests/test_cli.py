@@ -474,6 +474,27 @@ class TestStageCommands:
         assert "--stations" in capsys.readouterr().err
 
 
+def _station_value(key, literal):
+    """An edit of stations.geojson text that sets feature 0's ``key`` to the raw JSON ``literal``."""
+
+    def edit(text):
+        doc = json.loads(text)
+        doc["features"][0]["properties"][key] = "__literal__"
+        return json.dumps(doc).replace('"__literal__"', literal)
+
+    return edit
+
+
+# Station numbers a reader must reject with ParseError (exit 2), not a traceback.
+MALFORMED_STATION_NUMBERS = {
+    "x_too_large_for_a_float": _station_value("x", str(10**400)),
+    "y_too_large_for_a_float": _station_value("y", str(-(10**400))),
+    "serviced_too_large_for_a_float": _station_value("serviced_population", str(10**400)),
+    "x_over_the_integer_digit_limit": _station_value("x", "9" * 5000),
+    "x_bool": _station_value("x", "true"),
+}
+
+
 class TestValidateCommand:
     def _run_once(self, tmp_path, region_files):
         out = tmp_path / "out"
@@ -547,6 +568,22 @@ class TestValidateCommand:
 
         self._edit(out / "lines.geojson", scalar_feature)
         self._assert_load_error(out, capsys)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_STATION_NUMBERS))
+    def test_malformed_station_number_exit_2(self, tmp_path, region_files, capsys, case):
+        out = self._run_once(tmp_path, region_files)
+        stations_file = out / "stations.geojson"
+        stations_file.write_text(MALFORMED_STATION_NUMBERS[case](stations_file.read_text()))
+        capsys.readouterr()
+        self._assert_load_error(out, capsys)
+        code = cli.main(
+            ["optimize-lines", *base_args(region_files, tmp_path / "lines", [
+                "--line-count", "2", "--stations", str(stations_file),
+            ])]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {stations_file}: ")
+        assert not (tmp_path / "lines").exists()
 
     def test_non_object_properties_exit_2(self, tmp_path, region_files, capsys):
         out = self._run_once(tmp_path, region_files)

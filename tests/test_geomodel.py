@@ -27,6 +27,7 @@ from metronet.geomodel import (
     project,
     rasterize,
     shoelace_area,
+    union_bounds,
     unproject,
 )
 
@@ -119,6 +120,12 @@ class TestDistrict:
     def test_negative_density_rejected(self):
         with pytest.raises(ValueError):
             rect_district("neg", 0, 0, 1000, 1000, -5.0)
+
+    def test_union_bounds(self):
+        west = rect_district("west", -3000, -1000, 0, 2000, 1.0)
+        east = rect_district("east", 0, -4000, 500, 1000, 1.0)
+        assert union_bounds([west, east]) == (-3000.0, -4000.0, 500.0, 2000.0)
+        assert union_bounds([east]) == east.bounds
 
 
 class TestLoadRegion:

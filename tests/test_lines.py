@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import layouts
+from metronet import lines as lines_module
 from metronet import netgraph
 from metronet.errors import RepairFailed, TooFewStations
 from metronet.evolve import GaConfig
-from metronet.geomodel import PlanarPoint, station_xy
+from metronet.geomodel import PlanarPoint, station_distances, station_xy
 from metronet.lines import (
     LineGenome,
     LineStageConfig,
@@ -90,7 +91,7 @@ class TestLineFitness:
         rng = np.random.default_rng(0)
         stations = pts(*rng.uniform(-4000, 4000, (8, 2)))
         s = rng.uniform(10, 1000, 8)
-        genome = repair(LineGenome((tuple(int(v) for v in rng.permutation(8)),)), stations)
+        genome = repair(LineGenome((tuple(int(v) for v in rng.permutation(8)),)), station_distances(stations))
         f = line_fitness(genome, stations, s)
         net = build(genome.lines, stations)
         # oracle: Floyd-Warshall plus explicit pair loop
@@ -229,33 +230,33 @@ class TestRepair:
     def test_connected_genome_unchanged(self):
         stations = pts((0, 0), (1000, 0), (2000, 0))
         genome = LineGenome(((0, 1, 2),))
-        assert repair(genome, stations) is genome
+        assert repair(genome, station_distances(stations)) is genome
 
     def test_bridges_two_components(self):
         stations = pts((0, 0), (1000, 0), (2000, 0), (3000, 0))
-        repaired = repair(LineGenome(((0, 1), (2, 3))), stations)
+        repaired = repair(LineGenome(((0, 1), (2, 3))), station_distances(stations))
         assert is_connected(build(repaired.lines, stations))
         assert len(repaired.lines) == 2
 
     def test_uncovered_station_appended_to_nearest_end(self):
         stations = pts((0, 0), (1000, 0), (2000, 0), (2500, 0))
-        repaired = repair(LineGenome(((0, 1, 2),)), stations)
+        repaired = repair(LineGenome(((0, 1, 2),)), station_distances(stations))
         assert repaired.lines == ((0, 1, 2, 3),)
 
     def test_uncovered_station_zero(self):
         stations = pts((0, 0), (1000, 0), (2000, 0))
-        repaired = repair(LineGenome(((1, 2),)), stations)
+        repaired = repair(LineGenome(((1, 2),)), station_distances(stations))
         assert is_connected(build(repaired.lines, stations))
         assert repaired.lines == ((0, 1, 2),)
 
     def test_duplicates_deleted_then_reconnected(self):
         stations = pts((0, 0), (1000, 0), (2000, 0))
-        repaired = repair(LineGenome(((0, 1, 0, 2),)), stations)
+        repaired = repair(LineGenome(((0, 1, 0, 2),)), station_distances(stations))
         assert repaired.lines == ((0, 1, 2),)
 
     def test_line_shrunk_below_two_padded(self):
         stations = pts((0, 0), (1000, 0), (5000, 0))
-        repaired = repair(LineGenome(((0, 0), (0, 1, 2))), stations)
+        repaired = repair(LineGenome(((0, 0), (0, 1, 2))), station_distances(stations))
         assert_valid_genome(repaired, 3, line_count=2)
         assert is_connected(build(repaired.lines, stations))
 
@@ -267,8 +268,9 @@ class TestRepair:
         for _ in range(3):
             size = int(rng.integers(2, 5))
             raw_lines.append(tuple(int(v) for v in rng.choice(7, size=size, replace=False)))
-        once = repair(LineGenome(tuple(raw_lines)), stations)
-        twice = repair(once, stations)
+        dist = station_distances(stations)
+        once = repair(LineGenome(tuple(raw_lines)), dist)
+        twice = repair(once, dist)
         assert twice == once
         assert twice is once  # unchanged input comes back as the same object
         assert_valid_genome(once, 7, line_count=3)
@@ -331,24 +333,24 @@ def test_repair_matches_relabeling_reference(layout, drop_station_zero):
     if drop_station_zero:
         lines = [[s for s in line if s != 0] for line in lines]
     genome = LineGenome(tuple(tuple(line) for line in lines))
-    assert repair(genome, stations) == relabeling_repair_reference(genome, stations)
+    assert repair(genome, station_distances(stations)) == relabeling_repair_reference(genome, stations)
 
 
 class TestInitLines:
     def test_two_stations_single_line(self):
         stations = pts((0, 0), (1000, 0))
-        pop = init_lines(stations, 1, 10, np.random.default_rng(0))
+        pop = init_lines(station_distances(stations), 1, 10, np.random.default_rng(0))
         for genome in pop:
             assert canonical(genome) == LineGenome(((0, 1),))
 
     def test_too_few_stations(self):
         with pytest.raises(TooFewStations):
-            init_lines(pts((0, 0)), 1, 5, np.random.default_rng(0))
+            init_lines(station_distances(pts((0, 0))), 1, 5, np.random.default_rng(0))
 
     def test_more_lines_than_station_pairs(self):
         rng = np.random.default_rng(1)
         stations = pts(*rng.uniform(-3000, 3000, (5, 2)))
-        pop = init_lines(stations, 5, 20, np.random.default_rng(2))
+        pop = init_lines(station_distances(stations), 5, 20, np.random.default_rng(2))
         for genome in pop:
             assert_valid_genome(genome, 5, line_count=5)
             assert is_connected(build(genome.lines, stations))
@@ -356,8 +358,8 @@ class TestInitLines:
     def test_deterministic_for_fixed_seed(self):
         rng = np.random.default_rng(3)
         stations = pts(*rng.uniform(-3000, 3000, (9, 2)))
-        pop1 = init_lines(stations, 3, 15, np.random.default_rng(7))
-        pop2 = init_lines(stations, 3, 15, np.random.default_rng(7))
+        pop1 = init_lines(station_distances(stations), 3, 15, np.random.default_rng(7))
+        pop2 = init_lines(station_distances(stations), 3, 15, np.random.default_rng(7))
         assert pop1 == pop2
 
 
@@ -438,6 +440,34 @@ class TestOptimizeLines:
         best, _ = optimize_lines(stations, [float(v) for v in s], cfg)
         got = line_fitness(best, stations, [float(v) for v in s]).value
         assert got <= 1.05 * oracle
+
+    def test_station_distances_built_once_per_run(self, monkeypatch):
+        """One matrix serves init and every repair; repair never builds its own."""
+        calls, repairs = [], []
+        in_repair = False
+        real_distances, real_repair = lines_module.station_distances, lines_module.repair
+
+        def counted_distances(stations):
+            calls.append("repair" if in_repair else "run")
+            return real_distances(stations)
+
+        def watched_repair(genome, dist):
+            nonlocal in_repair
+            repairs.append(genome)
+            in_repair = True
+            try:
+                return real_repair(genome, dist)
+            finally:
+                in_repair = False
+
+        monkeypatch.setattr(lines_module, "station_distances", counted_distances)
+        monkeypatch.setattr(lines_module, "repair", watched_repair)
+        rng = np.random.default_rng(17)
+        stations = pts(*rng.uniform(-5000, 5000, (9, 2)))
+        cfg = LineStageConfig(line_count=3, ga=GaConfig(population_size=12, generations=4, rng_seed=2))
+        optimize_lines(stations, rng.uniform(100, 1000, 9), cfg)
+        assert calls == ["run"]
+        assert len(repairs) > 12  # the initial population and every child
 
 
 def exhaustive_two_line_optimum(stations, s):

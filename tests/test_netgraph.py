@@ -14,7 +14,7 @@ from hypothesis import given, settings
 
 from conftest import layouts
 from metronet.errors import LineTooShort, LoopInLine
-from metronet.geomodel import PlanarPoint
+from metronet.geomodel import PlanarPoint, station_distances
 from metronet.lines import LineGenome, repair
 from metronet.netgraph import all_pairs_distances, build, components, is_connected
 
@@ -328,5 +328,17 @@ def test_connectivity_routines_agree(layout):
     connected = is_connected(net)
     assert all_pairs_distances(net).reachable == connected
     assert (len(set(components(lines, n))) == 1) == connected
-    repaired = repair(LineGenome(tuple(tuple(line) for line in lines)), stations)
+    repaired = repair(LineGenome(tuple(tuple(line) for line in lines)), station_distances(stations))
     assert is_connected(build(repaired.lines, stations))
+
+
+@settings(max_examples=200, deadline=None)
+@given(layouts())
+def test_edge_lengths_are_station_distances(layout):
+    """An edge's length and the stations' distance-matrix entry are the same bits."""
+    _, stations, lines = layout
+    dist = station_distances(stations)
+    edges = build(lines, stations).edges
+    assert edges
+    for a, b, length in edges:
+        assert length == dist[a, b] == dist[b, a]
