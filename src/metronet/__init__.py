@@ -22,7 +22,7 @@ from .geomodel import (
     unproject,
 )
 from .lines import LineFitness, LineGenome, LineStageConfig, optimize_lines
-from .netgraph import DistanceMatrix, LineNetwork
+from .netgraph import LineNetwork
 from .stations import StationGenome, StationStageConfig, optimize_stations
 
 __version__ = "0.1.0"
@@ -31,7 +31,6 @@ __all__ = [
     "CoverageParams",
     "CoverageReport",
     "DemandGrid",
-    "DistanceMatrix",
     "District",
     "EvolutionHistory",
     "GaConfig",

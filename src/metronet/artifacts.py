@@ -79,6 +79,8 @@ def read_stations_geojson(path: Path) -> tuple[tuple[PlanarPoint, ...], np.ndarr
         try:
             stations[idx] = PlanarPoint(json_number(props["x"]), json_number(props["y"]))
             serviced[idx] = json_number(props.get("serviced_population", 0.0))
+            if not (np.isfinite(serviced[idx]) and serviced[idx] >= 0):
+                raise ValueError(f"serviced_population must be finite and >= 0, got {serviced[idx]!r}")
         except (KeyError, ValueError) as exc:
             raise ParseError(f"{path}: feature {i}: malformed station: {exc}") from exc
     if any(s is None for s in stations):

@@ -66,14 +66,13 @@ def line_fitness(genome: LineGenome, stations: Sequence[PlanarPoint],
     if len(s) != n:
         raise ValueError(f"serviced counts ({len(s)}) must match stations ({n})")
     net = netgraph.build(genome.lines, sxy)
-    dm = netgraph.all_pairs_distances(net, transfer_penalty_m=transfer_penalty_m)
-    pair_weight = s[:, None] + s[None, :]
-    iu = np.triu_indices(n, 1)
-    if not dm.reachable:
+    d = netgraph.all_pairs_distances(net, transfer_penalty_m=transfer_penalty_m)
+    if not np.isfinite(d).all():
+        # each pair at n - 1 hops of the longest station distance; sum over i < j of s_i + s_j is (n - 1) * sum(s)
         max_pair = (n - 1) * (float(station_distances(sxy).max()) + transfer_penalty_m)
-        bound = max_pair * float(pair_weight[iu].sum())
-        return LineFitness(1e3 * max(bound, 1.0), False)
-    return LineFitness(float((dm.d[iu] * pair_weight[iu]).sum()), True)
+        return LineFitness(1e3 * max(max_pair * (n - 1) * float(s.sum()), 1.0), False)
+    # d is symmetric with a zero diagonal, so the i < j pair sum weighs each row sum by its s_i
+    return LineFitness(float((d.sum(axis=1) * s).sum()), True)
 
 
 # ---------------------------------------------------------------------------

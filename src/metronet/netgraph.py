@@ -10,35 +10,24 @@ from .errors import LineTooShort, LoopInLine
 from .geomodel import PlanarPoint, station_xy
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LineNetwork:
     """Undirected graph induced by a line layout.
 
-    Edges join consecutive stations within each line; an edge shared by
-    several lines is stored once with its Euclidean length.
+    Edges join consecutive stops of each line: ``lengths[i][k]`` is the
+    Euclidean length of the edge from stop k to stop k + 1 of line i.
     """
 
     station_count: int
     lines: tuple[tuple[int, ...], ...]
-    edges: tuple[tuple[int, int, float], ...]  # (a, b, length) with a < b
-
-
-@dataclass(frozen=True, eq=False)
-class DistanceMatrix:
-    """Symmetric shortest-path distances in meters.
-
-    Unreachable pairs hold inf and flip ``reachable`` to False.
-    """
-
-    d: np.ndarray
-    reachable: bool
+    lengths: tuple[np.ndarray, ...]
 
 
 def build(lines: Sequence[Sequence[int]], stations: Sequence[PlanarPoint]) -> LineNetwork:
-    """Validate a line layout and derive its edge set."""
+    """Validate a line layout and derive each line's edge lengths."""
     sxy = station_xy(stations)
     n = len(sxy)
-    edge_set: dict[tuple[int, int], float] = {}
+    lengths = []
     for li, line in enumerate(lines):
         if len(line) < 2:
             raise LineTooShort(li, len(line))
@@ -50,11 +39,8 @@ def build(lines: Sequence[Sequence[int]], stations: Sequence[PlanarPoint]) -> Li
                 raise LoopInLine(li, s)
             seen.add(s)
         stops = np.asarray(line, dtype=np.intp)
-        lengths = np.hypot(*(sxy[stops[:-1]] - sxy[stops[1:]]).T).tolist()
-        for a, b, length in zip(line, line[1:], lengths):
-            edge_set.setdefault((a, b) if a < b else (b, a), length)
-    edges = tuple((a, b, length) for (a, b), length in sorted(edge_set.items()))
-    return LineNetwork(n, tuple(tuple(line) for line in lines), edges)
+        lengths.append(np.hypot(*(sxy[stops[:-1]] - sxy[stops[1:]]).T))
+    return LineNetwork(n, tuple(tuple(line) for line in lines), tuple(lengths))
 
 
 def components(lines: Sequence[Sequence[int]], station_count: int) -> list[int]:
@@ -87,8 +73,8 @@ def is_connected(net: LineNetwork) -> bool:
     return len(set(components(net.lines, net.station_count))) <= 1
 
 
-def all_pairs_distances(net: LineNetwork, transfer_penalty_m: float = 0.0) -> DistanceMatrix:
-    """Shortest station-pair distances over the line graph, in meters.
+def all_pairs_distances(net: LineNetwork, transfer_penalty_m: float = 0.0) -> np.ndarray:
+    """Shortest station-pair distances over the line graph: an (n, n) array in meters.
 
     Each stop of a line is a node. The nodes of one station are joined by
     ``transfer_penalty_m``; at 0 (free transfers) they merge, so the node map
@@ -99,7 +85,8 @@ def all_pairs_distances(net: LineNetwork, transfer_penalty_m: float = 0.0) -> Di
     along-line distances, then Floyd-Warshall pivots only on nodes of
     stations served by two or more lines: a shortest path splits into
     along-line runs whose break points all lie at such stations. Stations on
-    no line keep inf rows with a 0 diagonal.
+    no line keep inf rows with a 0 diagonal, so a disconnected layout has an
+    inf entry. The matrix is exactly symmetric under both node maps.
     """
     n = net.station_count
     stops = np.array([s for line in net.lines for s in line], dtype=np.intp)
@@ -110,11 +97,9 @@ def all_pairs_distances(net: LineNetwork, transfer_penalty_m: float = 0.0) -> Di
         stop_node, node_station = np.arange(len(stops)), stops
     d = np.where(node_station[:, None] == node_station[None, :], transfer_penalty_m, np.inf)
     np.fill_diagonal(d, 0.0)
-    lengths = {(a, b): w for a, b, w in net.edges}
     head = 0
-    for line in net.lines:
+    for line, w in zip(net.lines, net.lengths):
         size = len(line)
-        w = np.array([lengths[(a, b) if a < b else (b, a)] for a, b in zip(line, line[1:])])
         # row i sums the edges from stop i onward, left to right
         r = np.arange(size - 1)
         along = np.zeros((size, size))
@@ -135,4 +120,4 @@ def all_pairs_distances(net: LineNetwork, transfer_penalty_m: float = 0.0) -> Di
         d = np.full((n, n), np.inf)
         np.fill_diagonal(d, 0.0)
         d[np.ix_(covered, covered)] = np.minimum.reduceat(by_station, starts, axis=1)
-    return DistanceMatrix(d, bool(np.isfinite(d).all()))
+    return d

@@ -1,5 +1,7 @@
-"""Shared fixtures: synthetic districts, file-backed regions, reference data paths."""
+"""Shared fixtures: synthetic districts, file-backed regions, reference data paths, graph references."""
+import heapq
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -134,3 +136,86 @@ def layouts(draw):
     seed = draw(st.integers(0, 2**32 - 1))
     xy = np.random.default_rng(seed).uniform(-5000, 5000, (n, 2))
     return n, [PlanarPoint(float(x), float(y)) for x, y in xy], lines
+
+
+def line_edges(lines, stations):
+    """(a, b, length) for each consecutive stop pair of each line, in line order.
+
+    Each length is ``np.hypot`` of the two stations' coordinate differences.
+    The shortest-path references build their graphs from this list, not from
+    ``netgraph.build``, so they do not depend on the code they check. An edge
+    that several lines share appears once per line.
+    """
+    return [
+        (a, b, float(np.hypot(stations[a].x - stations[b].x, stations[a].y - stations[b].y)))
+        for line in lines
+        for a, b in zip(line, line[1:])
+    ]
+
+
+def floyd_warshall_oracle(n, edges):
+    """Station-level Floyd-Warshall over every station, from (a, b, length) edges."""
+    d = np.full((n, n), np.inf)
+    np.fill_diagonal(d, 0.0)
+    for a, b, w in edges:
+        d[a, b] = min(d[a, b], w)
+        d[b, a] = min(d[b, a], w)
+    for k in range(n):
+        d = np.minimum(d, d[:, k : k + 1] + d[k : k + 1, :])
+    return d
+
+
+def _dijkstra(adj, sources, size):
+    """Multi-source Dijkstra over an adjacency list of (neighbor, weight) pairs."""
+    dist = [math.inf] * size
+    heap = []
+    for src in sources:
+        dist[src] = 0.0
+        heap.append((0.0, src))
+    heapq.heapify(heap)
+    while heap:
+        du, u = heapq.heappop(heap)
+        if du > dist[u]:
+            continue
+        for v, w in adj[u]:
+            dv = du + w
+            if dv < dist[v]:
+                dist[v] = dv
+                heapq.heappush(heap, (dv, v))
+    return dist
+
+
+def dijkstra_reference(stations, lines, transfer_penalty_m=0.0):
+    """Station distances by Dijkstra; a positive penalty runs on (station, line) nodes.
+
+    Boarding at the origin is free; every line change at a shared station
+    adds the penalty.
+    """
+    n = len(stations)
+    if transfer_penalty_m == 0.0:
+        adj = [[] for _ in range(n)]
+        for a, b, w in line_edges(lines, stations):
+            adj[a].append((b, w))
+            adj[b].append((a, w))
+        return np.array([_dijkstra(adj, [s], n) for s in range(n)]).reshape(n, n)
+    nodes = [(s, li) for li, line in enumerate(lines) for s in line]
+    node_id = {node: i for i, node in enumerate(nodes)}
+    adj = [[] for _ in nodes]
+    for li, line in enumerate(lines):
+        for a, b, w in line_edges([line], stations):
+            u, v = node_id[(a, li)], node_id[(b, li)]
+            adj[u].append((v, w))
+            adj[v].append((u, w))
+    by_station = {}
+    for i, (s, _) in enumerate(nodes):
+        by_station.setdefault(s, []).append(i)
+    for idxs in by_station.values():
+        for i in idxs:
+            adj[i] += [(j, transfer_penalty_m) for j in idxs if j != i]
+    d = np.full((n, n), np.inf)
+    np.fill_diagonal(d, 0.0)
+    for s, sources in by_station.items():
+        dist = _dijkstra(adj, sources, len(nodes))
+        for i, (t, _) in enumerate(nodes):
+            d[s, t] = min(d[s, t], dist[i])
+    return d

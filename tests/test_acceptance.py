@@ -29,7 +29,14 @@ from metronet.lines import LineStageConfig, line_fitness, optimize_lines
 from metronet.netgraph import all_pairs_distances, build, is_connected
 from metronet.stations import StationStageConfig, optimize_stations
 
-from conftest import DATA_DIR, rect_district, write_generator_file, write_region_files
+from conftest import (
+    DATA_DIR,
+    floyd_warshall_oracle,
+    line_edges,
+    rect_district,
+    write_generator_file,
+    write_region_files,
+)
 
 
 def report(number: int, name: str, passed: bool, detail: str = "") -> None:
@@ -316,17 +323,10 @@ def test_criterion_08_shortest_path_oracle():
         for _ in range(int(rng.integers(1, 4))):
             size = int(rng.integers(2, 9))
             lines.append([int(v) for v in rng.choice(8, size=size, replace=False)])
-        net = build(lines, stations)
-        got = all_pairs_distances(net)
-        assert got.reachable
-        oracle = np.full((8, 8), np.inf)
-        np.fill_diagonal(oracle, 0.0)
-        for a, b, w in net.edges:
-            oracle[a, b] = min(oracle[a, b], w)
-            oracle[b, a] = oracle[a, b]
-        for k in range(8):
-            oracle = np.minimum(oracle, oracle[:, k : k + 1] + oracle[k : k + 1, :])
-        worst = max(worst, float(np.max(np.abs(got.d - oracle))))
+        got = all_pairs_distances(build(lines, stations))
+        assert np.isfinite(got).all()
+        oracle = floyd_warshall_oracle(8, line_edges(lines, stations))
+        worst = max(worst, float(np.max(np.abs(got - oracle))))
     passed = worst < 1e-9
     report(8, "shortest-path oracle", passed, f"worst abs diff {worst:.2e} m")
     assert worst < 1e-9

@@ -1,5 +1,7 @@
 """CLI tests: config resolution, subcommands, artifacts, exit codes."""
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
@@ -18,7 +20,13 @@ from metronet.evolve import GaConfig
 from metronet.lines import LineStageConfig
 from metronet.stations import StationStageConfig
 
-from conftest import MALFORMED_GEOMETRIES, write_generator_file, write_malformed_region, write_region_files
+from conftest import (
+    DATA_DIR,
+    MALFORMED_GEOMETRIES,
+    write_generator_file,
+    write_malformed_region,
+    write_region_files,
+)
 
 
 @pytest.fixture
@@ -492,6 +500,9 @@ MALFORMED_STATION_NUMBERS = {
     "serviced_too_large_for_a_float": _station_value("serviced_population", str(10**400)),
     "x_over_the_integer_digit_limit": _station_value("x", "9" * 5000),
     "x_bool": _station_value("x", "true"),
+    "serviced_nan": _station_value("serviced_population", "NaN"),
+    "serviced_infinity": _station_value("serviced_population", "Infinity"),
+    "serviced_negative": _station_value("serviced_population", "-5.0"),
 }
 
 
@@ -593,6 +604,72 @@ class TestValidateCommand:
 
         self._edit(out / "lines.geojson", string_properties)
         self._assert_load_error(out, capsys)
+
+
+@pytest.fixture(scope="module")
+def data_run(tmp_path_factory):
+    """The artifacts of one small ``metronet run`` on tests/data, shared by the module."""
+    out = tmp_path_factory.mktemp("data_run")
+    code = cli.main([
+        "run",
+        "--boundaries", str(DATA_DIR / "selangor_boundary.geojson"),
+        "--densities", str(DATA_DIR / "selangor_densities.csv"),
+        "--generators", str(DATA_DIR / "selangor_generators.csv"),
+        "--out", str(out),
+        "--station-count", "6", "--line-count", "3",
+        "--population-size", "10", "--generations", "3", "--seed", "3",
+    ])
+    assert code == 0
+    return out
+
+
+# Values no station coordinate or serviced count may take.
+BAD_NUMBERS = (None, "5", True, False, math.nan, math.inf, -math.inf, 10**400)
+
+
+@st.composite
+def invalid_artifact_edits(draw, station_count, lines):
+    """One edit that makes an artifact pair invalid: (file name, feature index, key, new value)."""
+    kind = draw(st.sampled_from(["station_number", "negative", "station_ids", "line_id"]))
+    if kind == "station_number":
+        key = draw(st.sampled_from(["x", "y", "serviced_population"]))
+        return "stations.geojson", draw(st.integers(0, station_count - 1)), key, draw(st.sampled_from(BAD_NUMBERS))
+    if kind == "negative":
+        key = draw(st.sampled_from(["serviced_population", "station_id"]))
+        return "stations.geojson", draw(st.integers(0, station_count - 1)), key, -1
+    li = draw(st.integers(0, len(lines) - 1))
+    if kind == "line_id":
+        other = draw(st.integers(0, len(lines) - 2))
+        return "lines.geojson", li, "line_id", other + (other >= li)
+    line = list(lines[li])
+    at = draw(st.integers(0, len(line)))
+    foreign = draw(st.one_of(st.integers(station_count, 10**6), st.integers(-(10**6), -1)))
+    ids = draw(st.sampled_from([
+        line[:at] + [foreign] + line[at:],
+        line[:at] + [line[at % len(line)]] + line[at:],
+        [line[at % len(line)]],
+        None, 5, "0 1", {"0": 1},
+    ]))
+    return "lines.geojson", li, "station_ids", ids
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_invalid_artifacts_exit_2_or_4(data_run, data):
+    """validate rejects every invalid edit with exit 2 (load) or 4 (violation), never a traceback."""
+    docs = {name: json.loads((data_run / name).read_text()) for name in ("stations.geojson", "lines.geojson")}
+    lines = [feat["properties"]["station_ids"] for feat in docs["lines.geojson"]["features"]]
+    name, index, key, value = data.draw(invalid_artifact_edits(len(docs["stations.geojson"]["features"]), lines))
+    docs[name]["features"][index]["properties"][key] = value
+    edited = data_run / "edited"
+    edited.mkdir(exist_ok=True)
+    for doc_name, doc in docs.items():
+        (edited / doc_name).write_text(json.dumps(doc))
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = cli.main(["validate", str(edited / "stations.geojson"), str(edited / "lines.geojson")])
+    assert code in (2, 4)
+    assert stderr.getvalue().startswith("error: " if code == 2 else "violation: ")
 
 
 def test_cli_import_needs_no_scipy():

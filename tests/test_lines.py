@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import layouts
+from conftest import dijkstra_reference, layouts
 from metronet import lines as lines_module
 from metronet import netgraph
 from metronet.errors import RepairFailed, TooFewStations
@@ -87,25 +87,28 @@ class TestLineFitness:
         assert connected.feasible
         assert broken.value > 100 * connected.value
 
-    def test_matches_pairwise_loop_oracle(self):
-        rng = np.random.default_rng(0)
-        stations = pts(*rng.uniform(-4000, 4000, (8, 2)))
-        s = rng.uniform(10, 1000, 8)
-        genome = repair(LineGenome((tuple(int(v) for v in rng.permutation(8)),)), station_distances(stations))
-        f = line_fitness(genome, stations, s)
-        net = build(genome.lines, stations)
-        # oracle: Floyd-Warshall plus explicit pair loop
-        d = np.full((8, 8), np.inf)
-        np.fill_diagonal(d, 0.0)
-        for a, b, w in net.edges:
-            d[a, b] = d[b, a] = w
-        for k in range(8):
-            d = np.minimum(d, d[:, k : k + 1] + d[k : k + 1, :])
-        want = 0.0
-        for i in range(8):
-            for j in range(i + 1, 8):
-                want += d[i, j] * (s[i] + s[j])
-        assert f.value == pytest.approx(want, rel=1e-9)
+    @settings(max_examples=200, deadline=None)
+    @given(layouts(), st.data())
+    def test_matches_pairwise_loop_oracle(self, layout, data):
+        n, stations, lines = layout
+        s = data.draw(st.lists(st.floats(0.0, 1e6, allow_subnormal=False), min_size=n, max_size=n))
+        genome = LineGenome(tuple(tuple(line) for line in lines))
+        for penalty in (0.0, 250.0):
+            f = line_fitness(genome, stations, s, penalty)
+            d = dijkstra_reference(stations, lines, penalty)
+            if np.isfinite(d).all():
+                want = 0.0
+                for i in range(n):
+                    for j in range(i + 1, n):
+                        want += d[i, j] * (s[i] + s[j])
+                assert f.feasible
+                assert f.value == pytest.approx(want, rel=1e-12)
+            else:
+                # every pair priced at (n - 1) hops of the longest station distance plus a transfer
+                longest = max(math.hypot(p.x - q.x, p.y - q.y) for p in stations for q in stations)
+                bound = (n - 1) ** 2 * (longest + penalty) * sum(s)
+                assert not f.feasible
+                assert f.value == pytest.approx(1e3 * max(bound, 1.0), rel=1e-12)
 
 
 class TestMutationOperators:
