@@ -18,7 +18,7 @@ from typing import Sequence
 
 from . import artifacts, coverage, lines, netgraph, stations
 from .coverage import CoverageParams
-from .errors import MetronetError, ParseError
+from .errors import LineTooShort, LoopInLine, MetronetError, ParseError
 from .evolve import GaConfig
 from .geomodel import check_cell_size, load_generators, load_region, rasterize
 from .lines import LineStageConfig
@@ -281,25 +281,20 @@ def _run(cfg, region, grid, generators, _extra, artifact) -> list[str]:
 
 
 def validate_artifacts(stations_file: Path, lines_file: Path) -> list[str]:
-    """Re-check genome invariants on emitted artifacts; returns violations."""
+    """Re-check genome invariants on emitted artifacts; returns violations.
+
+    ``netgraph.build`` makes the layout checks, so only the first broken
+    line rule is reported; connectivity is checked once the layout holds.
+    """
     station_points, _ = artifacts.read_stations_geojson(stations_file)
     genome = artifacts.read_lines_geojson(lines_file)
-    n = len(station_points)
-    violations = []
-    for li, line in enumerate(genome.lines):
-        if len(line) < 2:
-            violations.append(f"line {li}: fewer than 2 stations")
-        dupes = {s for s in line if line.count(s) > 1}
-        if dupes:
-            violations.append(f"line {li}: loop (repeated station {sorted(dupes)})")
-        bad = [s for s in line if not (0 <= s < n)]
-        if bad:
-            violations.append(f"line {li}: station index out of range {bad}")
-    if not violations:
+    try:
         net = netgraph.build(genome.lines, station_points)
-        if not netgraph.is_connected(net):
-            violations.append("network is disconnected (some station unreachable)")
-    return violations
+    except (LineTooShort, LoopInLine, ValueError) as exc:
+        return [str(exc)]
+    if not netgraph.is_connected(net):
+        return ["network is disconnected (some station unreachable)"]
+    return []
 
 
 def cmd_validate(args: argparse.Namespace) -> int:

@@ -49,8 +49,6 @@ class CoverageReport:
 
     total: float
     per_station: np.ndarray
-    district: np.ndarray
-    generator: np.ndarray
 
 
 # Cells per block of the nearest-mode kernel: temporaries stay K x _NEAREST_CHUNK.
@@ -136,14 +134,6 @@ def evaluate(stations: Sequence[PlanarPoint], grid: DemandGrid,
     """Full coverage fitness: district term plus generator term, and s_i per station."""
     sxy = station_xy(stations)
     if len(sxy) == 0:
-        empty = np.zeros(0)
-        return CoverageReport(0.0, empty, empty, empty)
-    district = district_coverage(sxy, grid, params)
-    generator = generator_coverage(sxy, generators, params)
-    return report_from_shares(district, generator)
-
-
-def report_from_shares(district: np.ndarray, generator: np.ndarray) -> CoverageReport:
-    """The report of stations whose district and generator shares are given in order."""
-    per_station = district + generator
-    return CoverageReport(float(per_station.sum()), per_station, district, generator)
+        return CoverageReport(0.0, np.zeros(0))
+    per_station = district_coverage(sxy, grid, params) + generator_coverage(sxy, generators, params)
+    return CoverageReport(float(per_station.sum()), per_station)

@@ -37,7 +37,7 @@ class LoopInLine(MetronetError):
     """A station index appears twice within a single line."""
 
     def __init__(self, line_index: int, station: int):
-        super().__init__(f"line {line_index} visits station {station} twice")
+        super().__init__(f"line {line_index}: loop, station {station} visited twice")
         self.line_index = line_index
         self.station = station
 

@@ -129,7 +129,10 @@ def run(
     Each generation copies the elite_count best genomes unchanged, then fills
     the rest with roulette-selected parents put through crossover (with
     probability crossover_rate, else the fitter parent is cloned), mutation
-    (with probability mutation_rate), and the validating repair hook.
+    (with probability mutation_rate), and the validating repair hook. The
+    validator restores only what crossover and mutation can break (stage 2
+    reconnects a split layout); a problem whose operators keep every
+    invariant, like stage 1, passes the identity.
 
     Randomness comes from one stream per generation derived from
     (rng_seed, generation), so results do not depend on how fitness

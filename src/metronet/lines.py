@@ -201,34 +201,24 @@ def crossover_lines(parent_a: LineGenome, parent_b: LineGenome,
 
 
 def repair(genome: LineGenome, dist: np.ndarray) -> LineGenome:
-    """Restore per-line uniqueness and whole-network connectivity.
+    """Restore whole-network connectivity; a connected genome comes back as is.
 
-    ``dist`` is the stations' ``station_distances`` matrix. Duplicate
-    stations within a line lose their later occurrences; lines cut below two
-    stations get their nearest missing station appended. While the network
-    is split, the station outside the component of station 0 that is closest
-    to it gets appended at the nearest end of a line inside that component
-    (if station 0 sits on no line yet, station 0 itself is appended to the
-    globally nearest line end). Idempotent; every round merges one more
-    component into station 0's, so it ends within station_count rounds.
+    ``dist`` is the stations' ``station_distances`` matrix. Precondition:
+    every line is duplicate-free with at least two stations, as
+    ``init_lines``, the six mutations and ``crossover_lines`` keep it;
+    ``netgraph.build`` raises ``LoopInLine`` or ``LineTooShort`` at fitness
+    time for a layout that breaks it. While the network is split, the
+    station outside the component of station 0 that is closest to it gets
+    appended at the nearest end of a line inside that component (if station
+    0 sits on no line yet, station 0 itself is appended to the globally
+    nearest line end). Idempotent; every round merges one more component
+    into station 0's, so it ends within station_count rounds.
     """
     n = len(dist)
-    changed = False
-    lines: list[tuple[int, ...]] = []
-    for line in genome.lines:
-        if not line:
-            raise ValueError("repair cannot process an empty line")
-        deduped = tuple(dict.fromkeys(line))
-        if deduped != tuple(line):
-            changed = True
-        if len(deduped) < 2:
-            deduped = deduped + (_nearest_other(dist, deduped[0]),)
-            changed = True
-        lines.append(deduped)
-
-    comp = netgraph.components(lines, n)
+    comp = netgraph.components(genome.lines, n)
     if comp.count(comp[0]) == n:
-        return LineGenome(tuple(lines)) if changed else genome
+        return genome
+    lines = list(genome.lines)
     # Each attach merges station 0's component with one other whole
     # component, so these labels stay valid for the components outside it.
     comp = np.array(comp)

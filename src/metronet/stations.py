@@ -9,7 +9,6 @@ import numpy as np
 
 from . import coverage, evolve
 from .coverage import CoverageParams, CoverageReport
-from .errors import EmptyGrid
 from .evolve import EvolutionHistory, GaConfig, GenerationHook
 from .geomodel import (
     DemandGrid,
@@ -70,8 +69,6 @@ def init_population(
     rng: np.random.Generator,
 ) -> list[StationGenome]:
     """Seed genomes by population-weighted cell sampling with in-cell jitter."""
-    if len(grid) == 0:
-        raise EmptyGrid("cannot initialize stations from an empty grid")
     weights = grid.population / grid.total_population
     half = grid.cell_size / 2.0
     population = []
@@ -134,31 +131,6 @@ def crossover(
     return StationGenome(tuple(a)), StationGenome(tuple(b))
 
 
-def make_validator(districts: Sequence[District]):
-    """Repair hook: clamp any station outside the study area to the boundary.
-
-    A coordinate found inside once is not checked again: crossover only
-    swaps coordinates the hook has seen, and mutation yields points that are
-    inside or clamped onto the boundary.
-    """
-    inside: set[PlanarPoint] = set()
-
-    def validator(genome: StationGenome) -> StationGenome:
-        fixed = None
-        for i, p in enumerate(genome.stations):
-            if p in inside:
-                continue
-            if point_in_region(p, districts):
-                inside.add(p)
-                continue
-            if fixed is None:
-                fixed = list(genome.stations)
-            fixed[i], _ = nearest_boundary_point(p, districts)
-        return genome if fixed is None else StationGenome(tuple(fixed))
-
-    return validator
-
-
 def _coverage_of(
     grid: DemandGrid,
     generators: Sequence[GeneratorPoint],
@@ -173,16 +145,14 @@ def _coverage_of(
     """
     if params.mode != "sum":
         return lambda points: coverage.evaluate(points, grid, generators, params)
-    shares: dict[PlanarPoint, tuple[float, float]] = {}
+    shares: dict[PlanarPoint, float] = {}
 
     def report(points: Sequence[PlanarPoint]) -> CoverageReport:
         missing = list(dict.fromkeys(p for p in points if p not in shares))
         if missing:
-            fresh = coverage.evaluate(missing, grid, generators, params)
-            shares.update(zip(missing, zip(fresh.district, fresh.generator)))
-        district = np.array([shares[p][0] for p in points])
-        generator = np.array([shares[p][1] for p in points])
-        return coverage.report_from_shares(district, generator)
+            shares.update(zip(missing, coverage.evaluate(missing, grid, generators, params).per_station))
+        per_station = np.array([shares[p] for p in points])
+        return CoverageReport(float(per_station.sum()), per_station)
 
     return report
 
@@ -208,12 +178,17 @@ def optimize_stations(
     def mutation(genome: StationGenome, rng: np.random.Generator) -> StationGenome:
         return mutate(genome, config.mutation_sigma, rng, districts)
 
+    # The operators keep every station inside, so the validator has nothing
+    # to restore: init_population keeps a jittered point only if it is
+    # inside, else the cell centroid, which passed the same even-odd test;
+    # mutate resamples, then clamps onto the boundary, which point_in_region
+    # accepts within SNAP_TOLERANCE_M; crossover only swaps coordinates.
     best, history = evolve.run(
         initial,
         fitness,
         crossover,
         mutation,
-        make_validator(districts),
+        lambda genome: genome,
         ga,
         on_generation=on_generation,
     )

@@ -6,8 +6,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume
 from hypothesis import strategies as st
 
+from metronet.errors import InvalidPolygon
 from metronet.geomodel import (
     District,
     GeoPoint,
@@ -125,6 +127,40 @@ def selangor_paths():
         "densities": DATA_DIR / "selangor_densities.csv",
         "generators": DATA_DIR / "selangor_generators.csv",
     }
+
+
+@st.composite
+def star_ring(draw, cx, cy, r_lo, r_hi):
+    """A star-shaped ring on a 1 m grid; some vertices copy the previous y (horizontal edges)."""
+    n = draw(st.integers(3, 10))
+    start = draw(st.floats(0.0, 2 * math.pi))
+    jitter = draw(st.lists(st.floats(0.0, 0.9), min_size=n, max_size=n))
+    radii = draw(st.lists(st.integers(r_lo, r_hi), min_size=n, max_size=n))
+    flat = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    ring = []
+    for k in range(n):
+        angle = start + 2 * math.pi * (k + jitter[k]) / n
+        x = float(round(cx + radii[k] * math.cos(angle)))
+        y = float(round(cy + radii[k] * math.sin(angle)))
+        if flat[k] and ring:
+            y = ring[-1].y
+        ring.append(PlanarPoint(x, y))
+    return tuple(ring)
+
+
+@st.composite
+def star_districts(draw):
+    """One or two star parts, each with an optional star hole, possibly overlapping."""
+    polygons = []
+    for _ in range(draw(st.integers(1, 2))):
+        cx, cy = draw(st.integers(-2000, 2000)), draw(st.integers(-2000, 2000))
+        outer = draw(star_ring(cx, cy, 500, 1500))
+        holes = (draw(star_ring(cx, cy, 50, 300)),) if draw(st.booleans()) else ()
+        polygons.append(PlanarPolygon(outer, holes))
+    try:
+        return District("star", tuple(polygons), 1000.0)
+    except InvalidPolygon:
+        assume(False)
 
 
 @st.composite

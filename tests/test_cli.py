@@ -531,6 +531,19 @@ class TestValidateCommand:
         assert code == 4
         assert "loop" in capsys.readouterr().err
 
+    def test_reports_first_layout_violation_only(self, tmp_path, region_files, capsys):
+        out = self._run_once(tmp_path, region_files)
+        doc = json.loads((out / "lines.geojson").read_text())
+        first, last = (feat["properties"] for feat in (doc["features"][0], doc["features"][-1]))
+        first["station_ids"] += [first["station_ids"][0], 999]  # a loop, then an out-of-range id
+        last["station_ids"] = last["station_ids"][:1]  # a later line cut to one station
+        (out / "lines.geojson").write_text(json.dumps(doc))
+        code = cli.main(["validate", str(out / "stations.geojson"), str(out / "lines.geojson")])
+        assert code == 4
+        assert capsys.readouterr().err.splitlines() == [
+            f"violation: line 0: loop, station {first['station_ids'][0]} visited twice"
+        ]
+
     def test_missing_station_disconnects(self, tmp_path, region_files, capsys):
         out = self._run_once(tmp_path, region_files)
         doc = json.loads((out / "lines.geojson").read_text())

@@ -323,24 +323,28 @@ class TestExactFastPaths:
         stations, grid, generators = random_instance(rng, 9, 5000, 40, span=9000.0)
         # a repeated coordinate makes argmin ties; the first station keeps them
         stations[4] = stations[1]
-        report = evaluate(stations, grid, generators, CoverageParams(800.0, mode="nearest"))
+        params = CoverageParams(800.0, mode="nearest")
         sxy = np.array([(p.x, p.y) for p in stations])
         gw = np.array([g.daily_visitors for g in generators])
         gx = np.array([g.planar.x for g in generators])
         gy = np.array([g.planar.y for g in generators])
-        assert np.array_equal(report.district, unchunked_nearest_shares(sxy, grid.x, grid.y, grid.population, 800.0))
-        assert np.array_equal(report.generator, unchunked_nearest_shares(sxy, gx, gy, gw, 800.0))
+        district = district_coverage(stations, grid, params)
+        generator = generator_coverage(stations, generators, params)
+        assert np.array_equal(district, unchunked_nearest_shares(sxy, grid.x, grid.y, grid.population, 800.0))
+        assert np.array_equal(generator, unchunked_nearest_shares(sxy, gx, gy, gw, 800.0))
+        assert np.array_equal(evaluate(stations, grid, generators, params).per_station, district + generator)
 
     def test_sum_share_independent_of_batch(self):
         rng = np.random.default_rng(29)
         stations, grid, generators = random_instance(rng, 61, 3000, 12)
         params = CoverageParams(800.0)
         batch = evaluate(stations, grid, generators, params)
+        district = district_coverage(stations, grid, params)
+        generator = generator_coverage(stations, generators, params)
         for i, p in enumerate(stations):
-            alone = evaluate([p], grid, generators, params)
-            assert alone.per_station[0] == batch.per_station[i]
-            assert alone.district[0] == batch.district[i]
-            assert alone.generator[0] == batch.generator[i]
+            assert evaluate([p], grid, generators, params).per_station[0] == batch.per_station[i]
+            assert district_coverage([p], grid, params)[0] == district[i]
+            assert generator_coverage([p], generators, params)[0] == generator[i]
 
     @pytest.mark.parametrize("mode", ["sum", "nearest"])
     def test_peak_memory_does_not_scale_with_stations_times_cells(self, mode):
