@@ -544,6 +544,17 @@ class TestValidateCommand:
             f"violation: line 0: loop, station {first['station_ids'][0]} visited twice"
         ]
 
+    def test_line_cut_to_one_station(self, tmp_path, region_files, capsys):
+        out = self._run_once(tmp_path, region_files)
+        doc = json.loads((out / "lines.geojson").read_text())
+        props = doc["features"][-1]["properties"]
+        props["station_ids"] = props["station_ids"][:1]
+        (out / "lines.geojson").write_text(json.dumps(doc))
+        code = cli.main(["validate", str(out / "stations.geojson"), str(out / "lines.geojson")])
+        assert code == 4
+        index = len(doc["features"]) - 1
+        assert capsys.readouterr().err.splitlines() == [f"violation: line {index} has 1 station(s), need >= 2"]
+
     def test_missing_station_disconnects(self, tmp_path, region_files, capsys):
         out = self._run_once(tmp_path, region_files)
         doc = json.loads((out / "lines.geojson").read_text())

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import dijkstra_reference, layouts
 from metronet import lines as lines_module
 from metronet import netgraph
-from metronet.errors import RepairFailed, TooFewStations
+from metronet.errors import LineTooShort, LoopInLine, RepairFailed, TooFewStations
 from metronet.evolve import GaConfig
 from metronet.geomodel import PlanarPoint, station_distances, station_xy
 from metronet.lines import (
@@ -270,6 +270,15 @@ class TestRepair:
         repaired = repair(LineGenome(((1, 2),)), station_distances(stations))
         assert is_connected(build(repaired.lines, stations))
         assert repaired.lines == ((0, 1, 2),)
+
+    @pytest.mark.parametrize("line, error", [((0, 1, 0, 2), LoopInLine), ((0,), LineTooShort)])
+    def test_broken_line_left_for_fitness_to_reject(self, line, error):
+        # repair only reconnects; netgraph.build owns the per-line checks
+        stations = pts((0, 0), (1000, 0), (2000, 0))
+        genome = LineGenome((line, (0, 1, 2)))
+        assert repair(genome, station_distances(stations)) is genome
+        with pytest.raises(error):
+            line_fitness(genome, stations, [1.0, 1.0, 1.0])
 
     @pytest.mark.parametrize("seed", range(20))
     def test_idempotent_on_random_genomes(self, seed):
