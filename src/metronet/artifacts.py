@@ -15,7 +15,7 @@ import numpy as np
 
 from .coverage import CoverageReport
 from .errors import ParseError
-from .geomodel import DemandGrid, GeoPoint, PlanarPoint, json_number, unproject
+from .geomodel import DemandGrid, GeoPoint, PlanarPoint, json_number, read_feature_collection, unproject
 from .lines import LineGenome
 from .stations import StationGenome
 
@@ -44,21 +44,6 @@ def write_stations_geojson(path: Path, genome: StationGenome, report: CoverageRe
     _dump_geojson(path, {"type": "FeatureCollection", "features": features})
 
 
-def _feature_collection(path: Path) -> list[dict]:
-    """The features of a non-empty GeoJSON FeatureCollection, each with object properties."""
-    try:
-        doc = json.loads(path.read_text())
-    except (OSError, ValueError) as exc:  # ValueError: malformed JSON or an integer over the digit limit
-        raise ParseError(f"{path}: {exc}") from exc
-    features = doc.get("features") if isinstance(doc, dict) else None
-    if not isinstance(features, list) or not features or doc.get("type") != "FeatureCollection":
-        raise ParseError(f"{path}: expected a non-empty FeatureCollection")
-    for i, feat in enumerate(features):
-        if not isinstance(feat, dict) or not isinstance(feat.get("properties"), dict):
-            raise ParseError(f"{path}: feature {i}: feature and its properties must be objects")
-    return features
-
-
 def _index(props: dict, key: str, count: int, path: Path, i: int) -> int:
     """A required integer property in [0, count); bools and floats are rejected."""
     value = props.get(key)
@@ -70,7 +55,7 @@ def _index(props: dict, key: str, count: int, path: Path, i: int) -> int:
 def read_stations_geojson(path: Path) -> tuple[tuple[PlanarPoint, ...], np.ndarray]:
     """Load station coordinates and serviced populations back from disk."""
     path = Path(path)
-    features = _feature_collection(path)
+    features = read_feature_collection(path)
     stations: list[PlanarPoint | None] = [None] * len(features)
     serviced = np.zeros(len(features))
     for i, feat in enumerate(features):
@@ -109,7 +94,7 @@ def write_lines_geojson(path: Path, genome: LineGenome,
 def read_lines_geojson(path: Path) -> LineGenome:
     """Load a line layout; station ids are checked against the stations by ``validate``."""
     path = Path(path)
-    features = _feature_collection(path)
+    features = read_feature_collection(path)
     lines: list[tuple[int, ...] | None] = [None] * len(features)
     for i, feat in enumerate(features):
         props = feat["properties"]

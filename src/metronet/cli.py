@@ -280,8 +280,8 @@ def _run(cfg, region, grid, generators, _extra, artifact) -> list[str]:
     return [f"{key} = {value}" for key, value in results]
 
 
-def validate_artifacts(stations_file: Path, lines_file: Path) -> list[str]:
-    """Re-check genome invariants on emitted artifacts; returns violations.
+def validate_artifacts(stations_file: Path, lines_file: Path) -> str | None:
+    """Re-check genome invariants on emitted artifacts; returns the violation, if any.
 
     ``netgraph.build`` makes the layout checks, so only the first broken
     line rule is reported; connectivity is checked once the layout holds.
@@ -291,20 +291,19 @@ def validate_artifacts(stations_file: Path, lines_file: Path) -> list[str]:
     try:
         net = netgraph.build(genome.lines, station_points)
     except (LineTooShort, LoopInLine, ValueError) as exc:
-        return [str(exc)]
+        return str(exc)
     if not netgraph.is_connected(net):
-        return ["network is disconnected (some station unreachable)"]
-    return []
+        return "network is disconnected (some station unreachable)"
+    return None
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
     try:
-        violations = validate_artifacts(args.stations_file, args.lines_file)
+        violation = validate_artifacts(args.stations_file, args.lines_file)
     except MetronetError as exc:
         return _fail(exc, EXIT_LOAD_ERROR)
-    if violations:
-        for v in violations:
-            print(f"violation: {v}", file=sys.stderr)
+    if violation is not None:
+        print(f"violation: {violation}", file=sys.stderr)
         return EXIT_VALIDATION
     print("artifacts valid")
     return 0

@@ -55,7 +55,7 @@ class TooFewStations(MetronetError):
 
 
 class InvalidInitialPopulation(MetronetError):
-    """Initial population has the wrong size or contains invalid genomes."""
+    """Initial population does not hold population_size genomes."""
 
 
 class FitnessNotFinite(MetronetError):
@@ -73,5 +73,5 @@ class RepairFailed(MetronetError):
     """Connectivity repair could not produce a connected network."""
 
 
-class NoFeasibleIndividual(MetronetError):
-    """Line evolution ended without a single connected genome."""
+class Disconnected(MetronetError):
+    """A line layout leaves some station unreachable."""

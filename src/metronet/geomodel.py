@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -162,7 +162,6 @@ class GeneratorPoint:
 
     name: str
     daily_visitors: float
-    geo: GeoPoint
     planar: PlanarPoint
 
     def __post_init__(self):
@@ -215,7 +214,7 @@ class DemandGrid:
 
     def __post_init__(self):
         if len(self.x) == 0:
-            raise EmptyGrid("demand grid has no populated cells")
+            raise EmptyGrid(f"no populated cell at cell_size={self.cell_size}")
         if np.any(self.population < 0):
             raise ValueError("cell populations must be >= 0")
 
@@ -387,29 +386,52 @@ def _lon_lat(vertex: object, where: str) -> tuple[float, float]:
     raise ParseError(f"{where}: vertex {vertex!r:.60} is not a [lon, lat] pair of numbers")
 
 
-def load_densities(path: Path) -> dict[str, float]:
-    """Read the ``district_id,density_per_km2`` table."""
+def read_feature_collection(path: Path) -> list[dict]:
+    """The features of a non-empty GeoJSON FeatureCollection, each with object properties."""
     path = Path(path)
+    try:
+        doc = json.loads(path.read_text())
+    except (OSError, ValueError, RecursionError) as exc:  # malformed, nested too deep, or over the digit limit
+        raise ParseError(f"{path}: {exc}") from exc
+    features = doc.get("features") if isinstance(doc, dict) else None
+    if not isinstance(features, list) or not features or doc.get("type") != "FeatureCollection":
+        raise ParseError(f"{path}: expected a non-empty FeatureCollection")
+    for i, feat in enumerate(features):
+        if not isinstance(feat, dict) or not isinstance(feat.get("properties"), dict):
+            raise ParseError(f"{path}: feature {i}: feature and its properties must be objects")
+    return features
+
+
+def _table_rows(path: Path, header: list[str]) -> Iterator[tuple[int, dict[str, str]]]:
+    """(row number, row) for each data row of a CSV file; its header, spaces stripped, must be ``header``.
+
+    The rows are keyed by ``header``, and the file is closed before the first row is yielded.
+    """
     try:
         with path.open(newline="") as fh:
             reader = csv.DictReader(fh)
-            if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != [
-                "district_id",
-                "density_per_km2",
-            ]:
-                raise ParseError(f"{path}: expected header district_id,density_per_km2")
-            out = {}
-            for i, row in enumerate(reader, start=2):
-                try:
-                    district_id, density = row["district_id"].strip(), float(row["density_per_km2"])
-                except (TypeError, ValueError, AttributeError) as exc:
-                    raise ParseError(f"{path}: row {i}: {exc}") from exc
-                if not math.isfinite(density):
-                    raise ParseError(f"{path}: row {i}: density must be finite, got {density!r}")
-                out[district_id] = density
-            return out
-    except OSError as exc:
+            if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != header:
+                raise ParseError(f"{path}: expected header {','.join(header)}")
+            reader.fieldnames = header
+            rows = list(reader)
+    except (OSError, csv.Error) as exc:
         raise ParseError(f"{path}: {exc}") from exc
+    yield from enumerate(rows, start=2)
+
+
+def load_densities(path: Path) -> dict[str, float]:
+    """Read the ``district_id,density_per_km2`` table."""
+    path = Path(path)
+    out = {}
+    for i, row in _table_rows(path, ["district_id", "density_per_km2"]):
+        try:
+            district_id, density = row["district_id"].strip(), float(row["density_per_km2"])
+        except (TypeError, ValueError, AttributeError) as exc:
+            raise ParseError(f"{path}: row {i}: {exc}") from exc
+        if not math.isfinite(density):
+            raise ParseError(f"{path}: row {i}: density must be finite, got {density!r}")
+        out[district_id] = density
+    return out
 
 
 def load_region(boundaries_file: Path, densities_file: Path) -> Region:
@@ -420,30 +442,12 @@ def load_region(boundaries_file: Path, densities_file: Path) -> Region:
     """
     boundaries_file = Path(boundaries_file)
     densities = load_densities(Path(densities_file))
-    try:
-        with boundaries_file.open() as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"{boundaries_file}: {exc}") from exc
-    except ValueError as exc:  # malformed JSON or text, or an integer literal over the digit limit
-        raise ParseError(f"{boundaries_file}: invalid JSON: {exc}") from exc
-
-    features = doc.get("features") if isinstance(doc, dict) else None
-    if not isinstance(features, list) or doc.get("type") != "FeatureCollection":
-        raise ParseError(f"{boundaries_file}: expected a GeoJSON FeatureCollection")
-    if not features:
-        raise ParseError(f"{boundaries_file}: FeatureCollection has no features")
-
     raw = []  # (district_id, polygons as lon/lat rings)
-    for idx, feat in enumerate(features):
-        if not isinstance(feat, dict):
-            raise ParseError(f"{boundaries_file}: feature {idx}: expected a GeoJSON Feature object")
-        props = feat.get("properties")
-        district_id = props.get("district_id") if isinstance(props, dict) else None
+    for idx, feat in enumerate(read_feature_collection(boundaries_file)):
+        district_id = feat["properties"].get("district_id")
         if not isinstance(district_id, str):
             raise ParseError(f"{boundaries_file}: feature {idx}: missing string property 'district_id'")
-        geom = feat.get("geometry") or {}
-        raw.append((district_id, _geo_rings_of_feature(geom, boundaries_file, idx)))
+        raw.append((district_id, _geo_rings_of_feature(feat.get("geometry"), boundaries_file, idx)))
 
     all_lons = [pt[0] for _, polys in raw for rings in polys for ring in rings for pt in ring]
     all_lats = [pt[1] for _, polys in raw for rings in polys for ring in rings for pt in ring]
@@ -478,34 +482,25 @@ def load_generators(path: Path, region: Region) -> tuple[GeneratorPoint, ...]:
     rejected as gross coordinate errors.
     """
     path = Path(path)
-    try:
-        with path.open(newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != GENERATOR_HEADER:
-                raise ParseError(f"{path}: expected header {','.join(GENERATOR_HEADER)}")
-            out = []
-            xmin, ymin, xmax, ymax = region.bounds
-            for i, row in enumerate(reader, start=2):
-                try:
-                    name = row["name"].strip()
-                    visitors = float(row["daily_visitors"])
-                    geo = GeoPoint(float(row["latitude"]), float(row["longitude"]))
-                except (TypeError, ValueError, AttributeError) as exc:
-                    raise ParseError(f"{path}: row {i}: {exc}") from exc
-                if not math.isfinite(visitors):
-                    raise ParseError(f"{path}: row {i}: daily visitors must be finite, got {visitors!r}")
-                if visitors < 0:
-                    raise NegativeVisitors(i, visitors)
-                planar = project(geo, region.origin)
-                m = GENERATOR_MARGIN_M
-                if not (xmin - m <= planar.x <= xmax + m and ymin - m <= planar.y <= ymax + m):
-                    raise ParseError(
-                        f"{path}: row {i}: generator {name!r} lies more than 10 km outside the region"
-                    )
-                out.append(GeneratorPoint(name, visitors, geo, planar))
-            return tuple(out)
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    out = []
+    xmin, ymin, xmax, ymax = region.bounds
+    for i, row in _table_rows(path, GENERATOR_HEADER):
+        try:
+            name = row["name"].strip()
+            visitors = float(row["daily_visitors"])
+            geo = GeoPoint(float(row["latitude"]), float(row["longitude"]))
+        except (TypeError, ValueError, AttributeError) as exc:
+            raise ParseError(f"{path}: row {i}: {exc}") from exc
+        if not math.isfinite(visitors):
+            raise ParseError(f"{path}: row {i}: daily visitors must be finite, got {visitors!r}")
+        if visitors < 0:
+            raise NegativeVisitors(i, visitors)
+        planar = project(geo, region.origin)
+        m = GENERATOR_MARGIN_M
+        if not (xmin - m <= planar.x <= xmax + m and ymin - m <= planar.y <= ymax + m):
+            raise ParseError(f"{path}: row {i}: generator {name!r} lies more than 10 km outside the region")
+        out.append(GeneratorPoint(name, visitors, planar))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +518,8 @@ def rasterize(districts: Sequence[District], cell_size: float) -> DemandGrid:
     """Sample districts onto an axis-aligned grid over their union bounding box.
 
     A cell belongs to a district when its centroid passes the even-odd test;
-    its population is density * cell area. Zero-population cells are dropped.
+    its population is density * cell area. Zero-population cells are dropped;
+    ``DemandGrid`` raises ``EmptyGrid`` when none is left.
     """
     check_cell_size(cell_size)
     if not districts:
@@ -551,6 +547,4 @@ def rasterize(districts: Sequence[District], cell_size: float) -> DemandGrid:
         pop[idx[hits]] += d.density * cell_km2
 
     keep = pop > 0
-    if not keep.any():
-        raise EmptyGrid(f"no populated cell at cell_size={cell_size}")
     return DemandGrid(cell_size, gx[keep], gy[keep], pop[keep])

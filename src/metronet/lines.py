@@ -8,7 +8,7 @@ from typing import Sequence
 import numpy as np
 
 from . import evolve, netgraph
-from .errors import NoFeasibleIndividual, RepairFailed, TooFewStations
+from .errors import Disconnected, RepairFailed, TooFewStations
 from .evolve import EvolutionHistory, GaConfig, GenerationHook
 from .geomodel import PlanarPoint, station_distances, station_xy
 
@@ -25,10 +25,9 @@ class LineGenome:
 
 @dataclass(frozen=True)
 class LineFitness:
-    """Pairwise travel cost in meter-persons; infeasible layouts carry a finite penalty."""
+    """Pairwise travel cost in meter-persons of a connected layout."""
 
     value: float
-    feasible: bool
 
 
 @dataclass(frozen=True)
@@ -57,22 +56,20 @@ def line_fitness(genome: LineGenome, stations: Sequence[PlanarPoint],
                  serviced: Sequence[float], transfer_penalty_m: float = 0.0) -> LineFitness:
     """Sum over unordered station pairs of d_ij * (s_i + s_j).
 
-    Disconnected layouts get 1000x a feasible upper bound so they lose to any
-    connected layout while staying finite.
+    Only connected layouts have a cost: ``repair`` keeps every GA genome
+    connected, and a layout that leaves some station unreachable raises
+    ``Disconnected``.
     """
     s = np.asarray(serviced, dtype=float)
     sxy = station_xy(stations)
-    n = len(sxy)
-    if len(s) != n:
-        raise ValueError(f"serviced counts ({len(s)}) must match stations ({n})")
+    if len(s) != len(sxy):
+        raise ValueError(f"serviced counts ({len(s)}) must match stations ({len(sxy)})")
     net = netgraph.build(genome.lines, sxy)
     d = netgraph.all_pairs_distances(net, transfer_penalty_m=transfer_penalty_m)
     if not np.isfinite(d).all():
-        # each pair at n - 1 hops of the longest station distance; sum over i < j of s_i + s_j is (n - 1) * sum(s)
-        max_pair = (n - 1) * (float(station_distances(sxy).max()) + transfer_penalty_m)
-        return LineFitness(1e3 * max(max_pair * (n - 1) * float(s.sum()), 1.0), False)
+        raise Disconnected("line layout leaves some station unreachable")
     # d is symmetric with a zero diagonal, so the i < j pair sum weighs each row sum by its s_i
-    return LineFitness(float((d.sum(axis=1) * s).sum()), True)
+    return LineFitness(float((d.sum(axis=1) * s).sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +331,7 @@ def optimize_lines(
     def mutation(genome: LineGenome, rng: np.random.Generator) -> LineGenome:
         return mutate_line(genome, len(sxy), rng)
 
-    best, history = evolve.run(
+    return evolve.run(
         initial,
         fitness,
         crossover_lines,
@@ -343,7 +340,4 @@ def optimize_lines(
         ga,
         on_generation=on_generation,
     )
-    if not line_fitness(best, sxy, s, config.transfer_penalty_m).feasible:
-        raise NoFeasibleIndividual("evolution returned a disconnected best genome")
-    return best, history
 

@@ -18,7 +18,6 @@ from metronet.geomodel import (
     DemandGrid,
     District,
     GeneratorPoint,
-    GeoPoint,
     PlanarPoint,
     PlanarPolygon,
     load_generators,
@@ -66,8 +65,7 @@ def test_criterion_01_coverage_oracle_equivalence():
         )
         stations = [PlanarPoint(float(x), float(y)) for x, y in rng.uniform(-5000, 5000, (n_stations, 2))]
         generators = [
-            GeneratorPoint(f"g{i}", float(rng.uniform(100, 1e5)), GeoPoint(3.0, 101.5),
-                           PlanarPoint(float(x), float(y)))
+            GeneratorPoint(f"g{i}", float(rng.uniform(100, 1e5)), PlanarPoint(float(x), float(y)))
             for i, (x, y) in enumerate(rng.uniform(-5000, 5000, (n_generators, 2)))
         ]
         sigma = float(rng.uniform(400, 3000))

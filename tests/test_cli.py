@@ -1,5 +1,7 @@
 """CLI tests: config resolution, subcommands, artifacts, exit codes."""
 import contextlib
+import copy
+import csv
 import dataclasses
 import io
 import json
@@ -694,6 +696,99 @@ def test_invalid_artifacts_exit_2_or_4(data_run, data):
         code = cli.main(["validate", str(edited / "stations.geojson"), str(edited / "lines.geojson")])
     assert code in (2, 4)
     assert stderr.getvalue().startswith("error: " if code == 2 else "violation: ")
+
+
+# The tests/data inputs of ``metronet grid``, by CLI key.
+GRID_INPUTS = {
+    "boundaries": "selangor_boundary.geojson",
+    "densities": "selangor_densities.csv",
+    "generators": "selangor_generators.csv",
+}
+# No number: a number in place of a coordinate is no wrong type, and a far vertex would make a huge grid.
+WRONG_TYPES = (None, True, "x", [], {})
+
+
+def _json_paths(node, path=()):
+    """The path and value of every node below the root of a parsed JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield (*path, key), child
+        yield from _json_paths(child, (*path, key))
+
+
+@st.composite
+def mutated_boundaries(draw, doc):
+    """``doc`` with one key missing, one value of a wrong type or non-finite, bad coordinates, or a duplicate id."""
+    kind = draw(st.sampled_from(["missing", "wrong_type", "non_finite", "coordinates", "duplicate"]))
+    geometry = doc["features"][0]["geometry"]
+    if kind == "coordinates":
+        ring = geometry["coordinates"][0]
+        geometry["coordinates"] = draw(st.sampled_from(
+            [None, [], [[]], [geometry["coordinates"]], [[[vertex] for vertex in ring]]]
+        ))
+    elif kind == "duplicate":
+        doc["features"].append(copy.deepcopy(doc["features"][0]))
+    else:
+        paths = [(path, value) for path, value in _json_paths(doc)
+                 if kind != "non_finite" or isinstance(value, float)]
+        path, value = draw(st.sampled_from(paths))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if kind == "missing":
+            del parent[path[-1]]
+        elif kind == "non_finite":
+            parent[path[-1]] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        else:
+            parent[path[-1]] = draw(st.sampled_from([v for v in WRONG_TYPES if type(v) is not type(value)]))
+    return json.dumps(doc)
+
+
+@st.composite
+def mutated_table(draw, rows):
+    """CSV ``rows`` with one cell missing, a cell of a wrong type or non-finite, or a duplicate row."""
+    kind = draw(st.sampled_from(["missing", "wrong_type", "non_finite", "duplicate"]))
+    r = draw(st.integers(kind == "duplicate", len(rows) - 1))
+    c = draw(st.integers(0, len(rows[r]) - 1))
+    if kind == "missing":
+        del rows[r][c]
+    elif kind == "duplicate":
+        rows.append(list(rows[r]))
+    else:
+        values = ["", "x", "1,5", "true"] if kind == "wrong_type" else ["nan", "inf", "-inf", "1e400"]
+        rows[r][c] = draw(st.sampled_from(values))
+    out = io.StringIO()
+    csv.writer(out).writerows(rows)
+    return out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def grid_inputs_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutated_inputs")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_mutated_inputs_exit_0_or_2(grid_inputs_dir, data):
+    """One mutation of one tests/data input: ``metronet grid`` exits 0 or 2, never a traceback."""
+    key = data.draw(st.sampled_from(sorted(GRID_INPUTS)))
+    text = (DATA_DIR / GRID_INPUTS[key]).read_text()
+    if key == "boundaries":
+        text = data.draw(mutated_boundaries(json.loads(text)))
+    else:
+        text = data.draw(mutated_table(list(csv.reader(io.StringIO(text)))))
+    argv = ["grid", "--out", str(grid_inputs_dir / "out"), "--cell-size", "500"]
+    for name, file_name in GRID_INPUTS.items():
+        path = DATA_DIR / file_name
+        if name == key:
+            path = grid_inputs_dir / file_name
+            path.write_text(text)
+        argv += [f"--{name}", str(path)]
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = cli.main(argv)
+    assert code in (0, 2)
+    assert code == 0 or stderr.getvalue().startswith("error: ")
 
 
 def test_cli_import_needs_no_scipy():

@@ -18,7 +18,6 @@ from metronet.coverage import (
 from metronet.geomodel import (
     DemandGrid,
     GeneratorPoint,
-    GeoPoint,
     PlanarPoint,
     PlanarPolygon,
     District,
@@ -56,7 +55,7 @@ def single_cell_grid(x, y, pop, cell_size=500.0):
 
 
 def make_generator(name, visitors, x, y):
-    return GeneratorPoint(name, visitors, GeoPoint(3.0, 101.5), PlanarPoint(x, y))
+    return GeneratorPoint(name, visitors, PlanarPoint(x, y))
 
 
 def random_instance(rng, n_stations, n_cells, n_generators, span=4000.0):

@@ -179,8 +179,8 @@ class TestRun:
 
         cfg = GaConfig(population_size=10, generations=3, rng_seed=10)
         run(_toy_population(10, seed=4), _fitness, _crossover, _mutation, validator, cfg)
-        # initial check + every bred (non-elite) genome
-        assert len(seen) == 10 + 3 * (10 - cfg.elite_count)
+        # every bred (non-elite) genome; the initial population is not validated
+        assert len(seen) == 3 * (10 - cfg.elite_count)
 
     def test_determinism_same_seed(self):
         cfg = GaConfig(population_size=15, generations=8, rng_seed=42)
@@ -202,15 +202,6 @@ class TestRun:
         cfg = GaConfig(population_size=10, generations=2)
         with pytest.raises(InvalidInitialPopulation):
             run(_toy_population(9), _fitness, _crossover, _mutation, _identity, cfg)
-
-    def test_initial_population_must_pass_validator(self):
-        cfg = GaConfig(population_size=10, generations=2)
-
-        def clamping_validator(x):
-            return min(x, 5.0)
-
-        with pytest.raises(InvalidInitialPopulation):
-            run(_toy_population(10, seed=6), _fitness, _crossover, _mutation, clamping_validator, cfg)
 
     def test_non_finite_fitness(self):
         cfg = GaConfig(population_size=10, generations=2)

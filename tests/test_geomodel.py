@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metronet import geomodel
+from metronet import artifacts, geomodel
 
 from metronet.errors import EmptyGrid, InvalidPolygon, MissingDensity, NegativeVisitors, ParseError
 from metronet.geomodel import (
     EARTH_RADIUS_M,
+    DemandGrid,
     District,
     GeoPoint,
     PlanarPoint,
@@ -31,7 +32,7 @@ from metronet.geomodel import (
     unproject,
 )
 
-from conftest import MALFORMED_GEOMETRIES, rect_district, star_districts, write_malformed_region, write_region_files
+from conftest import DATA_DIR, MALFORMED_GEOMETRIES, rect_district, star_districts, write_malformed_region, write_region_files
 
 ORIGIN = GeoPoint(3.0, 101.5)
 
@@ -218,6 +219,46 @@ class TestLoadRegion:
         with pytest.raises(ParseError):
             load_region(tmp_path / "absent.geojson", densities)
 
+    def test_header_names_may_carry_spaces(self, tmp_path):
+        boundaries, densities = write_region_files(tmp_path, [("a", -500, -500, 500, 500, 10)])
+        densities.write_text("district_id, density_per_km2 \na,10\n")
+        assert load_region(boundaries, densities).districts[0].density == 10.0
+
+    def test_field_over_csv_limit(self, tmp_path):
+        boundaries, densities = write_region_files(tmp_path, [("a", -500, -500, 500, 500, 10)])
+        densities.write_text(f'district_id,density_per_km2\n"{"a" * 200_000}",10\n')
+        with pytest.raises(ParseError, match="field larger than field limit"):
+            load_region(boundaries, densities)
+
+
+# Documents every GeoJSON reader rejects, with the message each must give.
+MALFORMED_COLLECTIONS = {
+    "not_a_collection": (json.dumps({"type": "Feature", "properties": {}, "geometry": None}),
+                         "expected a non-empty FeatureCollection"),
+    "no_features": (json.dumps({"type": "FeatureCollection", "features": []}),
+                    "expected a non-empty FeatureCollection"),
+    "non_object_feature": (json.dumps({"type": "FeatureCollection", "features": [[101.5, 3.0]]}),
+                           "feature 0: feature and its properties must be objects"),
+    "no_properties": (json.dumps({"type": "FeatureCollection", "features": [{"type": "Feature", "geometry": None}]}),
+                      "feature 0: feature and its properties must be objects"),
+    "nested_too_deep": ("[" * 100_000 + "]" * 100_000, "recursion"),
+}
+FEATURE_COLLECTION_READERS = {
+    "load_region": lambda path: load_region(path, DATA_DIR / "selangor_densities.csv"),
+    "read_stations_geojson": artifacts.read_stations_geojson,
+    "read_lines_geojson": artifacts.read_lines_geojson,
+}
+
+
+@pytest.mark.parametrize("reader", sorted(FEATURE_COLLECTION_READERS))
+@pytest.mark.parametrize("case", sorted(MALFORMED_COLLECTIONS))
+def test_feature_collection_readers_agree(tmp_path, reader, case):
+    text, message = MALFORMED_COLLECTIONS[case]
+    path = tmp_path / "doc.geojson"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=message):
+        FEATURE_COLLECTION_READERS[reader](path)
+
 
 class TestLoadGenerators:
     def test_reference_table(self, selangor_paths):
@@ -268,8 +309,13 @@ class TestRasterize:
 
     def test_oversized_cell_empty_grid(self, unit_square_km):
         # single centroid lands on the square's corner, outside by the even-odd rule
-        with pytest.raises(EmptyGrid):
+        with pytest.raises(EmptyGrid, match="cell_size="):
             rasterize([unit_square_km], 2000.0)
+
+    def test_demand_grid_without_cells_rejected(self):
+        empty = np.array([])
+        with pytest.raises(EmptyGrid, match="no populated cell at cell_size=250.0"):
+            DemandGrid(250.0, empty, empty, empty)
 
     @pytest.mark.parametrize("cell_size", [math.nan, math.inf, -math.inf, 0.0, -500.0])
     def test_unusable_cell_size_rejected(self, unit_square_km, cell_size):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import dijkstra_reference, layouts
 from metronet import lines as lines_module
 from metronet import netgraph
-from metronet.errors import LineTooShort, LoopInLine, RepairFailed, TooFewStations
+from metronet.errors import Disconnected, LineTooShort, LoopInLine, RepairFailed, TooFewStations
 from metronet.evolve import GaConfig
 from metronet.geomodel import PlanarPoint, station_distances, station_xy
 from metronet.lines import (
@@ -68,7 +68,6 @@ class TestLineFitness:
     def test_single_pair(self):
         stations = pts((0, 0), (2000, 0))
         f = line_fitness(LineGenome(((0, 1),)), stations, [1000.0, 3000.0])
-        assert f.feasible
         assert f.value == pytest.approx(2000.0 * 4000.0)
 
     def test_three_station_path_by_hand(self):
@@ -77,15 +76,15 @@ class TestLineFitness:
         # pairs: (0,1) 1000*2 + (1,2) 1000*2 + (0,2) 2000*2
         assert f.value == pytest.approx(8000.0)
 
-    def test_disconnected_gets_finite_dominant_penalty(self):
+    def test_disconnected_raises(self):
         stations = pts((0, 0), (1000, 0), (5000, 0), (6000, 0))
         s = [10.0, 10.0, 10.0, 10.0]
-        broken = line_fitness(LineGenome(((0, 1), (2, 3))), stations, s)
-        assert not broken.feasible
-        assert math.isfinite(broken.value)
-        connected = line_fitness(LineGenome(((0, 1, 2, 3),)), stations, s)
-        assert connected.feasible
-        assert broken.value > 100 * connected.value
+        with pytest.raises(Disconnected, match="unreachable"):
+            line_fitness(LineGenome(((0, 1), (2, 3))), stations, s)
+        # a station on no line is unreachable too
+        with pytest.raises(Disconnected):
+            line_fitness(LineGenome(((0, 1, 2),)), stations, s)
+        assert line_fitness(LineGenome(((0, 1, 2, 3),)), stations, s).value == pytest.approx(440000.0)
 
     @settings(max_examples=200, deadline=None)
     @given(layouts(), st.data())
@@ -94,21 +93,16 @@ class TestLineFitness:
         s = data.draw(st.lists(st.floats(0.0, 1e6, allow_subnormal=False), min_size=n, max_size=n))
         genome = LineGenome(tuple(tuple(line) for line in lines))
         for penalty in (0.0, 250.0):
-            f = line_fitness(genome, stations, s, penalty)
             d = dijkstra_reference(stations, lines, penalty)
             if np.isfinite(d).all():
                 want = 0.0
                 for i in range(n):
                     for j in range(i + 1, n):
                         want += d[i, j] * (s[i] + s[j])
-                assert f.feasible
-                assert f.value == pytest.approx(want, rel=1e-12)
+                assert line_fitness(genome, stations, s, penalty).value == pytest.approx(want, rel=1e-12)
             else:
-                # every pair priced at (n - 1) hops of the longest station distance plus a transfer
-                longest = max(math.hypot(p.x - q.x, p.y - q.y) for p in stations for q in stations)
-                bound = (n - 1) ** 2 * (longest + penalty) * sum(s)
-                assert not f.feasible
-                assert f.value == pytest.approx(1e3 * max(bound, 1.0), rel=1e-12)
+                with pytest.raises(Disconnected):
+                    line_fitness(genome, stations, s, penalty)
 
 
 class TestMutationOperators:

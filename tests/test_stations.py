@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from metronet import coverage
 from metronet.coverage import CoverageParams, evaluate
 from metronet.evolve import GaConfig
-from metronet.geomodel import DemandGrid, GeneratorPoint, GeoPoint, PlanarPoint, point_in_region, rasterize
+from metronet.geomodel import DemandGrid, GeneratorPoint, PlanarPoint, point_in_region, rasterize
 from metronet.stations import (
     StationGenome,
     StationStageConfig,
@@ -216,8 +216,8 @@ class TestMemoizedCoverage:
     def instance(self, two_district_region):
         grid = rasterize(two_district_region, 500.0)
         generators = (
-            GeneratorPoint("mall", 30000.0, GeoPoint(3.0, 101.5), PlanarPoint(-3000.0, 500.0)),
-            GeneratorPoint("campus", 12000.0, GeoPoint(3.0, 101.5), PlanarPoint(2500.0, -700.0)),
+            GeneratorPoint("mall", 30000.0, PlanarPoint(-3000.0, 500.0)),
+            GeneratorPoint("campus", 12000.0, PlanarPoint(2500.0, -700.0)),
         )
         return grid, generators, two_district_region
 
