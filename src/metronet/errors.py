@@ -69,9 +69,5 @@ class FitnessNotFinite(MetronetError):
         self.index = index
 
 
-class RepairFailed(MetronetError):
-    """Connectivity repair could not produce a connected network."""
-
-
 class Disconnected(MetronetError):
     """A line layout leaves some station unreachable."""

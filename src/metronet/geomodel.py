@@ -25,6 +25,7 @@ SNAP_TOLERANCE_M = 50.0
 
 # Generators may sit at most this far outside the region bounding box.
 GENERATOR_MARGIN_M = 10_000.0
+PLANAR_BOUND_M = 1e7  # |x| and |y| stay below this: a regional frame, not the globe
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,7 @@ class PlanarPoint:
     def __post_init__(self):
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError("planar coordinates must be finite")
-        if abs(self.x) >= 1e7 or abs(self.y) >= 1e7:
+        if abs(self.x) >= PLANAR_BOUND_M or abs(self.y) >= PLANAR_BOUND_M:
             raise ValueError(f"planar point ({self.x}, {self.y}) outside regional sanity bound")
 
 
@@ -71,11 +72,16 @@ def station_distances(stations: Sequence[PlanarPoint] | np.ndarray) -> np.ndarra
     return np.hypot(sxy[:, None, 0] - sxy[None, :, 0], sxy[:, None, 1] - sxy[None, :, 1])
 
 
+def _equirectangular(lat, lon, origin: GeoPoint):
+    """Planar (x, y) in meters of degrees ``lat``, ``lon``: floats or arrays, the same float operations."""
+    y = EARTH_RADIUS_M * (lat - origin.lat) * _DEG
+    x = EARTH_RADIUS_M * (lon - origin.lon) * math.cos(origin.lat * _DEG) * _DEG
+    return x, y
+
+
 def project(p: GeoPoint, origin: GeoPoint) -> PlanarPoint:
     """Equirectangular projection of ``p`` into the planar frame anchored at ``origin``."""
-    y = EARTH_RADIUS_M * (p.lat - origin.lat) * _DEG
-    x = EARTH_RADIUS_M * (p.lon - origin.lon) * math.cos(origin.lat * _DEG) * _DEG
-    return PlanarPoint(x, y)
+    return PlanarPoint(*_equirectangular(p.lat, p.lon, origin))
 
 
 def unproject(p: PlanarPoint, origin: GeoPoint) -> GeoPoint:
@@ -85,15 +91,20 @@ def unproject(p: PlanarPoint, origin: GeoPoint) -> GeoPoint:
     return GeoPoint(lat, lon)
 
 
-Ring = tuple[PlanarPoint, ...]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PlanarPolygon:
-    """One outer ring plus optional hole rings, all in planar meters."""
+    """One outer ring plus optional hole rings, each an (N, 2) float array of planar x, y in meters.
 
-    outer: Ring
-    holes: tuple[Ring, ...] = ()
+    A ring lists each vertex once; the closing edge runs from the last row
+    back to the first. The polygon makes the arrays it is given read-only.
+    """
+
+    outer: np.ndarray
+    holes: tuple[np.ndarray, ...] = ()
+
+    def __post_init__(self):
+        for ring in (self.outer, *self.holes):
+            ring.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -111,12 +122,9 @@ class District:
     def __post_init__(self):
         if self.density < 0:
             raise ValueError(f"district {self.district_id!r}: density must be >= 0")
-        for poly in self.polygons:
-            for ring in (poly.outer, *poly.holes):
-                if len(ring) < 3:
-                    raise InvalidPolygon(
-                        f"district {self.district_id!r}: ring with {len(ring)} vertices"
-                    )
+        short = [len(ring) for poly in self.polygons for ring in (poly.outer, *poly.holes) if len(ring) < 3]
+        if short:
+            raise InvalidPolygon(f"district {self.district_id!r}: ring with {short[0]} vertices")
         if self.area_km2 <= 0:
             raise InvalidPolygon(f"district {self.district_id!r}: zero enclosed area")
 
@@ -130,18 +138,10 @@ class District:
         return total / 1e6
 
     @cached_property
-    def ring_arrays(self) -> tuple[np.ndarray, ...]:
-        """Every ring (outers and holes) as an (N, 2) float array, for even-odd tests."""
-        rings = []
-        for poly in self.polygons:
-            for ring in (poly.outer, *poly.holes):
-                rings.append(np.array([(p.x, p.y) for p in ring], dtype=float))
-        return tuple(rings)
-
-    @cached_property
     def edges(self) -> np.ndarray:
         """Every ring edge, closing edges included, as (E, 4) rows x1, y1, x2, y2."""
-        return np.concatenate([np.hstack([ring, np.roll(ring, -1, axis=0)]) for ring in self.ring_arrays])
+        rings = [ring for poly in self.polygons for ring in (poly.outer, *poly.holes)]
+        return np.concatenate([np.hstack([ring, np.roll(ring, -1, axis=0)]) for ring in rings])
 
     @cached_property
     def crossing_edges(self) -> np.ndarray:
@@ -150,10 +150,9 @@ class District:
 
     @cached_property
     def bounds(self) -> tuple[float, float, float, float]:
-        arrays = self.ring_arrays
-        xs = np.concatenate([a[:, 0] for a in arrays])
-        ys = np.concatenate([a[:, 1] for a in arrays])
-        return float(xs.min()), float(ys.min()), float(xs.max()), float(ys.max())
+        vertices = self.edges[:, 0:2]  # each vertex starts exactly one edge
+        (x0, y0), (x1, y1) = vertices.min(axis=0), vertices.max(axis=0)
+        return float(x0), float(y0), float(x1), float(y1)
 
 
 @dataclass(frozen=True)
@@ -236,10 +235,9 @@ class DemandGrid:
 # ---------------------------------------------------------------------------
 
 
-def shoelace_area(ring: Sequence[PlanarPoint]) -> float:
-    """Signed shoelace area of a ring in m^2 (positive for counterclockwise)."""
-    arr = np.array([(p.x, p.y) for p in ring], dtype=float)
-    x, y = arr[:, 0], arr[:, 1]
+def shoelace_area(ring: np.ndarray) -> float:
+    """Signed shoelace area of an (N, 2) ring in m^2 (positive for counterclockwise)."""
+    x, y = ring[:, 0], ring[:, 1]
     x2, y2 = np.roll(x, -1), np.roll(y, -1)
     return float(0.5 * np.sum(x * y2 - x2 * y))
 
@@ -333,14 +331,13 @@ def point_in_region(p: PlanarPoint, districts: Sequence[District], tol: float = 
 # ---------------------------------------------------------------------------
 
 
-def _geo_rings_of_feature(geometry: dict, path: Path, idx: int) -> list[list[list[tuple[float, float]]]]:
+def _geo_rings_of_feature(geometry: dict, where: str) -> list[list[np.ndarray]]:
     """Normalize a Polygon/MultiPolygon geometry to a list of polygons.
 
-    Each polygon is a non-empty list of rings; each ring a list of (lon, lat)
-    pairs. Any other shape of ``coordinates`` (null, empty, a vertex that is
-    not two numbers) raises ParseError.
+    Each polygon is a non-empty list of rings; each ring an (N, 2) array of
+    lon, lat rows without the closing vertex. Any other shape of ``coordinates``
+    (null, empty, a vertex that is not two numbers or out of range) raises ParseError.
     """
-    where = f"{path}: feature {idx}"
     if not isinstance(geometry, dict):
         raise ParseError(f"{where}: geometry must be an object")
     gtype = geometry.get("type")
@@ -361,7 +358,13 @@ def _geo_rings_of_feature(geometry: dict, path: Path, idx: int) -> list[list[lis
         for ring in poly:
             if not isinstance(ring, list):
                 raise ParseError(f"{where}: ring {ring!r:.60} is not a list of vertices")
-            rings.append([_lon_lat(vertex, where) for vertex in ring])
+            lon_lat = np.array([_lon_lat(vertex, where) for vertex in ring], dtype=float).reshape(-1, 2)
+            if len(lon_lat) > 1 and (lon_lat[0] == lon_lat[-1]).all():  # the closing vertex repeats the first
+                lon_lat = lon_lat[:-1]
+            bad = lon_lat[~(np.abs(lon_lat) <= (180.0, 90.0)).all(axis=1)]  # a NaN is out of range too
+            if len(bad):
+                raise ParseError(f"{where}: vertex {bad[0].tolist()} outside lon [-180, 180], lat [-90, 90]")
+            rings.append(lon_lat)
         out.append(rings)
     return out
 
@@ -442,30 +445,32 @@ def load_region(boundaries_file: Path, densities_file: Path) -> Region:
     """
     boundaries_file = Path(boundaries_file)
     densities = load_densities(Path(densities_file))
-    raw = []  # (district_id, polygons as lon/lat rings)
+    raw = {}  # district_id -> (feature index, polygons as lon/lat rings)
     for idx, feat in enumerate(read_feature_collection(boundaries_file)):
+        where = f"{boundaries_file}: feature {idx}"
         district_id = feat["properties"].get("district_id")
         if not isinstance(district_id, str):
-            raise ParseError(f"{boundaries_file}: feature {idx}: missing string property 'district_id'")
-        raw.append((district_id, _geo_rings_of_feature(feat.get("geometry"), boundaries_file, idx)))
+            raise ParseError(f"{where}: missing string property 'district_id'")
+        if district_id in raw:
+            raise ParseError(f"{where}: district_id {district_id!r} repeats feature {raw[district_id][0]}")
+        raw[district_id] = idx, _geo_rings_of_feature(feat.get("geometry"), where)
 
-    all_lons = [pt[0] for _, polys in raw for rings in polys for ring in rings for pt in ring]
-    all_lats = [pt[1] for _, polys in raw for rings in polys for ring in rings for pt in ring]
-    if not all_lons:
+    lon_lat = np.concatenate([ring for _, polys in raw.values() for rings in polys for ring in rings])
+    if not len(lon_lat):
         raise ParseError(f"{boundaries_file}: no coordinates found")
-    origin = GeoPoint((min(all_lats) + max(all_lats)) / 2.0, (min(all_lons) + max(all_lons)) / 2.0)
+    lon0, lat0 = (lon_lat.min(axis=0) + lon_lat.max(axis=0)) / 2.0
+    origin = GeoPoint(float(lat0), float(lon0))
 
     districts = []
-    for district_id, polys in raw:
+    for district_id, (idx, polys) in raw.items():
+        where = f"{boundaries_file}: feature {idx}"
         if district_id not in densities:
             raise MissingDensity(district_id)
         planar_polys = []
         for rings in polys:
-            projected = []
-            for ring in rings:  # District rejects a ring of fewer than 3 vertices
-                if len(ring) > 1 and ring[0] == ring[-1]:  # the closing vertex repeats the first
-                    ring = ring[:-1]
-                projected.append(tuple(project(GeoPoint(lat, lon), origin) for lon, lat in ring))
+            projected = [np.column_stack(_equirectangular(ring[:, 1], ring[:, 0], origin)) for ring in rings]
+            if not all(np.all(np.abs(xy) < PLANAR_BOUND_M) for xy in projected):
+                raise ParseError(f"{where}: vertex {PLANAR_BOUND_M:.0f} m or more from the projection origin")
             planar_polys.append(PlanarPolygon(outer=projected[0], holes=tuple(projected[1:])))
         districts.append(District(district_id, tuple(planar_polys), densities[district_id]))
 

@@ -8,7 +8,7 @@ from typing import Sequence
 import numpy as np
 
 from . import evolve, netgraph
-from .errors import Disconnected, RepairFailed, TooFewStations
+from .errors import Disconnected, TooFewStations
 from .evolve import EvolutionHistory, GaConfig, GenerationHook
 from .geomodel import PlanarPoint, station_distances, station_xy
 
@@ -220,7 +220,7 @@ def repair(genome: LineGenome, dist: np.ndarray) -> LineGenome:
     # component, so these labels stay valid for the components outside it.
     comp = np.array(comp)
     inside = comp == comp[0]
-    for _ in range(n):
+    while not inside.all():
         line_in_c0 = [li for li, line in enumerate(lines) if inside[line[0]]]
         if line_in_c0:
             # the outside station nearest to station 0's component
@@ -229,10 +229,8 @@ def repair(genome: LineGenome, dist: np.ndarray) -> LineGenome:
         else:
             # station 0 sits on no line: hook it onto the nearest line end anywhere
             joined = _attach_to_nearest_end(lines, range(len(lines)), 0, dist)
-        inside |= comp == comp[joined]
-        if inside.all():
-            return LineGenome(tuple(lines))
-    raise RepairFailed("connectivity loop exceeded the station count")
+        inside |= comp == comp[joined]  # joined lay outside, so every round grows station 0's component
+    return LineGenome(tuple(lines))
 
 
 def _nearest_other(dist: np.ndarray, a: int) -> int:

@@ -26,14 +26,7 @@ FIXTURE_ORIGIN = GeoPoint(3.0, 101.5)
 
 
 def rect_polygon(x0: float, y0: float, x1: float, y1: float) -> PlanarPolygon:
-    return PlanarPolygon(
-        outer=(
-            PlanarPoint(x0, y0),
-            PlanarPoint(x1, y0),
-            PlanarPoint(x1, y1),
-            PlanarPoint(x0, y1),
-        )
-    )
+    return PlanarPolygon(outer=np.array([(x0, y0), (x1, y0), (x1, y1), (x0, y1)], dtype=float))
 
 
 def rect_district(district_id: str, x0, y0, x1, y1, density: float) -> District:
@@ -81,6 +74,14 @@ MALFORMED_GEOMETRIES = {
     "multipolygon_null": {"type": "MultiPolygon", "coordinates": None},
     "one_number_vertex": {"type": "Polygon", "coordinates": [[[101.0], [101.1, 3.0], [101.1, 3.1], [101.0]]]},
     "ring_of_numbers": {"type": "Polygon", "coordinates": [[101.0, 3.0, 101.1, 3.0, 101.1, 3.1]]},
+    "latitude_91": {"type": "Polygon", "coordinates": [[[101.0, 3.0], [101.1, 3.0], [101.1, 91.0], [101.0, 3.0]]]},
+    "nan_vertex": {"type": "Polygon", "coordinates": [[[101.0, 3.0], [101.1, 3.0], [math.nan, 3.1], [101.0, 3.0]]]},
+    "longitude_200": {"type": "Polygon", "coordinates": [[[101.0, 3.0], [200.0, 3.0], [101.1, 3.1], [101.0, 3.0]]]},
+    # 239 degrees of longitude reach beyond 1e7 m of the origin, while the valid feature at
+    # 101.5 E stays within it (a -179...179 span would put the origin 11,000 km from it)
+    "span_beyond_planar_bound": {
+        "type": "Polygon", "coordinates": [[[-60.0, 3.0], [179.0, 3.0], [179.0, 3.1], [-60.0, 3.0]]]
+    },
 }
 
 
@@ -143,9 +144,9 @@ def star_ring(draw, cx, cy, r_lo, r_hi):
         x = float(round(cx + radii[k] * math.cos(angle)))
         y = float(round(cy + radii[k] * math.sin(angle)))
         if flat[k] and ring:
-            y = ring[-1].y
-        ring.append(PlanarPoint(x, y))
-    return tuple(ring)
+            y = ring[-1][1]
+        ring.append((x, y))
+    return np.array(ring)
 
 
 @st.composite

@@ -96,9 +96,8 @@ def test_criterion_02_analytic_gaussian_disk():
     start = time.perf_counter()
     sigma, rho_km2 = 800.0, 1000.0
     radius = 5 * sigma
-    ring = tuple(
-        PlanarPoint(radius * math.cos(2 * math.pi * k / 720), radius * math.sin(2 * math.pi * k / 720))
-        for k in range(720)
+    ring = np.array(
+        [(radius * math.cos(2 * math.pi * k / 720), radius * math.sin(2 * math.pi * k / 720)) for k in range(720)]
     )
     disk = District("disk", (PlanarPolygon(ring),), rho_km2)
     grid = rasterize([disk], 160.0)

@@ -243,6 +243,19 @@ class TestGridCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "feature 1: " in err
 
+    def test_duplicate_district_id_exit_2(self, tmp_path, capsys):
+        doc = json.loads((DATA_DIR / "selangor_boundary.geojson").read_text())
+        doc["features"].append(doc["features"][0])
+        boundaries = tmp_path / "boundaries.geojson"
+        boundaries.write_text(json.dumps(doc))
+        densities = DATA_DIR / "selangor_densities.csv"
+        argv = ["grid", "--boundaries", str(boundaries), "--densities", str(densities), "--out", str(tmp_path / "o")]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        district_id = doc["features"][0]["properties"]["district_id"]
+        assert err.startswith("error: ")
+        assert f"feature {len(doc['features']) - 1}: district_id {district_id!r} repeats feature 0" in err
+
     @pytest.mark.parametrize("density", ["inf", "-inf", "nan"])
     def test_non_finite_density_exit_2(self, tmp_path, capsys, density):
         boundaries, densities = write_region_files(

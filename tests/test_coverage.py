@@ -129,9 +129,8 @@ class TestDistrictCoverage:
         # station centered in a uniform disk: integral = rho*pi*sigma^2*(1 - e^(-R^2/sigma^2))
         sigma, rho_km2 = 500.0, 1500.0
         radius = 5 * sigma
-        ring = tuple(
-            PlanarPoint(radius * math.cos(2 * math.pi * k / 512), radius * math.sin(2 * math.pi * k / 512))
-            for k in range(512)
+        ring = np.array(
+            [(radius * math.cos(2 * math.pi * k / 512), radius * math.sin(2 * math.pi * k / 512)) for k in range(512)]
         )
         disk = District("disk", (PlanarPolygon(ring),), rho_km2)
         grid = rasterize([disk], sigma / 5.0)

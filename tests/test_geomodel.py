@@ -32,7 +32,15 @@ from metronet.geomodel import (
     unproject,
 )
 
-from conftest import DATA_DIR, MALFORMED_GEOMETRIES, rect_district, star_districts, write_malformed_region, write_region_files
+from conftest import (
+    DATA_DIR,
+    MALFORMED_GEOMETRIES,
+    planar_ring_to_geojson,
+    rect_district,
+    star_districts,
+    write_malformed_region,
+    write_region_files,
+)
 
 ORIGIN = GeoPoint(3.0, 101.5)
 
@@ -87,23 +95,22 @@ class TestShoelace:
     def test_regular_polygon_matches_analytic_area(self, n):
         # analytic: (1/2) n R^2 sin(2 pi / n)
         radius = 2500.0
-        ring = tuple(
-            PlanarPoint(radius * math.cos(2 * math.pi * k / n), radius * math.sin(2 * math.pi * k / n))
-            for k in range(n)
+        ring = np.array(
+            [(radius * math.cos(2 * math.pi * k / n), radius * math.sin(2 * math.pi * k / n)) for k in range(n)]
         )
         analytic = 0.5 * n * radius**2 * math.sin(2 * math.pi / n)
         assert shoelace_area(ring) == pytest.approx(analytic, rel=1e-6)
 
     def test_orientation_flips_sign(self):
-        ring = (PlanarPoint(0, 0), PlanarPoint(1000, 0), PlanarPoint(1000, 1000), PlanarPoint(0, 1000))
+        ring = np.array([(0, 0), (1000, 0), (1000, 1000), (0, 1000)], dtype=float)
         assert shoelace_area(ring) == pytest.approx(1e6)
         assert shoelace_area(ring[::-1]) == pytest.approx(-1e6)
 
 
 class TestDistrict:
     def test_area_with_hole(self):
-        outer = (PlanarPoint(-1000, -1000), PlanarPoint(1000, -1000), PlanarPoint(1000, 1000), PlanarPoint(-1000, 1000))
-        hole = (PlanarPoint(-500, -500), PlanarPoint(500, -500), PlanarPoint(500, 500), PlanarPoint(-500, 500))
+        outer = np.array([(-1000, -1000), (1000, -1000), (1000, 1000), (-1000, 1000)], dtype=float)
+        hole = outer / 2
         d = District("ring", (PlanarPolygon(outer, (hole,)),), 100.0)
         assert d.area_km2 == pytest.approx(4.0 - 1.0)
         assert not point_in_district(PlanarPoint(0, 0), d)  # inside the hole
@@ -111,10 +118,10 @@ class TestDistrict:
 
     def test_short_ring_rejected(self):
         with pytest.raises(InvalidPolygon):
-            District("bad", (PlanarPolygon((PlanarPoint(0, 0), PlanarPoint(1, 1))),), 10.0)
+            District("bad", (PlanarPolygon(np.array([(0, 0), (1, 1)], dtype=float)),), 10.0)
 
     def test_zero_area_rejected(self):
-        degenerate = (PlanarPoint(0, 0), PlanarPoint(1000, 0), PlanarPoint(2000, 0))
+        degenerate = np.array([(0, 0), (1000, 0), (2000, 0)], dtype=float)
         with pytest.raises(InvalidPolygon):
             District("flat", (PlanarPolygon(degenerate),), 10.0)
 
@@ -147,8 +154,6 @@ class TestLoadRegion:
             load_region(boundaries, densities)
 
     def test_multipolygon_two_disjoint_squares(self, tmp_path):
-        from conftest import planar_ring_to_geojson
-
         ring1 = planar_ring_to_geojson([(-1500, -500), (-500, -500), (-500, 500), (-1500, 500)])
         ring2 = planar_ring_to_geojson([(500, -500), (1500, -500), (1500, 500), (500, 500)])
         doc = {
@@ -169,6 +174,16 @@ class TestLoadRegion:
         d = region.districts[0]
         assert d.area_km2 == pytest.approx(2.0, rel=1e-9)
         assert d.area_km2 * d.density == pytest.approx(1000.0, rel=1e-9)
+
+    def test_duplicate_district_id_rejected(self, tmp_path):
+        boundaries, densities = write_region_files(
+            tmp_path, [("a", -500, -500, 0, 500, 10), ("b", 0, -500, 500, 500, 10)]
+        )
+        doc = json.loads(boundaries.read_text())
+        doc["features"].append(doc["features"][0])
+        boundaries.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match="feature 2: district_id 'a' repeats feature 0"):
+            load_region(boundaries, densities)
 
     @pytest.mark.parametrize("hole", [False, True])
     def test_short_ring_rejected(self, tmp_path, hole):
@@ -229,6 +244,41 @@ class TestLoadRegion:
         densities.write_text(f'district_id,density_per_km2\n"{"a" * 200_000}",10\n')
         with pytest.raises(ParseError, match="field larger than field limit"):
             load_region(boundaries, densities)
+
+
+@pytest.fixture(scope="module")
+def star_files_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("star_files")
+
+
+@given(district=star_districts())
+@settings(max_examples=60, deadline=None)
+def test_loaded_rings_equal_per_vertex_projection(star_files_dir, district):
+    """Each loaded ring holds the bytes of ``project`` applied to its GeoJSON vertices one at a time."""
+    coordinates = [[planar_ring_to_geojson(ring) for ring in (p.outer, *p.holes)] for p in district.polygons]
+    doc = {"type": "FeatureCollection", "features": [{
+        "type": "Feature",
+        "properties": {"district_id": "star"},
+        "geometry": {"type": "MultiPolygon", "coordinates": coordinates},
+    }]}
+    boundaries, densities = star_files_dir / "b.geojson", star_files_dir / "d.csv"
+    boundaries.write_text(json.dumps(doc))
+    densities.write_text("district_id,density_per_km2\nstar,1000\n")
+    region = load_region(boundaries, densities)
+
+    polygons = json.loads(boundaries.read_text())["features"][0]["geometry"]["coordinates"]
+    lons = [lon for rings in polygons for ring in rings for lon, _ in ring]
+    lats = [lat for rings in polygons for ring in rings for _, lat in ring]
+    origin = GeoPoint((min(lats) + max(lats)) / 2.0, (min(lons) + max(lons)) / 2.0)
+    assert region.origin == origin
+    loaded = region.districts[0].polygons
+    assert len(loaded) == len(polygons)
+    for poly, rings in zip(loaded, polygons):
+        assert len(poly.holes) == len(rings) - 1
+        for got, ring in zip((poly.outer, *poly.holes), rings):
+            points = [project(GeoPoint(lat, lon), origin) for lon, lat in ring[:-1]]  # the last closes the ring
+            assert got.tobytes() == np.array([(p.x, p.y) for p in points]).tobytes()
+            assert not got.flags.writeable
 
 
 # Documents every GeoJSON reader rejects, with the message each must give.
@@ -325,14 +375,7 @@ class TestRasterize:
                 rasterize([unit_square_km], cell_size)
 
     def test_l_shaped_polygon(self):
-        ring = (
-            PlanarPoint(0, 0),
-            PlanarPoint(2000, 0),
-            PlanarPoint(2000, 1000),
-            PlanarPoint(1000, 1000),
-            PlanarPoint(1000, 2000),
-            PlanarPoint(0, 2000),
-        )
+        ring = np.array([(0, 0), (2000, 0), (2000, 1000), (1000, 1000), (1000, 2000), (0, 2000)], dtype=float)
         d = District("ell", (PlanarPolygon(ring),), 100.0)
         grid = rasterize([d], 1000.0)
         assert len(grid) == 3
@@ -345,9 +388,8 @@ class TestRasterize:
     def test_halving_cell_size_converges(self):
         # hexagonal district: boundaries cross the grid at angles
         radius = 6000.0
-        ring = tuple(
-            PlanarPoint(radius * math.cos(math.pi * k / 3), radius * math.sin(math.pi * k / 3))
-            for k in range(6)
+        ring = np.array(
+            [(radius * math.cos(math.pi * k / 3), radius * math.sin(math.pi * k / 3)) for k in range(6)]
         )
         d = District("hex", (PlanarPolygon(ring),), 1200.0)
         coarse = rasterize([d], 1000.0).total_population
@@ -358,10 +400,7 @@ class TestRasterize:
     def test_translation_equivariance(self, two_district_region):
         def shift(district, dx, dy):
             polys = tuple(
-                PlanarPolygon(
-                    tuple(PlanarPoint(p.x + dx, p.y + dy) for p in poly.outer),
-                    tuple(tuple(PlanarPoint(p.x + dx, p.y + dy) for p in h) for h in poly.holes),
-                )
+                PlanarPolygon(poly.outer + (dx, dy), tuple(h + (dx, dy) for h in poly.holes))
                 for poly in district.polygons
             )
             return District(district.district_id, polys, district.density)
@@ -416,11 +455,16 @@ def reference_points_in_rings(xs, ys, rings):
     return per_edge_crossings(xs, ys, edges)
 
 
+def rings_of(district):
+    """Every ring of a district, outers and holes, as (N, 2) arrays."""
+    return [ring for poly in district.polygons for ring in (poly.outer, *poly.holes)]
+
+
 def reference_nearest_boundary_point(p, districts):
     """Nearest boundary point ring by ring, the first ring winning ties."""
     best, best_d2 = None, math.inf
     for d in districts:
-        for a in d.ring_arrays:
+        for a in rings_of(d):
             ab = np.roll(a, -1, axis=0) - a
             ap = np.array([p.x, p.y]) - a
             seg_len2 = np.einsum("ij,ij->i", ab, ab)
@@ -440,7 +484,7 @@ class TestContainmentMatchesPerEdgeLoop:
     @settings(max_examples=60, deadline=None)
     def test_points_district_and_raster_match(self, district, data):
         xmin, ymin, xmax, ymax = district.bounds
-        rings = district.ring_arrays
+        rings = rings_of(district)
         vertices = np.concatenate(rings)
         midpoints = np.concatenate([(r + np.roll(r, -1, axis=0)) / 2.0 for r in rings])
         grid_pts = data.draw(st.lists(
@@ -480,5 +524,5 @@ class TestContainmentMatchesPerEdgeLoop:
         edge_points = [(1000.0, 0.0), (-1000.0, 0.0), (0.0, 1000.0), (0.0, -1000.0), (1000.0, 1000.0)]
         outside = [(np.nextafter(1000.0, 2000.0), 0.0), (0.0, np.nextafter(-1000.0, -2000.0))]
         for x, y in edge_points + outside:
-            want = bool(reference_points_in_rings(np.array([x]), np.array([y]), d.ring_arrays)[0])
+            want = bool(reference_points_in_rings(np.array([x]), np.array([y]), rings_of(d))[0])
             assert point_in_district(PlanarPoint(x, y), d) == want

@@ -106,7 +106,8 @@ class TestMutate:
     @given(district=star_districts(), seed=st.integers(0, 2**32 - 1))
     def test_chains_stay_in_region_with_holes(self, district, seed):
         # sigma far above the district size: nearly every mutation ends in the clamp
-        genome = StationGenome(district.polygons[0].outer[:3])  # boundary vertices are in the region
+        # boundary vertices are in the region
+        genome = StationGenome(tuple(PlanarPoint(float(x), float(y)) for x, y in district.polygons[0].outer[:3]))
         rng = np.random.default_rng(seed)
         for _ in range(8):
             genome = mutate(genome, 20_000.0, rng, [district])
