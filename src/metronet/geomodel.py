@@ -513,6 +513,10 @@ def load_generators(path: Path, region: Region) -> tuple[GeneratorPoint, ...]:
 # ---------------------------------------------------------------------------
 
 
+# Lattice cells rasterize may allocate: Selangor at about 30 m cells.
+MAX_GRID_CELLS = 10_000_000
+
+
 def check_cell_size(cell_size: float) -> None:
     """Raise ValueError unless ``cell_size`` is a usable raster cell edge in meters."""
     if not (math.isfinite(cell_size) and cell_size > 0):
@@ -524,15 +528,20 @@ def rasterize(districts: Sequence[District], cell_size: float) -> DemandGrid:
 
     A cell belongs to a district when its centroid passes the even-odd test;
     its population is density * cell area. Zero-population cells are dropped;
-    ``DemandGrid`` raises ``EmptyGrid`` when none is left.
+    ``DemandGrid`` raises ``EmptyGrid`` when none is left. A lattice of more
+    than ``MAX_GRID_CELLS`` cells raises ValueError before it is allocated.
     """
     check_cell_size(cell_size)
     if not districts:
         raise ValueError("need at least one district")
 
     xmin, ymin, xmax, ymax = union_bounds(districts)
-    nx = max(1, math.ceil((xmax - xmin) / cell_size))
-    ny = max(1, math.ceil((ymax - ymin) / cell_size))
+    # the lattice size as Python floats first: a tiny cell_size makes it inf, not an error
+    nx = max(1.0, float(np.ceil((xmax - xmin) / cell_size)))
+    ny = max(1.0, float(np.ceil((ymax - ymin) / cell_size)))
+    if nx * ny > MAX_GRID_CELLS:
+        raise ValueError(f"cell_size={cell_size!r} gives {nx * ny:.4g} lattice cells, over {MAX_GRID_CELLS:,}")
+    nx, ny = int(nx), int(ny)
     cx = xmin + (np.arange(nx) + 0.5) * cell_size
     cy = ymin + (np.arange(ny) + 0.5) * cell_size
     gx, gy = np.meshgrid(cx, cy)

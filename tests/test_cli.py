@@ -196,7 +196,7 @@ class TestSettingChecks:
     @settings(max_examples=300, deadline=None)
     @pytest.mark.filterwarnings("ignore:sigma=")
     def test_resolved_numeric_settings_are_finite(self, values):
-        # resolution only: a drawn cell_size of 5e-324 would make an unbounded grid
+        # resolution only: rasterize, not resolve_config, rejects a cell_size too small for the region
         argv = ["run", *(f"--{key.replace('_', '-')}={value!r}" for key, value in values.items())]
         try:
             cfg = cli.resolve_config(cli.build_parser().parse_args(argv))
@@ -255,6 +255,16 @@ class TestGridCommand:
         district_id = doc["features"][0]["properties"]["district_id"]
         assert err.startswith("error: ")
         assert f"feature {len(doc['features']) - 1}: district_id {district_id!r} repeats feature 0" in err
+
+    @pytest.mark.parametrize("cell_size", ["1", "5e-324"])
+    def test_lattice_too_large_exit_2(self, tmp_path, capsys, cell_size):
+        argv = ["grid", "--boundaries", str(DATA_DIR / "selangor_boundary.geojson"),
+                "--densities", str(DATA_DIR / "selangor_densities.csv"),
+                "--out", str(tmp_path / "o"), "--cell-size", cell_size]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cell_size={float(cell_size)!r} gives ") and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("density", ["inf", "-inf", "nan"])
     def test_non_finite_density_exit_2(self, tmp_path, capsys, density):
@@ -515,6 +525,11 @@ MALFORMED_STATION_NUMBERS = {
     "serviced_too_large_for_a_float": _station_value("serviced_population", str(10**400)),
     "x_over_the_integer_digit_limit": _station_value("x", "9" * 5000),
     "x_bool": _station_value("x", "true"),
+    "x_nan": _station_value("x", "NaN"),
+    "y_nan": _station_value("y", "NaN"),
+    "y_infinity": _station_value("y", "Infinity"),
+    "x_at_planar_bound": _station_value("x", "1e7"),
+    "y_at_negative_planar_bound": _station_value("y", "-1e7"),
     "serviced_nan": _station_value("serviced_population", "NaN"),
     "serviced_infinity": _station_value("serviced_population", "Infinity"),
     "serviced_negative": _station_value("serviced_population", "-5.0"),
@@ -535,6 +550,12 @@ class TestValidateCommand:
     def test_round_trip_valid(self, tmp_path, region_files):
         out = self._run_once(tmp_path, region_files)
         assert cli.main(["validate", str(out / "stations.geojson"), str(out / "lines.geojson")]) == 0
+
+    def test_station_just_inside_planar_bound_valid(self, tmp_path, region_files):
+        out = self._run_once(tmp_path, region_files)
+        stations_file = out / "stations.geojson"
+        stations_file.write_text(_station_value("y", "9999999.0")(stations_file.read_text()))
+        assert cli.main(["validate", str(stations_file), str(out / "lines.geojson")]) == 0
 
     def test_injected_duplicate_station(self, tmp_path, region_files, capsys):
         out = self._run_once(tmp_path, region_files)

@@ -374,6 +374,23 @@ class TestRasterize:
             with pytest.raises(ValueError, match="cell_size must be finite and > 0"):
                 rasterize([unit_square_km], cell_size)
 
+    @pytest.mark.parametrize("cell_size", [1.0, 1e-300, 5e-324])
+    def test_lattice_over_max_grid_cells_rejected(self, monkeypatch, cell_size):
+        # a 10 km square holds 1e8 cells at 1 m, 1e608 (inf as a float) at 1e-300, and an
+        # infinite count at the smallest subnormal
+        d = rect_district("ten", 0.0, 0.0, 10_000.0, 10_000.0, 100.0)
+        monkeypatch.setattr(np, "meshgrid", mock.Mock(side_effect=AssertionError("lattice allocated")))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"cell_size={cell_size!r} gives .* lattice cells"):
+                rasterize([d], cell_size)
+
+    def test_max_grid_cells_is_inclusive(self, unit_square_km, monkeypatch):
+        monkeypatch.setattr(geomodel, "MAX_GRID_CELLS", 4)
+        assert len(rasterize([unit_square_km], 500.0)) == 4  # a 2 x 2 lattice
+        with pytest.raises(ValueError, match="cell_size=400.0 gives 9 lattice cells"):
+            rasterize([unit_square_km], 400.0)  # 3 x 3
+
     def test_l_shaped_polygon(self):
         ring = np.array([(0, 0), (2000, 0), (2000, 1000), (1000, 1000), (1000, 2000), (0, 2000)], dtype=float)
         d = District("ell", (PlanarPolygon(ring),), 100.0)
