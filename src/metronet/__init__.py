@@ -12,7 +12,6 @@ from .geomodel import (
     District,
     GeneratorPoint,
     GeoPoint,
-    PlanarPoint,
     PlanarPolygon,
     Region,
     load_generators,
@@ -40,7 +39,6 @@ __all__ = [
     "LineGenome",
     "LineNetwork",
     "LineStageConfig",
-    "PlanarPoint",
     "PlanarPolygon",
     "Region",
     "StationGenome",

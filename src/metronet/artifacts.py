@@ -15,7 +15,7 @@ import numpy as np
 
 from .coverage import CoverageReport
 from .errors import ParseError
-from .geomodel import DemandGrid, GeoPoint, PlanarPoint, json_number, read_feature_collection, unproject
+from .geomodel import PLANAR_BOUND_M, DemandGrid, GeoPoint, json_number, read_feature_collection, unproject
 from .lines import LineGenome
 from .stations import StationGenome
 
@@ -26,18 +26,18 @@ def _dump_geojson(path: Path, doc: dict) -> None:
 
 def write_stations_geojson(path: Path, genome: StationGenome, report: CoverageReport,
                            origin: GeoPoint) -> None:
+    lat, lon = (coord.tolist() for coord in unproject(genome.stations[:, 0], genome.stations[:, 1], origin))
     features = []
-    for i, p in enumerate(genome.stations):
-        geo = unproject(p, origin)
+    for i, (x, y) in enumerate(genome.stations.tolist()):
         features.append(
             {
                 "type": "Feature",
-                "geometry": {"type": "Point", "coordinates": [geo.lon, geo.lat]},
+                "geometry": {"type": "Point", "coordinates": [lon[i], lat[i]]},
                 "properties": {
                     "station_id": i,
                     "serviced_population": float(report.per_station[i]),
-                    "x": p.x,
-                    "y": p.y,
+                    "x": x,
+                    "y": y,
                 },
             }
         )
@@ -52,35 +52,39 @@ def _index(props: dict, key: str, count: int, path: Path, i: int) -> int:
     return value
 
 
-def read_stations_geojson(path: Path) -> tuple[tuple[PlanarPoint, ...], np.ndarray]:
-    """Load station coordinates and serviced populations back from disk."""
+def read_stations_geojson(path: Path) -> tuple[np.ndarray, np.ndarray]:
+    """Load station coordinates, a read-only (N, 2) array, and serviced populations back from disk.
+
+    Each x and y must be finite with magnitude below ``PLANAR_BOUND_M``.
+    """
     path = Path(path)
     features = read_feature_collection(path)
-    stations: list[PlanarPoint | None] = [None] * len(features)
+    stations = np.full((len(features), 2), np.nan)  # a row left NaN has no feature
     serviced = np.zeros(len(features))
     for i, feat in enumerate(features):
         props = feat["properties"]
         idx = _index(props, "station_id", len(features), path, i)
         try:
-            stations[idx] = PlanarPoint(json_number(props["x"]), json_number(props["y"]))
+            xy = json_number(props["x"]), json_number(props["y"])
+            if not (abs(xy[0]) < PLANAR_BOUND_M and abs(xy[1]) < PLANAR_BOUND_M):  # a NaN fails too
+                raise ValueError(f"x, y must be finite and below {PLANAR_BOUND_M:g} m in magnitude, got {xy}")
+            stations[idx] = xy
             serviced[idx] = json_number(props.get("serviced_population", 0.0))
             if not (np.isfinite(serviced[idx]) and serviced[idx] >= 0):
                 raise ValueError(f"serviced_population must be finite and >= 0, got {serviced[idx]!r}")
         except (KeyError, ValueError) as exc:
             raise ParseError(f"{path}: feature {i}: malformed station: {exc}") from exc
-    if any(s is None for s in stations):
+    if np.isnan(stations).any():
         raise ParseError(f"{path}: station_id values must cover 0..{len(features) - 1}")
-    return tuple(stations), serviced  # type: ignore[return-value]
+    stations.flags.writeable = False
+    return stations, serviced
 
 
-def write_lines_geojson(path: Path, genome: LineGenome,
-                        stations: Sequence[PlanarPoint], origin: GeoPoint) -> None:
+def write_lines_geojson(path: Path, genome: LineGenome, stations: np.ndarray, origin: GeoPoint) -> None:
+    lat, lon = (coord.tolist() for coord in unproject(stations[:, 0], stations[:, 1], origin))
     features = []
     for li, line in enumerate(genome.lines):
-        coords = []
-        for s in line:
-            geo = unproject(stations[s], origin)
-            coords.append([geo.lon, geo.lat])
+        coords = [[lon[s], lat[s]] for s in line]
         features.append(
             {
                 "type": "Feature",

@@ -289,10 +289,10 @@ def validate_artifacts(stations_file: Path, lines_file: Path) -> str | None:
     station_points, _ = artifacts.read_stations_geojson(stations_file)
     genome = artifacts.read_lines_geojson(lines_file)
     try:
-        net = netgraph.build(genome.lines, station_points)
+        netgraph.build(genome.lines, station_points)
     except (LineTooShort, LoopInLine, ValueError) as exc:
         return str(exc)
-    if not netgraph.is_connected(net):
+    if len(set(netgraph.components(genome.lines, len(station_points)))) > 1:
         return "network is disconnected (some station unreachable)"
     return None
 

@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geomodel import DemandGrid, GeneratorPoint, PlanarPoint, PointRows, group_rows, station_xy
+from .geomodel import DemandGrid, GeneratorPoint, PointRows, group_rows
 
 SIGMA_SOFT_MIN = 400.0
 SIGMA_SOFT_MAX = 3000.0
@@ -103,37 +103,32 @@ def _nearest_shares(sxy: np.ndarray, px: np.ndarray, py: np.ndarray,
     return shares
 
 
-def district_coverage(stations: Sequence[PlanarPoint], grid: DemandGrid,
-                      params: CoverageParams) -> np.ndarray:
-    """Population coverage share per station, integrated over the demand grid."""
-    sxy = station_xy(stations)
-    if len(sxy) == 0:
+def district_coverage(stations: np.ndarray, grid: DemandGrid, params: CoverageParams) -> np.ndarray:
+    """Population coverage share per station of an (N, 2) array, integrated over the demand grid."""
+    if len(stations) == 0:
         return np.zeros(0)
     if params.mode == "nearest":
-        return _nearest_shares(sxy, grid.x, grid.y, grid.population, params.sigma**2)
-    return _sum_shares(sxy, grid.rows, params.sigma**2)
+        return _nearest_shares(stations, grid.x, grid.y, grid.population, params.sigma**2)
+    return _sum_shares(stations, grid.rows, params.sigma**2)
 
 
-def generator_coverage(stations: Sequence[PlanarPoint],
-                       generators: Sequence[GeneratorPoint],
+def generator_coverage(stations: np.ndarray, generators: Sequence[GeneratorPoint],
                        params: CoverageParams) -> np.ndarray:
-    """Daily-visitor coverage share per station, summed over all generators."""
-    sxy = station_xy(stations)
-    if len(sxy) == 0 or len(generators) == 0:
-        return np.zeros(len(sxy))
-    gx = np.array([g.planar.x for g in generators])
-    gy = np.array([g.planar.y for g in generators])
+    """Daily-visitor coverage share per station of an (N, 2) array, summed over all generators."""
+    if len(stations) == 0 or len(generators) == 0:
+        return np.zeros(len(stations))
+    gx = np.array([g.x for g in generators])
+    gy = np.array([g.y for g in generators])
     gw = np.array([g.daily_visitors for g in generators], dtype=float)
     if params.mode == "nearest":
-        return _nearest_shares(sxy, gx, gy, gw, params.sigma**2)
-    return _sum_shares(sxy, group_rows(gx, gy, gw), params.sigma**2)
+        return _nearest_shares(stations, gx, gy, gw, params.sigma**2)
+    return _sum_shares(stations, group_rows(gx, gy, gw), params.sigma**2)
 
 
-def evaluate(stations: Sequence[PlanarPoint], grid: DemandGrid,
+def evaluate(stations: np.ndarray, grid: DemandGrid,
              generators: Sequence[GeneratorPoint], params: CoverageParams) -> CoverageReport:
-    """Full coverage fitness: district term plus generator term, and s_i per station."""
-    sxy = station_xy(stations)
-    if len(sxy) == 0:
+    """Full coverage fitness of an (N, 2) station array: district plus generator term, and s_i per station."""
+    if len(stations) == 0:
         return CoverageReport(0.0, np.zeros(0))
-    per_station = district_coverage(sxy, grid, params) + generator_coverage(sxy, generators, params)
+    per_station = district_coverage(stations, grid, params) + generator_coverage(stations, generators, params)
     return CoverageReport(float(per_station.sum()), per_station)

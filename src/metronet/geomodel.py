@@ -1,7 +1,8 @@
 """Geospatial inputs: boundary/density/generator loading, local projection, rasterization.
 
 All downstream math runs in a local planar frame (meters east/north of a
-region-centroid origin) produced by an equirectangular projection.
+region-centroid origin) produced by an equirectangular projection. A planar
+point is a length-2 float row x, y; a station set is an (N, 2) float array.
 """
 from __future__ import annotations
 
@@ -42,53 +43,29 @@ class GeoPoint:
             raise ValueError(f"longitude {self.lon} outside [-180, 180]")
 
 
-@dataclass(frozen=True)
-class PlanarPoint:
-    """Meters east (x) / north (y) of the region reference origin."""
-
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError("planar coordinates must be finite")
-        if abs(self.x) >= PLANAR_BOUND_M or abs(self.y) >= PLANAR_BOUND_M:
-            raise ValueError(f"planar point ({self.x}, {self.y}) outside regional sanity bound")
-
-
-def station_xy(stations: Sequence[PlanarPoint] | np.ndarray) -> np.ndarray:
-    """Planar points as an (N, 2) float array; arrays pass through reshaped."""
-    if isinstance(stations, np.ndarray):
-        return np.asarray(stations, dtype=float).reshape(-1, 2)
-    return np.array([(p.x, p.y) for p in stations], dtype=float).reshape(-1, 2)
-
-
-def station_distances(stations: Sequence[PlanarPoint] | np.ndarray) -> np.ndarray:
+def station_distances(stations: np.ndarray) -> np.ndarray:
     """(N, N) Euclidean distances in meters; entry [a, b] is ``np.hypot`` of point a minus point b.
 
     ``netgraph.build`` takes the same operands for an edge's length, so both agree bit for bit.
     """
-    sxy = station_xy(stations)
-    return np.hypot(sxy[:, None, 0] - sxy[None, :, 0], sxy[:, None, 1] - sxy[None, :, 1])
+    return np.hypot(stations[:, None, 0] - stations[None, :, 0], stations[:, None, 1] - stations[None, :, 1])
 
 
-def _equirectangular(lat, lon, origin: GeoPoint):
-    """Planar (x, y) in meters of degrees ``lat``, ``lon``: floats or arrays, the same float operations."""
+def project(lat, lon, origin: GeoPoint):
+    """Equirectangular planar (x, y) in meters of degrees ``lat``, ``lon`` in the frame anchored at ``origin``.
+
+    Floats or arrays: both take the same float operations.
+    """
     y = EARTH_RADIUS_M * (lat - origin.lat) * _DEG
     x = EARTH_RADIUS_M * (lon - origin.lon) * math.cos(origin.lat * _DEG) * _DEG
     return x, y
 
 
-def project(p: GeoPoint, origin: GeoPoint) -> PlanarPoint:
-    """Equirectangular projection of ``p`` into the planar frame anchored at ``origin``."""
-    return PlanarPoint(*_equirectangular(p.lat, p.lon, origin))
-
-
-def unproject(p: PlanarPoint, origin: GeoPoint) -> GeoPoint:
-    """Inverse of :func:`project`; round-trips within 1e-9 degrees."""
-    lat = origin.lat + p.y / (EARTH_RADIUS_M * _DEG)
-    lon = origin.lon + p.x / (EARTH_RADIUS_M * math.cos(origin.lat * _DEG) * _DEG)
-    return GeoPoint(lat, lon)
+def unproject(x, y, origin: GeoPoint):
+    """Inverse of :func:`project`: degrees (lat, lon) of planar ``x``, ``y``; round-trips within 1e-9 degrees."""
+    lat = origin.lat + y / (EARTH_RADIUS_M * _DEG)
+    lon = origin.lon + x / (EARTH_RADIUS_M * math.cos(origin.lat * _DEG) * _DEG)
+    return lat, lon
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,7 +138,8 @@ class GeneratorPoint:
 
     name: str
     daily_visitors: float
-    planar: PlanarPoint
+    x: float  # planar meters
+    y: float
 
     def __post_init__(self):
         if self.daily_visitors < 0:
@@ -276,19 +254,20 @@ def points_in_rings(xs: np.ndarray, ys: np.ndarray, edges: np.ndarray) -> np.nda
     return inside
 
 
-def point_in_district(p: PlanarPoint, district: District) -> bool:
-    """Even-odd test of one point; a point outside the district's bounds is outside.
+def point_in_district(xy, district: District) -> bool:
+    """Even-odd test of one point ``xy``; a point outside the district's bounds is outside.
 
     No edge straddles a horizontal line above or below the bounds. Left or
     right of them, a rounded crossing can pass the bounds by a few ulps only,
     so the x bounds are widened by a relative 1e-9 and the answer always
     equals the full ray cast.
     """
+    x, y = xy
     x0, y0, x1, y1 = district.bounds
     pad = 1e-9 * max(abs(x0), abs(x1))
-    if not (y0 <= p.y <= y1 and x0 - pad <= p.x <= x1 + pad):
+    if not (y0 <= y <= y1 and x0 - pad <= x <= x1 + pad):
         return False
-    return bool(points_in_rings(np.array([p.x]), np.array([p.y]), district.crossing_edges)[0])
+    return bool(points_in_rings(np.array([x]), np.array([y]), district.crossing_edges)[0])
 
 
 def union_bounds(districts: Sequence[District]) -> tuple[float, float, float, float]:
@@ -297,10 +276,10 @@ def union_bounds(districts: Sequence[District]) -> tuple[float, float, float, fl
     return min(x0), min(y0), max(x1), max(y1)
 
 
-def nearest_boundary_point(p: PlanarPoint, districts: Sequence[District]) -> tuple[PlanarPoint, float]:
-    """Closest point on any district ring to ``p`` and its distance in meters."""
+def nearest_boundary_point(xy, districts: Sequence[District]) -> tuple[np.ndarray, float]:
+    """Closest point on any district ring to ``xy`` and its distance in meters."""
     best, best_d2 = None, math.inf
-    xy = np.array([p.x, p.y])
+    xy = np.asarray(xy, dtype=float)
     for d in districts:
         a, b = d.edges[:, 0:2], d.edges[:, 2:4]
         ab = b - a
@@ -313,16 +292,16 @@ def nearest_boundary_point(p: PlanarPoint, districts: Sequence[District]) -> tup
         k = int(np.argmin(d2))
         if d2[k] < best_d2:
             best_d2 = float(d2[k])
-            best = PlanarPoint(float(closest[k, 0]), float(closest[k, 1]))
+            best = closest[k].copy()
     assert best is not None, "districts must carry at least one ring"
     return best, math.sqrt(best_d2)
 
 
-def point_in_region(p: PlanarPoint, districts: Sequence[District], tol: float = SNAP_TOLERANCE_M) -> bool:
-    """Inside some district, or within ``tol`` meters of a district boundary."""
-    if any(point_in_district(p, d) for d in districts):
+def point_in_region(xy, districts: Sequence[District], tol: float = SNAP_TOLERANCE_M) -> bool:
+    """Point ``xy`` is inside some district, or within ``tol`` meters of a district boundary."""
+    if any(point_in_district(xy, d) for d in districts):
         return True
-    _, dist = nearest_boundary_point(p, districts)
+    _, dist = nearest_boundary_point(xy, districts)
     return dist <= tol
 
 
@@ -468,7 +447,7 @@ def load_region(boundaries_file: Path, densities_file: Path) -> Region:
             raise MissingDensity(district_id)
         planar_polys = []
         for rings in polys:
-            projected = [np.column_stack(_equirectangular(ring[:, 1], ring[:, 0], origin)) for ring in rings]
+            projected = [np.column_stack(project(ring[:, 1], ring[:, 0], origin)) for ring in rings]
             if not all(np.all(np.abs(xy) < PLANAR_BOUND_M) for xy in projected):
                 raise ParseError(f"{where}: vertex {PLANAR_BOUND_M:.0f} m or more from the projection origin")
             planar_polys.append(PlanarPolygon(outer=projected[0], holes=tuple(projected[1:])))
@@ -500,11 +479,11 @@ def load_generators(path: Path, region: Region) -> tuple[GeneratorPoint, ...]:
             raise ParseError(f"{path}: row {i}: daily visitors must be finite, got {visitors!r}")
         if visitors < 0:
             raise NegativeVisitors(i, visitors)
-        planar = project(geo, region.origin)
+        x, y = project(geo.lat, geo.lon, region.origin)
         m = GENERATOR_MARGIN_M
-        if not (xmin - m <= planar.x <= xmax + m and ymin - m <= planar.y <= ymax + m):
+        if not (xmin - m <= x <= xmax + m and ymin - m <= y <= ymax + m):
             raise ParseError(f"{path}: row {i}: generator {name!r} lies more than 10 km outside the region")
-        out.append(GeneratorPoint(name, visitors, planar))
+        out.append(GeneratorPoint(name, visitors, x, y))
     return tuple(out)
 
 

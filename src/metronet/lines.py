@@ -10,7 +10,7 @@ import numpy as np
 from . import evolve, netgraph
 from .errors import Disconnected, TooFewStations
 from .evolve import EvolutionHistory, GaConfig, GenerationHook
-from .geomodel import PlanarPoint, station_distances, station_xy
+from .geomodel import station_distances
 
 _MAX_MUTATION_TRIES = 16
 _CACHE_LIMIT = 200_000
@@ -52,19 +52,18 @@ def canonical(genome: LineGenome) -> LineGenome:
     return LineGenome(tuple(min(line, line[::-1]) for line in genome.lines))
 
 
-def line_fitness(genome: LineGenome, stations: Sequence[PlanarPoint],
+def line_fitness(genome: LineGenome, stations: np.ndarray,
                  serviced: Sequence[float], transfer_penalty_m: float = 0.0) -> LineFitness:
-    """Sum over unordered station pairs of d_ij * (s_i + s_j).
+    """Sum over unordered station pairs of d_ij * (s_i + s_j); ``stations`` is an (N, 2) array.
 
     Only connected layouts have a cost: ``repair`` keeps every GA genome
     connected, and a layout that leaves some station unreachable raises
     ``Disconnected``.
     """
     s = np.asarray(serviced, dtype=float)
-    sxy = station_xy(stations)
-    if len(s) != len(sxy):
-        raise ValueError(f"serviced counts ({len(s)}) must match stations ({len(sxy)})")
-    net = netgraph.build(genome.lines, sxy)
+    if len(s) != len(stations):
+        raise ValueError(f"serviced counts ({len(s)}) must match stations ({len(stations)})")
+    net = netgraph.build(genome.lines, stations)
     d = netgraph.all_pairs_distances(net, transfer_penalty_m=transfer_penalty_m)
     if not np.isfinite(d).all():
         raise Disconnected("line layout leaves some station unreachable")
@@ -301,14 +300,13 @@ def init_lines(dist: np.ndarray, line_count: int,
 
 
 def optimize_lines(
-    stations: Sequence[PlanarPoint],
+    stations: np.ndarray,
     serviced: Sequence[float],
     config: LineStageConfig,
     on_generation: GenerationHook | None = None,
 ) -> tuple[LineGenome, EvolutionHistory]:
-    """Run the stage-2 GA over line layouts for a fixed station set."""
-    sxy = station_xy(stations)
-    dist = station_distances(sxy)
+    """Run the stage-2 GA over line layouts for a fixed (N, 2) station array."""
+    dist = station_distances(stations)
     s = np.asarray(serviced, dtype=float)
     ga = replace(config.ga, objective_sense="minimize")
     init_rng = np.random.default_rng(np.random.SeedSequence(ga.rng_seed, spawn_key=(0,)))
@@ -322,12 +320,12 @@ def optimize_lines(
         if hit is None:
             if len(cache) >= _CACHE_LIMIT:
                 cache.clear()
-            hit = line_fitness(genome, sxy, s, config.transfer_penalty_m)
+            hit = line_fitness(genome, stations, s, config.transfer_penalty_m)
             cache[key] = hit
         return hit.value
 
     def mutation(genome: LineGenome, rng: np.random.Generator) -> LineGenome:
-        return mutate_line(genome, len(sxy), rng)
+        return mutate_line(genome, len(stations), rng)
 
     return evolve.run(
         initial,

@@ -7,7 +7,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import LineTooShort, LoopInLine
-from .geomodel import PlanarPoint, station_xy
 
 
 @dataclass(frozen=True, eq=False)
@@ -23,10 +22,9 @@ class LineNetwork:
     lengths: tuple[np.ndarray, ...]
 
 
-def build(lines: Sequence[Sequence[int]], stations: Sequence[PlanarPoint]) -> LineNetwork:
-    """Validate a line layout and derive each line's edge lengths."""
-    sxy = station_xy(stations)
-    n = len(sxy)
+def build(lines: Sequence[Sequence[int]], stations: np.ndarray) -> LineNetwork:
+    """Validate a line layout over an (N, 2) station array and derive each line's edge lengths."""
+    n = len(stations)
     lengths = []
     for li, line in enumerate(lines):
         if len(line) < 2:
@@ -39,7 +37,7 @@ def build(lines: Sequence[Sequence[int]], stations: Sequence[PlanarPoint]) -> Li
                 raise LoopInLine(li, s)
             seen.add(s)
         stops = np.asarray(line, dtype=np.intp)
-        lengths.append(np.hypot(*(sxy[stops[:-1]] - sxy[stops[1:]]).T))
+        lengths.append(np.hypot(*(stations[stops[:-1]] - stations[stops[1:]]).T))
     return LineNetwork(n, tuple(tuple(line) for line in lines), tuple(lengths))
 
 
@@ -66,11 +64,6 @@ def components(lines: Sequence[Sequence[int]], station_count: int) -> list[int]:
             r = parent[r]
         labels.append(r)
     return labels
-
-
-def is_connected(net: LineNetwork) -> bool:
-    """True iff every station is reachable from every other (isolated stations count)."""
-    return len(set(components(net.lines, net.station_count))) <= 1
 
 
 def all_pairs_distances(net: LineNetwork, transfer_penalty_m: float = 0.0) -> np.ndarray:

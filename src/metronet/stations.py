@@ -14,7 +14,6 @@ from .geomodel import (
     DemandGrid,
     District,
     GeneratorPoint,
-    PlanarPoint,
     nearest_boundary_point,
     point_in_region,
 )
@@ -23,11 +22,18 @@ _MAX_OFFSET_TRIES = 16
 _MAX_JITTER_TRIES = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StationGenome:
-    """An ordered list of exactly K candidate station coordinates."""
+    """Exactly K candidate stations in order: a (K, 2) float array of planar x, y.
 
-    stations: tuple[PlanarPoint, ...]
+    The genome makes the array it is given read-only, so a child never shares
+    a writeable array with its parents.
+    """
+
+    stations: np.ndarray
+
+    def __post_init__(self):
+        self.stations.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.stations)
@@ -77,17 +83,14 @@ def init_population(
         points = []
         for c in cells:
             cx, cy = float(grid.x[c]), float(grid.y[c])
-            point = PlanarPoint(cx, cy)  # fallback: the centroid itself is inside
+            point = (cx, cy)  # fallback: the centroid itself is inside
             for _ in range(_MAX_JITTER_TRIES):
-                jittered = PlanarPoint(
-                    cx + float(rng.uniform(-half, half)),
-                    cy + float(rng.uniform(-half, half)),
-                )
+                jittered = (cx + rng.uniform(-half, half), cy + rng.uniform(-half, half))
                 if point_in_region(jittered, districts):
                     point = jittered
                     break
             points.append(point)
-        population.append(StationGenome(tuple(points)))
+        population.append(StationGenome(np.array(points)))
     return population
 
 
@@ -103,18 +106,15 @@ def mutate(
     attempt is then clamped to the nearest district boundary point.
     """
     k = int(rng.integers(len(genome)))
-    base = genome.stations[k]
-    moved = base
     for _ in range(_MAX_OFFSET_TRIES):
-        dx, dy = rng.normal(0.0, mutation_sigma, size=2)
-        moved = PlanarPoint(base.x + float(dx), base.y + float(dy))
+        moved = genome.stations[k] + rng.normal(0.0, mutation_sigma, size=2)
         if point_in_region(moved, districts):
             break
     else:
         moved, _ = nearest_boundary_point(moved, districts)
-    stations = list(genome.stations)
+    stations = genome.stations.copy()
     stations[k] = moved
-    return StationGenome(tuple(stations))
+    return StationGenome(stations)
 
 
 def crossover(
@@ -123,34 +123,32 @@ def crossover(
     rng: np.random.Generator,
 ) -> tuple[StationGenome, StationGenome]:
     """Uniform per-slot crossover: each index swaps or keeps the parental pair."""
-    a = list(parent_a.stations)
-    b = list(parent_b.stations)
-    for i in range(len(a)):
-        if rng.random() < 0.5:
-            a[i], b[i] = b[i], a[i]
-    return StationGenome(tuple(a)), StationGenome(tuple(b))
+    swap = rng.random(len(parent_a))[:, None] < 0.5
+    a, b = parent_a.stations, parent_b.stations
+    return StationGenome(np.where(swap, b, a)), StationGenome(np.where(swap, a, b))
 
 
 def _coverage_of(
     grid: DemandGrid,
     generators: Sequence[GeneratorPoint],
     params: CoverageParams,
-) -> Callable[[Sequence[PlanarPoint]], CoverageReport]:
-    """Coverage report of a station list, memoized per coordinate in sum mode.
+) -> Callable[[np.ndarray], CoverageReport]:
+    """Coverage report of a station array, memoized per (x, y) coordinate in sum mode.
 
     A sum-mode share depends only on the station's own coordinate, so each
     coordinate is evaluated once and the report is assembled from the memo;
-    it equals ``coverage.evaluate`` of the whole list bit for bit. Nearest
-    mode is not separable and evaluates every list in full.
+    it equals ``coverage.evaluate`` of the whole array bit for bit. Nearest
+    mode is not separable and evaluates every array in full.
     """
     if params.mode != "sum":
-        return lambda points: coverage.evaluate(points, grid, generators, params)
-    shares: dict[PlanarPoint, float] = {}
+        return lambda stations: coverage.evaluate(stations, grid, generators, params)
+    shares: dict[tuple[float, float], float] = {}
 
-    def report(points: Sequence[PlanarPoint]) -> CoverageReport:
+    def report(stations: np.ndarray) -> CoverageReport:
+        points = [tuple(p) for p in stations.tolist()]
         missing = list(dict.fromkeys(p for p in points if p not in shares))
         if missing:
-            shares.update(zip(missing, coverage.evaluate(missing, grid, generators, params).per_station))
+            shares.update(zip(missing, coverage.evaluate(np.array(missing), grid, generators, params).per_station))
         per_station = np.array([shares[p] for p in points])
         return CoverageReport(float(per_station.sum()), per_station)
 

@@ -13,7 +13,6 @@ from metronet.errors import InvalidPolygon
 from metronet.geomodel import (
     District,
     GeoPoint,
-    PlanarPoint,
     PlanarPolygon,
     unproject,
 )
@@ -36,8 +35,8 @@ def rect_district(district_id: str, x0, y0, x1, y1, density: float) -> District:
 def planar_ring_to_geojson(ring, origin: GeoPoint = FIXTURE_ORIGIN) -> list:
     coords = []
     for x, y in [*ring, ring[0]]:
-        geo = unproject(PlanarPoint(x, y), origin)
-        coords.append([geo.lon, geo.lat])
+        lat, lon = unproject(x, y, origin)
+        coords.append([lon, lat])
     return coords
 
 
@@ -100,8 +99,8 @@ def write_generator_file(tmp_path: Path, rows, origin: GeoPoint = FIXTURE_ORIGIN
     """Write generators.csv from (name, daily_visitors, x_m, y_m) planar rows."""
     out = ["name,daily_visitors,latitude,longitude"]
     for name, visitors, x, y in rows:
-        geo = unproject(PlanarPoint(x, y), origin)
-        out.append(f"{name},{visitors},{geo.lat},{geo.lon}")
+        lat, lon = unproject(x, y, origin)
+        out.append(f"{name},{visitors},{lat},{lon}")
     path = tmp_path / "generators.csv"
     path.write_text("\n".join(out) + "\n")
     return path
@@ -172,7 +171,7 @@ def layouts(draw):
     lines = draw(st.lists(line, min_size=1, max_size=4))
     seed = draw(st.integers(0, 2**32 - 1))
     xy = np.random.default_rng(seed).uniform(-5000, 5000, (n, 2))
-    return n, [PlanarPoint(float(x), float(y)) for x, y in xy], lines
+    return n, xy, lines
 
 
 def line_edges(lines, stations):
@@ -184,7 +183,7 @@ def line_edges(lines, stations):
     that several lines share appears once per line.
     """
     return [
-        (a, b, float(np.hypot(stations[a].x - stations[b].x, stations[a].y - stations[b].y)))
+        (a, b, float(np.hypot(stations[a][0] - stations[b][0], stations[a][1] - stations[b][1])))
         for line in lines
         for a, b in zip(line, line[1:])
     ]

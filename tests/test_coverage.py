@@ -18,7 +18,6 @@ from metronet.coverage import (
 from metronet.geomodel import (
     DemandGrid,
     GeneratorPoint,
-    PlanarPoint,
     PlanarPolygon,
     District,
     load_generators,
@@ -30,10 +29,10 @@ from metronet.geomodel import (
 def oracle_district(stations, grid, sigma):
     """Independent double loop over stations x cells."""
     out = []
-    for s in stations:
+    for sx, sy in stations:
         acc = 0.0
         for cx, cy, pop in zip(grid.x, grid.y, grid.population):
-            r2 = (s.x - cx) ** 2 + (s.y - cy) ** 2
+            r2 = (sx - cx) ** 2 + (sy - cy) ** 2
             acc += pop * math.exp(-r2 / sigma**2)
         out.append(acc)
     return out
@@ -41,10 +40,10 @@ def oracle_district(stations, grid, sigma):
 
 def oracle_generator(stations, generators, sigma):
     out = []
-    for s in stations:
+    for sx, sy in stations:
         acc = 0.0
         for g in generators:
-            r2 = (s.x - g.planar.x) ** 2 + (s.y - g.planar.y) ** 2
+            r2 = (sx - g.x) ** 2 + (sy - g.y) ** 2
             acc += g.daily_visitors * math.exp(-r2 / sigma**2)
         out.append(acc)
     return out
@@ -55,7 +54,7 @@ def single_cell_grid(x, y, pop, cell_size=500.0):
 
 
 def make_generator(name, visitors, x, y):
-    return GeneratorPoint(name, visitors, PlanarPoint(x, y))
+    return GeneratorPoint(name, visitors, x, y)
 
 
 def random_instance(rng, n_stations, n_cells, n_generators, span=4000.0):
@@ -65,7 +64,7 @@ def random_instance(rng, n_stations, n_cells, n_generators, span=4000.0):
         rng.uniform(-span, span, n_cells),
         rng.uniform(1.0, 800.0, n_cells),
     )
-    stations = [PlanarPoint(float(x), float(y)) for x, y in rng.uniform(-span, span, (n_stations, 2))]
+    stations = rng.uniform(-span, span, (n_stations, 2))
     generators = [
         make_generator(f"g{i}", float(v), float(x), float(y))
         for i, (x, y, v) in enumerate(
@@ -102,13 +101,13 @@ class TestParams:
 class TestDistrictCoverage:
     def test_station_on_cell_centroid(self):
         grid = single_cell_grid(100.0, 200.0, 100.0)
-        n = district_coverage([PlanarPoint(100.0, 200.0)], grid, CoverageParams(800.0))
+        n = district_coverage(np.array([(100.0, 200.0)]), grid, CoverageParams(800.0))
         assert n[0] == pytest.approx(100.0)
 
     def test_station_at_sigma(self):
         sigma = 800.0
         grid = single_cell_grid(0.0, 0.0, 100.0)
-        n = district_coverage([PlanarPoint(sigma, 0.0)], grid, CoverageParams(sigma))
+        n = district_coverage(np.array([(sigma, 0.0)]), grid, CoverageParams(sigma))
         assert n[0] == pytest.approx(100.0 * math.exp(-1.0), rel=1e-12)
 
     def test_matches_oracle(self):
@@ -134,7 +133,7 @@ class TestDistrictCoverage:
         )
         disk = District("disk", (PlanarPolygon(ring),), rho_km2)
         grid = rasterize([disk], sigma / 5.0)
-        n = district_coverage([PlanarPoint(0.0, 0.0)], grid, CoverageParams(sigma))
+        n = district_coverage(np.array([(0.0, 0.0)]), grid, CoverageParams(sigma))
         analytic = (rho_km2 / 1e6) * math.pi * sigma**2 * (1 - math.exp(-((radius / sigma) ** 2)))
         assert n[0] == pytest.approx(analytic, rel=0.01)
 
@@ -145,13 +144,13 @@ class TestGeneratorCoverage:
         generators = load_generators(selangor_paths["generators"], region)
         lagoon = next(g for g in generators if g.name == "Sunway Lagoon")
         assert lagoon.daily_visitors == 8000
-        shares = generator_coverage([lagoon.planar], [lagoon], CoverageParams(800.0))
+        shares = generator_coverage(np.array([(lagoon.x, lagoon.y)]), [lagoon], CoverageParams(800.0))
         assert shares[0] == pytest.approx(8000.0)
 
     def test_generator_at_sigma(self):
         sigma = 800.0
         g = make_generator("g", 8000.0, 0.0, 0.0)
-        shares = generator_coverage([PlanarPoint(0.0, sigma)], [g], CoverageParams(sigma))
+        shares = generator_coverage(np.array([(0.0, sigma)]), [g], CoverageParams(sigma))
         assert shares[0] == pytest.approx(8000.0 * math.exp(-1.0), rel=1e-12)
         assert shares[0] == pytest.approx(2943.04, abs=0.01)
 
@@ -166,14 +165,14 @@ class TestGeneratorCoverage:
 class TestEvaluate:
     def test_zero_stations(self):
         grid = single_cell_grid(0.0, 0.0, 100.0)
-        report = evaluate([], grid, [], CoverageParams(800.0))
+        report = evaluate(np.zeros((0, 2)), grid, [], CoverageParams(800.0))
         assert report.total == 0.0
         assert len(report.per_station) == 0
 
     def test_station_on_cell_with_colocated_generator(self):
         grid = single_cell_grid(0.0, 0.0, 100.0)
         g = make_generator("g", 50.0, 0.0, 0.0)
-        report = evaluate([PlanarPoint(0.0, 0.0)], grid, [g], CoverageParams(800.0))
+        report = evaluate(np.array([(0.0, 0.0)]), grid, [g], CoverageParams(800.0))
         assert report.total == pytest.approx(150.0)
         assert report.per_station[0] == pytest.approx(150.0)
 
@@ -200,7 +199,7 @@ class TestEvaluate:
         stations, grid, generators = random_instance(rng, 4, 20, 2)
         params = CoverageParams(800.0)
         base = evaluate(stations, grid, generators, params).total
-        grown = evaluate(stations + [PlanarPoint(9000.0, 9000.0)], grid, generators, params).total
+        grown = evaluate(np.vstack([stations, (9000.0, 9000.0)]), grid, generators, params).total
         assert grown >= base
 
     @given(offset=st.floats(-20000, 20000, allow_nan=False))
@@ -211,9 +210,9 @@ class TestEvaluate:
         params = CoverageParams(800.0)
         base = evaluate(stations, grid, generators, params)
         moved = evaluate(
-            [PlanarPoint(p.x + offset, p.y + offset) for p in stations],
+            stations + offset,
             DemandGrid(grid.cell_size, grid.x + offset, grid.y + offset, grid.population),
-            [make_generator(g.name, g.daily_visitors, g.planar.x + offset, g.planar.y + offset) for g in generators],
+            [make_generator(g.name, g.daily_visitors, g.x + offset, g.y + offset) for g in generators],
             params,
         )
         assert moved.total == pytest.approx(base.total, rel=1e-12)
@@ -249,7 +248,7 @@ class TestSeparableSumKernel:
     def test_matches_oracle(self, points, sigma, station_seed):
         xy, weight, offset = points
         rng = np.random.default_rng(station_seed)
-        stations = [PlanarPoint(float(x), float(y)) for x, y in rng.uniform(-3000.0, 3000.0, (3, 2)) + offset]
+        stations = rng.uniform(-3000.0, 3000.0, (3, 2)) + offset
         params = CoverageParams(sigma)
         grid = DemandGrid(500.0, xy[:, 0], xy[:, 1], weight)
         got = district_coverage(stations, grid, params)
@@ -296,7 +295,7 @@ class TestNearestMode:
     def test_each_point_counted_once(self):
         # two stations, one cell: only the closer station earns the cell
         grid = single_cell_grid(0.0, 0.0, 100.0)
-        stations = [PlanarPoint(100.0, 0.0), PlanarPoint(900.0, 0.0)]
+        stations = np.array([(100.0, 0.0), (900.0, 0.0)])
         shares = district_coverage(stations, grid, CoverageParams(800.0, mode="nearest"))
         assert shares[1] == 0.0
         assert shares[0] == pytest.approx(100.0 * math.exp(-(100.0**2) / 800.0**2))
@@ -322,14 +321,13 @@ class TestExactFastPaths:
         # a repeated coordinate makes argmin ties; the first station keeps them
         stations[4] = stations[1]
         params = CoverageParams(800.0, mode="nearest")
-        sxy = np.array([(p.x, p.y) for p in stations])
         gw = np.array([g.daily_visitors for g in generators])
-        gx = np.array([g.planar.x for g in generators])
-        gy = np.array([g.planar.y for g in generators])
+        gx = np.array([g.x for g in generators])
+        gy = np.array([g.y for g in generators])
         district = district_coverage(stations, grid, params)
         generator = generator_coverage(stations, generators, params)
-        assert np.array_equal(district, unchunked_nearest_shares(sxy, grid.x, grid.y, grid.population, 800.0))
-        assert np.array_equal(generator, unchunked_nearest_shares(sxy, gx, gy, gw, 800.0))
+        assert np.array_equal(district, unchunked_nearest_shares(stations, grid.x, grid.y, grid.population, 800.0))
+        assert np.array_equal(generator, unchunked_nearest_shares(stations, gx, gy, gw, 800.0))
         assert np.array_equal(evaluate(stations, grid, generators, params).per_station, district + generator)
 
     def test_sum_share_independent_of_batch(self):
@@ -339,10 +337,11 @@ class TestExactFastPaths:
         batch = evaluate(stations, grid, generators, params)
         district = district_coverage(stations, grid, params)
         generator = generator_coverage(stations, generators, params)
-        for i, p in enumerate(stations):
-            assert evaluate([p], grid, generators, params).per_station[0] == batch.per_station[i]
-            assert district_coverage([p], grid, params)[0] == district[i]
-            assert generator_coverage([p], generators, params)[0] == generator[i]
+        for i in range(len(stations)):
+            one = stations[i : i + 1]
+            assert evaluate(one, grid, generators, params).per_station[0] == batch.per_station[i]
+            assert district_coverage(one, grid, params)[0] == district[i]
+            assert generator_coverage(one, generators, params)[0] == generator[i]
 
     @pytest.mark.parametrize("mode", ["sum", "nearest"])
     def test_peak_memory_does_not_scale_with_stations_times_cells(self, mode):

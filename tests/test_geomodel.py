@@ -17,7 +17,6 @@ from metronet.geomodel import (
     DemandGrid,
     District,
     GeoPoint,
-    PlanarPoint,
     PlanarPolygon,
     load_generators,
     load_region,
@@ -47,47 +46,48 @@ ORIGIN = GeoPoint(3.0, 101.5)
 
 class TestProjection:
     def test_origin_maps_to_zero(self):
-        p = project(ORIGIN, ORIGIN)
-        assert p.x == 0.0 and p.y == 0.0
+        assert project(ORIGIN.lat, ORIGIN.lon, ORIGIN) == (0.0, 0.0)
 
     def test_hundredth_degree_of_latitude(self):
         # y = R * 0.01 * pi/180 = 1111.949... m
-        p = project(GeoPoint(3.01, 101.5), ORIGIN)
-        assert p.x == 0.0
-        assert p.y == pytest.approx(1111.95, abs=0.01)
+        x, y = project(3.01, 101.5, ORIGIN)
+        assert x == 0.0
+        assert y == pytest.approx(1111.95, abs=0.01)
 
     def test_batu_caves_against_spherical_arcs(self):
         # independent oracle: meridian arc R*dlat and parallel arc R*cos(lat0)*dlon
-        p = project(GeoPoint(3.2379, 101.6841), ORIGIN)
+        x, y = project(3.2379, 101.6841, ORIGIN)
         meridian = EARTH_RADIUS_M * math.radians(3.2379 - 3.0)
         parallel = EARTH_RADIUS_M * math.cos(math.radians(3.0)) * math.radians(101.6841 - 101.5)
-        assert p.y == pytest.approx(meridian, abs=1e-6)
-        assert p.x == pytest.approx(parallel, abs=1e-6)
+        assert y == pytest.approx(meridian, abs=1e-6)
+        assert x == pytest.approx(parallel, abs=1e-6)
         # frozen values, sanity-checked against a great-circle calculation
-        assert p.x == pytest.approx(20442.931, abs=0.01)
-        assert p.y == pytest.approx(26453.273, abs=0.01)
-        assert math.hypot(p.x, p.y) == pytest.approx(33430.46, rel=1e-3)  # haversine distance
+        assert x == pytest.approx(20442.931, abs=0.01)
+        assert y == pytest.approx(26453.273, abs=0.01)
+        assert math.hypot(x, y) == pytest.approx(33430.46, rel=1e-3)  # haversine distance
 
     @given(
         lat=st.floats(2.85, 3.60),
         lon=st.floats(100.95, 101.85),
     )
     def test_round_trip_within_1e9_degrees(self, lat, lon):
-        g = unproject(project(GeoPoint(lat, lon), ORIGIN), ORIGIN)
-        assert abs(g.lat - lat) < 1e-9
-        assert abs(g.lon - lon) < 1e-9
+        lat2, lon2 = unproject(*project(lat, lon, ORIGIN), ORIGIN)
+        assert abs(lat2 - lat) < 1e-9
+        assert abs(lon2 - lon) < 1e-9
+
+    @given(lat_lon=st.lists(st.tuples(st.floats(2.85, 3.60), st.floats(100.95, 101.85)), min_size=1, max_size=20))
+    def test_arrays_take_the_float_operations(self, lat_lon):
+        lat, lon = np.array(lat_lon).T
+        x, y = project(lat, lon, ORIGIN)
+        assert list(zip(x.tolist(), y.tolist())) == [project(*p, ORIGIN) for p in lat_lon]
+        back = unproject(x, y, ORIGIN)
+        assert list(zip(*(c.tolist() for c in back))) == [unproject(*p, ORIGIN) for p in zip(x.tolist(), y.tolist())]
 
     def test_geopoint_bounds(self):
         with pytest.raises(ValueError):
             GeoPoint(91.0, 0.0)
         with pytest.raises(ValueError):
             GeoPoint(0.0, -200.0)
-
-    def test_planar_point_sanity_bound(self):
-        with pytest.raises(ValueError):
-            PlanarPoint(1e7, 0.0)
-        with pytest.raises(ValueError):
-            PlanarPoint(0.0, math.nan)
 
 
 class TestShoelace:
@@ -113,8 +113,8 @@ class TestDistrict:
         hole = outer / 2
         d = District("ring", (PlanarPolygon(outer, (hole,)),), 100.0)
         assert d.area_km2 == pytest.approx(4.0 - 1.0)
-        assert not point_in_district(PlanarPoint(0, 0), d)  # inside the hole
-        assert point_in_district(PlanarPoint(700, 0), d)
+        assert not point_in_district((0.0, 0.0), d)  # inside the hole
+        assert point_in_district((700.0, 0.0), d)
 
     def test_short_ring_rejected(self):
         with pytest.raises(InvalidPolygon):
@@ -276,8 +276,8 @@ def test_loaded_rings_equal_per_vertex_projection(star_files_dir, district):
     for poly, rings in zip(loaded, polygons):
         assert len(poly.holes) == len(rings) - 1
         for got, ring in zip((poly.outer, *poly.holes), rings):
-            points = [project(GeoPoint(lat, lon), origin) for lon, lat in ring[:-1]]  # the last closes the ring
-            assert got.tobytes() == np.array([(p.x, p.y) for p in points]).tobytes()
+            points = [project(lat, lon, origin) for lon, lat in ring[:-1]]  # the last closes the ring
+            assert got.tobytes() == np.array(points).tobytes()
             assert not got.flags.writeable
 
 
@@ -439,16 +439,16 @@ class TestRasterize:
 
 class TestPointHelpers:
     def test_point_in_region_snap_tolerance(self, unit_square_km):
-        inside = PlanarPoint(500, 500)
-        near = PlanarPoint(-30.0, 500.0)  # 30 m outside the west edge
-        far = PlanarPoint(-80.0, 500.0)
+        inside = np.array([500.0, 500.0])
+        near = np.array([-30.0, 500.0])  # 30 m outside the west edge
+        far = np.array([-80.0, 500.0])
         assert point_in_region(inside, [unit_square_km])
         assert point_in_region(near, [unit_square_km])
         assert not point_in_region(far, [unit_square_km])
 
     def test_nearest_boundary_point(self, unit_square_km):
-        p, dist = nearest_boundary_point(PlanarPoint(-300.0, 400.0), [unit_square_km])
-        assert (p.x, p.y) == (0.0, 400.0)
+        p, dist = nearest_boundary_point(np.array([-300.0, 400.0]), [unit_square_km])
+        assert p.tolist() == [0.0, 400.0]
         assert dist == pytest.approx(300.0)
 
 
@@ -478,21 +478,21 @@ def rings_of(district):
 
 
 def reference_nearest_boundary_point(p, districts):
-    """Nearest boundary point ring by ring, the first ring winning ties."""
+    """Nearest boundary point ring by ring, the first ring winning ties, as ((x, y), distance)."""
     best, best_d2 = None, math.inf
     for d in districts:
         for a in rings_of(d):
             ab = np.roll(a, -1, axis=0) - a
-            ap = np.array([p.x, p.y]) - a
+            ap = p - a
             seg_len2 = np.einsum("ij,ij->i", ab, ab)
             t = np.clip(np.einsum("ij,ij->i", ap, ab) / np.where(seg_len2 == 0, 1.0, seg_len2), 0.0, 1.0)
             closest = a + t[:, None] * ab
-            diff = closest - np.array([p.x, p.y])
+            diff = closest - p
             d2 = np.einsum("ij,ij->i", diff, diff)
             k = int(np.argmin(d2))
             if d2[k] < best_d2:
                 best_d2 = float(d2[k])
-                best = PlanarPoint(float(closest[k, 0]), float(closest[k, 1]))
+                best = float(closest[k, 0]), float(closest[k, 1])
     return best, math.sqrt(best_d2)
 
 
@@ -516,11 +516,11 @@ class TestContainmentMatchesPerEdgeLoop:
 
         want = reference_points_in_rings(xs, ys, rings)
         assert np.array_equal(points_in_rings(xs, ys, district.crossing_edges), want)
-        assert [point_in_district(PlanarPoint(x, y), district) for x, y in pts] == want.tolist()
+        assert [point_in_district(p, district) for p in pts] == want.tolist()
 
-        for x, y in pts[:: max(1, len(pts) // 8)]:
-            p = PlanarPoint(x, y)
-            assert nearest_boundary_point(p, [district]) == reference_nearest_boundary_point(p, [district])
+        for p in pts[:: max(1, len(pts) // 8)]:
+            got, dist = nearest_boundary_point(p, [district])
+            assert (tuple(got.tolist()), dist) == reference_nearest_boundary_point(p, [district])
 
         cell = data.draw(st.sampled_from([97.0, 250.0]))
 
@@ -542,4 +542,4 @@ class TestContainmentMatchesPerEdgeLoop:
         outside = [(np.nextafter(1000.0, 2000.0), 0.0), (0.0, np.nextafter(-1000.0, -2000.0))]
         for x, y in edge_points + outside:
             want = bool(reference_points_in_rings(np.array([x]), np.array([y]), rings_of(d))[0])
-            assert point_in_district(PlanarPoint(x, y), d) == want
+            assert point_in_district((x, y), d) == want

@@ -12,7 +12,7 @@ from metronet import lines as lines_module
 from metronet import netgraph
 from metronet.errors import Disconnected, LineTooShort, LoopInLine, TooFewStations
 from metronet.evolve import GaConfig
-from metronet.geomodel import PlanarPoint, station_distances, station_xy
+from metronet.geomodel import station_distances
 from metronet.lines import (
     LineGenome,
     LineStageConfig,
@@ -30,11 +30,16 @@ from metronet.lines import (
     swap_between_lines,
     transfer_station,
 )
-from metronet.netgraph import build, is_connected
+from metronet.netgraph import build, components
 
 
 def pts(*xy):
-    return [PlanarPoint(float(x), float(y)) for x, y in xy]
+    return np.array(xy, dtype=float).reshape(-1, 2)
+
+
+def assert_connected(lines, stations):
+    build(lines, stations)  # the layout rules hold too
+    assert len(set(components(lines, len(stations)))) == 1
 
 
 class ScriptedRng:
@@ -251,7 +256,7 @@ class TestRepair:
     def test_bridges_two_components(self):
         stations = pts((0, 0), (1000, 0), (2000, 0), (3000, 0))
         repaired = repair(LineGenome(((0, 1), (2, 3))), station_distances(stations))
-        assert is_connected(build(repaired.lines, stations))
+        assert_connected(repaired.lines, stations)
         assert len(repaired.lines) == 2
 
     def test_uncovered_station_appended_to_nearest_end(self):
@@ -262,7 +267,7 @@ class TestRepair:
     def test_uncovered_station_zero(self):
         stations = pts((0, 0), (1000, 0), (2000, 0))
         repaired = repair(LineGenome(((1, 2),)), station_distances(stations))
-        assert is_connected(build(repaired.lines, stations))
+        assert_connected(repaired.lines, stations)
         assert repaired.lines == ((0, 1, 2),)
 
     @pytest.mark.parametrize("line, error", [((0, 1, 0, 2), LoopInLine), ((0,), LineTooShort)])
@@ -288,7 +293,7 @@ class TestRepair:
         assert twice == once
         assert twice is once  # unchanged input comes back as the same object
         assert_valid_genome(once, 7, line_count=3)
-        assert is_connected(build(once.lines, stations))
+        assert_connected(once.lines, stations)
 
 
 def relabeling_repair_reference(genome, stations):
@@ -297,7 +302,7 @@ def relabeling_repair_reference(genome, stations):
     Production labels them once and grows station 0's component in place;
     both must attach the same stations in the same order.
     """
-    sxy = station_xy(stations)
+    sxy = stations
     n = len(sxy)
     changed = False
     lines = list(genome.lines)
@@ -359,7 +364,7 @@ class TestInitLines:
         pop = init_lines(station_distances(stations), 5, 20, np.random.default_rng(2))
         for genome in pop:
             assert_valid_genome(genome, 5, line_count=5)
-            assert is_connected(build(genome.lines, stations))
+            assert_connected(genome.lines, stations)
 
     def test_deterministic_for_fixed_seed(self):
         rng = np.random.default_rng(3)
@@ -379,7 +384,7 @@ class TestCanonical:
 def exhaustive_single_line_optimum(stations, s):
     """Enumerate all distinct orderings (reversals collapsed) of one full line."""
     n = len(stations)
-    sxy = np.array([(p.x, p.y) for p in stations])
+    sxy = stations
     best_value, best_order = math.inf, None
     for perm in permutations(range(n)):
         if perm[0] > perm[-1]:
@@ -484,7 +489,7 @@ def exhaustive_two_line_optimum(stations, s):
     Floyd-Warshall, never from the production netgraph.all_pairs_distances.
     """
     n = len(stations)
-    sxy = np.array([(p.x, p.y) for p in stations])
+    sxy = stations
     diff = sxy[:, None, :] - sxy[None, :, :]
     euclid = np.sqrt((diff**2).sum(axis=2))
 

@@ -14,13 +14,17 @@ from hypothesis import given, settings
 
 from conftest import dijkstra_reference, floyd_warshall_oracle, layouts, line_edges
 from metronet.errors import LineTooShort, LoopInLine
-from metronet.geomodel import PlanarPoint, station_distances
+from metronet.geomodel import station_distances
 from metronet.lines import LineGenome, repair
-from metronet.netgraph import all_pairs_distances, build, components, is_connected
+from metronet.netgraph import all_pairs_distances, build, components
 
 
 def pts(*xy):
-    return [PlanarPoint(float(x), float(y)) for x, y in xy]
+    return np.array(xy, dtype=float).reshape(-1, 2)
+
+
+def component_count(lines, n):
+    return len(set(components(lines, n)))
 
 
 def random_connected_network(rng, n=8):
@@ -75,16 +79,13 @@ class TestBuild:
 
 class TestConnectivity:
     def test_two_lines_chained(self):
-        net = build([[0, 1], [1, 2]], pts((0, 0), (1000, 0), (2000, 0)))
-        assert is_connected(net)
+        assert component_count([[0, 1], [1, 2]], 3) == 1
 
     def test_two_components(self):
-        net = build([[0, 1], [2, 3]], pts((0, 0), (1000, 0), (5000, 0), (6000, 0)))
-        assert not is_connected(net)
+        assert component_count([[0, 1], [2, 3]], 4) == 2
 
     def test_uncovered_station_disconnects(self):
-        net = build([[0, 1, 2]], pts((0, 0), (1000, 0), (2000, 0), (9000, 9000)))
-        assert not is_connected(net)
+        assert component_count([[0, 1, 2]], 4) == 2
 
 
 class TestAllPairs:
@@ -139,8 +140,7 @@ class TestAllPairs:
         rng = np.random.default_rng(29)
         net, stations = random_connected_network(rng)
         d = all_pairs_distances(net)
-        sxy = np.array([(p.x, p.y) for p in stations])
-        diff = sxy[:, None, :] - sxy[None, :, :]
+        diff = stations[:, None, :] - stations[None, :, :]
         euclid = np.sqrt((diff**2).sum(axis=2))
         assert np.all(d >= euclid - 1e-6)
 
@@ -252,12 +252,11 @@ class TestDijkstraReference:
 @given(layouts())
 def test_connectivity_routines_agree(layout):
     n, stations, lines = layout
-    net = build(lines, stations)
-    connected = is_connected(net)
-    assert np.isfinite(all_pairs_distances(net)).all() == connected
-    assert (len(set(components(lines, n))) == 1) == connected
+    connected = component_count(lines, n) == 1
+    assert np.isfinite(all_pairs_distances(build(lines, stations))).all() == connected
     repaired = repair(LineGenome(tuple(tuple(line) for line in lines)), station_distances(stations))
-    assert is_connected(build(repaired.lines, stations))
+    build(repaired.lines, stations)  # the layout rules still hold
+    assert component_count(repaired.lines, n) == 1
 
 
 @settings(max_examples=200, deadline=None)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from metronet import coverage
 from metronet.coverage import CoverageParams, evaluate
 from metronet.evolve import GaConfig
-from metronet.geomodel import DemandGrid, GeneratorPoint, PlanarPoint, point_in_region, rasterize
+from metronet.geomodel import DemandGrid, GeneratorPoint, point_in_region, rasterize
 from metronet.stations import (
     StationGenome,
     StationStageConfig,
@@ -24,6 +24,10 @@ from metronet.stations import (
 from conftest import rect_district, star_districts
 
 
+def genome_of(*xy):
+    return StationGenome(np.array(xy, dtype=float).reshape(-1, 2))
+
+
 @pytest.fixture
 def square_10km():
     return rect_district("square", -5000.0, -5000.0, 5000.0, 5000.0, 1000.0)
@@ -35,9 +39,9 @@ class TestInitPopulation:
         rng = np.random.default_rng(0)
         pop = init_population(grid, [unit_square_km], 3, 20, rng)
         for genome in pop:
-            for p in genome.stations:
-                assert 250.0 <= p.x <= 750.0
-                assert 250.0 <= p.y <= 750.0
+            for x, y in genome.stations:
+                assert 250.0 <= x <= 750.0
+                assert 250.0 <= y <= 750.0
 
     def test_zero_population_cell_gets_no_mass(self, unit_square_km):
         grid = DemandGrid(
@@ -46,7 +50,7 @@ class TestInitPopulation:
         rng = np.random.default_rng(1)
         pop = init_population(grid, [unit_square_km], 1, 200, rng)
         for genome in pop:
-            assert genome.stations[0].x > 500.0
+            assert genome.stations[0, 0] > 500.0
 
     def test_sampling_frequencies_follow_population(self, square_10km):
         grid = DemandGrid(
@@ -57,7 +61,7 @@ class TestInitPopulation:
         )
         rng = np.random.default_rng(2)
         pop = init_population(grid, [square_10km], 1, 10_000, rng)
-        near_first = sum(1 for g in pop if g.stations[0].x < 0.0)
+        near_first = sum(1 for g in pop if g.stations[0, 0] < 0.0)
         assert near_first / 10_000 == pytest.approx(0.25, abs=0.02)
 
     def test_all_genomes_inside_districts(self, two_district_region):
@@ -71,32 +75,25 @@ class TestInitPopulation:
 class TestMutate:
     def test_changes_exactly_one_station(self, square_10km):
         rng = np.random.default_rng(4)
-        genome = StationGenome(tuple(PlanarPoint(float(x), 0.0) for x in (-2000, 0, 2000, 4000)))
+        genome = genome_of(*((x, 0.0) for x in (-2000, 0, 2000, 4000)))
         mutated = mutate(genome, 500.0, rng, [square_10km])
-        differing = [
-            i for i, (a, b) in enumerate(zip(genome.stations, mutated.stations)) if a != b
-        ]
-        assert len(differing) == 1
-        unchanged = [i for i in range(4) if i not in differing]
-        for i in unchanged:
-            assert mutated.stations[i] is genome.stations[i] or mutated.stations[i] == genome.stations[i]
+        assert (mutated.stations != genome.stations).any(axis=1).sum() == 1
 
     def test_zero_sigma_limit_is_identity(self, square_10km):
         rng = np.random.default_rng(5)
-        genome = StationGenome((PlanarPoint(100.0, 100.0),))
+        genome = genome_of((100.0, 100.0))
         mutated = mutate(genome, 1e-12, rng, [square_10km])
-        assert abs(mutated.stations[0].x - 100.0) < 1e-9
-        assert abs(mutated.stations[0].y - 100.0) < 1e-9
+        assert np.abs(mutated.stations - 100.0).max() < 1e-9
 
     def test_reproducible_with_fixed_seed(self, square_10km):
-        genome = StationGenome(tuple(PlanarPoint(float(x), 0.0) for x in (-2000, 0, 2000)))
+        genome = genome_of(*((x, 0.0) for x in (-2000, 0, 2000)))
         a = mutate(genome, 800.0, np.random.default_rng(6), [square_10km])
         b = mutate(genome, 800.0, np.random.default_rng(6), [square_10km])
-        assert a == b
+        assert np.array_equal(a.stations, b.stations)
 
     def test_boundary_station_stays_in_region(self, square_10km):
         # large sigma pushes most draws outside; the invariant must still hold
-        genome = StationGenome((PlanarPoint(4990.0, 4990.0),))
+        genome = genome_of((4990.0, 4990.0))
         for seed in range(100):
             rng = np.random.default_rng(seed)
             mutated = mutate(genome, 50_000.0, rng, [square_10km])
@@ -107,7 +104,7 @@ class TestMutate:
     def test_chains_stay_in_region_with_holes(self, district, seed):
         # sigma far above the district size: nearly every mutation ends in the clamp
         # boundary vertices are in the region
-        genome = StationGenome(tuple(PlanarPoint(float(x), float(y)) for x, y in district.polygons[0].outer[:3]))
+        genome = StationGenome(district.polygons[0].outer[:3])
         rng = np.random.default_rng(seed)
         for _ in range(8):
             genome = mutate(genome, 20_000.0, rng, [district])
@@ -116,26 +113,44 @@ class TestMutate:
 
 class TestCrossover:
     def test_identical_parents_yield_parents(self):
-        genome = StationGenome(tuple(PlanarPoint(float(x), 1.0) for x in range(4)))
+        genome = genome_of(*((x, 1.0) for x in range(4)))
         a, b = crossover(genome, genome, np.random.default_rng(7))
-        assert a == genome and b == genome
+        assert np.array_equal(a.stations, genome.stations) and np.array_equal(b.stations, genome.stations)
 
     def test_single_slot_enumerable(self):
-        pa = StationGenome((PlanarPoint(0.0, 0.0),))
-        pb = StationGenome((PlanarPoint(9.0, 9.0),))
+        pa = genome_of((0.0, 0.0))
+        pb = genome_of((9.0, 9.0))
         outcomes = set()
         for seed in range(30):
             a, b = crossover(pa, pb, np.random.default_rng(seed))
-            outcomes.add((a.stations[0].x, b.stations[0].x))
+            outcomes.add((float(a.stations[0, 0]), float(b.stations[0, 0])))
         assert outcomes == {(0.0, 9.0), (9.0, 0.0)}
 
     def test_slots_partition_between_children(self):
-        pa = StationGenome(tuple(PlanarPoint(float(i), 0.0) for i in range(4)))
-        pb = StationGenome(tuple(PlanarPoint(float(i), 100.0) for i in range(4)))
+        pa = genome_of(*((i, 0.0) for i in range(4)))
+        pb = genome_of(*((i, 100.0) for i in range(4)))
         a, b = crossover(pa, pb, np.random.default_rng(8))
         for i in range(4):
-            pair = {a.stations[i], b.stations[i]}
-            assert pair == {pa.stations[i], pb.stations[i]}
+            pair = {tuple(a.stations[i].tolist()), tuple(b.stations[i].tolist())}
+            assert pair == {tuple(pa.stations[i].tolist()), tuple(pb.stations[i].tolist())}
+
+
+class TestGenomeArrays:
+    def test_operators_keep_parents_and_return_read_only_arrays(self, two_district_region):
+        grid = rasterize(two_district_region, 1000.0)
+        rng = np.random.default_rng(12)
+        population = init_population(grid, two_district_region, 5, 6, rng)
+        returned = list(population)
+        for a, b in zip(population[::2], population[1::2]):
+            before = a.stations.tobytes(), b.stations.tobytes()
+            returned += crossover(a, b, rng)
+            # the second sigma sends nearly every draw outside, so mutate ends in the clamp
+            returned += mutate(a, 800.0, rng, two_district_region), mutate(b, 50_000.0, rng, two_district_region)
+            assert (a.stations.tobytes(), b.stations.tobytes()) == before
+        for genome in returned:
+            assert genome.stations.shape == (5, 2)
+            assert genome.stations.dtype == np.float64
+            assert not genome.stations.flags.writeable
 
 
 class TestOptimize:
@@ -148,16 +163,16 @@ class TestOptimize:
             coverage=CoverageParams(800.0),
         )
         best, report, _ = optimize_stations(grid, (), [unit_square_km], cfg)
-        p = best.stations[0]
+        x, y = best.stations[0]
         half_diagonal = math.hypot(250.0, 250.0)
-        assert math.hypot(p.x - 500.0, p.y - 500.0) <= half_diagonal
+        assert math.hypot(x - 500.0, y - 500.0) <= half_diagonal
         assert report.total > 0
 
     def test_uniform_square_reaches_98_percent_of_scan(self, square_10km):
         grid = rasterize([square_10km], 500.0)
         params = CoverageParams(800.0)
         scan_best = max(
-            evaluate([PlanarPoint(float(x), float(y))], grid, (), params).total
+            evaluate(np.array([(x, y)]), grid, (), params).total
             for x, y in zip(grid.x, grid.y)
         )
         cfg = StationStageConfig(
@@ -183,8 +198,8 @@ class TestOptimize:
         best, _, _ = optimize_stations(grid, (), [west, east], cfg)
         centers = [(-10000.0, 0.0), (10000.0, 0.0)]
         assignments = set()
-        for p in best.stations:
-            dists = [math.hypot(p.x - cx, p.y - cy) for cx, cy in centers]
+        for x, y in best.stations:
+            dists = [math.hypot(x - cx, y - cy) for cx, cy in centers]
             assert min(dists) <= 2 * params.sigma
             assignments.add(int(np.argmin(dists)))
         assert assignments == {0, 1}
@@ -207,7 +222,7 @@ class TestOptimize:
         )
         b1, r1, h1 = optimize_stations(grid, (), two_district_region, cfg)
         b2, r2, h2 = optimize_stations(grid, (), two_district_region, cfg)
-        assert b1 == b2
+        assert np.array_equal(b1.stations, b2.stations)
         assert r1.total == r2.total
         assert h1.records == h2.records
 
@@ -217,8 +232,8 @@ class TestMemoizedCoverage:
     def instance(self, two_district_region):
         grid = rasterize(two_district_region, 500.0)
         generators = (
-            GeneratorPoint("mall", 30000.0, PlanarPoint(-3000.0, 500.0)),
-            GeneratorPoint("campus", 12000.0, PlanarPoint(2500.0, -700.0)),
+            GeneratorPoint("mall", 30000.0, -3000.0, 500.0),
+            GeneratorPoint("campus", 12000.0, 2500.0, -700.0),
         )
         return grid, generators, two_district_region
 
@@ -249,7 +264,7 @@ class TestMemoizedCoverage:
         original = coverage.evaluate
 
         def counting(points, *args):
-            computed.extend(points)
+            computed.extend(map(tuple, points.tolist()))
             return original(points, *args)
 
         monkeypatch.setattr(coverage, "evaluate", counting)
@@ -260,7 +275,7 @@ class TestMemoizedCoverage:
         genomes_seen = set()
         optimize_stations(
             grid, generators, districts, cfg,
-            on_generation=lambda gen, pop, fits: genomes_seen.update(p for g in pop for p in g.stations),
+            on_generation=lambda gen, pop, fits: genomes_seen.update(p for g in pop for p in map(tuple, g.stations.tolist())),
         )
         assert max(Counter(computed).values()) == 1
         assert set(computed) == genomes_seen
@@ -293,5 +308,5 @@ class TestStationStageConfig:
         sized = StationStageConfig(station_count=suggest_station_count(grid.total_population), ga=ga)
         best, report, _ = optimize_stations(grid, (), two_district_region, StationStageConfig(ga=ga))
         expected, expected_report, _ = optimize_stations(grid, (), two_district_region, sized)
-        assert best == expected
+        assert np.array_equal(best.stations, expected.stations)
         assert report.total == expected_report.total
