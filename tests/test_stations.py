@@ -134,6 +134,19 @@ class TestCrossover:
             pair = {tuple(a.stations[i].tolist()), tuple(b.stations[i].tolist())}
             assert pair == {tuple(pa.stations[i].tolist()), tuple(pb.stations[i].tolist())}
 
+    def test_matches_one_draw_per_slot(self):
+        rng = np.random.default_rng(9)
+        pa, pb = StationGenome(rng.uniform(-5000, 5000, (9, 2))), StationGenome(rng.uniform(-5000, 5000, (9, 2)))
+        for seed in range(20):
+            rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            a, b = crossover(pa, pb, rng)
+            want_a, want_b = pa.stations.tolist(), pb.stations.tolist()
+            for i in range(9):
+                if reference_rng.random() < 0.5:
+                    want_a[i], want_b[i] = want_b[i], want_a[i]
+            assert (a.stations.tolist(), b.stations.tolist()) == (want_a, want_b)
+            assert rng.random() == reference_rng.random()  # the same number of draws
+
 
 class TestGenomeArrays:
     def test_operators_keep_parents_and_return_read_only_arrays(self, two_district_region):
