@@ -5,6 +5,7 @@ crossover, mutation, and a validating repair hook.
 """
 from __future__ import annotations
 
+import bisect
 import csv
 import math
 from dataclasses import dataclass, field
@@ -105,12 +106,14 @@ def roulette_wheel(fitnesses: Sequence[float], sense: Sense) -> Callable[[np.ran
     The returned ``spin(rng)`` draws one index with probability proportional
     to its weight, using exactly one ``rng.random()``.
     """
-    cum = np.cumsum(selection_weights(fitnesses, sense))
+    # a list bisect finds the same slot as np.searchsorted(side="right") at a
+    # fraction of its per-call cost
+    cum = np.cumsum(selection_weights(fitnesses, sense)).tolist()
     total = cum[-1]
     last = len(cum) - 1
 
     def spin(rng: np.random.Generator) -> int:
-        return min(int(np.searchsorted(cum, rng.random() * total, side="right")), last)
+        return min(bisect.bisect_right(cum, rng.random() * total), last)
 
     return spin
 

@@ -43,15 +43,6 @@ class LineStageConfig:
             raise ValueError(f"transfer_penalty_m must be finite and >= 0, got {self.transfer_penalty_m}")
 
 
-def canonical(genome: LineGenome) -> LineGenome:
-    """Orient every line with its lexicographically smaller endpoint first.
-
-    A line and its reverse describe the same track, so tests and caches
-    compare canonical forms.
-    """
-    return LineGenome(tuple(min(line, line[::-1]) for line in genome.lines))
-
-
 def line_fitness(genome: LineGenome, stations: np.ndarray,
                  serviced: Sequence[float], transfer_penalty_m: float = 0.0) -> LineFitness:
     """Sum over unordered station pairs of d_ij * (s_i + s_j); ``stations`` is an (N, 2) array.
@@ -157,22 +148,19 @@ def _with_line(genome: LineGenome, index: int, line: list[int]) -> LineGenome:
     return LineGenome(tuple(lines))
 
 
+# (a)-(e) by draw index; index 5 is (f) add_station, which also takes the station count
+_MUTATIONS = (exchange_within_line, reverse_segment, swap_between_lines, transfer_station, remove_station)
+
+
 def mutate_line(genome: LineGenome, station_count: int, rng: np.random.Generator) -> LineGenome:
     """Apply one of the six mutation types chosen uniformly.
 
     Inapplicable draws are resampled up to 16 times, then the always-valid
     sub-series reversal is used.
     """
-    ops = (
-        exchange_within_line,
-        reverse_segment,
-        swap_between_lines,
-        transfer_station,
-        remove_station,
-        lambda g, r: add_station(g, station_count, r),
-    )
     for _ in range(_MAX_MUTATION_TRIES):
-        mutated = ops[int(rng.integers(len(ops)))](genome, rng)
+        i = int(rng.integers(6))
+        mutated = _MUTATIONS[i](genome, rng) if i < 5 else add_station(genome, station_count, rng)
         if mutated is not None:
             return mutated
     return reverse_segment(genome, rng)
@@ -312,10 +300,26 @@ def optimize_lines(
     init_rng = np.random.default_rng(np.random.SeedSequence(ga.rng_seed, spawn_key=(0,)))
     initial = init_lines(dist, config.line_count, ga.population_size, init_rng)
 
+    # Most children repeat a layout already seen, so both memos below do
+    # their work once per distinct key. repair attaches at the nearest line
+    # end, so its output depends on orientation: it is keyed on the raw
+    # lines. A line and its reverse are the same track, and line order does
+    # not matter, so fitness is keyed on the canonical layout; the first
+    # orientation seen prices it (another may differ in the last bits).
+    repaired: dict[tuple, LineGenome] = {}
     cache: dict[tuple, LineFitness] = {}
 
+    def validator(genome: LineGenome) -> LineGenome:
+        hit = repaired.get(genome.lines)
+        if hit is None:
+            if len(repaired) >= _CACHE_LIMIT:
+                repaired.clear()
+            hit = repair(genome, dist)
+            repaired[genome.lines] = hit
+        return hit
+
     def fitness(genome: LineGenome) -> float:
-        key = tuple(sorted(canonical(genome).lines))
+        key = tuple(sorted([min(line, line[::-1]) for line in genome.lines]))
         hit = cache.get(key)
         if hit is None:
             if len(cache) >= _CACHE_LIMIT:
@@ -332,7 +336,7 @@ def optimize_lines(
         fitness,
         crossover_lines,
         mutation,
-        lambda g: repair(g, dist),
+        validator,
         ga,
         on_generation=on_generation,
     )

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metronet.errors import FitnessNotFinite, InvalidInitialPopulation
 from metronet.evolve import GaConfig, roulette_wheel, run, selection_weights
@@ -83,6 +85,39 @@ class TestRouletteSelect:
         for _ in range(1000):
             want = min(int(np.searchsorted(cum, twin.random() * cum[-1], side="right")), len(fits) - 1)
             assert spin(rng) == want
+
+
+class StubRng:
+    """Hands out one given uniform draw per ``random()`` call."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+finite_fitness = st.floats(-1e9, 1e9, allow_nan=False, allow_infinity=False)
+fitness_lists = st.one_of(
+    st.lists(finite_fitness, min_size=1, max_size=12),
+    # equal fitnesses make every weight the same eps
+    st.tuples(finite_fitness, st.integers(1, 12)).map(lambda fv: [fv[0]] * fv[1]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fitness_lists, st.sampled_from(["maximize", "minimize"]), st.data())
+def test_spin_matches_searchsorted(fits, sense, data):
+    cum = np.cumsum(selection_weights(fits, sense))
+    total, last = cum[-1], len(fits) - 1
+    u = data.draw(st.one_of(
+        st.floats(0.0, 1.0, exclude_max=True),
+        st.sampled_from([0.0, float(np.nextafter(1.0, 0.0))]),
+        # a draw whose product lands on (or next to) a cumulative weight
+        st.sampled_from(range(len(cum))).map(lambda k: float(cum[k] / total)),
+    ))
+    want = min(int(np.searchsorted(cum, u * total, side="right")), last)
+    assert roulette_wheel(fits, sense)(StubRng(u)) == want
 
 
 # toy problem for run(): genome is a float, target value 7

@@ -1,5 +1,6 @@
 """Line-layout stage tests: fitness, the six mutations, repair, small optimizations."""
 import math
+from dataclasses import replace
 from itertools import combinations, permutations
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import dijkstra_reference, layouts
 from metronet import lines as lines_module
-from metronet import netgraph
+from metronet import evolve, netgraph
 from metronet.errors import Disconnected, LineTooShort, LoopInLine, TooFewStations
 from metronet.evolve import GaConfig
 from metronet.geomodel import station_distances
@@ -17,7 +18,6 @@ from metronet.lines import (
     LineGenome,
     LineStageConfig,
     add_station,
-    canonical,
     crossover_lines,
     exchange_within_line,
     init_lines,
@@ -35,6 +35,11 @@ from metronet.netgraph import build, components
 
 def pts(*xy):
     return np.array(xy, dtype=float).reshape(-1, 2)
+
+
+def oriented(genome):
+    """Each line with its lexicographically smaller endpoint first: a line and its reverse are one track."""
+    return tuple(min(line, line[::-1]) for line in genome.lines)
 
 
 def assert_connected(lines, stations):
@@ -352,7 +357,7 @@ class TestInitLines:
         stations = pts((0, 0), (1000, 0))
         pop = init_lines(station_distances(stations), 1, 10, np.random.default_rng(0))
         for genome in pop:
-            assert canonical(genome) == LineGenome(((0, 1),))
+            assert oriented(genome) == ((0, 1),)
 
     def test_too_few_stations(self):
         with pytest.raises(TooFewStations):
@@ -378,7 +383,7 @@ class TestCanonical:
     def test_orientation_collapses(self):
         a = LineGenome(((2, 1, 0), (3, 4)))
         b = LineGenome(((0, 1, 2), (4, 3)))
-        assert canonical(a) == canonical(b)
+        assert oriented(a) == oriented(b)
 
 
 def exhaustive_single_line_optimum(stations, s):
@@ -423,7 +428,7 @@ class TestOptimizeLines:
         s = [500.0, 1500.0]
         cfg = LineStageConfig(line_count=1, ga=GaConfig(population_size=4, generations=2, rng_seed=0))
         best, _ = optimize_lines(stations, s, cfg)
-        assert canonical(best) == LineGenome(((0, 1),))
+        assert oriented(best) == ((0, 1),)
         assert line_fitness(best, stations, s).value == pytest.approx(3000.0 * 2000.0)
 
     def test_five_stations_single_line_hits_exhaustive_optimum(self):
@@ -478,7 +483,68 @@ class TestOptimizeLines:
         cfg = LineStageConfig(line_count=3, ga=GaConfig(population_size=12, generations=4, rng_seed=2))
         optimize_lines(stations, rng.uniform(100, 1000, 9), cfg)
         assert calls == ["run"]
-        assert len(repairs) > 12  # the initial population and every child
+        assert len(repairs) > 12  # the initial population and each child layout not seen before
+
+    @pytest.mark.parametrize("seed, penalty", [(1, 0.0), (2, 0.0), (1, 300.0)])
+    def test_repair_memo_changes_nothing(self, seed, penalty):
+        """The run equals evolve.run with plain repair and uncached fitness."""
+        # a memo keyed on the canonical layout, not the raw lines, fails all three
+        rng = np.random.default_rng(23)
+        stations = pts(*rng.uniform(-5000, 5000, (8, 2)))
+        s = rng.uniform(100, 1000, 8)
+        cfg = LineStageConfig(
+            line_count=3,
+            transfer_penalty_m=penalty,
+            ga=GaConfig(population_size=20, generations=20, rng_seed=seed),
+        )
+        best, history = optimize_lines(stations, s, cfg)
+
+        dist = station_distances(stations)
+        ga = replace(cfg.ga, objective_sense="minimize")
+        init_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+        reconnected = []
+
+        def plain_repair(genome):
+            out = repair(genome, dist)
+            reconnected.append(out is not genome)
+            return out
+
+        want_best, want_history = evolve.run(
+            init_lines(dist, cfg.line_count, ga.population_size, init_rng),
+            lambda g: line_fitness(g, stations, s, penalty).value,
+            crossover_lines,
+            lambda g, r: mutate_line(g, len(stations), r),
+            plain_repair,
+            ga,
+        )
+        assert sum(reconnected) >= 5  # children really get reconnected
+        assert best.lines == want_best.lines
+        assert history.records == want_history.records
+
+    # line_fitness calls of a cache keyed on each line oriented from its
+    # smaller end, lines sorted; a key that stops merging reversed lines
+    # reads 105 and 153, one that stops merging reordered line lists 59 and 104
+    @pytest.mark.parametrize("station_count, line_count, population_size, generations, want", [
+        (5, 1, 40, 200, 59),  # criterion 4's shape
+        (4, 2, 20, 30, 94),
+    ])
+    def test_fitness_cache_merges_reversed_and_reordered_lines(
+        self, monkeypatch, station_count, line_count, population_size, generations, want
+    ):
+        calls = []
+        real_fitness = lines_module.line_fitness
+
+        def counted_fitness(*args):
+            calls.append(args[0])
+            return real_fitness(*args)
+
+        monkeypatch.setattr(lines_module, "line_fitness", counted_fitness)
+        rng = np.random.default_rng(77)
+        stations = rng.uniform(-5000, 5000, (station_count, 2))
+        s = [float(v) for v in rng.uniform(100.0, 2000.0, station_count)]
+        ga = GaConfig(population_size=population_size, generations=generations, rng_seed=0)
+        optimize_lines(stations, s, LineStageConfig(line_count=line_count, ga=ga))
+        assert len(calls) == want
 
 
 def exhaustive_two_line_optimum(stations, s):
