@@ -5,7 +5,7 @@ attraction coverage; stage 2 evolves L lines over those stations minimizing
 demand-weighted pairwise shortest-path cost under connectivity constraints.
 """
 
-from .coverage import CoverageParams, CoverageReport
+from .coverage import CoverageParams
 from .evolve import EvolutionHistory, GaConfig
 from .geomodel import (
     DemandGrid,
@@ -20,15 +20,14 @@ from .geomodel import (
     rasterize,
     unproject,
 )
-from .lines import LineFitness, LineGenome, LineStageConfig, optimize_lines
+from .lines import LineFitness, LineStageConfig, optimize_lines
 from .netgraph import LineNetwork
-from .stations import StationGenome, StationStageConfig, optimize_stations
+from .stations import StationStageConfig, optimize_stations
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CoverageParams",
-    "CoverageReport",
     "DemandGrid",
     "District",
     "EvolutionHistory",
@@ -36,12 +35,10 @@ __all__ = [
     "GeneratorPoint",
     "GeoPoint",
     "LineFitness",
-    "LineGenome",
     "LineNetwork",
     "LineStageConfig",
     "PlanarPolygon",
     "Region",
-    "StationGenome",
     "StationStageConfig",
     "load_generators",
     "load_region",

@@ -13,29 +13,27 @@ from typing import Sequence
 
 import numpy as np
 
-from .coverage import CoverageReport
 from .errors import ParseError
 from .geomodel import PLANAR_BOUND_M, DemandGrid, GeoPoint, json_number, read_feature_collection, unproject
-from .lines import LineGenome
-from .stations import StationGenome
+from .lines import Layout
 
 
 def _dump_geojson(path: Path, doc: dict) -> None:
     Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-def write_stations_geojson(path: Path, genome: StationGenome, report: CoverageReport,
+def write_stations_geojson(path: Path, stations: np.ndarray, serviced: np.ndarray,
                            origin: GeoPoint) -> None:
-    lat, lon = (coord.tolist() for coord in unproject(genome.stations[:, 0], genome.stations[:, 1], origin))
+    lat, lon = (coord.tolist() for coord in unproject(stations[:, 0], stations[:, 1], origin))
     features = []
-    for i, (x, y) in enumerate(genome.stations.tolist()):
+    for i, (x, y) in enumerate(stations.tolist()):
         features.append(
             {
                 "type": "Feature",
                 "geometry": {"type": "Point", "coordinates": [lon[i], lat[i]]},
                 "properties": {
                     "station_id": i,
-                    "serviced_population": float(report.per_station[i]),
+                    "serviced_population": float(serviced[i]),
                     "x": x,
                     "y": y,
                 },
@@ -80,10 +78,10 @@ def read_stations_geojson(path: Path) -> tuple[np.ndarray, np.ndarray]:
     return stations, serviced
 
 
-def write_lines_geojson(path: Path, genome: LineGenome, stations: np.ndarray, origin: GeoPoint) -> None:
+def write_lines_geojson(path: Path, genome: Layout, stations: np.ndarray, origin: GeoPoint) -> None:
     lat, lon = (coord.tolist() for coord in unproject(stations[:, 0], stations[:, 1], origin))
     features = []
-    for li, line in enumerate(genome.lines):
+    for li, line in enumerate(genome):
         coords = [[lon[s], lat[s]] for s in line]
         features.append(
             {
@@ -95,7 +93,7 @@ def write_lines_geojson(path: Path, genome: LineGenome, stations: np.ndarray, or
     _dump_geojson(path, {"type": "FeatureCollection", "features": features})
 
 
-def read_lines_geojson(path: Path) -> LineGenome:
+def read_lines_geojson(path: Path) -> Layout:
     """Load a line layout; station ids are checked against the stations by ``validate``."""
     path = Path(path)
     features = read_feature_collection(path)
@@ -109,7 +107,7 @@ def read_lines_geojson(path: Path) -> LineGenome:
         lines[idx] = tuple(ids)
     if any(line is None for line in lines):
         raise ParseError(f"{path}: line_id values must cover 0..{len(features) - 1}")
-    return LineGenome(tuple(lines))  # type: ignore[arg-type]
+    return tuple(lines)  # type: ignore[arg-type]
 
 
 def write_grid_csv(path: Path, grid: DemandGrid) -> None:

@@ -238,10 +238,10 @@ def _grid(cfg, region, grid, generators, _extra, artifact) -> list[str]:
 
 def _optimize_stations(cfg, region, grid, generators, _extra, artifact) -> list[str]:
     """Stage 1 only: station placement."""
-    best, report, history = stations.optimize_stations(grid, generators, region.districts, cfg.stage1)
-    artifacts.write_stations_geojson(artifact("stations.geojson"), best, report, region.origin)
+    best, serviced, history = stations.optimize_stations(grid, generators, region.districts, cfg.stage1)
+    artifacts.write_stations_geojson(artifact("stations.geojson"), best, serviced, region.origin)
     history.write_csv(artifact("history_stage1.csv"))
-    results = [("stage1_best_fitness", repr(report.total))]
+    results = [("stage1_best_fitness", repr(float(serviced.sum())))]
     artifacts.write_manifest(artifact("manifest.txt"), _manifest_entries(cfg), results)
     return [f"{key} = {value}" for key, value in results]
 
@@ -256,26 +256,24 @@ def _read_stations(args: argparse.Namespace):
 
 def _optimize_lines(cfg, region, grid, generators, station_points, artifact) -> list[str]:
     """Stage 2 only, against a pre-existing stations artifact."""
-    report = coverage.evaluate(station_points, grid, generators, cfg.stage1.coverage)
-    best, history = lines.optimize_lines(station_points, report.per_station, cfg.stage2)
+    serviced = coverage.evaluate(station_points, grid, generators, cfg.stage1.coverage)
+    best, history = lines.optimize_lines(station_points, serviced, cfg.stage2)
     artifacts.write_lines_geojson(artifact("lines.geojson"), best, station_points, region.origin)
     history.write_csv(artifact("history_stage2.csv"))
-    fitness = lines.line_fitness(best, station_points, report.per_station, cfg.stage2.transfer_penalty_m)
+    fitness = lines.line_fitness(best, station_points, serviced, cfg.stage2.transfer_penalty_m)
     return [f"stage2_best_fitness = {fitness.value!r}"]
 
 
 def _run(cfg, region, grid, generators, _extra, artifact) -> list[str]:
     """Full pipeline: stage 1 stations feed their serviced counts into stage 2."""
-    best_st, report, hist1 = stations.optimize_stations(grid, generators, region.districts, cfg.stage1)
-    best_ln, hist2 = lines.optimize_lines(best_st.stations, report.per_station, cfg.stage2)
-    fitness2 = lines.line_fitness(
-        best_ln, best_st.stations, report.per_station, cfg.stage2.transfer_penalty_m
-    )
-    artifacts.write_stations_geojson(artifact("stations.geojson"), best_st, report, region.origin)
-    artifacts.write_lines_geojson(artifact("lines.geojson"), best_ln, best_st.stations, region.origin)
+    best_st, serviced, hist1 = stations.optimize_stations(grid, generators, region.districts, cfg.stage1)
+    best_ln, hist2 = lines.optimize_lines(best_st, serviced, cfg.stage2)
+    fitness2 = lines.line_fitness(best_ln, best_st, serviced, cfg.stage2.transfer_penalty_m)
+    artifacts.write_stations_geojson(artifact("stations.geojson"), best_st, serviced, region.origin)
+    artifacts.write_lines_geojson(artifact("lines.geojson"), best_ln, best_st, region.origin)
     hist1.write_csv(artifact("history_stage1.csv"))
     hist2.write_csv(artifact("history_stage2.csv"))
-    results = [("stage1_best_fitness", repr(report.total)), ("stage2_best_fitness", repr(fitness2.value))]
+    results = [("stage1_best_fitness", repr(float(serviced.sum()))), ("stage2_best_fitness", repr(fitness2.value))]
     artifacts.write_manifest(artifact("manifest.txt"), _manifest_entries(cfg), results)
     return [f"{key} = {value}" for key, value in results]
 
@@ -287,12 +285,12 @@ def validate_artifacts(stations_file: Path, lines_file: Path) -> str | None:
     line rule is reported; connectivity is checked once the layout holds.
     """
     station_points, _ = artifacts.read_stations_geojson(stations_file)
-    genome = artifacts.read_lines_geojson(lines_file)
+    layout = artifacts.read_lines_geojson(lines_file)
     try:
-        netgraph.build(genome.lines, station_points)
+        netgraph.build(layout, station_points)
     except (LineTooShort, LoopInLine, ValueError) as exc:
         return str(exc)
-    if len(set(netgraph.components(genome.lines, len(station_points)))) > 1:
+    if len(set(netgraph.components(layout, len(station_points)))) > 1:
         return "network is disconnected (some station unreachable)"
     return None
 

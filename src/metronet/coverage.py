@@ -39,18 +39,6 @@ class CoverageParams:
             raise ValueError(f"mode must be 'sum' or 'nearest', got {self.mode!r}")
 
 
-@dataclass(frozen=True, eq=False)
-class CoverageReport:
-    """Total covered demand and its per-station breakdown.
-
-    per_station[i] is the serviced-population count s_i = district share +
-    generator share; total is the sum of all s_i.
-    """
-
-    total: float
-    per_station: np.ndarray
-
-
 # Cells per block of the nearest-mode kernel: temporaries stay K x _NEAREST_CHUNK.
 _NEAREST_CHUNK = 2048
 
@@ -126,9 +114,9 @@ def generator_coverage(stations: np.ndarray, generators: Sequence[GeneratorPoint
 
 
 def evaluate(stations: np.ndarray, grid: DemandGrid,
-             generators: Sequence[GeneratorPoint], params: CoverageParams) -> CoverageReport:
-    """Full coverage fitness of an (N, 2) station array: district plus generator term, and s_i per station."""
-    if len(stations) == 0:
-        return CoverageReport(0.0, np.zeros(0))
-    per_station = district_coverage(stations, grid, params) + generator_coverage(stations, generators, params)
-    return CoverageReport(float(per_station.sum()), per_station)
+             generators: Sequence[GeneratorPoint], params: CoverageParams) -> np.ndarray:
+    """Serviced-population count s_i per station of an (N, 2) array: district plus generator share.
+
+    The stage-1 fitness, the total covered demand, is the sum of all s_i.
+    """
+    return district_coverage(stations, grid, params) + generator_coverage(stations, generators, params)

@@ -72,9 +72,6 @@ class EvolutionHistory:
 
     records: list[GenerationRecord] = field(default_factory=list)
 
-    def best_values(self) -> list[float]:
-        return [r.best_fitness for r in self.records]
-
     def write_csv(self, path: Path) -> None:
         with Path(path).open("w", newline="") as fh:
             writer = csv.writer(fh)

@@ -402,9 +402,10 @@ def _table_rows(path: Path, header: list[str]) -> Iterator[tuple[int, dict[str, 
 
 
 def load_densities(path: Path) -> dict[str, float]:
-    """Read the ``district_id,density_per_km2`` table."""
+    """Read the ``district_id,density_per_km2`` table; each district_id may appear once."""
     path = Path(path)
     out = {}
+    row_of = {}
     for i, row in _table_rows(path, ["district_id", "density_per_km2"]):
         try:
             district_id, density = row["district_id"].strip(), float(row["density_per_km2"])
@@ -412,7 +413,10 @@ def load_densities(path: Path) -> dict[str, float]:
             raise ParseError(f"{path}: row {i}: {exc}") from exc
         if not math.isfinite(density):
             raise ParseError(f"{path}: row {i}: density must be finite, got {density!r}")
+        if district_id in row_of:
+            raise ParseError(f"{path}: row {i}: district_id {district_id!r} repeats row {row_of[district_id]}")
         out[district_id] = density
+        row_of[district_id] = i
     return out
 
 

@@ -16,11 +16,8 @@ _MAX_MUTATION_TRIES = 16
 _CACHE_LIMIT = 200_000
 
 
-@dataclass(frozen=True)
-class LineGenome:
-    """Exactly L lines, each an ordered duplicate-free list of station indices."""
-
-    lines: tuple[tuple[int, ...], ...]
+# A stage-2 genome: exactly L lines, each an ordered duplicate-free tuple of station indices.
+Layout = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -43,7 +40,7 @@ class LineStageConfig:
             raise ValueError(f"transfer_penalty_m must be finite and >= 0, got {self.transfer_penalty_m}")
 
 
-def line_fitness(genome: LineGenome, stations: np.ndarray,
+def line_fitness(genome: Layout, stations: np.ndarray,
                  serviced: Sequence[float], transfer_penalty_m: float = 0.0) -> LineFitness:
     """Sum over unordered station pairs of d_ij * (s_i + s_j); ``stations`` is an (N, 2) array.
 
@@ -54,7 +51,7 @@ def line_fitness(genome: LineGenome, stations: np.ndarray,
     s = np.asarray(serviced, dtype=float)
     if len(s) != len(stations):
         raise ValueError(f"serviced counts ({len(s)}) must match stations ({len(stations)})")
-    net = netgraph.build(genome.lines, stations)
+    net = netgraph.build(genome, stations)
     d = netgraph.all_pairs_distances(net, transfer_penalty_m=transfer_penalty_m)
     if not np.isfinite(d).all():
         raise Disconnected("line layout leaves some station unreachable")
@@ -67,47 +64,47 @@ def line_fitness(genome: LineGenome, stations: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def exchange_within_line(genome: LineGenome, rng: np.random.Generator) -> LineGenome | None:
+def exchange_within_line(genome: Layout, rng: np.random.Generator) -> Layout | None:
     """(a) Swap the positions of two stations within one line."""
-    li = int(rng.integers(len(genome.lines)))
-    line = list(genome.lines[li])
+    li = int(rng.integers(len(genome)))
+    line = list(genome[li])
     i, j = rng.choice(len(line), size=2, replace=False)
     line[i], line[j] = line[j], line[i]
-    return _with_line(genome, li, line)
+    return genome[:li] + (tuple(line),) + genome[li + 1:]
 
 
-def reverse_segment(genome: LineGenome, rng: np.random.Generator) -> LineGenome | None:
+def reverse_segment(genome: Layout, rng: np.random.Generator) -> Layout | None:
     """(b) Reverse a contiguous sub-series of stations within one line."""
-    li = int(rng.integers(len(genome.lines)))
-    line = list(genome.lines[li])
+    li = int(rng.integers(len(genome)))
+    line = list(genome[li])
     i, j = sorted(rng.choice(len(line), size=2, replace=False))
     line[i : j + 1] = line[i : j + 1][::-1]
-    return _with_line(genome, li, line)
+    return genome[:li] + (tuple(line),) + genome[li + 1:]
 
 
-def swap_between_lines(genome: LineGenome, rng: np.random.Generator) -> LineGenome | None:
+def swap_between_lines(genome: Layout, rng: np.random.Generator) -> Layout | None:
     """(c) Exchange one station of line p with one station of line q."""
-    if len(genome.lines) < 2:
+    if len(genome) < 2:
         return None
-    p, q = (int(v) for v in rng.choice(len(genome.lines), size=2, replace=False))
-    line_p, line_q = list(genome.lines[p]), list(genome.lines[q])
+    p, q = (int(v) for v in rng.choice(len(genome), size=2, replace=False))
+    line_p, line_q = list(genome[p]), list(genome[q])
     ip = int(rng.integers(len(line_p)))
     iq = int(rng.integers(len(line_q)))
     u, v = line_p[ip], line_q[iq]
     if u == v or v in line_p or u in line_q:
         return None
     line_p[ip], line_q[iq] = v, u
-    lines = list(genome.lines)
+    lines = list(genome)
     lines[p], lines[q] = tuple(line_p), tuple(line_q)
-    return LineGenome(tuple(lines))
+    return tuple(lines)
 
 
-def transfer_station(genome: LineGenome, rng: np.random.Generator) -> LineGenome | None:
+def transfer_station(genome: Layout, rng: np.random.Generator) -> Layout | None:
     """(d) Move one station from line p to a random position in line q."""
-    if len(genome.lines) < 2:
+    if len(genome) < 2:
         return None
-    p, q = (int(v) for v in rng.choice(len(genome.lines), size=2, replace=False))
-    line_p, line_q = list(genome.lines[p]), list(genome.lines[q])
+    p, q = (int(v) for v in rng.choice(len(genome), size=2, replace=False))
+    line_p, line_q = list(genome[p]), list(genome[q])
     if len(line_p) < 3:  # the donor must keep >= 2 stations
         return None
     u = line_p[int(rng.integers(len(line_p)))]
@@ -115,44 +112,38 @@ def transfer_station(genome: LineGenome, rng: np.random.Generator) -> LineGenome
         return None
     line_p.remove(u)
     line_q.insert(int(rng.integers(len(line_q) + 1)), u)
-    lines = list(genome.lines)
+    lines = list(genome)
     lines[p], lines[q] = tuple(line_p), tuple(line_q)
-    return LineGenome(tuple(lines))
+    return tuple(lines)
 
 
-def remove_station(genome: LineGenome, rng: np.random.Generator) -> LineGenome | None:
+def remove_station(genome: Layout, rng: np.random.Generator) -> Layout | None:
     """(e) Delete one station from a line of length >= 3."""
-    li = int(rng.integers(len(genome.lines)))
-    line = list(genome.lines[li])
+    li = int(rng.integers(len(genome)))
+    line = list(genome[li])
     if len(line) < 3:
         return None
     del line[int(rng.integers(len(line)))]
-    return _with_line(genome, li, line)
+    return genome[:li] + (tuple(line),) + genome[li + 1:]
 
 
-def add_station(genome: LineGenome, station_count: int, rng: np.random.Generator) -> LineGenome | None:
+def add_station(genome: Layout, station_count: int, rng: np.random.Generator) -> Layout | None:
     """(f) Insert a station the line does not yet visit at a random position."""
-    li = int(rng.integers(len(genome.lines)))
-    line = list(genome.lines[li])
+    li = int(rng.integers(len(genome)))
+    line = list(genome[li])
     candidates = [s for s in range(station_count) if s not in line]
     if not candidates:
         return None
     station = candidates[int(rng.integers(len(candidates)))]
     line.insert(int(rng.integers(len(line) + 1)), station)
-    return _with_line(genome, li, line)
-
-
-def _with_line(genome: LineGenome, index: int, line: list[int]) -> LineGenome:
-    lines = list(genome.lines)
-    lines[index] = tuple(line)
-    return LineGenome(tuple(lines))
+    return genome[:li] + (tuple(line),) + genome[li + 1:]
 
 
 # (a)-(e) by draw index; index 5 is (f) add_station, which also takes the station count
 _MUTATIONS = (exchange_within_line, reverse_segment, swap_between_lines, transfer_station, remove_station)
 
 
-def mutate_line(genome: LineGenome, station_count: int, rng: np.random.Generator) -> LineGenome:
+def mutate_line(genome: Layout, station_count: int, rng: np.random.Generator) -> Layout:
     """Apply one of the six mutation types chosen uniformly.
 
     Inapplicable draws are resampled up to 16 times, then the always-valid
@@ -166,17 +157,17 @@ def mutate_line(genome: LineGenome, station_count: int, rng: np.random.Generator
     return reverse_segment(genome, rng)
 
 
-def crossover_lines(parent_a: LineGenome, parent_b: LineGenome,
-                    rng: np.random.Generator) -> tuple[LineGenome, LineGenome]:
+def crossover_lines(parent_a: Layout, parent_b: Layout,
+                    rng: np.random.Generator) -> tuple[Layout, Layout]:
     """Swap one uniformly chosen line between the parents.
 
     Children may come out disconnected; callers put them through repair.
     """
-    k = int(rng.integers(len(parent_a.lines)))
-    lines_a = list(parent_a.lines)
-    lines_b = list(parent_b.lines)
+    k = int(rng.integers(len(parent_a)))
+    lines_a = list(parent_a)
+    lines_b = list(parent_b)
     lines_a[k], lines_b[k] = lines_b[k], lines_a[k]
-    return LineGenome(tuple(lines_a)), LineGenome(tuple(lines_b))
+    return tuple(lines_a), tuple(lines_b)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +175,7 @@ def crossover_lines(parent_a: LineGenome, parent_b: LineGenome,
 # ---------------------------------------------------------------------------
 
 
-def repair(genome: LineGenome, dist: np.ndarray) -> LineGenome:
+def repair(genome: Layout, dist: np.ndarray) -> Layout:
     """Restore whole-network connectivity; a connected genome comes back as is.
 
     ``dist`` is the stations' ``station_distances`` matrix. Precondition:
@@ -199,10 +190,10 @@ def repair(genome: LineGenome, dist: np.ndarray) -> LineGenome:
     into station 0's, so it ends within station_count rounds.
     """
     n = len(dist)
-    comp = netgraph.components(genome.lines, n)
+    comp = netgraph.components(genome, n)
     if comp.count(comp[0]) == n:
         return genome
-    lines = list(genome.lines)
+    lines = list(genome)
     # Each attach merges station 0's component with one other whole
     # component, so these labels stay valid for the components outside it.
     comp = np.array(comp)
@@ -217,7 +208,7 @@ def repair(genome: LineGenome, dist: np.ndarray) -> LineGenome:
             # station 0 sits on no line: hook it onto the nearest line end anywhere
             joined = _attach_to_nearest_end(lines, range(len(lines)), 0, dist)
         inside |= comp == comp[joined]  # joined lay outside, so every round grows station 0's component
-    return LineGenome(tuple(lines))
+    return tuple(lines)
 
 
 def _nearest_other(dist: np.ndarray, a: int) -> int:
@@ -262,7 +253,7 @@ def _nearest_neighbor_chain(subset: np.ndarray, dist: np.ndarray,
 
 
 def init_lines(dist: np.ndarray, line_count: int,
-               population_size: int, rng: np.random.Generator) -> list[LineGenome]:
+               population_size: int, rng: np.random.Generator) -> list[Layout]:
     """Seed genomes: shuffle stations, split into chains, pad to L lines, repair.
 
     ``dist`` is the stations' ``station_distances`` matrix. When stations are
@@ -283,7 +274,7 @@ def init_lines(dist: np.ndarray, line_count: int,
         while len(chains) < line_count:
             a = int(rng.integers(n))
             chains.append((a, _nearest_other(dist, a)))
-        population.append(repair(LineGenome(tuple(chains)), dist))
+        population.append(repair(tuple(chains), dist))
     return population
 
 
@@ -292,7 +283,7 @@ def optimize_lines(
     serviced: Sequence[float],
     config: LineStageConfig,
     on_generation: GenerationHook | None = None,
-) -> tuple[LineGenome, EvolutionHistory]:
+) -> tuple[Layout, EvolutionHistory]:
     """Run the stage-2 GA over line layouts for a fixed (N, 2) station array."""
     dist = station_distances(stations)
     s = np.asarray(serviced, dtype=float)
@@ -302,24 +293,24 @@ def optimize_lines(
 
     # Most children repeat a layout already seen, so both memos below do
     # their work once per distinct key. repair attaches at the nearest line
-    # end, so its output depends on orientation: it is keyed on the raw
-    # lines. A line and its reverse are the same track, and line order does
+    # end, so its output depends on orientation: it is keyed on the genome
+    # itself. A line and its reverse are the same track, and line order does
     # not matter, so fitness is keyed on the canonical layout; the first
     # orientation seen prices it (another may differ in the last bits).
-    repaired: dict[tuple, LineGenome] = {}
+    repaired: dict[Layout, Layout] = {}
     cache: dict[tuple, LineFitness] = {}
 
-    def validator(genome: LineGenome) -> LineGenome:
-        hit = repaired.get(genome.lines)
+    def validator(genome: Layout) -> Layout:
+        hit = repaired.get(genome)
         if hit is None:
             if len(repaired) >= _CACHE_LIMIT:
                 repaired.clear()
             hit = repair(genome, dist)
-            repaired[genome.lines] = hit
+            repaired[genome] = hit
         return hit
 
-    def fitness(genome: LineGenome) -> float:
-        key = tuple(sorted([min(line, line[::-1]) for line in genome.lines]))
+    def fitness(genome: Layout) -> float:
+        key = tuple(sorted([min(line, line[::-1]) for line in genome]))
         hit = cache.get(key)
         if hit is None:
             if len(cache) >= _CACHE_LIMIT:
@@ -328,7 +319,7 @@ def optimize_lines(
             cache[key] = hit
         return hit.value
 
-    def mutation(genome: LineGenome, rng: np.random.Generator) -> LineGenome:
+    def mutation(genome: Layout, rng: np.random.Generator) -> Layout:
         return mutate_line(genome, len(stations), rng)
 
     return evolve.run(

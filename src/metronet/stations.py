@@ -8,7 +8,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import coverage, evolve
-from .coverage import CoverageParams, CoverageReport
+from .coverage import CoverageParams
 from .evolve import EvolutionHistory, GaConfig, GenerationHook
 from .geomodel import (
     DemandGrid,
@@ -22,21 +22,14 @@ _MAX_OFFSET_TRIES = 16
 _MAX_JITTER_TRIES = 8
 
 
-@dataclass(frozen=True, eq=False)
-class StationGenome:
-    """Exactly K candidate stations in order: a (K, 2) float array of planar x, y.
+def _frozen(stations: np.ndarray) -> np.ndarray:
+    """A stage-1 genome: K stations in order as a (K, 2) float array of planar x, y.
 
-    The genome makes the array it is given read-only, so a child never shares
-    a writeable array with its parents.
+    Every genome is made read-only, so a child never shares a writeable array
+    with its parents.
     """
-
-    stations: np.ndarray
-
-    def __post_init__(self):
-        self.stations.flags.writeable = False
-
-    def __len__(self) -> int:
-        return len(self.stations)
+    stations.flags.writeable = False
+    return stations
 
 
 @dataclass(frozen=True)
@@ -73,7 +66,7 @@ def init_population(
     station_count: int,
     population_size: int,
     rng: np.random.Generator,
-) -> list[StationGenome]:
+) -> list[np.ndarray]:
     """Seed genomes by population-weighted cell sampling with in-cell jitter."""
     weights = grid.population / grid.total_population
     half = grid.cell_size / 2.0
@@ -90,16 +83,16 @@ def init_population(
                     point = jittered
                     break
             points.append(point)
-        population.append(StationGenome(np.array(points)))
+        population.append(_frozen(np.array(points)))
     return population
 
 
 def mutate(
-    genome: StationGenome,
+    genome: np.ndarray,
     mutation_sigma: float,
     rng: np.random.Generator,
     districts: Sequence[District],
-) -> StationGenome:
+) -> np.ndarray:
     """Shift one uniformly chosen station by a Normal(0, sigma) offset per axis.
 
     Offsets that leave the study area are resampled up to 16 times; the last
@@ -107,52 +100,50 @@ def mutate(
     """
     k = int(rng.integers(len(genome)))
     for _ in range(_MAX_OFFSET_TRIES):
-        moved = genome.stations[k] + rng.normal(0.0, mutation_sigma, size=2)
+        moved = genome[k] + rng.normal(0.0, mutation_sigma, size=2)
         if point_in_region(moved, districts):
             break
     else:
         moved, _ = nearest_boundary_point(moved, districts)
-    stations = genome.stations.copy()
+    stations = genome.copy()
     stations[k] = moved
-    return StationGenome(stations)
+    return _frozen(stations)
 
 
 def crossover(
-    parent_a: StationGenome,
-    parent_b: StationGenome,
+    parent_a: np.ndarray,
+    parent_b: np.ndarray,
     rng: np.random.Generator,
-) -> tuple[StationGenome, StationGenome]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Uniform per-slot crossover: each index swaps or keeps the parental pair."""
     swap = rng.random(len(parent_a))[:, None] < 0.5
-    a, b = parent_a.stations, parent_b.stations
-    return StationGenome(np.where(swap, b, a)), StationGenome(np.where(swap, a, b))
+    return _frozen(np.where(swap, parent_b, parent_a)), _frozen(np.where(swap, parent_a, parent_b))
 
 
 def _coverage_of(
     grid: DemandGrid,
     generators: Sequence[GeneratorPoint],
     params: CoverageParams,
-) -> Callable[[np.ndarray], CoverageReport]:
-    """Coverage report of a station array, memoized per (x, y) coordinate in sum mode.
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Per-station coverage of a station array, memoized per (x, y) coordinate in sum mode.
 
     A sum-mode share depends only on the station's own coordinate, so each
-    coordinate is evaluated once and the report is assembled from the memo;
-    it equals ``coverage.evaluate`` of the whole array bit for bit. Nearest
+    coordinate is evaluated once and the shares are assembled from the memo;
+    they equal ``coverage.evaluate`` of the whole array bit for bit. Nearest
     mode is not separable and evaluates every array in full.
     """
     if params.mode != "sum":
         return lambda stations: coverage.evaluate(stations, grid, generators, params)
     shares: dict[tuple[float, float], float] = {}
 
-    def report(stations: np.ndarray) -> CoverageReport:
+    def per_station(stations: np.ndarray) -> np.ndarray:
         points = [tuple(p) for p in stations.tolist()]
         missing = list(dict.fromkeys(p for p in points if p not in shares))
         if missing:
-            shares.update(zip(missing, coverage.evaluate(np.array(missing), grid, generators, params).per_station))
-        per_station = np.array([shares[p] for p in points])
-        return CoverageReport(float(per_station.sum()), per_station)
+            shares.update(zip(missing, coverage.evaluate(np.array(missing), grid, generators, params)))
+        return np.array([shares[p] for p in points])
 
-    return report
+    return per_station
 
 
 def optimize_stations(
@@ -161,8 +152,8 @@ def optimize_stations(
     districts: Sequence[District],
     config: StationStageConfig,
     on_generation: GenerationHook | None = None,
-) -> tuple[StationGenome, CoverageReport, EvolutionHistory]:
-    """Run the stage-1 GA; returns the best genome, its coverage report, and history."""
+) -> tuple[np.ndarray, np.ndarray, EvolutionHistory]:
+    """Run the stage-1 GA; returns the best (K, 2) station array, its per-station coverage, and history."""
     config = config.sized(grid.total_population)
     ga = replace(config.ga, objective_sense="maximize")
     init_rng = np.random.default_rng(np.random.SeedSequence(ga.rng_seed, spawn_key=(0,)))
@@ -170,10 +161,10 @@ def optimize_stations(
 
     coverage_of = _coverage_of(grid, generators, config.coverage)
 
-    def fitness(genome: StationGenome) -> float:
-        return coverage_of(genome.stations).total
+    def fitness(genome: np.ndarray) -> float:
+        return float(coverage_of(genome).sum())
 
-    def mutation(genome: StationGenome, rng: np.random.Generator) -> StationGenome:
+    def mutation(genome: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return mutate(genome, config.mutation_sigma, rng, districts)
 
     # The operators keep every station inside, so the validator has nothing
@@ -190,4 +181,4 @@ def optimize_stations(
         ga,
         on_generation=on_generation,
     )
-    return best, coverage_of(best.stations), history
+    return best, coverage_of(best), history

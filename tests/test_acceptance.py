@@ -75,8 +75,8 @@ def test_criterion_01_coverage_oracle_equivalence():
                 expect[i] += pop * math.exp(-((sx - cx) ** 2 + (sy - cy) ** 2) / sigma**2)
             for g in generators:
                 expect[i] += g.daily_visitors * math.exp(-((sx - g.x) ** 2 + (sy - g.y) ** 2) / sigma**2)
-        worst = max(worst, float(np.max(np.abs(got.per_station - expect) / np.maximum(expect, 1e-300))))
-        worst = max(worst, abs(got.total - expect.sum()) / expect.sum())
+        worst = max(worst, float(np.max(np.abs(got - expect) / np.maximum(expect, 1e-300))))
+        worst = max(worst, abs(float(got.sum()) - expect.sum()) / expect.sum())
     elapsed = time.perf_counter() - start
     passed = worst < 1e-9 and elapsed < 5.0
     report(1, "coverage oracle equivalence", passed, f"worst rel err {worst:.2e}, {elapsed:.2f}s")
@@ -133,8 +133,8 @@ def test_criterion_03_stage1_near_optimality():
             ga=GaConfig(population_size=50, generations=10, rng_seed=seed),
             coverage=params,
         )
-        _, result, _ = optimize_stations(grid, (), [square], cfg)
-        if result.total >= 0.98 * oracle:
+        _, serviced, _ = optimize_stations(grid, (), [square], cfg)
+        if serviced.sum() >= 0.98 * oracle:
             hits += 1
     elapsed = time.perf_counter() - start
     passed = hits >= 95 and elapsed < 60.0
@@ -239,29 +239,36 @@ def test_criterion_05_constraint_preservation(pipeline_fixture):
         from metronet.geomodel import point_in_region
 
         for genome in pop:
-            if len(genome.stations) != 12:
-                violations.append(f"stage1 gen {gen}: wrong station count")
-            for p in genome.stations:
+            # a genome is the bare read-only (K, 2) float array
+            if not (type(genome) is np.ndarray and genome.shape == (12, 2) and genome.dtype == np.float64):
+                violations.append(f"stage1 gen {gen}: not a (12, 2) float64 array")
+            if genome.flags.writeable:
+                violations.append(f"stage1 gen {gen}: writeable genome")
+            for p in genome:
                 if not point_in_region(p, region.districts):
                     violations.append(f"stage1 gen {gen}: station outside districts")
 
-    best, coverage_report, _ = optimize_stations(
+    best, serviced, _ = optimize_stations(
         grid, generators, region.districts, station_cfg, on_generation=check_station_genomes
     )
 
     def check_line_genomes(gen, pop, fits):
         for genome in pop:
-            for li, line in enumerate(genome.lines):
+            # a genome is a tuple of tuples of Python ints: json.dumps in write_lines_geojson rejects numpy ints
+            if not (type(genome) is tuple and all(type(line) is tuple for line in genome)
+                    and all(type(s) is int for line in genome for s in line)):
+                violations.append(f"stage2 gen {gen}: not a tuple of tuples of int")
+            for li, line in enumerate(genome):
                 if len(line) < 2:
                     violations.append(f"stage2 gen {gen} line {li}: too short")
                 if len(set(line)) != len(line):
                     violations.append(f"stage2 gen {gen} line {li}: loop")
-            build(genome.lines, best.stations)
-            if len(set(components(genome.lines, len(best.stations)))) > 1:
+            build(genome, best)
+            if len(set(components(genome, len(best)))) > 1:
                 violations.append(f"stage2 gen {gen}: disconnected")
 
     line_cfg = LineStageConfig(line_count=5, ga=GaConfig(population_size=50, generations=10, rng_seed=1))
-    optimize_lines(best.stations, coverage_report.per_station, line_cfg, on_generation=check_line_genomes)
+    optimize_lines(best, serviced, line_cfg, on_generation=check_line_genomes)
 
     passed = not violations
     report(5, "constraint preservation", passed, f"{len(violations)} violations")
@@ -388,8 +395,8 @@ def test_criterion_10_quadrature_convergence(two_district_region):
         (7000.0, 500.0),
     ])
     params = CoverageParams(800.0)
-    coarse = evaluate(stations, rasterize(two_district_region, 1000.0), (), params).total
-    fine = evaluate(stations, rasterize(two_district_region, 500.0), (), params).total
+    coarse = float(evaluate(stations, rasterize(two_district_region, 1000.0), (), params).sum())
+    fine = float(evaluate(stations, rasterize(two_district_region, 500.0), (), params).sum())
     rel = abs(fine - coarse) / fine
     passed = rel < 0.01
     report(10, "quadrature convergence", passed, f"rel change {rel:.4%}")

@@ -279,6 +279,17 @@ class TestGridCommand:
         err = capsys.readouterr().err
         assert "densities.csv: row 2" in err and "finite" in err
 
+    def test_duplicate_density_row_exit_2(self, tmp_path, capsys):
+        # the repeated row used to replace the first: exit 0 with twice the population
+        densities = tmp_path / "densities.csv"
+        densities.write_text((DATA_DIR / "selangor_densities.csv").read_text() + "selangor,2200\n")
+        argv = ["grid", "--boundaries", str(DATA_DIR / "selangor_boundary.geojson"),
+                "--densities", str(densities), "--out", str(tmp_path / "o")]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "row 3: district_id 'selangor' repeats row 2" in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("visitors", ["nan", "inf"])
     def test_non_finite_visitors_exit_2(self, tmp_path, capsys, region_files, visitors):
         generators = write_generator_file(tmp_path, [("Mall", 100, 0.0, 0.0), ("Bad", 1, 0.0, 0.0)])
@@ -421,18 +432,14 @@ class TestRunCommand:
             ])]
         )
         from metronet.geomodel import load_region
-        from metronet.stations import StationGenome
 
         stations, serviced = artifacts.read_stations_geojson(out / "stations.geojson")
         genome = artifacts.read_lines_geojson(out / "lines.geojson")
 
         # rewrite from the loaded values: bytes must match (lossless float repr)
-        class FakeReport:
-            per_station = serviced
-
         region = load_region(region_files["boundaries"], region_files["densities"])
         rewritten = tmp_path / "rewrite.geojson"
-        artifacts.write_stations_geojson(rewritten, StationGenome(stations), FakeReport, region.origin)
+        artifacts.write_stations_geojson(rewritten, stations, serviced, region.origin)
         assert rewritten.read_bytes() == (out / "stations.geojson").read_bytes()
         rewritten_lines = tmp_path / "rewrite_lines.geojson"
         artifacts.write_lines_geojson(rewritten_lines, genome, stations, region.origin)

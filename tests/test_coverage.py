@@ -165,41 +165,40 @@ class TestGeneratorCoverage:
 class TestEvaluate:
     def test_zero_stations(self):
         grid = single_cell_grid(0.0, 0.0, 100.0)
-        report = evaluate(np.zeros((0, 2)), grid, [], CoverageParams(800.0))
-        assert report.total == 0.0
-        assert len(report.per_station) == 0
+        per_station = evaluate(np.zeros((0, 2)), grid, [], CoverageParams(800.0))
+        assert per_station.shape == (0,)
+        assert per_station.sum() == 0.0
 
     def test_station_on_cell_with_colocated_generator(self):
         grid = single_cell_grid(0.0, 0.0, 100.0)
         g = make_generator("g", 50.0, 0.0, 0.0)
-        report = evaluate(np.array([(0.0, 0.0)]), grid, [g], CoverageParams(800.0))
-        assert report.total == pytest.approx(150.0)
-        assert report.per_station[0] == pytest.approx(150.0)
+        per_station = evaluate(np.array([(0.0, 0.0)]), grid, [g], CoverageParams(800.0))
+        assert per_station.tolist() == [pytest.approx(150.0)]
 
     def test_random_instance_matches_oracle(self):
         rng = np.random.default_rng(7)
         stations, grid, generators = random_instance(rng, 5, 20, 3)
         params = CoverageParams(800.0)
-        report = evaluate(stations, grid, generators, params)
+        per_station = evaluate(stations, grid, generators, params)
         want = np.array(oracle_district(stations, grid, 800.0)) + np.array(
             oracle_generator(stations, generators, 800.0)
         )
-        assert np.allclose(report.per_station, want, rtol=1e-9)
-        assert report.total == pytest.approx(want.sum(), rel=1e-9)
+        assert np.allclose(per_station, want, rtol=1e-9)
+        assert per_station.sum() == pytest.approx(want.sum(), rel=1e-9)
 
-    def test_per_station_sums_to_total(self):
+    def test_per_station_non_negative(self):
         rng = np.random.default_rng(8)
         stations, grid, generators = random_instance(rng, 6, 30, 4)
-        report = evaluate(stations, grid, generators, CoverageParams(800.0))
-        assert report.total == pytest.approx(float(report.per_station.sum()), rel=1e-12)
-        assert np.all(report.per_station >= 0)
+        per_station = evaluate(stations, grid, generators, CoverageParams(800.0))
+        assert per_station.shape == (6,)
+        assert np.all(per_station >= 0)
 
     def test_adding_station_never_decreases_total(self):
         rng = np.random.default_rng(11)
         stations, grid, generators = random_instance(rng, 4, 20, 2)
         params = CoverageParams(800.0)
-        base = evaluate(stations, grid, generators, params).total
-        grown = evaluate(np.vstack([stations, (9000.0, 9000.0)]), grid, generators, params).total
+        base = evaluate(stations, grid, generators, params).sum()
+        grown = evaluate(np.vstack([stations, (9000.0, 9000.0)]), grid, generators, params).sum()
         assert grown >= base
 
     @given(offset=st.floats(-20000, 20000, allow_nan=False))
@@ -215,8 +214,8 @@ class TestEvaluate:
             [make_generator(g.name, g.daily_visitors, g.x + offset, g.y + offset) for g in generators],
             params,
         )
-        assert moved.total == pytest.approx(base.total, rel=1e-12)
-        assert np.allclose(moved.per_station, base.per_station, rtol=1e-12)
+        assert moved.sum() == pytest.approx(base.sum(), rel=1e-12)
+        assert np.allclose(moved, base, rtol=1e-12)
 
 
 @st.composite
@@ -281,15 +280,15 @@ class TestNearestMode:
     def test_single_station_same_as_sum(self):
         rng = np.random.default_rng(17)
         stations, grid, generators = random_instance(rng, 1, 10, 2)
-        total_sum = evaluate(stations, grid, generators, CoverageParams(800.0, mode="sum")).total
-        total_near = evaluate(stations, grid, generators, CoverageParams(800.0, mode="nearest")).total
+        total_sum = evaluate(stations, grid, generators, CoverageParams(800.0, mode="sum")).sum()
+        total_near = evaluate(stations, grid, generators, CoverageParams(800.0, mode="nearest")).sum()
         assert total_near == pytest.approx(total_sum, rel=1e-12)
 
     def test_nearest_never_exceeds_sum(self):
         rng = np.random.default_rng(19)
         stations, grid, generators = random_instance(rng, 5, 25, 3)
-        total_sum = evaluate(stations, grid, generators, CoverageParams(800.0, mode="sum")).total
-        total_near = evaluate(stations, grid, generators, CoverageParams(800.0, mode="nearest")).total
+        total_sum = evaluate(stations, grid, generators, CoverageParams(800.0, mode="sum")).sum()
+        total_near = evaluate(stations, grid, generators, CoverageParams(800.0, mode="nearest")).sum()
         assert total_near <= total_sum + 1e-9
 
     def test_each_point_counted_once(self):
@@ -328,7 +327,7 @@ class TestExactFastPaths:
         generator = generator_coverage(stations, generators, params)
         assert np.array_equal(district, unchunked_nearest_shares(stations, grid.x, grid.y, grid.population, 800.0))
         assert np.array_equal(generator, unchunked_nearest_shares(stations, gx, gy, gw, 800.0))
-        assert np.array_equal(evaluate(stations, grid, generators, params).per_station, district + generator)
+        assert np.array_equal(evaluate(stations, grid, generators, params), district + generator)
 
     def test_sum_share_independent_of_batch(self):
         rng = np.random.default_rng(29)
@@ -339,7 +338,7 @@ class TestExactFastPaths:
         generator = generator_coverage(stations, generators, params)
         for i in range(len(stations)):
             one = stations[i : i + 1]
-            assert evaluate(one, grid, generators, params).per_station[0] == batch.per_station[i]
+            assert evaluate(one, grid, generators, params)[0] == batch[i]
             assert district_coverage(one, grid, params)[0] == district[i]
             assert generator_coverage(one, generators, params)[0] == generator[i]
 

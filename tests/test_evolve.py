@@ -153,7 +153,7 @@ class TestRun:
     def test_elitism_makes_best_monotone(self):
         cfg = GaConfig(population_size=20, generations=15, elite_count=1, rng_seed=6)
         _, history = run(_toy_population(20), _fitness, _crossover, _mutation, _identity, cfg)
-        best = history.best_values()
+        best = [r.best_fitness for r in history.records]
         assert all(b2 >= b1 for b1, b2 in zip(best, best[1:]))
 
     def test_elites_carried_over_unchanged(self):
@@ -249,7 +249,7 @@ class TestRun:
             _toy_population(30, seed=7), lambda x: (x - 7.0) ** 2, _crossover, _mutation, _identity, cfg
         )
         assert abs(best - 7.0) < 0.5
-        vals = history.best_values()
+        vals = [r.best_fitness for r in history.records]
         assert all(b2 <= b1 for b1, b2 in zip(vals, vals[1:]))
 
 

@@ -239,6 +239,13 @@ class TestLoadRegion:
         densities.write_text("district_id, density_per_km2 \na,10\n")
         assert load_region(boundaries, densities).districts[0].density == 10.0
 
+    def test_repeated_density_row_rejected(self, tmp_path):
+        # a later row must not silently replace an earlier one, even with the same value
+        boundaries, densities = write_region_files(tmp_path, [("a", -500, -500, 500, 500, 10)])
+        densities.write_text("district_id,density_per_km2\na,10\nother,5\n a ,10\n")
+        with pytest.raises(ParseError, match="row 4: district_id 'a' repeats row 2"):
+            load_region(boundaries, densities)
+
     def test_field_over_csv_limit(self, tmp_path):
         boundaries, densities = write_region_files(tmp_path, [("a", -500, -500, 500, 500, 10)])
         densities.write_text(f'district_id,density_per_km2\n"{"a" * 200_000}",10\n')

@@ -15,7 +15,6 @@ from metronet.errors import Disconnected, LineTooShort, LoopInLine, TooFewStatio
 from metronet.evolve import GaConfig
 from metronet.geomodel import station_distances
 from metronet.lines import (
-    LineGenome,
     LineStageConfig,
     add_station,
     crossover_lines,
@@ -39,7 +38,7 @@ def pts(*xy):
 
 def oriented(genome):
     """Each line with its lexicographically smaller endpoint first: a line and its reverse are one track."""
-    return tuple(min(line, line[::-1]) for line in genome.lines)
+    return tuple(min(line, line[::-1]) for line in genome)
 
 
 def assert_connected(lines, stations):
@@ -63,26 +62,26 @@ class ScriptedRng:
 
 def assert_valid_genome(genome, station_count, line_count=None):
     if line_count is not None:
-        assert len(genome.lines) == line_count
-    for line in genome.lines:
+        assert len(genome) == line_count
+    for line in genome:
         assert len(line) >= 2
         assert len(set(line)) == len(line)
         assert all(0 <= s < station_count for s in line)
 
 
 def placements(genome):
-    return sorted(s for line in genome.lines for s in line)
+    return sorted(s for line in genome for s in line)
 
 
 class TestLineFitness:
     def test_single_pair(self):
         stations = pts((0, 0), (2000, 0))
-        f = line_fitness(LineGenome(((0, 1),)), stations, [1000.0, 3000.0])
+        f = line_fitness(((0, 1),), stations, [1000.0, 3000.0])
         assert f.value == pytest.approx(2000.0 * 4000.0)
 
     def test_three_station_path_by_hand(self):
         stations = pts((0, 0), (1000, 0), (2000, 0))
-        f = line_fitness(LineGenome(((0, 1, 2),)), stations, [1.0, 1.0, 1.0])
+        f = line_fitness(((0, 1, 2),), stations, [1.0, 1.0, 1.0])
         # pairs: (0,1) 1000*2 + (1,2) 1000*2 + (0,2) 2000*2
         assert f.value == pytest.approx(8000.0)
 
@@ -90,18 +89,18 @@ class TestLineFitness:
         stations = pts((0, 0), (1000, 0), (5000, 0), (6000, 0))
         s = [10.0, 10.0, 10.0, 10.0]
         with pytest.raises(Disconnected, match="unreachable"):
-            line_fitness(LineGenome(((0, 1), (2, 3))), stations, s)
+            line_fitness(((0, 1), (2, 3)), stations, s)
         # a station on no line is unreachable too
         with pytest.raises(Disconnected):
-            line_fitness(LineGenome(((0, 1, 2),)), stations, s)
-        assert line_fitness(LineGenome(((0, 1, 2, 3),)), stations, s).value == pytest.approx(440000.0)
+            line_fitness(((0, 1, 2),), stations, s)
+        assert line_fitness(((0, 1, 2, 3),), stations, s).value == pytest.approx(440000.0)
 
     @settings(max_examples=200, deadline=None)
     @given(layouts(), st.data())
     def test_matches_pairwise_loop_oracle(self, layout, data):
         n, stations, lines = layout
         s = data.draw(st.lists(st.floats(0.0, 1e6, allow_subnormal=False), min_size=n, max_size=n))
-        genome = LineGenome(tuple(tuple(line) for line in lines))
+        genome = tuple(tuple(line) for line in lines)
         for penalty in (0.0, 250.0):
             d = dijkstra_reference(stations, lines, penalty)
             if np.isfinite(d).all():
@@ -118,89 +117,89 @@ class TestLineFitness:
 class TestMutationOperators:
     def test_reverse_segment_example(self):
         # positions 1..3 of a 5-station line flip in place
-        genome = LineGenome(((10, 11, 12, 13, 14),))
+        genome = ((10, 11, 12, 13, 14),)
         rng = ScriptedRng(integers=[0], choices=[[1, 3]])
-        assert reverse_segment(genome, rng).lines[0] == (10, 13, 12, 11, 14)
+        assert reverse_segment(genome, rng)[0] == (10, 13, 12, 11, 14)
 
     def test_exchange_example(self):
-        genome = LineGenome(((10, 11, 12, 13),))
+        genome = ((10, 11, 12, 13),)
         rng = ScriptedRng(integers=[0], choices=[[0, 2]])
-        assert exchange_within_line(genome, rng).lines[0] == (12, 11, 10, 13)
+        assert exchange_within_line(genome, rng)[0] == (12, 11, 10, 13)
 
     def test_remove_guard_on_two_station_line(self):
-        genome = LineGenome(((0, 1), (2, 3, 4)))
+        genome = ((0, 1), (2, 3, 4))
         rng = ScriptedRng(integers=[0])  # picks the 2-station line
         assert remove_station(genome, rng) is None
 
     def test_remove_from_long_line(self):
-        genome = LineGenome(((0, 1, 2),))
+        genome = ((0, 1, 2),)
         rng = ScriptedRng(integers=[0, 1])
-        assert remove_station(genome, rng).lines[0] == (0, 2)
+        assert remove_station(genome, rng)[0] == (0, 2)
 
     def test_add_duplicate_is_inapplicable(self):
-        genome = LineGenome(((0, 1),))
+        genome = ((0, 1),)
         # both stations already present: no candidates
         assert add_station(genome, 2, ScriptedRng(integers=[0])) is None
 
     def test_add_inserts_at_every_position(self):
-        genome = LineGenome(((0, 1),))
+        genome = ((0, 1),)
         results = set()
         for pos in range(3):
             rng = ScriptedRng(integers=[0, 0, pos])  # line 0, candidate 2, position
-            results.add(add_station(genome, 3, rng).lines[0])
+            results.add(add_station(genome, 3, rng)[0])
         assert results == {(2, 0, 1), (0, 2, 1), (0, 1, 2)}
 
     def test_swap_between_lines(self):
-        genome = LineGenome(((0, 1), (2, 3)))
+        genome = ((0, 1), (2, 3))
         rng = ScriptedRng(integers=[0, 1], choices=[[0, 1]])  # swap station 0 with 3
         swapped = swap_between_lines(genome, rng)
-        assert swapped.lines == ((3, 1), (2, 0))
+        assert swapped == ((3, 1), (2, 0))
 
     def test_swap_rejects_duplicate_result(self):
         # station 1 is shared; pulling it into line 0 would duplicate it there
-        genome = LineGenome(((0, 1), (1, 2)))
+        genome = ((0, 1), (1, 2))
         rng = ScriptedRng(integers=[0, 0], choices=[[0, 1]])
         assert swap_between_lines(genome, rng) is None
 
     def test_transfer_moves_one_station(self):
-        genome = LineGenome(((0, 1, 2), (3, 4)))
+        genome = ((0, 1, 2), (3, 4))
         rng = ScriptedRng(integers=[1, 1], choices=[[0, 1]])  # move station 1 into line 1 at slot 1
         moved = transfer_station(genome, rng)
-        assert moved.lines == ((0, 2), (3, 1, 4))
+        assert moved == ((0, 2), (3, 1, 4))
 
     def test_transfer_guard_short_donor(self):
-        genome = LineGenome(((0, 1), (2, 3)))
+        genome = ((0, 1), (2, 3))
         rng = ScriptedRng(choices=[[0, 1]])
         assert transfer_station(genome, rng) is None
 
     @pytest.mark.parametrize("seed", range(40))
     def test_mutate_line_outputs_stay_unique_per_line(self, seed):
-        genome = LineGenome(((0, 1, 2), (3, 4), (5, 6, 7)))
+        genome = ((0, 1, 2), (3, 4), (5, 6, 7))
         rng = np.random.default_rng(seed)
         mutated = mutate_line(genome, 8, rng)
-        for line in mutated.lines:
+        for line in mutated:
             assert len(line) >= 2
             assert len(set(line)) == len(line)
-        assert len(mutated.lines) == 3
+        assert len(mutated) == 3
 
     def test_multiset_invariants_per_type(self):
-        genome = LineGenome(((0, 1, 2, 3), (4, 5, 6)))
+        genome = ((0, 1, 2, 3), (4, 5, 6))
         for seed in range(60):
             rng = np.random.default_rng(seed)
             out = exchange_within_line(genome, rng)
-            assert sorted(map(sorted, out.lines)) == sorted(map(sorted, genome.lines))
+            assert sorted(map(sorted, out)) == sorted(map(sorted, genome))
             rng = np.random.default_rng(seed)
             out = reverse_segment(genome, rng)
-            assert sorted(map(sorted, out.lines)) == sorted(map(sorted, genome.lines))
+            assert sorted(map(sorted, out)) == sorted(map(sorted, genome))
             rng = np.random.default_rng(seed)
             out = swap_between_lines(genome, rng)
             if out is not None:
-                assert [len(l) for l in out.lines] == [4, 3]
+                assert [len(l) for l in out] == [4, 3]
                 assert placements(out) == placements(genome)
             rng = np.random.default_rng(seed)
             out = transfer_station(genome, rng)
             if out is not None:
-                assert sorted(len(l) for l in out.lines) in ([3, 4], [2, 5])
+                assert sorted(len(l) for l in out) in ([3, 4], [2, 5])
                 assert placements(out) == placements(genome)
             rng = np.random.default_rng(seed)
             out = remove_station(genome, rng)
@@ -214,23 +213,23 @@ class TestMutationOperators:
 
 class TestCrossover:
     def test_identical_parents(self):
-        genome = LineGenome(((0, 1), (2, 3)))
+        genome = ((0, 1), (2, 3))
         a, b = crossover_lines(genome, genome, np.random.default_rng(0))
         assert a == genome and b == genome
 
     def test_single_line_swaps_entirely(self):
-        pa = LineGenome(((0, 1, 2),))
-        pb = LineGenome(((3, 4),))
+        pa = ((0, 1, 2),)
+        pb = ((3, 4),)
         a, b = crossover_lines(pa, pb, np.random.default_rng(1))
         assert a == pb and b == pa
 
     def test_three_lines_swap_index_one(self):
-        pa = LineGenome(((0, 1), (2, 3), (4, 5)))
-        pb = LineGenome(((6, 7), (8, 9), (10, 11)))
+        pa = ((0, 1), (2, 3), (4, 5))
+        pb = ((6, 7), (8, 9), (10, 11))
         rng = ScriptedRng(integers=[1])
         a, b = crossover_lines(pa, pb, rng)
-        assert a.lines == ((0, 1), (8, 9), (4, 5))
-        assert b.lines == ((6, 7), (2, 3), (10, 11))
+        assert a == ((0, 1), (8, 9), (4, 5))
+        assert b == ((6, 7), (2, 3), (10, 11))
 
 
 @settings(max_examples=100, deadline=None)
@@ -255,31 +254,31 @@ def test_operator_chains_keep_lines_valid(n, line_count, seed):
 class TestRepair:
     def test_connected_genome_unchanged(self):
         stations = pts((0, 0), (1000, 0), (2000, 0))
-        genome = LineGenome(((0, 1, 2),))
+        genome = ((0, 1, 2),)
         assert repair(genome, station_distances(stations)) is genome
 
     def test_bridges_two_components(self):
         stations = pts((0, 0), (1000, 0), (2000, 0), (3000, 0))
-        repaired = repair(LineGenome(((0, 1), (2, 3))), station_distances(stations))
-        assert_connected(repaired.lines, stations)
-        assert len(repaired.lines) == 2
+        repaired = repair(((0, 1), (2, 3)), station_distances(stations))
+        assert_connected(repaired, stations)
+        assert len(repaired) == 2
 
     def test_uncovered_station_appended_to_nearest_end(self):
         stations = pts((0, 0), (1000, 0), (2000, 0), (2500, 0))
-        repaired = repair(LineGenome(((0, 1, 2),)), station_distances(stations))
-        assert repaired.lines == ((0, 1, 2, 3),)
+        repaired = repair(((0, 1, 2),), station_distances(stations))
+        assert repaired == ((0, 1, 2, 3),)
 
     def test_uncovered_station_zero(self):
         stations = pts((0, 0), (1000, 0), (2000, 0))
-        repaired = repair(LineGenome(((1, 2),)), station_distances(stations))
-        assert_connected(repaired.lines, stations)
-        assert repaired.lines == ((0, 1, 2),)
+        repaired = repair(((1, 2),), station_distances(stations))
+        assert_connected(repaired, stations)
+        assert repaired == ((0, 1, 2),)
 
     @pytest.mark.parametrize("line, error", [((0, 1, 0, 2), LoopInLine), ((0,), LineTooShort)])
     def test_broken_line_left_for_fitness_to_reject(self, line, error):
         # repair only reconnects; netgraph.build owns the per-line checks
         stations = pts((0, 0), (1000, 0), (2000, 0))
-        genome = LineGenome((line, (0, 1, 2)))
+        genome = (line, (0, 1, 2))
         assert repair(genome, station_distances(stations)) is genome
         with pytest.raises(error):
             line_fitness(genome, stations, [1.0, 1.0, 1.0])
@@ -293,12 +292,12 @@ class TestRepair:
             size = int(rng.integers(2, 5))
             raw_lines.append(tuple(int(v) for v in rng.choice(7, size=size, replace=False)))
         dist = station_distances(stations)
-        once = repair(LineGenome(tuple(raw_lines)), dist)
+        once = repair(tuple(raw_lines), dist)
         twice = repair(once, dist)
         assert twice == once
         assert twice is once  # unchanged input comes back as the same object
         assert_valid_genome(once, 7, line_count=3)
-        assert_connected(once.lines, stations)
+        assert_connected(once, stations)
 
 
 def relabeling_repair_reference(genome, stations):
@@ -310,7 +309,7 @@ def relabeling_repair_reference(genome, stations):
     sxy = stations
     n = len(sxy)
     changed = False
-    lines = list(genome.lines)
+    lines = list(genome)
 
     def attach(candidates, v):
         _, li, end = min(
@@ -337,7 +336,7 @@ def relabeling_repair_reference(genome, stations):
             attach(range(len(lines)), 0)
     else:
         raise AssertionError("connectivity loop exceeded the station count")
-    return LineGenome(tuple(lines)) if changed else genome
+    return tuple(lines) if changed else genome
 
 
 @settings(max_examples=300, deadline=None)
@@ -348,7 +347,7 @@ def test_repair_matches_relabeling_reference(layout, drop_station_zero):
         # repair's precondition: lines stay at two stations or more
         lines = [line for line in ([s for s in line if s != 0] for line in lines) if len(line) >= 2]
         assume(lines)
-    genome = LineGenome(tuple(tuple(line) for line in lines))
+    genome = tuple(tuple(line) for line in lines)
     assert repair(genome, station_distances(stations)) == relabeling_repair_reference(genome, stations)
 
 
@@ -369,7 +368,7 @@ class TestInitLines:
         pop = init_lines(station_distances(stations), 5, 20, np.random.default_rng(2))
         for genome in pop:
             assert_valid_genome(genome, 5, line_count=5)
-            assert_connected(genome.lines, stations)
+            assert_connected(genome, stations)
 
     def test_deterministic_for_fixed_seed(self):
         rng = np.random.default_rng(3)
@@ -381,8 +380,8 @@ class TestInitLines:
 
 class TestCanonical:
     def test_orientation_collapses(self):
-        a = LineGenome(((2, 1, 0), (3, 4)))
-        b = LineGenome(((0, 1, 2), (4, 3)))
+        a = ((2, 1, 0), (3, 4))
+        b = ((0, 1, 2), (4, 3))
         assert oriented(a) == oriented(b)
 
 
@@ -442,7 +441,7 @@ class TestOptimizeLines:
         best, history = optimize_lines(stations, s, cfg)
         got = line_fitness(best, stations, s).value
         assert got == pytest.approx(oracle, rel=1e-9)
-        values = history.best_values()
+        values = [r.best_fitness for r in history.records]
         assert all(b2 <= b1 for b1, b2 in zip(values, values[1:]))
 
     def test_six_stations_two_lines_close_to_exhaustive(self):
@@ -518,7 +517,7 @@ class TestOptimizeLines:
             ga,
         )
         assert sum(reconnected) >= 5  # children really get reconnected
-        assert best.lines == want_best.lines
+        assert best == want_best
         assert history.records == want_history.records
 
     # line_fitness calls of a cache keyed on each line oriented from its

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from conftest import dijkstra_reference, floyd_warshall_oracle, layouts, line_edges
 from metronet.errors import LineTooShort, LoopInLine
 from metronet.geomodel import station_distances
-from metronet.lines import LineGenome, repair
+from metronet.lines import repair
 from metronet.netgraph import all_pairs_distances, build, components
 
 
@@ -254,9 +254,9 @@ def test_connectivity_routines_agree(layout):
     n, stations, lines = layout
     connected = component_count(lines, n) == 1
     assert np.isfinite(all_pairs_distances(build(lines, stations))).all() == connected
-    repaired = repair(LineGenome(tuple(tuple(line) for line in lines)), station_distances(stations))
-    build(repaired.lines, stations)  # the layout rules still hold
-    assert component_count(repaired.lines, n) == 1
+    repaired = repair(tuple(tuple(line) for line in lines), station_distances(stations))
+    build(repaired, stations)  # the layout rules still hold
+    assert component_count(repaired, n) == 1
 
 
 @settings(max_examples=200, deadline=None)

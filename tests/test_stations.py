@@ -12,7 +12,6 @@ from metronet.coverage import CoverageParams, evaluate
 from metronet.evolve import GaConfig
 from metronet.geomodel import DemandGrid, GeneratorPoint, point_in_region, rasterize
 from metronet.stations import (
-    StationGenome,
     StationStageConfig,
     crossover,
     init_population,
@@ -25,7 +24,7 @@ from conftest import rect_district, star_districts
 
 
 def genome_of(*xy):
-    return StationGenome(np.array(xy, dtype=float).reshape(-1, 2))
+    return np.array(xy, dtype=float).reshape(-1, 2)
 
 
 @pytest.fixture
@@ -39,7 +38,7 @@ class TestInitPopulation:
         rng = np.random.default_rng(0)
         pop = init_population(grid, [unit_square_km], 3, 20, rng)
         for genome in pop:
-            for x, y in genome.stations:
+            for x, y in genome:
                 assert 250.0 <= x <= 750.0
                 assert 250.0 <= y <= 750.0
 
@@ -50,7 +49,7 @@ class TestInitPopulation:
         rng = np.random.default_rng(1)
         pop = init_population(grid, [unit_square_km], 1, 200, rng)
         for genome in pop:
-            assert genome.stations[0, 0] > 500.0
+            assert genome[0, 0] > 500.0
 
     def test_sampling_frequencies_follow_population(self, square_10km):
         grid = DemandGrid(
@@ -61,7 +60,7 @@ class TestInitPopulation:
         )
         rng = np.random.default_rng(2)
         pop = init_population(grid, [square_10km], 1, 10_000, rng)
-        near_first = sum(1 for g in pop if g.stations[0, 0] < 0.0)
+        near_first = sum(1 for g in pop if g[0, 0] < 0.0)
         assert near_first / 10_000 == pytest.approx(0.25, abs=0.02)
 
     def test_all_genomes_inside_districts(self, two_district_region):
@@ -69,7 +68,7 @@ class TestInitPopulation:
         rng = np.random.default_rng(3)
         pop = init_population(grid, two_district_region, 5, 50, rng)
         for genome in pop:
-            assert all(point_in_region(p, two_district_region) for p in genome.stations)
+            assert all(point_in_region(p, two_district_region) for p in genome)
 
 
 class TestMutate:
@@ -77,19 +76,19 @@ class TestMutate:
         rng = np.random.default_rng(4)
         genome = genome_of(*((x, 0.0) for x in (-2000, 0, 2000, 4000)))
         mutated = mutate(genome, 500.0, rng, [square_10km])
-        assert (mutated.stations != genome.stations).any(axis=1).sum() == 1
+        assert (mutated != genome).any(axis=1).sum() == 1
 
     def test_zero_sigma_limit_is_identity(self, square_10km):
         rng = np.random.default_rng(5)
         genome = genome_of((100.0, 100.0))
         mutated = mutate(genome, 1e-12, rng, [square_10km])
-        assert np.abs(mutated.stations - 100.0).max() < 1e-9
+        assert np.abs(mutated - 100.0).max() < 1e-9
 
     def test_reproducible_with_fixed_seed(self, square_10km):
         genome = genome_of(*((x, 0.0) for x in (-2000, 0, 2000)))
         a = mutate(genome, 800.0, np.random.default_rng(6), [square_10km])
         b = mutate(genome, 800.0, np.random.default_rng(6), [square_10km])
-        assert np.array_equal(a.stations, b.stations)
+        assert np.array_equal(a, b)
 
     def test_boundary_station_stays_in_region(self, square_10km):
         # large sigma pushes most draws outside; the invariant must still hold
@@ -97,25 +96,25 @@ class TestMutate:
         for seed in range(100):
             rng = np.random.default_rng(seed)
             mutated = mutate(genome, 50_000.0, rng, [square_10km])
-            assert point_in_region(mutated.stations[0], [square_10km])
+            assert point_in_region(mutated[0], [square_10km])
 
     @settings(max_examples=60, deadline=None)
     @given(district=star_districts(), seed=st.integers(0, 2**32 - 1))
     def test_chains_stay_in_region_with_holes(self, district, seed):
         # sigma far above the district size: nearly every mutation ends in the clamp
         # boundary vertices are in the region
-        genome = StationGenome(district.polygons[0].outer[:3])
+        genome = district.polygons[0].outer[:3]
         rng = np.random.default_rng(seed)
         for _ in range(8):
             genome = mutate(genome, 20_000.0, rng, [district])
-            assert all(point_in_region(p, [district]) for p in genome.stations)
+            assert all(point_in_region(p, [district]) for p in genome)
 
 
 class TestCrossover:
     def test_identical_parents_yield_parents(self):
         genome = genome_of(*((x, 1.0) for x in range(4)))
         a, b = crossover(genome, genome, np.random.default_rng(7))
-        assert np.array_equal(a.stations, genome.stations) and np.array_equal(b.stations, genome.stations)
+        assert np.array_equal(a, genome) and np.array_equal(b, genome)
 
     def test_single_slot_enumerable(self):
         pa = genome_of((0.0, 0.0))
@@ -123,7 +122,7 @@ class TestCrossover:
         outcomes = set()
         for seed in range(30):
             a, b = crossover(pa, pb, np.random.default_rng(seed))
-            outcomes.add((float(a.stations[0, 0]), float(b.stations[0, 0])))
+            outcomes.add((float(a[0, 0]), float(b[0, 0])))
         assert outcomes == {(0.0, 9.0), (9.0, 0.0)}
 
     def test_slots_partition_between_children(self):
@@ -131,20 +130,20 @@ class TestCrossover:
         pb = genome_of(*((i, 100.0) for i in range(4)))
         a, b = crossover(pa, pb, np.random.default_rng(8))
         for i in range(4):
-            pair = {tuple(a.stations[i].tolist()), tuple(b.stations[i].tolist())}
-            assert pair == {tuple(pa.stations[i].tolist()), tuple(pb.stations[i].tolist())}
+            pair = {tuple(a[i].tolist()), tuple(b[i].tolist())}
+            assert pair == {tuple(pa[i].tolist()), tuple(pb[i].tolist())}
 
     def test_matches_one_draw_per_slot(self):
         rng = np.random.default_rng(9)
-        pa, pb = StationGenome(rng.uniform(-5000, 5000, (9, 2))), StationGenome(rng.uniform(-5000, 5000, (9, 2)))
+        pa, pb = rng.uniform(-5000, 5000, (9, 2)), rng.uniform(-5000, 5000, (9, 2))
         for seed in range(20):
             rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             a, b = crossover(pa, pb, rng)
-            want_a, want_b = pa.stations.tolist(), pb.stations.tolist()
+            want_a, want_b = pa.tolist(), pb.tolist()
             for i in range(9):
                 if reference_rng.random() < 0.5:
                     want_a[i], want_b[i] = want_b[i], want_a[i]
-            assert (a.stations.tolist(), b.stations.tolist()) == (want_a, want_b)
+            assert (a.tolist(), b.tolist()) == (want_a, want_b)
             assert rng.random() == reference_rng.random()  # the same number of draws
 
 
@@ -155,15 +154,15 @@ class TestGenomeArrays:
         population = init_population(grid, two_district_region, 5, 6, rng)
         returned = list(population)
         for a, b in zip(population[::2], population[1::2]):
-            before = a.stations.tobytes(), b.stations.tobytes()
+            before = a.tobytes(), b.tobytes()
             returned += crossover(a, b, rng)
             # the second sigma sends nearly every draw outside, so mutate ends in the clamp
             returned += mutate(a, 800.0, rng, two_district_region), mutate(b, 50_000.0, rng, two_district_region)
-            assert (a.stations.tobytes(), b.stations.tobytes()) == before
+            assert (a.tobytes(), b.tobytes()) == before
         for genome in returned:
-            assert genome.stations.shape == (5, 2)
-            assert genome.stations.dtype == np.float64
-            assert not genome.stations.flags.writeable
+            assert type(genome) is np.ndarray and genome.shape == (5, 2)
+            assert genome.dtype == np.float64
+            assert not genome.flags.writeable
 
 
 class TestOptimize:
@@ -175,17 +174,17 @@ class TestOptimize:
             ga=GaConfig(population_size=20, generations=8, rng_seed=0),
             coverage=CoverageParams(800.0),
         )
-        best, report, _ = optimize_stations(grid, (), [unit_square_km], cfg)
-        x, y = best.stations[0]
+        best, serviced, _ = optimize_stations(grid, (), [unit_square_km], cfg)
+        x, y = best[0]
         half_diagonal = math.hypot(250.0, 250.0)
         assert math.hypot(x - 500.0, y - 500.0) <= half_diagonal
-        assert report.total > 0
+        assert serviced.sum() > 0
 
     def test_uniform_square_reaches_98_percent_of_scan(self, square_10km):
         grid = rasterize([square_10km], 500.0)
         params = CoverageParams(800.0)
         scan_best = max(
-            evaluate(np.array([(x, y)]), grid, (), params).total
+            evaluate(np.array([(x, y)]), grid, (), params).sum()
             for x, y in zip(grid.x, grid.y)
         )
         cfg = StationStageConfig(
@@ -194,8 +193,8 @@ class TestOptimize:
             ga=GaConfig(population_size=50, generations=10, rng_seed=3),
             coverage=params,
         )
-        _, report, _ = optimize_stations(grid, (), [square_10km], cfg)
-        assert report.total >= 0.98 * scan_best
+        _, serviced, _ = optimize_stations(grid, (), [square_10km], cfg)
+        assert serviced.sum() >= 0.98 * scan_best
 
     def test_two_distant_clusters_get_one_station_each(self):
         west = rect_district("west", -11000.0, -1000.0, -9000.0, 1000.0, 1000.0)
@@ -211,7 +210,7 @@ class TestOptimize:
         best, _, _ = optimize_stations(grid, (), [west, east], cfg)
         centers = [(-10000.0, 0.0), (10000.0, 0.0)]
         assignments = set()
-        for x, y in best.stations:
+        for x, y in best:
             dists = [math.hypot(x - cx, y - cy) for cx, cy in centers]
             assert min(dists) <= 2 * params.sigma
             assignments.add(int(np.argmin(dists)))
@@ -224,7 +223,7 @@ class TestOptimize:
             ga=GaConfig(population_size=20, generations=8, elite_count=2, rng_seed=2),
         )
         _, _, history = optimize_stations(grid, (), two_district_region, cfg)
-        best = history.best_values()
+        best = [r.best_fitness for r in history.records]
         assert all(b2 >= b1 for b1, b2 in zip(best, best[1:]))
 
     def test_deterministic_across_runs(self, two_district_region):
@@ -233,10 +232,10 @@ class TestOptimize:
             station_count=4,
             ga=GaConfig(population_size=15, generations=5, rng_seed=9),
         )
-        b1, r1, h1 = optimize_stations(grid, (), two_district_region, cfg)
-        b2, r2, h2 = optimize_stations(grid, (), two_district_region, cfg)
-        assert np.array_equal(b1.stations, b2.stations)
-        assert r1.total == r2.total
+        b1, s1, h1 = optimize_stations(grid, (), two_district_region, cfg)
+        b2, s2, h2 = optimize_stations(grid, (), two_district_region, cfg)
+        assert np.array_equal(b1, b2)
+        assert np.array_equal(s1, s2)
         assert h1.records == h2.records
 
 
@@ -262,14 +261,12 @@ class TestMemoizedCoverage:
 
         def check(gen, population, fits):
             for genome, fit in zip(population, fits):
-                assert fit == evaluate(genome.stations, grid, generators, cfg.coverage).total
+                assert fit == float(evaluate(genome, grid, generators, cfg.coverage).sum())
             seen.append(gen)
 
-        best, report, _ = optimize_stations(grid, generators, districts, cfg, on_generation=check)
+        best, serviced, _ = optimize_stations(grid, generators, districts, cfg, on_generation=check)
         assert seen == list(range(7))
-        full = evaluate(best.stations, grid, generators, cfg.coverage)
-        assert report.total == full.total
-        assert np.array_equal(report.per_station, full.per_station)
+        assert np.array_equal(serviced, evaluate(best, grid, generators, cfg.coverage))
 
     def test_sum_mode_computes_each_coordinate_once(self, monkeypatch, instance):
         grid, generators, districts = instance
@@ -288,7 +285,7 @@ class TestMemoizedCoverage:
         genomes_seen = set()
         optimize_stations(
             grid, generators, districts, cfg,
-            on_generation=lambda gen, pop, fits: genomes_seen.update(p for g in pop for p in map(tuple, g.stations.tolist())),
+            on_generation=lambda gen, pop, fits: genomes_seen.update(p for g in pop for p in map(tuple, g.tolist())),
         )
         assert max(Counter(computed).values()) == 1
         assert set(computed) == genomes_seen
@@ -319,7 +316,7 @@ class TestStationStageConfig:
         grid = rasterize(two_district_region, 1000.0)
         ga = GaConfig(population_size=6, generations=2, rng_seed=5)
         sized = StationStageConfig(station_count=suggest_station_count(grid.total_population), ga=ga)
-        best, report, _ = optimize_stations(grid, (), two_district_region, StationStageConfig(ga=ga))
-        expected, expected_report, _ = optimize_stations(grid, (), two_district_region, sized)
-        assert np.array_equal(best.stations, expected.stations)
-        assert report.total == expected_report.total
+        best, serviced, _ = optimize_stations(grid, (), two_district_region, StationStageConfig(ga=ga))
+        expected, expected_serviced, _ = optimize_stations(grid, (), two_district_region, sized)
+        assert np.array_equal(best, expected)
+        assert np.array_equal(serviced, expected_serviced)
