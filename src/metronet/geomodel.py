@@ -467,10 +467,13 @@ def load_generators(path: Path, region: Region) -> tuple[GeneratorPoint, ...]:
     """Read the generator table and project each point into the region frame.
 
     Rows landing farther than 10 km outside the region bounding box are
-    rejected as gross coordinate errors.
+    rejected as gross coordinate errors. A row whose name, latitude and
+    longitude all repeat an earlier row is rejected too: its visitors would
+    count twice.
     """
     path = Path(path)
     out = []
+    row_of: dict[tuple[str, float, float], int] = {}
     xmin, ymin, xmax, ymax = region.bounds
     for i, row in _table_rows(path, GENERATOR_HEADER):
         try:
@@ -487,6 +490,11 @@ def load_generators(path: Path, region: Region) -> tuple[GeneratorPoint, ...]:
         m = GENERATOR_MARGIN_M
         if not (xmin - m <= x <= xmax + m and ymin - m <= y <= ymax + m):
             raise ParseError(f"{path}: row {i}: generator {name!r} lies more than 10 km outside the region")
+        key = (name, geo.lat, geo.lon)
+        if key in row_of:
+            raise ParseError(f"{path}: row {i}: generator {name!r} at ({geo.lat!r}, {geo.lon!r}) "
+                             f"repeats row {row_of[key]}")
+        row_of[key] = i
         out.append(GeneratorPoint(name, visitors, x, y))
     return tuple(out)
 

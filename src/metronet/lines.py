@@ -198,16 +198,21 @@ def repair(genome: Layout, dist: np.ndarray) -> Layout:
     # component, so these labels stay valid for the components outside it.
     comp = np.array(comp)
     inside = comp == comp[0]
+    # each station's distance to station 0's component; min is exact, so
+    # folding in each merged component's rows equals one min over inside
+    near = dist[inside].min(axis=0)
     while not inside.all():
         line_in_c0 = [li for li, line in enumerate(lines) if inside[line[0]]]
         if line_in_c0:
             # the outside station nearest to station 0's component
-            joined = int(np.argmin(np.where(inside, np.inf, dist[inside].min(axis=0))))
+            joined = int(np.argmin(np.where(inside, np.inf, near)))
             _attach_to_nearest_end(lines, line_in_c0, joined, dist)
         else:
             # station 0 sits on no line: hook it onto the nearest line end anywhere
             joined = _attach_to_nearest_end(lines, range(len(lines)), 0, dist)
-        inside |= comp == comp[joined]  # joined lay outside, so every round grows station 0's component
+        merged = comp == comp[joined]  # joined lay outside, so every round grows station 0's component
+        np.minimum(near, dist[merged].min(axis=0), out=near)
+        inside |= merged
     return tuple(lines)
 
 

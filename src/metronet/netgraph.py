@@ -75,21 +75,28 @@ def all_pairs_distances(net: LineNetwork, transfer_penalty_m: float = 0.0) -> np
     penalty the nodes stay (station, line) pairs, and a station pair's
     distance is the minimum over the two stations' nodes, since boarding at
     the origin is free. The matrix is seeded with each line's exact
-    along-line distances, then Floyd-Warshall pivots only on nodes of
-    stations served by two or more lines: a shortest path splits into
-    along-line runs whose break points all lie at such stations. Stations on
-    no line keep inf rows with a 0 diagonal, so a disconnected layout has an
-    inf entry. The matrix is exactly symmetric under both node maps.
+    along-line distances. A shortest path changes lines only at transfer
+    nodes, those of stations served by two or more lines, so Floyd-Warshall
+    pivots over the t x t block of transfer nodes alone. Every other node u
+    lies on one line and leaves it at one of two exits, the nearest transfer
+    stop on each side, at along-line distances alpha_u and beta_u. Its row
+    towards the transfer nodes is min(seed, alpha_u + row A_u, beta_u +
+    row B_u) of that block; its row towards the other non-transfer nodes is
+    the same formula over that band, and the minimum with its transpose
+    makes the block exactly symmetric. Stations on no line keep inf rows
+    with a 0 diagonal, so a disconnected layout has an inf entry.
     """
     n = net.station_count
     stops = np.array([s for line in net.lines for s in line], dtype=np.intp)
     # node map: the node of every stop, in line order, and the station of every node
     if transfer_penalty_m == 0:
         stop_node, node_station = stops, np.arange(n)
+        d = np.full((n, n), np.inf)
     else:
         stop_node, node_station = np.arange(len(stops)), stops
-    d = np.where(node_station[:, None] == node_station[None, :], transfer_penalty_m, np.inf)
+        d = np.where(node_station[:, None] == node_station[None, :], transfer_penalty_m, np.inf)
     np.fill_diagonal(d, 0.0)
+    flat = d.reshape(-1)  # a view: blocks are read and written through flat positions
     head = 0
     for line, w in zip(net.lines, net.lengths):
         size = len(line)
@@ -98,13 +105,15 @@ def all_pairs_distances(net: LineNetwork, transfer_penalty_m: float = 0.0) -> np
         along = np.zeros((size, size))
         along[:-1, 1:] = np.cumsum(w * (r[:, None] <= r), axis=1)
         along += along.T
-        block = np.ix_(stop_node[head : head + size], stop_node[head : head + size])
-        d[block] = np.minimum(d[block], along)
+        nodes = stop_node[head : head + size]
+        block = _positions(nodes, nodes, len(d))
+        flat[block] = np.minimum(flat[block], along)
         head += size
     lines_at = np.bincount(stops, minlength=n)
-    for k in np.nonzero(lines_at[node_station] >= 2)[0]:
-        # in place: pivot k leaves its own row and column unchanged
-        np.minimum(d, d[:, k, None] + d[None, k, :], out=d)
+    transfer = np.nonzero(lines_at[node_station] >= 2)[0]  # ascending: the pivot order
+    if len(transfer):
+        sizes = [len(line) for line in net.lines]
+        _fill_through_transfers(flat, len(d), transfer, stop_node, lines_at[stops] >= 2, sizes)
 
     if transfer_penalty_m != 0:
         order = np.argsort(node_station, kind="stable")
@@ -114,3 +123,58 @@ def all_pairs_distances(net: LineNetwork, transfer_penalty_m: float = 0.0) -> np
         np.fill_diagonal(d, 0.0)
         d[np.ix_(covered, covered)] = np.minimum.reduceat(by_station, starts, axis=1)
     return d
+
+
+def _positions(rows: np.ndarray, cols: np.ndarray, width: int) -> np.ndarray:
+    """Flat positions of the (rows, cols) block of a row-major matrix ``width`` columns wide."""
+    return rows[:, None] * width + cols
+
+
+def _fill_through_transfers(flat: np.ndarray, width: int, transfer: np.ndarray, stop_node: np.ndarray,
+                            is_transfer: np.ndarray, sizes: list[int]) -> None:
+    """Complete the along-line seed in place with the paths that change lines.
+
+    ``flat`` is the seeded node matrix, ``width`` nodes square, as one flat
+    view; ``transfer`` lists its transfer nodes in ascending order.
+    ``is_transfer`` flags the stops at those nodes, and ``sizes`` are the
+    line lengths in stop order.
+    """
+    tt = _positions(transfer, transfer, width)
+    c = flat[tt]
+    for k in range(len(transfer)):
+        # in place: pivot k leaves its own row and column unchanged
+        np.minimum(c, c[:, k, None] + c[None, k, :], out=c)
+    flat[tt] = c
+
+    # each non-transfer stop's nearest transfer stop on either side of its line
+    plain = ~is_transfer
+    u = stop_node[plain]
+    if len(u) == 0:
+        return
+    m = len(stop_node)
+    pos = np.arange(m)
+    ends = np.cumsum(sizes)
+    left = np.maximum.accumulate(np.where(is_transfer, pos, -1))[plain]
+    right = np.minimum.accumulate(np.where(is_transfer, pos, m)[::-1])[::-1][plain]
+    first = int(np.argmax(is_transfer))  # stands in for a missing exit, whose length is inf
+    exits = []
+    for side, ok in ((left, left >= np.repeat(ends - sizes, sizes)[plain]),
+                     (right, right < np.repeat(ends, sizes)[plain])):
+        node = stop_node[np.where(ok, side, first)]
+        length = np.where(ok, flat[u * width + node], np.inf)
+        exits.append((length[:, None], np.searchsorted(transfer, node)))
+
+    ut = _positions(u, transfer, width)
+    band = flat[ut]
+    for length, row in exits:
+        np.minimum(band, length + c[row], out=band)
+    flat[ut] = band
+    flat[_positions(transfer, u, width)] = band.T
+    uu = _positions(u, u, width)
+    block = flat[uu]
+    for length, row in exits:
+        via = band[:, row].T
+        via += length
+        np.minimum(block, via, out=block)
+    del via  # free before the symmetric minimum allocates its result: peak memory stays low
+    flat[uu] = np.minimum(block, block.T)

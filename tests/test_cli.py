@@ -290,6 +290,19 @@ class TestGridCommand:
         assert err.startswith("error: ") and "row 3: district_id 'selangor' repeats row 2" in err
         assert not (tmp_path / "o").exists()
 
+    def test_duplicate_generator_row_exit_2(self, tmp_path, capsys):
+        # the repeated row used to be kept: exit 0 with its visitors counted twice
+        generators = tmp_path / "generators.csv"
+        generators.write_text((DATA_DIR / "selangor_generators.csv").read_text() + "Batu Caves,5000,3.2379,101.6841\n")
+        argv = ["grid", "--boundaries", str(DATA_DIR / "selangor_boundary.geojson"),
+                "--densities", str(DATA_DIR / "selangor_densities.csv"),
+                "--generators", str(generators), "--out", str(tmp_path / "o")]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "row 16: generator 'Batu Caves' at (3.2379, 101.6841) repeats row 2" in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("visitors", ["nan", "inf"])
     def test_non_finite_visitors_exit_2(self, tmp_path, capsys, region_files, visitors):
         generators = write_generator_file(tmp_path, [("Mall", 100, 0.0, 0.0), ("Bad", 1, 0.0, 0.0)])
@@ -759,7 +772,7 @@ def _json_paths(node, path=()):
 
 @st.composite
 def mutated_boundaries(draw, doc):
-    """``doc`` with one key missing, one value of a wrong type or non-finite, bad coordinates, or a duplicate id."""
+    """(kind, ``doc``) with one key missing, one value of a wrong type or non-finite, bad coordinates, or a duplicate id."""
     kind = draw(st.sampled_from(["missing", "wrong_type", "non_finite", "coordinates", "duplicate"]))
     geometry = doc["features"][0]["geometry"]
     if kind == "coordinates":
@@ -782,12 +795,12 @@ def mutated_boundaries(draw, doc):
             parent[path[-1]] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
         else:
             parent[path[-1]] = draw(st.sampled_from([v for v in WRONG_TYPES if type(v) is not type(value)]))
-    return json.dumps(doc)
+    return kind, json.dumps(doc)
 
 
 @st.composite
 def mutated_table(draw, rows):
-    """CSV ``rows`` with one cell missing, a cell of a wrong type or non-finite, or a duplicate row."""
+    """(kind, CSV ``rows``) with one cell missing, a cell of a wrong type or non-finite, or a duplicate row."""
     kind = draw(st.sampled_from(["missing", "wrong_type", "non_finite", "duplicate"]))
     r = draw(st.integers(kind == "duplicate", len(rows) - 1))
     c = draw(st.integers(0, len(rows[r]) - 1))
@@ -800,7 +813,7 @@ def mutated_table(draw, rows):
         rows[r][c] = draw(st.sampled_from(values))
     out = io.StringIO()
     csv.writer(out).writerows(rows)
-    return out.getvalue()
+    return kind, out.getvalue()
 
 
 @pytest.fixture(scope="module")
@@ -811,13 +824,16 @@ def grid_inputs_dir(tmp_path_factory):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_mutated_inputs_exit_0_or_2(grid_inputs_dir, data):
-    """One mutation of one tests/data input: ``metronet grid`` exits 0 or 2, never a traceback."""
+    """One mutation of one tests/data input: ``metronet grid`` exits 0 or 2, never a traceback.
+
+    A repeated feature or row is a load error in every input: exit 2.
+    """
     key = data.draw(st.sampled_from(sorted(GRID_INPUTS)))
     text = (DATA_DIR / GRID_INPUTS[key]).read_text()
     if key == "boundaries":
-        text = data.draw(mutated_boundaries(json.loads(text)))
+        kind, text = data.draw(mutated_boundaries(json.loads(text)))
     else:
-        text = data.draw(mutated_table(list(csv.reader(io.StringIO(text)))))
+        kind, text = data.draw(mutated_table(list(csv.reader(io.StringIO(text)))))
     argv = ["grid", "--out", str(grid_inputs_dir / "out"), "--cell-size", "500"]
     for name, file_name in GRID_INPUTS.items():
         path = DATA_DIR / file_name
@@ -828,7 +844,7 @@ def test_mutated_inputs_exit_0_or_2(grid_inputs_dir, data):
     stderr = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
         code = cli.main(argv)
-    assert code in (0, 2)
+    assert code in ((2,) if kind == "duplicate" else (0, 2))
     assert code == 0 or stderr.getvalue().startswith("error: ")
 
 

@@ -356,6 +356,18 @@ class TestLoadGenerators:
         with pytest.raises(ParseError):
             load_generators(bad, region)
 
+    def test_repeated_row_rejected(self, tmp_path, selangor_paths):
+        # the repeat would count its visitors twice; same place under another name, or the
+        # same name elsewhere, is a different generator
+        region = load_region(selangor_paths["boundaries"], selangor_paths["densities"])
+        table = tmp_path / "g.csv"
+        header = "name,daily_visitors,latitude,longitude\n"
+        table.write_text(header + "Mall,5,3.0,101.5\nPark,5,3.0,101.5\nMall,5,3.1,101.5\n")
+        assert len(load_generators(table, region)) == 3
+        table.write_text(header + "Mall,5,3.0,101.5\nPark,5,3.1,101.5\n Mall ,7,3.00,101.50\n")
+        with pytest.raises(ParseError, match=r"row 4: generator 'Mall' at \(3\.0, 101\.5\) repeats row 2"):
+            load_generators(table, region)
+
 
 class TestRasterize:
     def test_unit_square_exact_tiling(self, unit_square_km):

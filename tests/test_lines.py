@@ -351,6 +351,59 @@ def test_repair_matches_relabeling_reference(layout, drop_station_zero):
     assert repair(genome, station_distances(stations)) == relabeling_repair_reference(genome, stations)
 
 
+def recomputing_repair_reference(genome, dist):
+    """Repair that takes the min over every inside row again in each round.
+
+    Production keeps a running minimum and folds in only the rows of the
+    component each round merges; min is exact, so the two must pick the
+    same station even where distances tie.
+    """
+    n = len(dist)
+    comp = np.array(netgraph.components(genome, n))
+    if (comp == comp[0]).all():
+        return genome
+    lines = list(genome)
+
+    def attach(candidates, v):
+        _, li, end, line_end = min(
+            (dist[line_end, v], li, end, line_end)
+            for li in candidates
+            for end, line_end in ((0, lines[li][-1]), (1, lines[li][0]))
+        )
+        lines[li] = lines[li] + (v,) if end == 0 else (v,) + lines[li]
+        return line_end
+
+    inside = comp == comp[0]
+    while not inside.all():
+        line_in_c0 = [li for li, line in enumerate(lines) if inside[line[0]]]
+        if line_in_c0:
+            joined = int(np.argmin(np.where(inside, np.inf, dist[inside].min(axis=0))))
+            attach(line_in_c0, joined)
+        else:
+            joined = attach(range(len(lines)), 0)
+        inside |= comp == comp[joined]
+    return tuple(lines)
+
+
+@st.composite
+def lattice_layouts(draw):
+    """Stations on a 4 x 4 lattice of 1 km steps, so distances tie often; 1-4 duplicate-free lines."""
+    n = draw(st.integers(2, 12))
+    xy = np.array(draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=n, max_size=n)),
+                  dtype=float) * 1000.0
+    line = st.lists(st.integers(0, n - 1), min_size=2, max_size=n, unique=True)
+    lines = draw(st.lists(line, min_size=1, max_size=4))
+    return xy, tuple(tuple(li) for li in lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(lattice_layouts(), layouts().map(lambda lay: (lay[1], tuple(map(tuple, lay[2]))))))
+def test_repair_matches_recomputing_reference(layout):
+    stations, genome = layout
+    dist = station_distances(stations)
+    assert repair(genome, dist) == recomputing_repair_reference(genome, dist)
+
+
 class TestInitLines:
     def test_two_stations_single_line(self):
         stations = pts((0, 0), (1000, 0))

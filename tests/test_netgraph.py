@@ -1,7 +1,8 @@
 """Network graph tests: construction, connectivity, shortest paths.
 
-Production seeds a distance matrix with along-line distances and runs
-Floyd-Warshall over transfer nodes only. The references in conftest are
+Production seeds a distance matrix with along-line distances, runs
+Floyd-Warshall on the block of transfer nodes only and fills every other
+row from its line's two nearest transfer stops. The references in conftest are
 independent of it: a station-level Floyd-Warshall over every station and a
 heapq Dijkstra, plain and with transfer penalties, both on edge lengths
 computed from the coordinates.
@@ -246,6 +247,44 @@ class TestDijkstraReference:
             assert np.isinf(np.delete(d[s], s)).all()
             assert np.isinf(np.delete(d[:, s], s)).all()
         assert np.isfinite(d[np.ix_([0, 1, 2, 4], [0, 1, 2, 4])]).all()
+
+
+# Layouts that exercise each part of the two-exit fill: (station count, lines).
+TWO_EXIT_CASES = {
+    # line 2 meets no other line: its stations stay inf towards the rest
+    "line_without_transfer": (8, [[0, 1, 2], [2, 3, 4], [5, 6, 7]]),
+    # three lines joined end to end: every transfer is a line end
+    "transfers_at_line_ends": (9, [[0, 1, 2, 3], [3, 4, 5, 6], [6, 7, 8, 0]]),
+    # two lines share stations 1 and 5, with three and two non-transfer stops between
+    "stops_between_two_transfers": (11, [[0, 1, 2, 3, 4, 5, 6], [7, 1, 8, 9, 5, 10]]),
+    # station 1 is on every line, and every other stop exits only there
+    "one_station_on_every_line": (8, [[0, 1, 2], [3, 1, 4], [5, 6, 1, 7]]),
+    # stations 4 and 5 are on no line
+    "stations_on_no_line": (6, [[0, 1, 2], [2, 3]]),
+    # both lines visit every station: no non-transfer node is left
+    "every_node_a_transfer": (4, [[0, 1, 2, 3], [2, 0, 3, 1]]),
+}
+
+
+class TestTwoExitFill:
+    """Non-transfer rows come from the two nearest transfer stops of their line."""
+
+    @pytest.mark.parametrize("penalty", [0.0, 250.0])
+    @pytest.mark.parametrize("case", sorted(TWO_EXIT_CASES))
+    def test_matches_dijkstra(self, case, penalty):
+        n, lines = TWO_EXIT_CASES[case]
+        stations = pts(*np.random.default_rng(67).uniform(-5000, 5000, (n, 2)))
+        got = all_pairs_distances(build(lines, stations), transfer_penalty_m=penalty)
+        np.testing.assert_allclose(got, dijkstra_reference(stations, lines, penalty),
+                                   rtol=TestDijkstraReference.RTOL, atol=0.0)
+        assert np.array_equal(got, got.T)
+        assert np.all(np.diag(got) == 0.0)
+        assert np.isfinite(got).all() == (case not in ("line_without_transfer", "stations_on_no_line"))
+        if case == "line_without_transfer":
+            assert np.isinf(got[5:, :5]).all() and np.isfinite(got[5:, 5:]).all()
+        if case == "stations_on_no_line":
+            assert np.isfinite(got[:4, :4]).all()
+            assert np.isinf(got[4:, :4]).all() and got[4, 5] == np.inf
 
 
 @settings(max_examples=200, deadline=None)
