@@ -1,4 +1,11 @@
-"""Gaussian demand coverage: the station-placement fitness and per-station loads."""
+"""Gaussian demand coverage: the station-placement fitness and per-station loads.
+
+Sum mode works on the row runs of ``geomodel.group_runs`` in blocks of
+stations: one exp per distinct x and y, one reduceat over the runs' columns
+and one over each row's runs, with each block's temporaries capped at
+``_SUM_BLOCK`` float entries. Nearest mode works on the points themselves
+in chunks of ``_NEAREST_CHUNK``.
+"""
 from __future__ import annotations
 
 import warnings
@@ -7,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geomodel import DemandGrid, GeneratorPoint, PointRows, group_rows
+from .geomodel import DemandGrid, GeneratorPoint, PointRuns, group_runs
 
 SIGMA_SOFT_MIN = 400.0
 SIGMA_SOFT_MAX = 3000.0
@@ -42,30 +49,53 @@ class CoverageParams:
 # Cells per block of the nearest-mode kernel: temporaries stay K x _NEAREST_CHUNK.
 _NEAREST_CHUNK = 2048
 
+# Float entries of one block of the sum-mode kernel. A block takes as many
+# stations as fit, each needing one entry per column plus a pad, three per
+# run and two per row, so its temporaries together stay within 1 MB; a
+# station that needs more than this is a block of its own.
+_SUM_BLOCK = 1 << 17
 
-def _sum_shares(sxy: np.ndarray, rows: PointRows, sigma2: float) -> np.ndarray:
-    """Per-station sums of weight * exp(-r^2 / sigma^2) over the grouped points.
+
+def _sum_shares(sxy: np.ndarray, runs: PointRuns, sigma2: float) -> np.ndarray:
+    """Per-station sums of weight * exp(-r^2 / sigma^2) over the points grouped into row runs.
 
     The kernel factors as exp(-dx^2 / sigma^2) * exp(-dy^2 / sigma^2), so a
-    station takes one exp per distinct x and one per distinct y, sums each
-    row's weighted x factors, and weights the row sums by the y factors.
-    Each share depends only on its own station's coordinate; temporaries are
-    O(points). Numpy reductions, not BLAS, keep the summation order fixed
-    whatever the BLAS thread count.
+    block of stations takes one exp per distinct x and per distinct y, sums
+    the x factors over each run's columns, weights each run sum by the run's
+    weight, sums each row's runs, and weights the row sums by the y factors.
+    Every step works along a station's own row of the block, so a share does
+    not depend on which other stations share its block. Numpy reductions,
+    not BLAS, keep the summation order fixed whatever the BLAS thread count.
     """
     shares = np.empty(len(sxy))
-    # One points-sized buffer per call: a fresh one per station was a third
-    # of the time on the Selangor grid. Every column index is in range, and
-    # mode="clip" lets take() write into it without a checked copy.
-    weighted = np.empty(len(rows.col))
-    for k, (sx, sy) in enumerate(sxy):
-        dx = rows.xs - sx
-        dy = rows.ys - sy
-        ex = np.exp(-(dx * dx) / sigma2)
-        ey = np.exp(-(dy * dy) / sigma2)
-        ex.take(rows.col, out=weighted, mode="clip")
-        weighted *= rows.weight
-        shares[k] = (np.add.reduceat(weighted, rows.starts) * ey).sum()
+    nx = len(runs.xs)
+    # Interleaved starts and ends: the even outputs of reduceat are the runs,
+    # the odd ones the stretches between them. Taken in order of their first
+    # column, the stretches are disjoint, so they cost O(columns) in all.
+    by_start = np.argsort(runs.bounds[:, 0], kind="stable")
+    bounds = runs.bounds[by_start].ravel()
+    step = max(1, _SUM_BLOCK // (nx + 1 + 3 * len(by_start) + 2 * len(runs.ys)))
+    for k0 in range(0, len(sxy), step):
+        block = sxy[k0:k0 + step]
+        # the x factors with a zero pad column, so a run may end at the last column
+        ex = np.empty((len(block), nx + 1))
+        ex[:, nx] = 0.0
+        e = ex[:, :nx]
+        np.subtract(runs.xs, block[:, 0:1], out=e)
+        e *= e
+        e /= -sigma2
+        np.exp(e, out=e)
+        run_sums = np.empty((len(block), len(by_start)))
+        run_sums[:, by_start] = np.add.reduceat(ex, bounds, axis=1)[:, ::2]
+        del ex, e
+        run_sums *= runs.weight
+        row_sums = np.add.reduceat(run_sums, runs.row_starts, axis=1)
+        del run_sums
+        ey = runs.ys - block[:, 1:2]
+        ey *= ey
+        ey /= -sigma2
+        row_sums *= np.exp(ey, out=ey)
+        shares[k0:k0 + step] = row_sums.sum(axis=1)
     return shares
 
 
@@ -97,7 +127,7 @@ def district_coverage(stations: np.ndarray, grid: DemandGrid, params: CoveragePa
         return np.zeros(0)
     if params.mode == "nearest":
         return _nearest_shares(stations, grid.x, grid.y, grid.population, params.sigma**2)
-    return _sum_shares(stations, grid.rows, params.sigma**2)
+    return _sum_shares(stations, grid.runs, params.sigma**2)
 
 
 def generator_coverage(stations: np.ndarray, generators: Sequence[GeneratorPoint],
@@ -110,7 +140,7 @@ def generator_coverage(stations: np.ndarray, generators: Sequence[GeneratorPoint
     gw = np.array([g.daily_visitors for g in generators], dtype=float)
     if params.mode == "nearest":
         return _nearest_shares(stations, gx, gy, gw, params.sigma**2)
-    return _sum_shares(stations, group_rows(gx, gy, gw), params.sigma**2)
+    return _sum_shares(stations, group_runs(gx, gy, gw), params.sigma**2)
 
 
 def evaluate(stations: np.ndarray, grid: DemandGrid,

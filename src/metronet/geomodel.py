@@ -3,6 +3,10 @@
 All downstream math runs in a local planar frame (meters east/north of a
 region-centroid origin) produced by an equirectangular projection. A planar
 point is a length-2 float row x, y; a station set is an (N, 2) float array.
+Weighted points, the raster cells and the generators alike, reach the
+sum-mode coverage kernel as row runs (``group_runs``): stretches of one row
+over consecutive columns that share one weight, O(runs + distinct x +
+distinct y) memory.
 """
 from __future__ import annotations
 
@@ -155,29 +159,40 @@ class Region:
     bounds: tuple[float, float, float, float]  # planar (xmin, ymin, xmax, ymax)
 
 
-class PointRows(NamedTuple):
-    """Weighted points grouped by distinct y: the layout of the separable sum-mode kernel.
+class PointRuns(NamedTuple):
+    """Weighted points as row runs: the layout of the separable sum-mode kernel.
 
-    Row j holds the points whose y equals ``ys[j]``, from offset ``starts[j]``
-    up to the next row's start in ``col`` and ``weight``; ``col[i]`` indexes
-    the point's x in ``xs``. It is exact for any point set, on a lattice or
-    not, duplicates included, and holds O(points) memory.
+    Points are ordered by row (distinct y), then by column (index into the
+    distinct xs). A run is a stretch of one row whose points sit in
+    consecutive columns and share one weight; run r covers the columns
+    ``bounds[r, 0]`` up to, not including, ``bounds[r, 1]``. Row j holds the
+    runs from ``row_starts[j]`` up to the next row's start. A new run starts
+    at a row change, a column gap or a weight change, and a repeated point
+    starts one too, so the layout is exact for any point set, on a lattice or
+    not. It holds O(runs + distinct x + distinct y) memory: one run per row
+    on a raster of one convex district, one run per point off the lattice.
     """
 
     xs: np.ndarray  # distinct x, ascending
     ys: np.ndarray  # distinct y, ascending
-    col: np.ndarray  # int32 index into xs of each point, points ordered by row
-    weight: np.ndarray  # each point's weight, points ordered by row
-    starts: np.ndarray  # offset of each row's first point
+    bounds: np.ndarray  # (R, 2) first and one-past-last column of each run
+    weight: np.ndarray  # each run's weight, runs ordered by row
+    row_starts: np.ndarray  # offset of each row's first run
 
 
-def group_rows(x: np.ndarray, y: np.ndarray, weight: np.ndarray) -> PointRows:
-    """Group weighted points by distinct y; within a row they keep their input order."""
+def group_runs(x: np.ndarray, y: np.ndarray, weight: np.ndarray) -> PointRuns:
+    """Group weighted points into row runs, ordered by row, then column; repeated points keep input order."""
     ys, row = np.unique(y, return_inverse=True)
     xs, col = np.unique(x, return_inverse=True)
-    order = np.argsort(row, kind="stable")
-    starts = np.searchsorted(row[order], np.arange(len(ys)))  # every row holds a point
-    return PointRows(xs, ys, col[order].astype(np.int32), weight[order], starts)
+    order = np.lexsort((col, row))
+    row, col, weight = row[order], col[order], weight[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (row[1:] != row[:-1]) | (col[1:] != col[:-1] + 1) | (weight[1:] != weight[:-1])
+    first = np.flatnonzero(first)
+    last = np.append(first[1:], len(order)) - 1
+    bounds = np.column_stack([col[first], col[last] + 1])
+    row_starts = np.flatnonzero(np.diff(row[first], prepend=-1))  # every row holds a run
+    return PointRuns(xs, ys, bounds, weight[first], row_starts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,9 +218,9 @@ class DemandGrid:
         return len(self.population)
 
     @cached_property
-    def rows(self) -> PointRows:
-        """The cells grouped by row, for the separable sum-mode coverage kernel."""
-        return group_rows(self.x, self.y, self.population)
+    def runs(self) -> PointRuns:
+        """The cells as row runs, for the separable sum-mode coverage kernel."""
+        return group_runs(self.x, self.y, self.population)
 
 
 # ---------------------------------------------------------------------------

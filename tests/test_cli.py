@@ -31,8 +31,8 @@ from conftest import (
 )
 
 
-@pytest.fixture
-def region_files(tmp_path):
+def write_two_district_inputs(tmp_path):
+    """Boundaries, densities and generator files of two adjacent rectangles and two generators."""
     boundaries, densities = write_region_files(
         tmp_path,
         [
@@ -45,6 +45,11 @@ def region_files(tmp_path):
         [("Central Mall", 30000, -4000.0, 0.0), ("Campus", 12000, 5000.0, 1000.0)],
     )
     return {"boundaries": boundaries, "densities": densities, "generators": generators}
+
+
+@pytest.fixture
+def region_files(tmp_path):
+    return write_two_district_inputs(tmp_path)
 
 
 def base_args(files, out, extra=()):
@@ -701,6 +706,36 @@ def data_run(tmp_path_factory):
     ])
     assert code == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def round_trip_inputs(tmp_path_factory):
+    """The region_files inputs, written once for the module."""
+    tmp_path = tmp_path_factory.mktemp("round_trip")
+    return tmp_path, write_two_district_inputs(tmp_path)
+
+
+@pytest.mark.parametrize("mode, penalized", [("sum", False), ("nearest", False), ("sum", True), ("nearest", True)])
+@settings(max_examples=25, deadline=None)
+@given(stations=st.integers(2, 8), line_count=st.integers(1, 3), population=st.integers(3, 6),
+       generations=st.integers(1, 3), seed=st.integers(0, 2**32 - 1), penalty=st.floats(1.0, 2000.0))
+def test_ga_output_round_trips_valid(round_trip_inputs, mode, penalized, stations, line_count, population,
+                                     generations, seed, penalty):
+    """Whatever the GA outputs, its artifacts read back and validate with exit 0, at the default cell size."""
+    tmp_path, files = round_trip_inputs
+    out = tmp_path / f"out_{mode}_{penalized}"
+    extra = ["--station-count", str(stations), "--line-count", str(line_count),
+             "--population-size", str(population), "--generations", str(generations),
+             "--seed", str(seed), "--coverage-mode", mode]
+    if penalized:
+        extra += ["--transfer-penalty-m", repr(penalty)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["run", *base_args(files, out, extra)]) == 0
+        station_points, serviced = artifacts.read_stations_geojson(out / "stations.geojson")
+        layout = artifacts.read_lines_geojson(out / "lines.geojson")
+        assert station_points.shape == (stations, 2) and len(serviced) == stations
+        assert len(layout) == line_count
+        assert cli.main(["validate", str(out / "stations.geojson"), str(out / "lines.geojson")]) == 0
 
 
 # Values no station coordinate or serviced count may take.

@@ -2,10 +2,11 @@
 import math
 import tracemalloc
 import warnings
+from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from metronet import coverage
@@ -15,15 +16,19 @@ from metronet.coverage import (
     evaluate,
     generator_coverage,
 )
+from metronet.errors import EmptyGrid
 from metronet.geomodel import (
     DemandGrid,
     GeneratorPoint,
     PlanarPolygon,
     District,
+    group_runs,
     load_generators,
     load_region,
     rasterize,
 )
+
+from conftest import rect_district, star_districts
 
 
 def oracle_district(stations, grid, sigma):
@@ -257,23 +262,194 @@ class TestSeparableSumKernel:
         got = generator_coverage(stations, generators, params)
         assert np.allclose(got, oracle_generator(stations, generators, sigma), rtol=1e-9, atol=0.0)
 
-    def test_row_grouping_is_linear_in_cells(self):
+
+def per_point_sum_shares(sxy, x, y, weight, sigma2):
+    """The sum-mode kernel one station at a time, weighting each point: the reference for the run kernel.
+
+    Points are grouped by distinct y in input order; each station gathers the
+    exp factor of every point's x, weights it by the point, sums each row and
+    weights the row sums by the y factors.
+    """
+    ys, row = np.unique(y, return_inverse=True)
+    xs, col = np.unique(x, return_inverse=True)
+    order = np.argsort(row, kind="stable")
+    starts = np.searchsorted(row[order], np.arange(len(ys)))
+    col, weight = col[order], weight[order]
+    shares = np.empty(len(sxy))
+    for k, (sx, sy) in enumerate(sxy):
+        ex = np.exp(-((xs - sx) ** 2) / sigma2)
+        ey = np.exp(-((ys - sy) ** 2) / sigma2)
+        shares[k] = (np.add.reduceat(ex[col] * weight, starts) * ey).sum()
+    return shares
+
+
+def expand_runs(runs):
+    """Per-point x, y and weight of a run layout, in its row-then-column order."""
+    lengths = runs.bounds[:, 1] - runs.bounds[:, 0]
+    cols = np.concatenate([np.arange(start, stop) for start, stop in runs.bounds])
+    run_row = np.repeat(np.arange(len(runs.ys)), np.diff(runs.row_starts, append=len(runs.weight)))
+    return runs.xs[cols], np.repeat(runs.ys[run_row], lengths), np.repeat(runs.weight, lengths)
+
+
+def layout_bytes(runs):
+    return sum(a.nbytes for a in runs)
+
+
+def block_width(runs):
+    """Entries one station takes in a block of the sum-mode kernel."""
+    return len(runs.xs) + 1 + 3 * len(runs.weight) + 2 * len(runs.ys)
+
+
+@st.composite
+def run_point_sets(draw):
+    """Weighted points whose rows hold runs: lattice stretches with repeated, equal and zero weights.
+
+    Points lie within 3 km of a drawn offset, so with sigma at least 400 m
+    every kernel factor stays a normal float.
+    """
+    layout = draw(st.sampled_from(["off_lattice", "duplicates", "equal_neighbours", "zero_weights", "lattice"]))
+    n = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    offset = draw(st.sampled_from([0.0, 1e6, -4.5e6])) + draw(st.floats(-1e4, 1e4))
+    if layout == "off_lattice":
+        xy = rng.uniform(-3000.0, 3000.0, (n, 2))
+    else:
+        xy = 250.0 * rng.integers(-12, 13, (n, 2)) + 125.0
+    # a few distinct weights, so lattice neighbours often share one
+    weight = rng.choice(rng.uniform(1.0, 1e4, 3), n)
+    if layout == "duplicates":
+        pick = rng.integers(0, max(1, n // 3), n)
+        xy, weight = xy[pick], weight[pick]
+    elif layout == "equal_neighbours":
+        xy[:, 0] = 250.0 * np.arange(n) % 3000.0 + 125.0
+        xy[:, 1] = 250.0 * (np.arange(n) // 12) + 125.0
+        weight[:] = weight[0]
+        weight[rng.integers(0, n, n // 5)] = 7.0
+    elif layout == "zero_weights":
+        weight[rng.random(n) < 0.4] = 0.0
+    return xy + offset, weight, offset
+
+
+@st.composite
+def raster_grids(draw):
+    """Rasterized districts whose rows hold several runs of different weights.
+
+    One to three star districts, overlapping where they meet, each with an
+    optional hole and distinct densities, or a grid of rectangles.
+    """
+    if draw(st.booleans()):
+        districts = []
+        for k in range(draw(st.integers(1, 3))):
+            star = draw(star_districts())
+            districts.append(District(f"star{k}", star.polygons, draw(st.floats(10.0, 5000.0))))
+    else:
+        districts = [
+            rect_district(f"r{k}", x0, y0, x0 + draw(st.integers(1, 8)) * 250.0,
+                          y0 + draw(st.integers(1, 8)) * 250.0, draw(st.sampled_from([100.0, 900.0, 2500.0])))
+            for k, (x0, y0) in enumerate(draw(st.lists(
+                st.tuples(st.integers(-8, 8).map(lambda v: 250.0 * v), st.integers(-8, 8).map(lambda v: 250.0 * v)),
+                min_size=1, max_size=4)))
+        ]
+    try:
+        return rasterize(districts, draw(st.sampled_from([100.0, 150.0, 250.0])))
+    except EmptyGrid:
+        assume(False)
+
+
+def assert_matches_reference(stations, x, y, weight, sigma):
+    runs = group_runs(x, y, weight)
+    got = coverage._sum_shares(stations, runs, sigma**2)
+    want = per_point_sum_shares(stations, x, y, weight, sigma**2)
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+    return runs, got
+
+
+class TestRunKernel:
+    @given(points=run_point_sets(), sigma=st.floats(400.0, 3000.0), station_seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_point_sets_match_per_point_kernel(self, points, sigma, station_seed):
+        xy, weight, offset = points
+        stations = np.random.default_rng(station_seed).uniform(-3000.0, 3000.0, (5, 2)) + offset
+        runs, _ = assert_matches_reference(stations, xy[:, 0], xy[:, 1], weight, sigma)
+        assert len(runs.weight) <= len(xy)
+
+    @given(grid=raster_grids(), sigma=st.floats(400.0, 3000.0), station_seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_raster_grids_match_per_point_kernel(self, grid, sigma, station_seed):
+        stations = np.random.default_rng(station_seed).uniform(-3000.0, 3000.0, (5, 2))
+        assert_matches_reference(stations, grid.x, grid.y, grid.population, sigma)
+        assert np.array_equal(district_coverage(stations, grid, CoverageParams(sigma)),
+                              coverage._sum_shares(stations, grid.runs, sigma**2))
+
+    @given(points=run_point_sets(), station_seed=st.integers(0, 2**32 - 1),
+           count=st.integers(1, 12), block=st.integers(1, 12))
+    @settings(max_examples=100, deadline=None)
+    def test_share_independent_of_block(self, points, station_seed, count, block):
+        """A station's share from a block of any size equals its share evaluated alone, bit for bit.
+
+        ``stations._coverage_of`` relies on this: it evaluates only the
+        coordinates its memo misses, yet promises ``coverage.evaluate``'s bits.
+        """
+        xy, weight, offset = points
+        stations = np.random.default_rng(station_seed).uniform(-3000.0, 3000.0, (count, 2)) + offset
+        runs = group_runs(xy[:, 0], xy[:, 1], weight)
+        with patch.object(coverage, "_SUM_BLOCK", block * block_width(runs)):
+            blocked = coverage._sum_shares(stations, runs, 800.0**2)
+        alone = [coverage._sum_shares(stations[k:k + 1], runs, 800.0**2)[0] for k in range(count)]
+        assert blocked.tolist() == alone
+
+
+class TestRunLayout:
+    def test_layout_is_linear_in_runs_and_axes(self, two_district_region):
+        grid = rasterize(two_district_region, 100.0)
+        runs = grid.runs
+        assert runs is grid.runs
+        assert len(runs.weight) == 2 * len(runs.ys)  # each row: one run per district
+        assert layout_bytes(runs) <= 24 * (len(runs.weight) + len(runs.xs) + len(runs.ys))
+        assert layout_bytes(runs) < len(grid) * 8 / 10  # under a tenth of one float per cell
+
+    def test_off_lattice_layout_has_one_run_per_point(self):
         n = 20_000
         rng = np.random.default_rng(37)
         grid = DemandGrid(500.0, rng.uniform(-3e4, 3e4, n), rng.uniform(-3e4, 3e4, n), rng.uniform(1.0, 800.0, n))
-        rows = grid.rows
-        assert rows is grid.rows
-        assert len(rows.xs) == len(rows.ys) == n  # off the lattice: every x and y distinct
-        assert rows.col.dtype == np.int32
-        # distinct axes, int32 columns, sorted weights and row starts: 36 bytes per cell
-        assert sum(a.nbytes for a in rows) <= 36 * n
+        runs = grid.runs
+        assert len(runs.xs) == len(runs.ys) == len(runs.weight) == n
+        assert layout_bytes(runs) <= 24 * (len(runs.weight) + len(runs.xs) + len(runs.ys))
 
-    def test_rasterized_cells_keep_their_order(self, two_district_region):
-        grid = rasterize(two_district_region, 1000.0)
-        rows = grid.rows
-        assert np.array_equal(rows.weight, grid.population)
-        assert np.array_equal(rows.xs[rows.col], grid.x)
-        assert np.array_equal(np.repeat(rows.ys, np.diff(rows.starts, append=len(grid))), grid.y)
+    @given(grid=raster_grids())
+    @settings(max_examples=50, deadline=None)
+    def test_runs_expand_to_the_cells_in_order(self, grid):
+        x, y, population = expand_runs(grid.runs)
+        assert np.array_equal(x, grid.x)
+        assert np.array_equal(y, grid.y)
+        assert np.array_equal(population, grid.population)
+
+    def test_repeated_points_fall_into_separate_runs(self):
+        x = np.array([0.0, 0.0, 1.0, 1.0, 2.0])
+        y = np.zeros(5)
+        runs = group_runs(x, y, np.array([5.0, 5.0, 5.0, 5.0, 5.0]))
+        assert runs.bounds.tolist() == [[0, 1], [0, 2], [1, 3]]
+        assert runs.weight.tolist() == [5.0, 5.0, 5.0]
+        assert runs.row_starts.tolist() == [0]
+
+    def test_off_lattice_block_stays_under_the_cap(self):
+        """On 20k off-lattice points a block's temporaries together stay under the cap: no K x points array."""
+        n, k = 20_000, 256
+        rng = np.random.default_rng(41)
+        grid = DemandGrid(500.0, rng.uniform(-3e4, 3e4, n), rng.uniform(-3e4, 3e4, n), rng.uniform(1.0, 800.0, n))
+        runs = grid.runs
+        stations = rng.uniform(-3e4, 3e4, (k, 2))
+        assert block_width(runs) <= coverage._SUM_BLOCK
+        tracemalloc.start()
+        try:
+            coverage._sum_shares(stations, runs, 800.0**2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # besides a block's temporaries: the runs' order and interleaved bounds
+        # (three ints per run), the shares and a few small views
+        assert peak < coverage._SUM_BLOCK * 8 + 24 * len(runs.weight) + 8 * k + 4096
+        assert peak < k * n * 8 / 16
 
 
 class TestNearestMode:
