@@ -134,12 +134,22 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             )
     check_cell_size(merged["cell_size"])
 
-    # stage 2 shifts the shared seed so the stages draw distinct streams
-    merged.setdefault("stage2_seed", merged.get("seed", GaConfig.rng_seed) + 1)
+    # An unset stage key takes the shared key's value, and a value rejected
+    # there is reported under the shared key, the one the user set. Stage 2
+    # shifts the shared seed so the stages draw distinct streams; the largest
+    # seed wraps to 0, and an out-of-range seed stays out of range.
+    inherited: dict[str, str] = {}
+    if "stage2_seed" not in merged:
+        seed = merged.get("seed", GaConfig.rng_seed)
+        merged["stage2_seed"] = (seed + 1) % 2**64 if 0 <= seed < 2**64 else seed
+        inherited["stage2_seed"] = "seed"
     for key in _GA_KEYS:
         if key in merged:
             for n in (1, 2):
-                merged.setdefault(f"stage{n}_{key}", merged[key])
+                stage_key = f"stage{n}_{key}"
+                if stage_key not in merged:
+                    merged[stage_key] = merged[key]
+                    inherited[stage_key] = key
 
     def build(owner: str, cls, **parts):
         """``cls`` from the set values that live directly on ``owner``, by field name.
@@ -160,7 +170,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             key = key_of.get(str(exc).split(" ", 1)[0])
             if key is None:
                 raise
-            raise ValueError(f"{key}: {exc}") from exc
+            raise ValueError(f"{inherited.get(key, key)}: {exc}") from exc
 
     return RunConfig(
         **{key: Path(merged[key]) if key in merged else None for key in _PATH_KEYS},

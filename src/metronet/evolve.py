@@ -151,12 +151,13 @@ def run(
 
     def evaluate(pop: list[G], gen: int) -> np.ndarray:
         nonlocal best_genome, best_fit
-        fits = np.empty(len(pop))
+        values = []
         for i, genome in enumerate(pop):
             value = float(fitness_fn(genome))
             if not math.isfinite(value):
                 raise FitnessNotFinite(gen, i, value)
-            fits[i] = value
+            values.append(value)
+        fits = np.array(values)
         idx = int(np.argmax(fits) if sense == "maximize" else np.argmin(fits))
         if _is_better(fits[idx], best_fit, sense):
             best_fit = float(fits[idx])
@@ -187,7 +188,8 @@ def _breed(
 ) -> list[G]:
     sense = config.objective_sense
     n = config.population_size
-    key = (lambda i: (-fits[i], i)) if sense == "maximize" else (lambda i: (fits[i], i))
+    values = fits.tolist()
+    key = (lambda i: (-values[i], i)) if sense == "maximize" else (lambda i: (values[i], i))
     ranked = sorted(range(n), key=key)
     new_population = [population[i] for i in ranked[: config.elite_count]]
 
@@ -198,7 +200,7 @@ def _breed(
         if rng.random() < config.crossover_rate:
             children = list(crossover_fn(population[i], population[j], rng))
         else:
-            fitter = i if not _is_better(fits[j], fits[i], sense) else j
+            fitter = i if not _is_better(values[j], values[i], sense) else j
             children = [population[fitter]]
         for child in children:
             if len(new_population) >= n:

@@ -1,4 +1,15 @@
-"""Stage 2: evolve line layouts minimizing demand-weighted network travel cost."""
+"""Stage 2: evolve line layouts minimizing demand-weighted network travel cost.
+
+The operators draw positions through two helpers that make fewer numpy calls
+than numpy's ``Generator.choice`` yet consume the generator exactly as the
+calls they replace. ``_draw_index(rng, n)`` is ``int(rng.integers(n))``,
+skipped when ``n == 1`` because a one-value range draws no bits.
+``_draw_two(rng, n)`` is ``choice(n, size=2, replace=False)``: for two of n,
+numpy always takes Floyd's algorithm, ``integers(n - 1)`` then
+``integers(n)`` (n - 1 on a repeat), and shuffles the pair with one
+``integers(2)``. The tests hold both helpers to numpy's own calls, so a
+numpy that changes ``choice`` fails there instead of shifting every layout.
+"""
 from __future__ import annotations
 
 import math
@@ -64,20 +75,36 @@ def line_fitness(genome: Layout, stations: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
+def _draw_index(rng: np.random.Generator, n: int) -> int:
+    """``int(rng.integers(n))``; n == 1 gives 0 without a call, as it draws no bits."""
+    return 0 if n == 1 else int(rng.integers(n))
+
+
+def _draw_two(rng: np.random.Generator, n: int) -> tuple[int, int]:
+    """The pair ``choice(n, size=2, replace=False)`` returns, from the same draws."""
+    integers = rng.integers
+    a = _draw_index(rng, n - 1)
+    b = int(integers(n))
+    if b == a:
+        b = n - 1
+    # the two-element shuffle swaps the pair when it draws 0
+    return (a, b) if integers(2) else (b, a)
+
+
 def exchange_within_line(genome: Layout, rng: np.random.Generator) -> Layout | None:
     """(a) Swap the positions of two stations within one line."""
-    li = int(rng.integers(len(genome)))
+    li = _draw_index(rng, len(genome))
     line = list(genome[li])
-    i, j = rng.choice(len(line), size=2, replace=False)
+    i, j = _draw_two(rng, len(line))
     line[i], line[j] = line[j], line[i]
     return genome[:li] + (tuple(line),) + genome[li + 1:]
 
 
 def reverse_segment(genome: Layout, rng: np.random.Generator) -> Layout | None:
     """(b) Reverse a contiguous sub-series of stations within one line."""
-    li = int(rng.integers(len(genome)))
+    li = _draw_index(rng, len(genome))
     line = list(genome[li])
-    i, j = sorted(rng.choice(len(line), size=2, replace=False))
+    i, j = sorted(_draw_two(rng, len(line)))
     line[i : j + 1] = line[i : j + 1][::-1]
     return genome[:li] + (tuple(line),) + genome[li + 1:]
 
@@ -86,7 +113,7 @@ def swap_between_lines(genome: Layout, rng: np.random.Generator) -> Layout | Non
     """(c) Exchange one station of line p with one station of line q."""
     if len(genome) < 2:
         return None
-    p, q = (int(v) for v in rng.choice(len(genome), size=2, replace=False))
+    p, q = _draw_two(rng, len(genome))
     line_p, line_q = list(genome[p]), list(genome[q])
     ip = int(rng.integers(len(line_p)))
     iq = int(rng.integers(len(line_q)))
@@ -103,7 +130,7 @@ def transfer_station(genome: Layout, rng: np.random.Generator) -> Layout | None:
     """(d) Move one station from line p to a random position in line q."""
     if len(genome) < 2:
         return None
-    p, q = (int(v) for v in rng.choice(len(genome), size=2, replace=False))
+    p, q = _draw_two(rng, len(genome))
     line_p, line_q = list(genome[p]), list(genome[q])
     if len(line_p) < 3:  # the donor must keep >= 2 stations
         return None
@@ -119,7 +146,7 @@ def transfer_station(genome: Layout, rng: np.random.Generator) -> Layout | None:
 
 def remove_station(genome: Layout, rng: np.random.Generator) -> Layout | None:
     """(e) Delete one station from a line of length >= 3."""
-    li = int(rng.integers(len(genome)))
+    li = _draw_index(rng, len(genome))
     line = list(genome[li])
     if len(line) < 3:
         return None
@@ -129,12 +156,12 @@ def remove_station(genome: Layout, rng: np.random.Generator) -> Layout | None:
 
 def add_station(genome: Layout, station_count: int, rng: np.random.Generator) -> Layout | None:
     """(f) Insert a station the line does not yet visit at a random position."""
-    li = int(rng.integers(len(genome)))
+    li = _draw_index(rng, len(genome))
     line = list(genome[li])
     candidates = [s for s in range(station_count) if s not in line]
     if not candidates:
         return None
-    station = candidates[int(rng.integers(len(candidates)))]
+    station = candidates[_draw_index(rng, len(candidates))]
     line.insert(int(rng.integers(len(line) + 1)), station)
     return genome[:li] + (tuple(line),) + genome[li + 1:]
 
@@ -163,7 +190,7 @@ def crossover_lines(parent_a: Layout, parent_b: Layout,
 
     Children may come out disconnected; callers put them through repair.
     """
-    k = int(rng.integers(len(parent_a)))
+    k = _draw_index(rng, len(parent_a))
     lines_a = list(parent_a)
     lines_b = list(parent_b)
     lines_a[k], lines_b[k] = lines_b[k], lines_a[k]
@@ -301,9 +328,13 @@ def optimize_lines(
     # end, so its output depends on orientation: it is keyed on the genome
     # itself. A line and its reverse are the same track, and line order does
     # not matter, so fitness is keyed on the canonical layout; the first
-    # orientation seen prices it (another may differ in the last bits).
+    # orientation seen prices it (another may differ in the last bits). A
+    # raw memo in front of that cache skips building the canonical key for a
+    # layout seen as it is; it is cleared with the cache, so it returns only
+    # what the cache holds.
     repaired: dict[Layout, Layout] = {}
     cache: dict[tuple, LineFitness] = {}
+    raw: dict[Layout, float] = {}
 
     def validator(genome: Layout) -> Layout:
         hit = repaired.get(genome)
@@ -315,13 +346,20 @@ def optimize_lines(
         return hit
 
     def fitness(genome: Layout) -> float:
+        value = raw.get(genome)
+        if value is not None:
+            return value
         key = tuple(sorted([min(line, line[::-1]) for line in genome]))
         hit = cache.get(key)
         if hit is None:
             if len(cache) >= _CACHE_LIMIT:
                 cache.clear()
+                raw.clear()
             hit = line_fitness(genome, stations, s, config.transfer_penalty_m)
             cache[key] = hit
+        if len(raw) >= _CACHE_LIMIT:
+            raw.clear()
+        raw[genome] = hit.value
         return hit.value
 
     def mutation(genome: Layout, rng: np.random.Generator) -> Layout:

@@ -144,6 +144,8 @@ INVALID_SETTINGS = [
     ("--sigma", "0"),
     ("--stage2-population-size", "1"),
     ("--stage2-seed", "-4"),
+    ("--seed", "-4"),
+    ("--seed", str(2**64)),
 ]
 
 
@@ -352,6 +354,21 @@ class TestRunCommand:
         assert len(feature["geometry"]["coordinates"]) == 2
         assert (out / "stations.geojson").exists()
         assert (out / "manifest.txt").exists()
+
+    @pytest.mark.parametrize("seed, stage2_seed", [(3, 4), (2**64 - 1, 0)])
+    def test_stage2_seed_follows_the_seed(self, tmp_path, region_files, seed, stage2_seed):
+        # the largest seed wraps stage 2 round to 0 rather than overflowing it
+        out = tmp_path / "out"
+        code = cli.main(
+            ["run", *base_args(region_files, out, [
+                "--station-count", "2", "--line-count", "1",
+                "--population-size", "4", "--generations", "1", "--seed", str(seed),
+            ])]
+        )
+        assert code == 0
+        manifest = (out / "manifest.txt").read_text().splitlines()
+        assert f"stage1_seed = {seed}" in manifest
+        assert f"stage2_seed = {stage2_seed}" in manifest
 
     def test_seeded_runs_byte_identical(self, tmp_path, region_files):
         outs = []

@@ -1,4 +1,5 @@
 """Line-layout stage tests: fitness, the six mutations, repair, small optimizations."""
+import hashlib
 import math
 from dataclasses import replace
 from itertools import combinations, permutations
@@ -16,6 +17,8 @@ from metronet.evolve import GaConfig
 from metronet.geomodel import station_distances
 from metronet.lines import (
     LineStageConfig,
+    _draw_index,
+    _draw_two,
     add_station,
     crossover_lines,
     exchange_within_line,
@@ -47,17 +50,19 @@ def assert_connected(lines, stations):
 
 
 class ScriptedRng:
-    """Replays queued draws so operator examples are checked verbatim."""
+    """Replays queued ``integers`` draws so operator examples are checked verbatim.
 
-    def __init__(self, integers=(), choices=()):
+    A pair of distinct positions costs up to three draws, as in
+    ``choice(n, 2, replace=False)``: ``integers(n - 1)`` (none when n == 2),
+    then ``integers(n)``, then ``integers(2)``, whose 0 swaps the pair. A
+    one-line layout's line pick costs no draw.
+    """
+
+    def __init__(self, integers=()):
         self._integers = list(integers)
-        self._choices = list(choices)
 
     def integers(self, *args, **kwargs):
         return self._integers.pop(0)
-
-    def choice(self, n, size=None, replace=True):
-        return np.array(self._choices.pop(0))
 
 
 def assert_valid_genome(genome, station_count, line_count=None):
@@ -118,12 +123,12 @@ class TestMutationOperators:
     def test_reverse_segment_example(self):
         # positions 1..3 of a 5-station line flip in place
         genome = ((10, 11, 12, 13, 14),)
-        rng = ScriptedRng(integers=[0], choices=[[1, 3]])
+        rng = ScriptedRng(integers=[1, 3, 1])  # positions 1 and 3, not swapped
         assert reverse_segment(genome, rng)[0] == (10, 13, 12, 11, 14)
 
     def test_exchange_example(self):
         genome = ((10, 11, 12, 13),)
-        rng = ScriptedRng(integers=[0], choices=[[0, 2]])
+        rng = ScriptedRng(integers=[0, 2, 1])  # positions 0 and 2, not swapped
         assert exchange_within_line(genome, rng)[0] == (12, 11, 10, 13)
 
     def test_remove_guard_on_two_station_line(self):
@@ -133,7 +138,7 @@ class TestMutationOperators:
 
     def test_remove_from_long_line(self):
         genome = ((0, 1, 2),)
-        rng = ScriptedRng(integers=[0, 1])
+        rng = ScriptedRng(integers=[1])  # the middle station
         assert remove_station(genome, rng)[0] == (0, 2)
 
     def test_add_duplicate_is_inapplicable(self):
@@ -145,31 +150,31 @@ class TestMutationOperators:
         genome = ((0, 1),)
         results = set()
         for pos in range(3):
-            rng = ScriptedRng(integers=[0, 0, pos])  # line 0, candidate 2, position
+            rng = ScriptedRng(integers=[pos])  # the only line and candidate 2 cost no draw
             results.add(add_station(genome, 3, rng)[0])
         assert results == {(2, 0, 1), (0, 2, 1), (0, 1, 2)}
 
     def test_swap_between_lines(self):
         genome = ((0, 1), (2, 3))
-        rng = ScriptedRng(integers=[0, 1], choices=[[0, 1]])  # swap station 0 with 3
+        rng = ScriptedRng(integers=[1, 1, 0, 1])  # lines 0 and 1, not swapped; station 0 with 3
         swapped = swap_between_lines(genome, rng)
         assert swapped == ((3, 1), (2, 0))
 
     def test_swap_rejects_duplicate_result(self):
         # station 1 is shared; pulling it into line 0 would duplicate it there
         genome = ((0, 1), (1, 2))
-        rng = ScriptedRng(integers=[0, 0], choices=[[0, 1]])
+        rng = ScriptedRng(integers=[1, 1, 0, 0])  # lines 0 and 1, not swapped; station 0 with 1
         assert swap_between_lines(genome, rng) is None
 
     def test_transfer_moves_one_station(self):
         genome = ((0, 1, 2), (3, 4))
-        rng = ScriptedRng(integers=[1, 1], choices=[[0, 1]])  # move station 1 into line 1 at slot 1
+        rng = ScriptedRng(integers=[1, 1, 1, 1])  # lines 0 and 1, not swapped; station 1 to slot 1
         moved = transfer_station(genome, rng)
         assert moved == ((0, 2), (3, 1, 4))
 
     def test_transfer_guard_short_donor(self):
         genome = ((0, 1), (2, 3))
-        rng = ScriptedRng(choices=[[0, 1]])
+        rng = ScriptedRng(integers=[1, 1])  # lines 0 and 1, not swapped
         assert transfer_station(genome, rng) is None
 
     @pytest.mark.parametrize("seed", range(40))
@@ -209,6 +214,48 @@ class TestMutationOperators:
             out = add_station(genome, 9, rng)
             if out is not None:
                 assert len(placements(out)) == len(placements(genome)) + 1
+
+
+# draws made before the helper under test: None is a random(), an int an integers(bound)
+earlier_draws = st.lists(st.one_of(st.none(), st.integers(1, 2**40)), max_size=4)
+
+
+def twin_generators(seed, earlier):
+    """Two generators of one seed, each advanced by the same earlier draws."""
+    rngs = np.random.default_rng(seed), np.random.default_rng(seed)
+    for rng in rngs:
+        for bound in earlier:
+            if bound is None:
+                rng.random()
+            else:
+                rng.integers(bound)
+    return rngs
+
+
+class TestDrawHelpers:
+    """The operators' position draws are numpy's own calls, draw for draw."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**64 - 1), st.integers(2, 1000), earlier_draws)
+    def test_draw_two_is_choice_without_replacement(self, seed, n, earlier):
+        rng, twin = twin_generators(seed, earlier)
+        want = tuple(int(v) for v in twin.choice(n, size=2, replace=False))
+        assert _draw_two(rng, n) == want
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**64 - 1), st.integers(1, 1000), earlier_draws)
+    def test_draw_index_is_integers(self, seed, n, earlier):
+        rng, twin = twin_generators(seed, earlier)
+        assert _draw_index(rng, n) == int(twin.integers(n))
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    def test_draw_index_of_one_leaves_the_state(self):
+        rng = np.random.default_rng(5)
+        rng.random()
+        before = rng.bit_generator.state
+        assert _draw_index(rng, 1) == 0
+        assert rng.bit_generator.state == before
 
 
 class TestCrossover:
@@ -572,6 +619,50 @@ class TestOptimizeLines:
         assert sum(reconnected) >= 5  # children really get reconnected
         assert best == want_best
         assert history.records == want_history.records
+
+    def test_memo_limits_change_nothing(self, monkeypatch):
+        """Memos that fill and clear every few layouts give the same run."""
+        rng = np.random.default_rng(23)
+        stations = pts(*rng.uniform(-5000, 5000, (8, 2)))
+        s = rng.uniform(100, 1000, 8)
+        cfg = LineStageConfig(line_count=3, ga=GaConfig(population_size=20, generations=20, rng_seed=1))
+        want = optimize_lines(stations, s, cfg)
+        monkeypatch.setattr(lines_module, "_CACHE_LIMIT", 3)
+        assert optimize_lines(stations, s, cfg) == want
+
+    # Each seed's best layout and a digest of every generation's population,
+    # recorded while the operators still drew positions with rng.choice. Any
+    # change to a stage-2 random draw, or to which layouts the GA keeps,
+    # moves them.
+    @pytest.mark.parametrize("instance, seed, want_best, want_digest", [
+        ("criterion4", 0, ((3, 0, 4, 2, 1),), "156f2099281f948f"),
+        ("criterion4", 1, ((3, 0, 4, 2, 1),), "cbf5dc49d0cd9940"),
+        ("criterion4", 2, ((3, 0, 4, 2, 1),), "2589ca79e239c8ef"),
+        ("criterion4", 3, ((3, 0, 4, 2, 1),), "1b49147e63f8bf03"),
+        ("eight", 0, ((1, 6, 7, 0, 5, 3, 2), (6, 7, 5, 4, 0, 2), (0, 5, 1, 3, 7)), "e3c249518fd3b9e9"),
+        ("eight", 1, ((6, 7, 2, 0, 4, 5, 3, 1), (1, 6, 3, 7, 5, 0, 2), (0, 2, 6)), "ebc297dbe5e127f6"),
+        ("eight", 2, ((1, 3, 7, 5, 6, 0, 4, 2), (2, 7, 0, 4, 5, 3, 6, 1), (7, 6, 2)), "4fc0e56130162e91"),
+        ("eight", 3, ((2, 7, 5, 3, 6), (5, 4, 0, 7, 6, 2), (6, 1, 3, 7, 5, 0, 2)), "beb6fc06b436e1f9"),
+    ])
+    def test_random_stream_pinned(self, instance, seed, want_best, want_digest):
+        if instance == "criterion4":  # the acceptance test's stations, over 20 generations
+            rng = np.random.default_rng(77)
+            stations = rng.uniform(-5000, 5000, (5, 2))
+            s = [float(v) for v in rng.uniform(100.0, 2000.0, 5)]
+            cfg = LineStageConfig(line_count=1, ga=GaConfig(population_size=40, generations=20, rng_seed=seed))
+        else:  # 8 stations on 3 lines
+            rng = np.random.default_rng(23)
+            stations = rng.uniform(-5000, 5000, (8, 2))
+            s = rng.uniform(100, 1000, 8)
+            cfg = LineStageConfig(line_count=3, ga=GaConfig(population_size=20, generations=20, rng_seed=seed))
+        digest = hashlib.sha256()
+
+        def record(gen, population, fits):
+            digest.update(repr(list(population)).encode())
+
+        best, _ = optimize_lines(stations, s, cfg, on_generation=record)
+        assert best == want_best
+        assert digest.hexdigest()[:16] == want_digest
 
     # line_fitness calls of a cache keyed on each line oriented from its
     # smaller end, lines sorted; a key that stops merging reversed lines
