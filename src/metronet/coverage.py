@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -130,21 +131,40 @@ def district_coverage(stations: np.ndarray, grid: DemandGrid, params: CoveragePa
     return _sum_shares(stations, grid.runs, params.sigma**2)
 
 
-def generator_coverage(stations: np.ndarray, generators: Sequence[GeneratorPoint],
+@dataclass(frozen=True, eq=False)
+class GeneratorArrays:
+    """Generator coordinates and daily visitors as arrays, built once per stage-1 run."""
+
+    x: np.ndarray
+    y: np.ndarray
+    weight: np.ndarray
+
+    @classmethod
+    def of(cls, generators: Sequence[GeneratorPoint]) -> GeneratorArrays:
+        return cls(np.array([g.x for g in generators]), np.array([g.y for g in generators]),
+                   np.array([g.daily_visitors for g in generators], dtype=float))
+
+    def __len__(self) -> int:
+        return len(self.x)
+
+    @cached_property
+    def runs(self) -> PointRuns:
+        return group_runs(self.x, self.y, self.weight)
+
+
+def generator_coverage(stations: np.ndarray, generators: Sequence[GeneratorPoint] | GeneratorArrays,
                        params: CoverageParams) -> np.ndarray:
     """Daily-visitor coverage share per station of an (N, 2) array, summed over all generators."""
     if len(stations) == 0 or len(generators) == 0:
         return np.zeros(len(stations))
-    gx = np.array([g.x for g in generators])
-    gy = np.array([g.y for g in generators])
-    gw = np.array([g.daily_visitors for g in generators], dtype=float)
+    g = generators if isinstance(generators, GeneratorArrays) else GeneratorArrays.of(generators)
     if params.mode == "nearest":
-        return _nearest_shares(stations, gx, gy, gw, params.sigma**2)
-    return _sum_shares(stations, group_runs(gx, gy, gw), params.sigma**2)
+        return _nearest_shares(stations, g.x, g.y, g.weight, params.sigma**2)
+    return _sum_shares(stations, g.runs, params.sigma**2)
 
 
 def evaluate(stations: np.ndarray, grid: DemandGrid,
-             generators: Sequence[GeneratorPoint], params: CoverageParams) -> np.ndarray:
+             generators: Sequence[GeneratorPoint] | GeneratorArrays, params: CoverageParams) -> np.ndarray:
     """Serviced-population count s_i per station of an (N, 2) array: district plus generator share.
 
     The stage-1 fitness, the total covered demand, is the sum of all s_i.

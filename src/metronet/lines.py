@@ -217,29 +217,40 @@ def repair(genome: Layout, dist: np.ndarray) -> Layout:
     into station 0's, so it ends within station_count rounds.
     """
     n = len(dist)
-    comp = netgraph.components(genome, n)
-    if comp.count(comp[0]) == n:
+    labels = netgraph.components(genome, n)
+    if labels.count(labels[0]) == n:
         return genome
-    lines = list(genome)
-    # Each attach merges station 0's component with one other whole
-    # component, so these labels stay valid for the components outside it.
-    comp = np.array(comp)
+    comp = np.array(labels)
     inside = comp == comp[0]
-    # each station's distance to station 0's component; min is exact, so
-    # folding in each merged component's rows equals one min over inside
-    near = dist[inside].min(axis=0)
-    while not inside.all():
-        line_in_c0 = [li for li, line in enumerate(lines) if inside[line[0]]]
+    outside = ~inside
+    left = int(np.count_nonzero(outside))
+    lines = list(genome)
+    # Each attach merges station 0's component with one other whole component,
+    # so these labels stay valid outside it. gap is each outside station's
+    # distance to that component, inf inside it: min is exact, so folding in
+    # each merged component's rows equals one min over the inside rows.
+    gap = dist[inside].min(axis=0)
+    gap[inside] = np.inf
+    while left:
+        line_in_c0 = [li for li, line in enumerate(lines) if not outside[line[0]]]
         if line_in_c0:
             # the outside station nearest to station 0's component
-            joined = int(np.argmin(np.where(inside, np.inf, near)))
+            joined = int(gap.argmin())
             _attach_to_nearest_end(lines, line_in_c0, joined, dist)
         else:
             # station 0 sits on no line: hook it onto the nearest line end anywhere
             joined = _attach_to_nearest_end(lines, range(len(lines)), 0, dist)
-        merged = comp == comp[joined]  # joined lay outside, so every round grows station 0's component
-        np.minimum(near, dist[merged].min(axis=0), out=near)
-        inside |= merged
+        # joined lay outside, so every round grows station 0's component
+        if labels[joined] < n:  # a station on no line: its row is the component's minimum
+            merged, row = joined, dist[joined]
+            left -= 1
+        else:
+            merged = comp == labels[joined]
+            row = dist[merged].min(axis=0)
+            left -= int(np.count_nonzero(merged))
+        np.minimum(gap, row, out=gap, where=outside)
+        gap[merged] = np.inf
+        outside[merged] = False
     return tuple(lines)
 
 
@@ -250,14 +261,16 @@ def _nearest_other(dist: np.ndarray, a: int) -> int:
 
 
 def _attach_to_nearest_end(lines: list[tuple[int, ...]], candidates, v: int, dist: np.ndarray) -> int:
-    """Splice station v onto the closest candidate line head/tail; return that end station."""
-    _, li, end, joined = min(
-        (dist[line_end, v], li, end, line_end)
-        for li in candidates
-        for end, line_end in ((0, lines[li][-1]), (1, lines[li][0]))
-    )
-    lines[li] = lines[li] + (v,) if end == 0 else (v,) + lines[li]
-    return joined
+    """Splice station v onto the closest candidate line tail/head; return that end station.
+
+    The ends are gathered tail then head, line by line, so argmin's first
+    minimum breaks ties as ``min`` over (distance, line, end) would.
+    """
+    ends = [end for li in candidates for end in (lines[li][-1], lines[li][0])]
+    k = int(dist[:, v][ends].argmin())
+    li = candidates[k // 2]
+    lines[li] = lines[li] + (v,) if k % 2 == 0 else (v,) + lines[li]
+    return ends[k]
 
 
 # ---------------------------------------------------------------------------
@@ -274,14 +287,20 @@ def _split_sizes(station_count: int, line_count: int) -> list[int]:
 
 def _nearest_neighbor_chain(subset: np.ndarray, dist: np.ndarray,
                             rng: np.random.Generator) -> tuple[int, ...]:
-    """Order a station subset by greedy nearest-neighbor walking from a random start."""
-    remaining = [int(s) for s in subset]
-    current = remaining.pop(int(rng.integers(len(remaining))))
-    chain = [current]
-    while remaining:
-        current = remaining.pop(int(np.argmin(dist[current, remaining])))
-        chain.append(current)
-    return tuple(chain)
+    """Order a station subset by greedy nearest-neighbor walking from a random start.
+
+    The walk runs on the subset's own distance block, whose visited columns
+    are set to inf: argmin then takes the first nearest station in subset
+    order, as a search over the stations left would.
+    """
+    block = dist[np.ix_(subset, subset)]
+    i = int(rng.integers(len(subset)))
+    order = [i]
+    for _ in range(len(subset) - 1):
+        block[:, i] = np.inf
+        i = int(block[i].argmin())
+        order.append(i)
+    return tuple(subset[order].tolist())
 
 
 def init_lines(dist: np.ndarray, line_count: int,

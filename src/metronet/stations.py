@@ -132,15 +132,16 @@ def _coverage_of(
     they equal ``coverage.evaluate`` of the whole array bit for bit. Nearest
     mode is not separable and evaluates every array in full.
     """
+    arrays = coverage.GeneratorArrays.of(generators)
     if params.mode != "sum":
-        return lambda stations: coverage.evaluate(stations, grid, generators, params)
+        return lambda stations: coverage.evaluate(stations, grid, arrays, params)
     shares: dict[tuple[float, float], float] = {}
 
     def per_station(stations: np.ndarray) -> np.ndarray:
         points = [tuple(p) for p in stations.tolist()]
         missing = list(dict.fromkeys(p for p in points if p not in shares))
         if missing:
-            shares.update(zip(missing, coverage.evaluate(np.array(missing), grid, generators, params)))
+            shares.update(zip(missing, coverage.evaluate(np.array(missing), grid, arrays, params)))
         return np.array([shares[p] for p in points])
 
     return per_station

@@ -633,6 +633,22 @@ class TestValidateCommand:
         index = len(doc["features"]) - 1
         assert capsys.readouterr().err.splitlines() == [f"violation: line {index} has 1 station(s), need >= 2"]
 
+    @pytest.mark.parametrize("foreign", [-1, "station count", 2**70])
+    def test_station_id_out_of_range_exit_4(self, tmp_path, region_files, capsys, foreign):
+        """An id below 0, at the station count or past any machine integer is a violation, never a crash."""
+        out = self._run_once(tmp_path, region_files)
+        doc = json.loads((out / "lines.geojson").read_text())
+        ids = doc["features"][0]["properties"]["station_ids"]
+        station_id = 4 if foreign == "station count" else foreign  # _run_once places 4 stations
+        ids.append(station_id)
+        (out / "lines.geojson").write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = cli.main(["validate", str(out / "stations.geojson"), str(out / "lines.geojson")])
+        assert code == 4
+        assert capsys.readouterr().err.splitlines() == [
+            f"violation: line 0: station index {station_id} out of range [0, 4)"
+        ]
+
     def test_missing_station_disconnects(self, tmp_path, region_files, capsys):
         out = self._run_once(tmp_path, region_files)
         doc = json.loads((out / "lines.geojson").read_text())

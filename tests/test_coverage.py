@@ -519,6 +519,41 @@ class TestExactFastPaths:
             assert generator_coverage(one, generators, params)[0] == generator[i]
 
     @pytest.mark.parametrize("mode", ["sum", "nearest"])
+    def test_generator_arrays_give_the_same_shares(self, mode):
+        rng = np.random.default_rng(37)
+        stations, grid, generators = random_instance(rng, 20, 500, 14, span=6000.0)
+        generators[3] = generators[5]  # a repeated generator shares a run in sum mode
+        params = CoverageParams(800.0, mode=mode)
+        arrays = coverage.GeneratorArrays.of(generators)
+        assert len(arrays) == len(generators)
+        assert np.array_equal(generator_coverage(stations, arrays, params),
+                              generator_coverage(stations, generators, params))
+        assert np.array_equal(evaluate(stations, grid, arrays, params), evaluate(stations, grid, generators, params))
+
+    @pytest.mark.parametrize("mode", ["sum", "nearest"])
+    def test_stage1_builds_generator_arrays_once(self, monkeypatch, mode):
+        from metronet import stations as stations_module
+        from metronet.evolve import GaConfig
+
+        built = []
+        real_of = coverage.GeneratorArrays.of.__func__
+
+        def counted_of(cls, generators):
+            built.append(len(generators))
+            return real_of(cls, generators)
+
+        monkeypatch.setattr(coverage.GeneratorArrays, "of", classmethod(counted_of))
+        rng = np.random.default_rng(41)
+        _, grid, generators = random_instance(rng, 1, 400, 6)
+        district = rect_district("d", -4000.0, -4000.0, 4000.0, 4000.0, 1000.0)
+        config = stations_module.StationStageConfig(
+            station_count=3, coverage=CoverageParams(800.0, mode=mode),
+            ga=GaConfig(population_size=6, generations=3, rng_seed=1),
+        )
+        stations_module.optimize_stations(grid, generators, [district], config)
+        assert built == [6]
+
+    @pytest.mark.parametrize("mode", ["sum", "nearest"])
     def test_peak_memory_does_not_scale_with_stations_times_cells(self, mode):
         rng = np.random.default_rng(31)
         k, n = 128, 100_000

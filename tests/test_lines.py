@@ -49,6 +49,26 @@ def assert_connected(lines, stations):
     assert len(set(components(lines, len(stations)))) == 1
 
 
+# Best layouts of the 60-station pins in test_random_stream_pinned.
+SIXTY_BEST = (
+    ((39, 51, 14, 36, 8, 40, 23, 7, 1, 35, 32, 52, 38),
+     (20, 48, 28, 43, 15, 39, 29, 13, 17, 0, 47, 19, 59, 22, 33, 9, 10, 40, 41, 56),
+     (37, 4, 33, 44, 16, 58, 22, 21, 41, 57, 45, 34, 0, 49, 19, 55, 35, 10, 31, 25),
+     (58, 52, 16, 26, 9, 54, 53, 8, 30, 49, 50, 51, 43, 13),
+     (3, 18, 27, 2, 5, 50, 46, 24, 47, 53, 59, 6, 44, 11, 9, 42, 15, 12)),
+    ((56, 21, 10, 35, 23, 1, 25, 0, 27, 34, 17, 12, 33, 52, 16, 26, 58, 39),
+     (21, 31, 30, 53, 36, 49, 55, 2, 46, 14, 54, 38, 57),
+     (16, 9, 44, 15, 42, 4, 33, 46, 24, 5, 2, 32, 36, 59, 10, 40, 19, 3, 18, 47),
+     (58, 9, 11, 22, 21, 1, 30, 31, 41, 37, 57, 52, 26, 28, 48, 0, 14, 45, 13, 43, 29, 20),
+     (21, 37, 38, 51, 46, 27, 0, 50, 54, 10, 59, 30, 1, 8, 40, 25, 7, 6)),
+    ((35, 25, 40, 8, 32, 10, 23, 4, 42, 38, 26, 39, 12, 0, 24, 17, 13, 28, 15),
+     (47, 14, 33, 58, 39, 51, 34, 46, 27, 0, 2, 20, 13, 44, 53, 59, 25, 23, 3, 35, 10, 56, 1),
+     (37, 31, 56, 41, 57, 16, 52, 11, 44, 9, 54, 34, 2, 19, 59, 6, 30, 29, 13, 48),
+     (35, 10, 8, 6, 40, 22, 4, 57, 16, 45, 17, 43, 0, 49, 19, 3, 50, 5),
+     (13, 51, 54, 18, 36, 8, 7, 30, 21, 26, 27, 49, 55)),
+)
+
+
 class ScriptedRng:
     """Replays queued ``integers`` draws so operator examples are checked verbatim.
 
@@ -631,9 +651,11 @@ class TestOptimizeLines:
         assert optimize_lines(stations, s, cfg) == want
 
     # Each seed's best layout and a digest of every generation's population,
-    # recorded while the operators still drew positions with rng.choice. Any
-    # change to a stage-2 random draw, or to which layouts the GA keeps,
-    # moves them.
+    # recorded while the operators still drew positions with rng.choice (the
+    # 60-station runs: while shortest paths, repair and the nearest-neighbor
+    # chains still looped per line and per stop). Any change to a stage-2
+    # random draw, to a distance's bits, to a repair or to which layouts the
+    # GA keeps moves them.
     @pytest.mark.parametrize("instance, seed, want_best, want_digest", [
         ("criterion4", 0, ((3, 0, 4, 2, 1),), "156f2099281f948f"),
         ("criterion4", 1, ((3, 0, 4, 2, 1),), "cbf5dc49d0cd9940"),
@@ -643,9 +665,19 @@ class TestOptimizeLines:
         ("eight", 1, ((6, 7, 2, 0, 4, 5, 3, 1), (1, 6, 3, 7, 5, 0, 2), (0, 2, 6)), "ebc297dbe5e127f6"),
         ("eight", 2, ((1, 3, 7, 5, 6, 0, 4, 2), (2, 7, 0, 4, 5, 3, 6, 1), (7, 6, 2)), "4fc0e56130162e91"),
         ("eight", 3, ((2, 7, 5, 3, 6), (5, 4, 0, 7, 6, 2), (6, 1, 3, 7, 5, 0, 2)), "beb6fc06b436e1f9"),
+        ("sixty", 0, SIXTY_BEST[0], "e8b310f1b51b0695"),
+        ("sixty", 1, SIXTY_BEST[1], "8ab5de6db1fa2799"),
+        ("sixty_penalty", 0, SIXTY_BEST[0], "8785161a65aff8c2"),
+        ("sixty_penalty", 1, SIXTY_BEST[2], "517ace92058e75ca"),
     ])
     def test_random_stream_pinned(self, instance, seed, want_best, want_digest):
-        if instance == "criterion4":  # the acceptance test's stations, over 20 generations
+        if instance.startswith("sixty"):  # 60 stations on 5 lines over 3 generations, 300 m per transfer or none
+            rng = np.random.default_rng(89)
+            stations = rng.uniform(-20000, 20000, (60, 2))
+            s = rng.uniform(100, 1000, 60)
+            cfg = LineStageConfig(line_count=5, transfer_penalty_m=300.0 if instance == "sixty_penalty" else 0.0,
+                                  ga=GaConfig(population_size=20, generations=3, rng_seed=seed))
+        elif instance == "criterion4":  # the acceptance test's stations, over 20 generations
             rng = np.random.default_rng(77)
             stations = rng.uniform(-5000, 5000, (5, 2))
             s = [float(v) for v in rng.uniform(100.0, 2000.0, 5)]
