@@ -317,13 +317,19 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_config_command(sub, name: str, summary: str, body, read_extra=lambda args: None):
-    """A subcommand taking every config key as a flag, run by ``_drive`` with ``body``."""
-    parser = sub.add_parser(name, help=summary)
-    parser.add_argument("--config", type=Path, default=None, help="key = value config file")
+def _config_flags() -> argparse.ArgumentParser:
+    """A parent parser holding ``--config`` and one flag per config key, shared by the config subcommands."""
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--config", type=Path, default=None, help="key = value config file")
     for key, caster in ALL_KEYS.items():
         flag = "--" + key.replace("_", "-")
-        parser.add_argument(flag, dest=key, type=caster, default=None, help=argparse.SUPPRESS)
+        flags.add_argument(flag, dest=key, type=caster, default=None, help=argparse.SUPPRESS)
+    return flags
+
+
+def _add_config_command(sub, flags, name: str, summary: str, body, read_extra=lambda args: None):
+    """A subcommand taking every config key as a flag, run by ``_drive`` with ``body``."""
+    parser = sub.add_parser(name, help=summary, parents=[flags])
     parser.set_defaults(func=_drive, body=body, read_extra=read_extra)
     return parser
 
@@ -334,13 +340,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Design a metro network from geospatial demand data with a two-stage GA.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    _add_config_command(sub, "grid", "rasterize the region into a demand grid", _grid)
-    _add_config_command(sub, "optimize-stations", "run stage 1 (station placement)", _optimize_stations)
+    flags = _config_flags()
+    _add_config_command(sub, flags, "grid", "rasterize the region into a demand grid", _grid)
+    _add_config_command(sub, flags, "optimize-stations", "run stage 1 (station placement)", _optimize_stations)
     p_ln = _add_config_command(
-        sub, "optimize-lines", "run stage 2 against existing stations", _optimize_lines, _read_stations
+        sub, flags, "optimize-lines", "run stage 2 against existing stations", _optimize_lines, _read_stations
     )
     p_ln.add_argument("--stations", type=Path, default=None, help="stations.geojson from a prior run")
-    _add_config_command(sub, "run", "full two-stage pipeline", _run)
+    _add_config_command(sub, flags, "run", "full two-stage pipeline", _run)
 
     p_val = sub.add_parser("validate", help="re-check invariants on emitted artifacts")
     p_val.add_argument("stations_file", type=Path)

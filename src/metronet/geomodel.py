@@ -269,22 +269,6 @@ def points_in_rings(xs: np.ndarray, ys: np.ndarray, edges: np.ndarray) -> np.nda
     return inside
 
 
-def point_in_district(xy, district: District) -> bool:
-    """Even-odd test of one point ``xy``; a point outside the district's bounds is outside.
-
-    No edge straddles a horizontal line above or below the bounds. Left or
-    right of them, a rounded crossing can pass the bounds by a few ulps only,
-    so the x bounds are widened by a relative 1e-9 and the answer always
-    equals the full ray cast.
-    """
-    x, y = xy
-    x0, y0, x1, y1 = district.bounds
-    pad = 1e-9 * max(abs(x0), abs(x1))
-    if not (y0 <= y <= y1 and x0 - pad <= x <= x1 + pad):
-        return False
-    return bool(points_in_rings(np.array([x]), np.array([y]), district.crossing_edges)[0])
-
-
 def union_bounds(districts: Sequence[District]) -> tuple[float, float, float, float]:
     """The bounding box (xmin, ymin, xmax, ymax) of all the districts together."""
     x0, y0, x1, y1 = zip(*(d.bounds for d in districts))
@@ -312,12 +296,31 @@ def nearest_boundary_point(xy, districts: Sequence[District]) -> tuple[np.ndarra
     return best, math.sqrt(best_d2)
 
 
+def points_in_region(points: np.ndarray, districts: Sequence[District], tol: float = SNAP_TOLERANCE_M) -> np.ndarray:
+    """Per row of an (N, 2) array: inside some district, or within ``tol`` meters of a district boundary.
+
+    Each district ray-casts only the points inside its bounds that no earlier
+    district holds. No edge straddles a horizontal line above or below the
+    bounds. Left or right of them, a rounded crossing can pass the bounds by a
+    few ulps only, so the x bounds are widened by a relative 1e-9 and the
+    answer always equals the full ray cast.
+    """
+    x0, y0, x1, y1 = np.array([d.bounds for d in districts]).T
+    pad = 1e-9 * np.maximum(abs(x0), abs(x1))
+    xs, ys = points[:, 0, None], points[:, 1, None]
+    in_bounds = (y0 <= ys) & (ys <= y1) & (x0 - pad <= xs) & (xs <= x1 + pad)  # points x districts
+    inside = np.zeros(len(points), dtype=bool)
+    for j in np.flatnonzero(in_bounds.any(axis=0)):
+        idx = np.flatnonzero(in_bounds[:, j] & ~inside)
+        inside[idx] = points_in_rings(points[idx, 0], points[idx, 1], districts[j].crossing_edges)
+    for i in np.flatnonzero(~inside):
+        inside[i] = nearest_boundary_point(points[i], districts)[1] <= tol
+    return inside
+
+
 def point_in_region(xy, districts: Sequence[District], tol: float = SNAP_TOLERANCE_M) -> bool:
     """Point ``xy`` is inside some district, or within ``tol`` meters of a district boundary."""
-    if any(point_in_district(xy, d) for d in districts):
-        return True
-    _, dist = nearest_boundary_point(xy, districts)
-    return dist <= tol
+    return bool(points_in_region(np.array([xy], dtype=float), districts, tol)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from .geomodel import (
     GeneratorPoint,
     nearest_boundary_point,
     point_in_region,
+    points_in_region,
 )
 
 _MAX_OFFSET_TRIES = 16
@@ -67,23 +68,41 @@ def init_population(
     population_size: int,
     rng: np.random.Generator,
 ) -> list[np.ndarray]:
-    """Seed genomes by population-weighted cell sampling with in-cell jitter."""
+    """Seed genomes by population-weighted cell sampling with in-cell jitter.
+
+    Per genome: one ``choice`` of cells, then each station's x and y offset in
+    station order, a station that leaves the region retrying right after its
+    miss (8 tries, then its cell centroid). The offsets of the stations left
+    to place are drawn and tested at once; at the first miss the generator is
+    rewound, and the stations up to the miss draw again.
+    """
     weights = grid.population / grid.total_population
     half = grid.cell_size / 2.0
     population = []
     for _ in range(population_size):
         cells = rng.choice(len(grid), size=station_count, p=weights)
-        points = []
-        for c in cells:
-            cx, cy = float(grid.x[c]), float(grid.y[c])
-            point = (cx, cy)  # fallback: the centroid itself is inside
-            for _ in range(_MAX_JITTER_TRIES):
+        points = np.column_stack([grid.x[cells], grid.y[cells]])
+        k = 0
+        while k < station_count:
+            state = rng.bit_generator.state
+            jittered = points[k:] + rng.uniform(-half, half, size=(station_count - k, 2))
+            inside = points_in_region(jittered, districts)
+            if inside.all():
+                points[k:] = jittered
+                break
+            miss = k + int(inside.argmin())
+            points[k:miss] = jittered[:miss - k]
+            # rewind, then draw again up to and including the miss's first try
+            rng.bit_generator.state = state
+            rng.uniform(-half, half, size=(miss - k + 1, 2))
+            cx, cy = points[miss]  # fallback: the centroid itself is inside
+            for _ in range(_MAX_JITTER_TRIES - 1):
                 jittered = (cx + rng.uniform(-half, half), cy + rng.uniform(-half, half))
                 if point_in_region(jittered, districts):
-                    point = jittered
+                    points[miss] = jittered
                     break
-            points.append(point)
-        population.append(_frozen(np.array(points)))
+            k = miss + 1
+        population.append(_frozen(points))
     return population
 
 

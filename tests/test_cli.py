@@ -127,6 +127,23 @@ class TestConfigResolution:
         assert cfg.stage1 == StationStageConfig()  # station_count left to the grid
         assert cfg.stage2 == LineStageConfig(ga=dataclasses.replace(GaConfig(), rng_seed=1))
 
+    @pytest.mark.parametrize("command", ["grid", "optimize-stations", "optimize-lines", "run"])
+    def test_every_config_command_takes_every_key(self, command, capsys):
+        """Each config subcommand parses --config and every key flag to the same values, or exits 2 on one."""
+        parser = cli.build_parser()
+        typed = {str: "v", int: "7", float: "2.5"}
+        argv = [command, "--config", "a.cfg"]
+        for key, caster in cli.ALL_KEYS.items():
+            argv += ["--" + key.replace("_", "-"), typed[caster]]
+        args = vars(parser.parse_args(argv))
+        assert args["config"] == Path("a.cfg")
+        assert {key: args[key] for key in cli.ALL_KEYS} == {key: t(typed[t]) for key, t in cli.ALL_KEYS.items()}
+        assert {key: vars(parser.parse_args([command]))[key] for key in cli.ALL_KEYS} == dict.fromkeys(cli.ALL_KEYS)
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args([command, "--seed", "1.5"])
+        assert exc.value.code == 2
+        assert f"metronet {command}: error: argument --seed: invalid int value: '1.5'" in capsys.readouterr().err
+
 
 SHARED_GA_KEYS = ("population_size", "generations", "crossover_rate", "mutation_rate", "elite_count", "seed")
 NUMERIC_KEYS = [key for key, caster in cli.ALL_KEYS.items() if caster in (int, float)]

@@ -21,8 +21,8 @@ from metronet.geomodel import (
     load_generators,
     load_region,
     nearest_boundary_point,
-    point_in_district,
     point_in_region,
+    points_in_region,
     points_in_rings,
     project,
     rasterize,
@@ -113,8 +113,8 @@ class TestDistrict:
         hole = outer / 2
         d = District("ring", (PlanarPolygon(outer, (hole,)),), 100.0)
         assert d.area_km2 == pytest.approx(4.0 - 1.0)
-        assert not point_in_district((0.0, 0.0), d)  # inside the hole
-        assert point_in_district((700.0, 0.0), d)
+        # inside the hole, then between the rings; tol=-1 leaves the ray cast alone
+        assert points_in_region(np.array([(0.0, 0.0), (700.0, 0.0)]), [d], tol=-1.0).tolist() == [False, True]
 
     def test_short_ring_rejected(self):
         with pytest.raises(InvalidPolygon):
@@ -535,7 +535,8 @@ class TestContainmentMatchesPerEdgeLoop:
 
         want = reference_points_in_rings(xs, ys, rings)
         assert np.array_equal(points_in_rings(xs, ys, district.crossing_edges), want)
-        assert [point_in_district(p, district) for p in pts] == want.tolist()
+        # no point is a negative distance from the boundary: the bounded ray casts alone
+        assert points_in_region(pts, [district], tol=-1.0).tolist() == want.tolist()
 
         for p in pts[:: max(1, len(pts) // 8)]:
             got, dist = nearest_boundary_point(p, [district])
@@ -559,6 +560,16 @@ class TestContainmentMatchesPerEdgeLoop:
         d = rect_district("box", -1000.0, -1000.0, 1000.0, 1000.0, 10.0)
         edge_points = [(1000.0, 0.0), (-1000.0, 0.0), (0.0, 1000.0), (0.0, -1000.0), (1000.0, 1000.0)]
         outside = [(np.nextafter(1000.0, 2000.0), 0.0), (0.0, np.nextafter(-1000.0, -2000.0))]
-        for x, y in edge_points + outside:
-            want = bool(reference_points_in_rings(np.array([x]), np.array([y]), rings_of(d))[0])
-            assert point_in_district((x, y), d) == want
+        pts = np.array(edge_points + outside)
+        want = reference_points_in_rings(pts[:, 0].copy(), pts[:, 1].copy(), rings_of(d))
+        assert points_in_region(pts, [d], tol=-1.0).tolist() == want.tolist()
+        assert [point_in_region(p, [d], tol=-1.0) for p in pts] == want.tolist()
+
+    def test_bounds_prefilter_keeps_a_crossing_rounded_past_the_box(self):
+        # one ulp right of the corner at x = 941.901, whose rounded crossing lies further right
+        corner = (941.901, 392.433)
+        d = District("wedge", (PlanarPolygon(np.array([corner, (-2028.596, 2746.039), (-909.934, -2288.674)])),), 10.0)
+        pts = np.array([(np.nextafter(corner[0], np.inf), np.nextafter(corner[1], -np.inf))])
+        assert pts[0, 0] > d.bounds[2]
+        assert reference_points_in_rings(pts[:, 0].copy(), pts[:, 1].copy(), rings_of(d)).tolist() == [True]
+        assert points_in_region(pts, [d], tol=-1.0).tolist() == [True]

@@ -1,4 +1,5 @@
 """Station-placement stage tests: operators, initialization, small optimizations."""
+import hashlib
 import math
 from collections import Counter
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from metronet import coverage
 from metronet.coverage import CoverageParams, evaluate
 from metronet.evolve import GaConfig
-from metronet.geomodel import DemandGrid, GeneratorPoint, point_in_region, rasterize
+from metronet.geomodel import DemandGrid, GeneratorPoint, load_generators, load_region, point_in_region, rasterize
 from metronet.stations import (
     StationStageConfig,
     crossover,
@@ -289,6 +290,37 @@ class TestMemoizedCoverage:
         )
         assert max(Counter(computed).values()) == 1
         assert set(computed) == genomes_seen
+
+
+# Digests of each seed's initial population and best stations, recorded
+# while init_population drew each station's jitter with two scalar
+# rng.uniform calls and tested it alone. Any change to a stage-1 random draw,
+# to which jittered point is kept, or to which genomes the GA keeps moves
+# them. At 3000 m cells on two_district_region a jittered station often
+# leaves the region and is redrawn: 35 times over the three seeds.
+@pytest.mark.parametrize("instance, seed, want_initial, want_best", [
+    ("selangor", 0, "6ed98a82e9029a27", "579ebcf3731203a8"),
+    ("selangor", 1, "b03e44b003ac977f", "6a4d77107e3669cc"),
+    ("selangor", 2, "647f92a08ff673ff", "de2bd34c499c04f8"),
+    ("two_district", 0, "c511c9371cc539ba", "d70b8f54d6a70c1d"),
+    ("two_district", 1, "19e1626238d3680d", "d850a832354ea6b6"),
+    ("two_district", 2, "86a2b0c396e2f0a2", "fc57bdd401ef134d"),
+])
+def test_stage1_random_stream_pinned(instance, seed, want_initial, want_best, selangor_paths, two_district_region):
+    if instance == "selangor":  # tests/data at 500 m: 61 stations, generators included
+        region = load_region(selangor_paths["boundaries"], selangor_paths["densities"])
+        districts, grid = region.districts, rasterize(region.districts, 500.0)
+        generators, station_count = load_generators(selangor_paths["generators"], region), None
+    else:
+        districts, grid, generators, station_count = two_district_region, rasterize(two_district_region, 3000.0), (), 8
+    cfg = StationStageConfig(station_count=station_count, ga=GaConfig(population_size=10, generations=3, rng_seed=seed))
+    initial = []
+    best, _, _ = optimize_stations(
+        grid, generators, districts, cfg,
+        on_generation=lambda gen, pop, fits: initial.extend(pop if gen == 0 else ()),
+    )
+    assert hashlib.sha256(np.stack(initial).tobytes()).hexdigest()[:16] == want_initial
+    assert hashlib.sha256(best.tobytes()).hexdigest()[:16] == want_best
 
 
 def test_station_count_heuristic():
