@@ -9,8 +9,8 @@ from .coverage import CoverageParams
 from .evolve import EvolutionHistory, GaConfig
 from .geomodel import (
     DemandGrid,
+    DemandPoints,
     District,
-    GeneratorPoint,
     GeoPoint,
     PlanarPolygon,
     Region,
@@ -29,10 +29,10 @@ __version__ = "0.1.0"
 __all__ = [
     "CoverageParams",
     "DemandGrid",
+    "DemandPoints",
     "District",
     "EvolutionHistory",
     "GaConfig",
-    "GeneratorPoint",
     "GeoPoint",
     "LineFitness",
     "LineNetwork",

@@ -16,11 +16,13 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from . import artifacts, coverage, lines, netgraph, stations
 from .coverage import CoverageParams
 from .errors import LineTooShort, LoopInLine, MetronetError, ParseError
 from .evolve import GaConfig
-from .geomodel import check_cell_size, load_generators, load_region, rasterize
+from .geomodel import DemandPoints, check_cell_size, load_generators, load_region, rasterize
 from .lines import LineStageConfig
 from .stations import StationStageConfig
 
@@ -193,7 +195,7 @@ def _load_inputs(cfg: RunConfig):
         raise ParseError("boundaries and densities paths must be configured")
     region = load_region(cfg.boundaries, cfg.densities)
     grid = rasterize(region.districts, cfg.cell_size)
-    generators = load_generators(cfg.generators, region) if cfg.generators else ()
+    generators = load_generators(cfg.generators, region) if cfg.generators else DemandPoints(*np.zeros((3, 0)))
     return region, grid, generators
 
 

@@ -10,12 +10,10 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
-from .geomodel import DemandGrid, GeneratorPoint, PointRuns, group_runs
+from .geomodel import DemandPoints, PointRuns
 
 SIGMA_SOFT_MIN = 400.0
 SIGMA_SOFT_MAX = 3000.0
@@ -37,6 +35,8 @@ class CoverageParams:
     def __post_init__(self):
         if not (0.0 < self.sigma < SIGMA_HARD_MAX):
             raise ValueError(f"sigma must lie in (0, {SIGMA_HARD_MAX:g}) meters, got {self.sigma}")
+        if self.sigma * self.sigma == 0.0:  # a point under a station would score 0 / 0
+            raise ValueError(f"sigma {self.sigma} is too small: its square underflows to 0")
         if self.sigma < SIGMA_SOFT_MIN or self.sigma > SIGMA_SOFT_MAX:
             warnings.warn(
                 f"sigma={self.sigma} m is outside the usual access range "
@@ -122,51 +122,18 @@ def _nearest_shares(sxy: np.ndarray, px: np.ndarray, py: np.ndarray,
     return shares
 
 
-def district_coverage(stations: np.ndarray, grid: DemandGrid, params: CoverageParams) -> np.ndarray:
-    """Population coverage share per station of an (N, 2) array, integrated over the demand grid."""
-    if len(stations) == 0:
-        return np.zeros(0)
-    if params.mode == "nearest":
-        return _nearest_shares(stations, grid.x, grid.y, grid.population, params.sigma**2)
-    return _sum_shares(stations, grid.runs, params.sigma**2)
-
-
-@dataclass(frozen=True, eq=False)
-class GeneratorArrays:
-    """Generator coordinates and daily visitors as arrays, built once per stage-1 run."""
-
-    x: np.ndarray
-    y: np.ndarray
-    weight: np.ndarray
-
-    @classmethod
-    def of(cls, generators: Sequence[GeneratorPoint]) -> GeneratorArrays:
-        return cls(np.array([g.x for g in generators]), np.array([g.y for g in generators]),
-                   np.array([g.daily_visitors for g in generators], dtype=float))
-
-    def __len__(self) -> int:
-        return len(self.x)
-
-    @cached_property
-    def runs(self) -> PointRuns:
-        return group_runs(self.x, self.y, self.weight)
-
-
-def generator_coverage(stations: np.ndarray, generators: Sequence[GeneratorPoint] | GeneratorArrays,
-                       params: CoverageParams) -> np.ndarray:
-    """Daily-visitor coverage share per station of an (N, 2) array, summed over all generators."""
-    if len(stations) == 0 or len(generators) == 0:
+def shares(stations: np.ndarray, points: DemandPoints, params: CoverageParams) -> np.ndarray:
+    """Coverage share per station of an (N, 2) array, summed over the weighted demand points."""
+    if len(stations) == 0 or len(points) == 0:
         return np.zeros(len(stations))
-    g = generators if isinstance(generators, GeneratorArrays) else GeneratorArrays.of(generators)
     if params.mode == "nearest":
-        return _nearest_shares(stations, g.x, g.y, g.weight, params.sigma**2)
-    return _sum_shares(stations, g.runs, params.sigma**2)
+        return _nearest_shares(stations, points.x, points.y, points.population, params.sigma**2)
+    return _sum_shares(stations, points.runs, params.sigma**2)
 
 
-def evaluate(stations: np.ndarray, grid: DemandGrid,
-             generators: Sequence[GeneratorPoint] | GeneratorArrays, params: CoverageParams) -> np.ndarray:
+def evaluate(stations: np.ndarray, grid: DemandPoints, generators: DemandPoints, params: CoverageParams) -> np.ndarray:
     """Serviced-population count s_i per station of an (N, 2) array: district plus generator share.
 
     The stage-1 fitness, the total covered demand, is the sum of all s_i.
     """
-    return district_coverage(stations, grid, params) + generator_coverage(stations, generators, params)
+    return shares(stations, grid, params) + shares(stations, generators, params)

@@ -3,10 +3,10 @@
 All downstream math runs in a local planar frame (meters east/north of a
 region-centroid origin) produced by an equirectangular projection. A planar
 point is a length-2 float row x, y; a station set is an (N, 2) float array.
-Weighted points, the raster cells and the generators alike, reach the
-sum-mode coverage kernel as row runs (``group_runs``): stretches of one row
-over consecutive columns that share one weight, O(runs + distinct x +
-distinct y) memory.
+Demand is ``DemandPoints``, the raster cells and the generators alike; it
+reaches the sum-mode coverage kernel as row runs (``group_runs``): stretches
+of one row over consecutive columns that share one weight, O(runs + distinct
+x + distinct y) memory.
 """
 from __future__ import annotations
 
@@ -137,20 +137,6 @@ class District:
 
 
 @dataclass(frozen=True)
-class GeneratorPoint:
-    """A point demand source (mall, airport, ...) with a daily-visitor count."""
-
-    name: str
-    daily_visitors: float
-    x: float  # planar meters
-    y: float
-
-    def __post_init__(self):
-        if self.daily_visitors < 0:
-            raise ValueError(f"generator {self.name!r}: daily visitors must be >= 0")
-
-
-@dataclass(frozen=True)
 class Region:
     """Loaded districts plus the planar frame they were projected into."""
 
@@ -196,31 +182,47 @@ def group_runs(x: np.ndarray, y: np.ndarray, weight: np.ndarray) -> PointRuns:
 
 
 @dataclass(frozen=True, eq=False)
-class DemandGrid:
-    """Raster of populated cells; the quadrature nodes for coverage integrals."""
+class DemandPoints:
+    """Weighted demand points in planar meters: raster cells or trip generators.
 
-    cell_size: float
-    x: np.ndarray  # cell centroid x, meters
-    y: np.ndarray  # cell centroid y, meters
-    population: np.ndarray  # persons per cell
+    ``population`` is persons per point: residents of a cell, or daily
+    visitors of a generator. Their total must be finite.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    population: np.ndarray
 
     def __post_init__(self):
-        if len(self.x) == 0:
-            raise EmptyGrid(f"no populated cell at cell_size={self.cell_size}")
         if np.any(self.population < 0):
-            raise ValueError("cell populations must be >= 0")
+            raise ValueError("populations must be >= 0")
+        if not math.isfinite(self.total_population):
+            raise ValueError(f"total population must be finite, got {self.total_population!r}")
 
-    @property
+    @cached_property
     def total_population(self) -> float:
-        return float(self.population.sum())
+        with np.errstate(over="ignore"):  # an overflowing total is rejected above, not warned about
+            return float(self.population.sum())
 
     def __len__(self) -> int:
         return len(self.population)
 
     @cached_property
     def runs(self) -> PointRuns:
-        """The cells as row runs, for the separable sum-mode coverage kernel."""
+        """The points as row runs, for the separable sum-mode coverage kernel."""
         return group_runs(self.x, self.y, self.population)
+
+
+@dataclass(frozen=True, eq=False)
+class DemandGrid(DemandPoints):
+    """Raster of populated cells; the quadrature nodes for coverage integrals."""
+
+    cell_size: float
+
+    def __post_init__(self):
+        if len(self.x) == 0:
+            raise EmptyGrid(f"no populated cell at cell_size={self.cell_size}")
+        super().__post_init__()
 
 
 # ---------------------------------------------------------------------------
@@ -481,8 +483,8 @@ def load_region(boundaries_file: Path, densities_file: Path) -> Region:
 GENERATOR_HEADER = ["name", "daily_visitors", "latitude", "longitude"]
 
 
-def load_generators(path: Path, region: Region) -> tuple[GeneratorPoint, ...]:
-    """Read the generator table and project each point into the region frame.
+def load_generators(path: Path, region: Region) -> DemandPoints:
+    """Read the generator table, one point per row in file order, projected into the region frame.
 
     Rows landing farther than 10 km outside the region bounding box are
     rejected as gross coordinate errors. A row whose name, latitude and
@@ -490,7 +492,7 @@ def load_generators(path: Path, region: Region) -> tuple[GeneratorPoint, ...]:
     count twice.
     """
     path = Path(path)
-    out = []
+    xs, ys, all_visitors = [], [], []
     row_of: dict[tuple[str, float, float], int] = {}
     xmin, ymin, xmax, ymax = region.bounds
     for i, row in _table_rows(path, GENERATOR_HEADER):
@@ -513,8 +515,10 @@ def load_generators(path: Path, region: Region) -> tuple[GeneratorPoint, ...]:
             raise ParseError(f"{path}: row {i}: generator {name!r} at ({geo.lat!r}, {geo.lon!r}) "
                              f"repeats row {row_of[key]}")
         row_of[key] = i
-        out.append(GeneratorPoint(name, visitors, x, y))
-    return tuple(out)
+        xs.append(x)
+        ys.append(y)
+        all_visitors.append(visitors)
+    return DemandPoints(np.array(xs), np.array(ys), np.array(all_visitors))
 
 
 # ---------------------------------------------------------------------------
@@ -570,4 +574,4 @@ def rasterize(districts: Sequence[District], cell_size: float) -> DemandGrid:
         pop[idx[hits]] += d.density * cell_km2
 
     keep = pop > 0
-    return DemandGrid(cell_size, gx[keep], gy[keep], pop[keep])
+    return DemandGrid(gx[keep], gy[keep], pop[keep], cell_size)

@@ -12,8 +12,8 @@ from .coverage import CoverageParams
 from .evolve import EvolutionHistory, GaConfig, GenerationHook
 from .geomodel import (
     DemandGrid,
+    DemandPoints,
     District,
-    GeneratorPoint,
     nearest_boundary_point,
     point_in_region,
     points_in_region,
@@ -141,7 +141,7 @@ def crossover(
 
 def _coverage_of(
     grid: DemandGrid,
-    generators: Sequence[GeneratorPoint],
+    generators: DemandPoints,
     params: CoverageParams,
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Per-station coverage of a station array, memoized per (x, y) coordinate in sum mode.
@@ -151,16 +151,15 @@ def _coverage_of(
     they equal ``coverage.evaluate`` of the whole array bit for bit. Nearest
     mode is not separable and evaluates every array in full.
     """
-    arrays = coverage.GeneratorArrays.of(generators)
     if params.mode != "sum":
-        return lambda stations: coverage.evaluate(stations, grid, arrays, params)
+        return lambda stations: coverage.evaluate(stations, grid, generators, params)
     shares: dict[tuple[float, float], float] = {}
 
     def per_station(stations: np.ndarray) -> np.ndarray:
         points = [tuple(p) for p in stations.tolist()]
         missing = list(dict.fromkeys(p for p in points if p not in shares))
         if missing:
-            shares.update(zip(missing, coverage.evaluate(np.array(missing), grid, arrays, params)))
+            shares.update(zip(missing, coverage.evaluate(np.array(missing), grid, generators, params)))
         return np.array([shares[p] for p in points])
 
     return per_station
@@ -168,7 +167,7 @@ def _coverage_of(
 
 def optimize_stations(
     grid: DemandGrid,
-    generators: Sequence[GeneratorPoint],
+    generators: DemandPoints,
     districts: Sequence[District],
     config: StationStageConfig,
     on_generation: GenerationHook | None = None,

@@ -1,4 +1,5 @@
 """Shared fixtures: synthetic districts, file-backed regions, reference data paths, graph references."""
+import csv
 import heapq
 import json
 import math
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from metronet.errors import InvalidPolygon
 from metronet.geomodel import (
+    DemandPoints,
     District,
     GeoPoint,
     PlanarPolygon,
@@ -22,6 +24,9 @@ DATA_DIR = Path(__file__).parent / "data"
 # Symmetric about the planar origin so the recomputed bbox-center origin of
 # written GeoJSON matches the origin used to generate it.
 FIXTURE_ORIGIN = GeoPoint(3.0, 101.5)
+
+# What the command line passes for demand when no generators file is given.
+NO_GENERATORS = DemandPoints(*np.zeros((3, 0)))
 
 
 def rect_polygon(x0: float, y0: float, x1: float, y1: float) -> PlanarPolygon:
@@ -104,6 +109,12 @@ def write_generator_file(tmp_path: Path, rows, origin: GeoPoint = FIXTURE_ORIGIN
     path = tmp_path / "generators.csv"
     path.write_text("\n".join(out) + "\n")
     return path
+
+
+def generator_names(path: Path) -> list[str]:
+    """The name column of a generators.csv, in file order: the order of ``load_generators``' points."""
+    with Path(path).open(newline="") as fh:
+        return [row["name"].strip() for row in csv.DictReader(fh)]
 
 
 @pytest.fixture

@@ -11,13 +11,13 @@ import warnings
 import numpy as np
 import pytest
 
-from metronet import cli
-from metronet.coverage import CoverageParams, district_coverage, evaluate
+from metronet import cli, coverage
+from metronet.coverage import CoverageParams, evaluate
 from metronet.evolve import GaConfig
 from metronet.geomodel import (
     DemandGrid,
+    DemandPoints,
     District,
-    GeneratorPoint,
     PlanarPolygon,
     load_generators,
     load_region,
@@ -29,7 +29,9 @@ from metronet.stations import StationStageConfig, optimize_stations
 
 from conftest import (
     DATA_DIR,
+    NO_GENERATORS,
     floyd_warshall_oracle,
+    generator_names,
     line_edges,
     rect_district,
     write_generator_file,
@@ -57,24 +59,23 @@ def test_criterion_01_coverage_oracle_equivalence():
         n_cells = int(rng.integers(1, 51))
         n_generators = int(rng.integers(0, 6))
         grid = DemandGrid(
-            500.0,
-            rng.uniform(-5000, 5000, n_cells),
-            rng.uniform(-5000, 5000, n_cells),
-            rng.uniform(1.0, 1000.0, n_cells),
+            cell_size=500.0,
+            x=rng.uniform(-5000, 5000, n_cells),
+            y=rng.uniform(-5000, 5000, n_cells),
+            population=rng.uniform(1.0, 1000.0, n_cells),
         )
         stations = rng.uniform(-5000, 5000, (n_stations, 2))
-        generators = [
-            GeneratorPoint(f"g{i}", float(rng.uniform(100, 1e5)), float(x), float(y))
-            for i, (x, y) in enumerate(rng.uniform(-5000, 5000, (n_generators, 2)))
-        ]
+        gxy = rng.uniform(-5000, 5000, (n_generators, 2))
+        visitors = np.array([rng.uniform(100, 1e5) for _ in range(n_generators)])
+        generators = DemandPoints(gxy[:, 0], gxy[:, 1], visitors)
         sigma = float(rng.uniform(400, 3000))
         got = evaluate(stations, grid, generators, CoverageParams(sigma))
         expect = np.zeros(n_stations)
         for i, (sx, sy) in enumerate(stations):
             for cx, cy, pop in zip(grid.x, grid.y, grid.population):
                 expect[i] += pop * math.exp(-((sx - cx) ** 2 + (sy - cy) ** 2) / sigma**2)
-            for g in generators:
-                expect[i] += g.daily_visitors * math.exp(-((sx - g.x) ** 2 + (sy - g.y) ** 2) / sigma**2)
+            for gx, gy, v in zip(generators.x, generators.y, generators.population):
+                expect[i] += v * math.exp(-((sx - gx) ** 2 + (sy - gy) ** 2) / sigma**2)
         worst = max(worst, float(np.max(np.abs(got - expect) / np.maximum(expect, 1e-300))))
         worst = max(worst, abs(float(got.sum()) - expect.sum()) / expect.sum())
     elapsed = time.perf_counter() - start
@@ -98,7 +99,7 @@ def test_criterion_02_analytic_gaussian_disk():
     )
     disk = District("disk", (PlanarPolygon(ring),), rho_km2)
     grid = rasterize([disk], 160.0)
-    got = district_coverage(np.array([(0.0, 0.0)]), grid, CoverageParams(sigma))[0]
+    got = coverage.shares(np.array([(0.0, 0.0)]), grid, CoverageParams(sigma))[0]
     analytic = (rho_km2 / 1e6) * math.pi * sigma**2 * (1 - math.exp(-((radius / sigma) ** 2)))
     rel = abs(got - analytic) / analytic
     elapsed = time.perf_counter() - start
@@ -133,7 +134,7 @@ def test_criterion_03_stage1_near_optimality():
             ga=GaConfig(population_size=50, generations=10, rng_seed=seed),
             coverage=params,
         )
-        _, serviced, _ = optimize_stations(grid, (), [square], cfg)
+        _, serviced, _ = optimize_stations(grid, NO_GENERATORS, [square], cfg)
         if serviced.sum() >= 0.98 * oracle:
             hits += 1
     elapsed = time.perf_counter() - start
@@ -357,7 +358,7 @@ def test_criterion_09_reference_constants():
         "Petaling Jaya": 200000,
     }
     ok = len(generators) == 14
-    loaded = {g.name: g.daily_visitors for g in generators}
+    loaded = dict(zip(generator_names(DATA_DIR / "selangor_generators.csv"), generators.population))
     ok = ok and all(loaded[name] == visitors for name, visitors in table.items())
 
     rejected = 0
@@ -395,8 +396,8 @@ def test_criterion_10_quadrature_convergence(two_district_region):
         (7000.0, 500.0),
     ])
     params = CoverageParams(800.0)
-    coarse = float(evaluate(stations, rasterize(two_district_region, 1000.0), (), params).sum())
-    fine = float(evaluate(stations, rasterize(two_district_region, 500.0), (), params).sum())
+    coarse = float(evaluate(stations, rasterize(two_district_region, 1000.0), NO_GENERATORS, params).sum())
+    fine = float(evaluate(stations, rasterize(two_district_region, 500.0), NO_GENERATORS, params).sum())
     rel = abs(fine - coarse) / fine
     passed = rel < 0.01
     report(10, "quadrature convergence", passed, f"rel change {rel:.4%}")

@@ -159,6 +159,7 @@ INVALID_SETTINGS = [
     ("--cell-size", "nan"),
     ("--cell-size", "inf"),
     ("--sigma", "0"),
+    ("--sigma", "1e-200"),
     ("--stage2-population-size", "1"),
     ("--stage2-seed", "-4"),
     ("--seed", "-4"),
@@ -336,6 +337,28 @@ class TestGridCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert "generators.csv: row 3" in err and "finite" in err
+
+    @pytest.mark.parametrize("command", ["grid", "run"])
+    def test_overflowing_population_total_exit_2(self, tmp_path, capsys, command):
+        # every cell holds a finite population, their total does not: it used to reach
+        # suggest_station_count as inf and end in an OverflowError traceback
+        densities = tmp_path / "densities.csv"
+        densities.write_text("district_id,density_per_km2\nselangor,1e308\n")
+        argv = [command, "--boundaries", str(DATA_DIR / "selangor_boundary.geojson"),
+                "--densities", str(densities), "--out", str(tmp_path / "o")]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: total population must be finite, got inf") and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["grid", "run"])
+    def test_overflowing_visitor_total_exit_2(self, tmp_path, capsys, region_files, command):
+        generators = write_generator_file(tmp_path, [("Mall", 1e308, 0.0, 0.0), ("Park", 1e308, 1000.0, 0.0)])
+        code = cli.main([command, *base_args({**region_files, "generators": generators}, tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: total population must be finite, got inf") and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     def test_reference_generator_count(self, tmp_path, selangor_paths):
         out = tmp_path / "out"

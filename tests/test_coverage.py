@@ -10,16 +10,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from metronet import coverage
-from metronet.coverage import (
-    CoverageParams,
-    district_coverage,
-    evaluate,
-    generator_coverage,
-)
+from metronet.coverage import CoverageParams, evaluate
 from metronet.errors import EmptyGrid
 from metronet.geomodel import (
     DemandGrid,
-    GeneratorPoint,
+    DemandPoints,
     PlanarPolygon,
     District,
     group_runs,
@@ -28,60 +23,44 @@ from metronet.geomodel import (
     rasterize,
 )
 
-from conftest import rect_district, star_districts
+from conftest import NO_GENERATORS, generator_names, rect_district, star_districts
 
 
-def oracle_district(stations, grid, sigma):
-    """Independent double loop over stations x cells."""
+def oracle(stations, points, sigma):
+    """Independent double loop over stations x demand points."""
     out = []
     for sx, sy in stations:
         acc = 0.0
-        for cx, cy, pop in zip(grid.x, grid.y, grid.population):
-            r2 = (sx - cx) ** 2 + (sy - cy) ** 2
+        for px, py, pop in zip(points.x, points.y, points.population):
+            r2 = (sx - px) ** 2 + (sy - py) ** 2
             acc += pop * math.exp(-r2 / sigma**2)
         out.append(acc)
     return out
 
 
-def oracle_generator(stations, generators, sigma):
-    out = []
-    for sx, sy in stations:
-        acc = 0.0
-        for g in generators:
-            r2 = (sx - g.x) ** 2 + (sy - g.y) ** 2
-            acc += g.daily_visitors * math.exp(-r2 / sigma**2)
-        out.append(acc)
-    return out
-
-
 def single_cell_grid(x, y, pop, cell_size=500.0):
-    return DemandGrid(cell_size, np.array([x]), np.array([y]), np.array([pop]))
+    return DemandGrid(cell_size=cell_size, x=np.array([x]), y=np.array([y]), population=np.array([pop]))
 
 
-def make_generator(name, visitors, x, y):
-    return GeneratorPoint(name, visitors, x, y)
+def single_point(x, y, weight):
+    return DemandPoints(np.array([x]), np.array([y]), np.array([weight]))
 
 
 def random_instance(rng, n_stations, n_cells, n_generators, span=4000.0):
     grid = DemandGrid(
-        500.0,
-        rng.uniform(-span, span, n_cells),
-        rng.uniform(-span, span, n_cells),
-        rng.uniform(1.0, 800.0, n_cells),
+        cell_size=500.0,
+        x=rng.uniform(-span, span, n_cells),
+        y=rng.uniform(-span, span, n_cells),
+        population=rng.uniform(1.0, 800.0, n_cells),
     )
     stations = rng.uniform(-span, span, (n_stations, 2))
-    generators = [
-        make_generator(f"g{i}", float(v), float(x), float(y))
-        for i, (x, y, v) in enumerate(
-            np.column_stack([rng.uniform(-span, span, (n_generators, 2)), rng.uniform(100, 5e4, n_generators)])
-        )
-    ]
-    return stations, grid, generators
+    x, y, v = np.column_stack([rng.uniform(-span, span, (n_generators, 2)), rng.uniform(100, 5e4, n_generators)]).T
+    return stations, grid, DemandPoints(x, y, v)
 
 
 class TestParams:
     def test_hard_bounds(self):
-        for bad in (0.0, -1.0, 1e5, 2e5):
+        for bad in (0.0, -1.0, 1e5, 2e5, 1e-200):  # 1e-200 squares to 0
             with pytest.raises(ValueError):
                 CoverageParams(sigma=bad)
 
@@ -106,27 +85,27 @@ class TestParams:
 class TestDistrictCoverage:
     def test_station_on_cell_centroid(self):
         grid = single_cell_grid(100.0, 200.0, 100.0)
-        n = district_coverage(np.array([(100.0, 200.0)]), grid, CoverageParams(800.0))
+        n = coverage.shares(np.array([(100.0, 200.0)]), grid, CoverageParams(800.0))
         assert n[0] == pytest.approx(100.0)
 
     def test_station_at_sigma(self):
         sigma = 800.0
         grid = single_cell_grid(0.0, 0.0, 100.0)
-        n = district_coverage(np.array([(sigma, 0.0)]), grid, CoverageParams(sigma))
+        n = coverage.shares(np.array([(sigma, 0.0)]), grid, CoverageParams(sigma))
         assert n[0] == pytest.approx(100.0 * math.exp(-1.0), rel=1e-12)
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(5)
         stations, grid, _ = random_instance(rng, 2, 3, 0)
-        got = district_coverage(stations, grid, CoverageParams(800.0))
-        want = oracle_district(stations, grid, 800.0)
+        got = coverage.shares(stations, grid, CoverageParams(800.0))
+        want = oracle(stations, grid, 800.0)
         assert np.allclose(got, want, rtol=1e-9)
 
     def test_sigma_monotonicity(self):
         rng = np.random.default_rng(9)
         stations, grid, _ = random_instance(rng, 4, 25, 0)
-        narrow = district_coverage(stations, grid, CoverageParams(600.0))
-        wide = district_coverage(stations, grid, CoverageParams(900.0))
+        narrow = coverage.shares(stations, grid, CoverageParams(600.0))
+        wide = coverage.shares(stations, grid, CoverageParams(900.0))
         assert np.all(wide >= narrow)
 
     def test_analytic_disk(self):
@@ -138,7 +117,7 @@ class TestDistrictCoverage:
         )
         disk = District("disk", (PlanarPolygon(ring),), rho_km2)
         grid = rasterize([disk], sigma / 5.0)
-        n = district_coverage(np.array([(0.0, 0.0)]), grid, CoverageParams(sigma))
+        n = coverage.shares(np.array([(0.0, 0.0)]), grid, CoverageParams(sigma))
         analytic = (rho_km2 / 1e6) * math.pi * sigma**2 * (1 - math.exp(-((radius / sigma) ** 2)))
         assert n[0] == pytest.approx(analytic, rel=0.01)
 
@@ -147,37 +126,36 @@ class TestGeneratorCoverage:
     def test_colocated_with_reference_generator(self, selangor_paths):
         region = load_region(selangor_paths["boundaries"], selangor_paths["densities"])
         generators = load_generators(selangor_paths["generators"], region)
-        lagoon = next(g for g in generators if g.name == "Sunway Lagoon")
-        assert lagoon.daily_visitors == 8000
-        shares = generator_coverage(np.array([(lagoon.x, lagoon.y)]), [lagoon], CoverageParams(800.0))
+        i = generator_names(selangor_paths["generators"]).index("Sunway Lagoon")
+        assert generators.population[i] == 8000
+        lagoon = single_point(generators.x[i], generators.y[i], generators.population[i])
+        shares = coverage.shares(np.array([(lagoon.x[0], lagoon.y[0])]), lagoon, CoverageParams(800.0))
         assert shares[0] == pytest.approx(8000.0)
 
     def test_generator_at_sigma(self):
         sigma = 800.0
-        g = make_generator("g", 8000.0, 0.0, 0.0)
-        shares = generator_coverage(np.array([(0.0, sigma)]), [g], CoverageParams(sigma))
+        shares = coverage.shares(np.array([(0.0, sigma)]), single_point(0.0, 0.0, 8000.0), CoverageParams(sigma))
         assert shares[0] == pytest.approx(8000.0 * math.exp(-1.0), rel=1e-12)
         assert shares[0] == pytest.approx(2943.04, abs=0.01)
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(6)
         stations, _, generators = random_instance(rng, 3, 1, 2)
-        got = generator_coverage(stations, generators, CoverageParams(800.0))
-        want = oracle_generator(stations, generators, 800.0)
+        got = coverage.shares(stations, generators, CoverageParams(800.0))
+        want = oracle(stations, generators, 800.0)
         assert np.allclose(got, want, rtol=1e-9)
 
 
 class TestEvaluate:
     def test_zero_stations(self):
         grid = single_cell_grid(0.0, 0.0, 100.0)
-        per_station = evaluate(np.zeros((0, 2)), grid, [], CoverageParams(800.0))
+        per_station = evaluate(np.zeros((0, 2)), grid, NO_GENERATORS, CoverageParams(800.0))
         assert per_station.shape == (0,)
         assert per_station.sum() == 0.0
 
     def test_station_on_cell_with_colocated_generator(self):
         grid = single_cell_grid(0.0, 0.0, 100.0)
-        g = make_generator("g", 50.0, 0.0, 0.0)
-        per_station = evaluate(np.array([(0.0, 0.0)]), grid, [g], CoverageParams(800.0))
+        per_station = evaluate(np.array([(0.0, 0.0)]), grid, single_point(0.0, 0.0, 50.0), CoverageParams(800.0))
         assert per_station.tolist() == [pytest.approx(150.0)]
 
     def test_random_instance_matches_oracle(self):
@@ -185,9 +163,7 @@ class TestEvaluate:
         stations, grid, generators = random_instance(rng, 5, 20, 3)
         params = CoverageParams(800.0)
         per_station = evaluate(stations, grid, generators, params)
-        want = np.array(oracle_district(stations, grid, 800.0)) + np.array(
-            oracle_generator(stations, generators, 800.0)
-        )
+        want = np.array(oracle(stations, grid, 800.0)) + np.array(oracle(stations, generators, 800.0))
         assert np.allclose(per_station, want, rtol=1e-9)
         assert per_station.sum() == pytest.approx(want.sum(), rel=1e-9)
 
@@ -215,8 +191,8 @@ class TestEvaluate:
         base = evaluate(stations, grid, generators, params)
         moved = evaluate(
             stations + offset,
-            DemandGrid(grid.cell_size, grid.x + offset, grid.y + offset, grid.population),
-            [make_generator(g.name, g.daily_visitors, g.x + offset, g.y + offset) for g in generators],
+            DemandGrid(cell_size=grid.cell_size, x=grid.x + offset, y=grid.y + offset, population=grid.population),
+            DemandPoints(generators.x + offset, generators.y + offset, generators.population),
             params,
         )
         assert moved.sum() == pytest.approx(base.sum(), rel=1e-12)
@@ -254,13 +230,9 @@ class TestSeparableSumKernel:
         rng = np.random.default_rng(station_seed)
         stations = rng.uniform(-3000.0, 3000.0, (3, 2)) + offset
         params = CoverageParams(sigma)
-        grid = DemandGrid(500.0, xy[:, 0], xy[:, 1], weight)
-        got = district_coverage(stations, grid, params)
-        assert np.allclose(got, oracle_district(stations, grid, sigma), rtol=1e-9, atol=0.0)
-        generators = [make_generator(f"g{i}", float(w), float(x), float(y))
-                      for i, ((x, y), w) in enumerate(zip(xy, weight))]
-        got = generator_coverage(stations, generators, params)
-        assert np.allclose(got, oracle_generator(stations, generators, sigma), rtol=1e-9, atol=0.0)
+        points = DemandPoints(xy[:, 0], xy[:, 1], weight)
+        got = coverage.shares(stations, points, params)
+        assert np.allclose(got, oracle(stations, points, sigma), rtol=1e-9, atol=0.0)
 
 
 def per_point_sum_shares(sxy, x, y, weight, sigma2):
@@ -378,7 +350,7 @@ class TestRunKernel:
     def test_raster_grids_match_per_point_kernel(self, grid, sigma, station_seed):
         stations = np.random.default_rng(station_seed).uniform(-3000.0, 3000.0, (5, 2))
         assert_matches_reference(stations, grid.x, grid.y, grid.population, sigma)
-        assert np.array_equal(district_coverage(stations, grid, CoverageParams(sigma)),
+        assert np.array_equal(coverage.shares(stations, grid, CoverageParams(sigma)),
                               coverage._sum_shares(stations, grid.runs, sigma**2))
 
     @given(points=run_point_sets(), station_seed=st.integers(0, 2**32 - 1),
@@ -411,8 +383,7 @@ class TestRunLayout:
     def test_off_lattice_layout_has_one_run_per_point(self):
         n = 20_000
         rng = np.random.default_rng(37)
-        grid = DemandGrid(500.0, rng.uniform(-3e4, 3e4, n), rng.uniform(-3e4, 3e4, n), rng.uniform(1.0, 800.0, n))
-        runs = grid.runs
+        runs = DemandPoints(rng.uniform(-3e4, 3e4, n), rng.uniform(-3e4, 3e4, n), rng.uniform(1.0, 800.0, n)).runs
         assert len(runs.xs) == len(runs.ys) == len(runs.weight) == n
         assert layout_bytes(runs) <= 24 * (len(runs.weight) + len(runs.xs) + len(runs.ys))
 
@@ -436,8 +407,7 @@ class TestRunLayout:
         """On 20k off-lattice points a block's temporaries together stay under the cap: no K x points array."""
         n, k = 20_000, 256
         rng = np.random.default_rng(41)
-        grid = DemandGrid(500.0, rng.uniform(-3e4, 3e4, n), rng.uniform(-3e4, 3e4, n), rng.uniform(1.0, 800.0, n))
-        runs = grid.runs
+        runs = DemandPoints(rng.uniform(-3e4, 3e4, n), rng.uniform(-3e4, 3e4, n), rng.uniform(1.0, 800.0, n)).runs
         stations = rng.uniform(-3e4, 3e4, (k, 2))
         assert block_width(runs) <= coverage._SUM_BLOCK
         tracemalloc.start()
@@ -471,7 +441,7 @@ class TestNearestMode:
         # two stations, one cell: only the closer station earns the cell
         grid = single_cell_grid(0.0, 0.0, 100.0)
         stations = np.array([(100.0, 0.0), (900.0, 0.0)])
-        shares = district_coverage(stations, grid, CoverageParams(800.0, mode="nearest"))
+        shares = coverage.shares(stations, grid, CoverageParams(800.0, mode="nearest"))
         assert shares[1] == 0.0
         assert shares[0] == pytest.approx(100.0 * math.exp(-(100.0**2) / 800.0**2))
 
@@ -496,13 +466,10 @@ class TestExactFastPaths:
         # a repeated coordinate makes argmin ties; the first station keeps them
         stations[4] = stations[1]
         params = CoverageParams(800.0, mode="nearest")
-        gw = np.array([g.daily_visitors for g in generators])
-        gx = np.array([g.x for g in generators])
-        gy = np.array([g.y for g in generators])
-        district = district_coverage(stations, grid, params)
-        generator = generator_coverage(stations, generators, params)
-        assert np.array_equal(district, unchunked_nearest_shares(stations, grid.x, grid.y, grid.population, 800.0))
-        assert np.array_equal(generator, unchunked_nearest_shares(stations, gx, gy, gw, 800.0))
+        district = coverage.shares(stations, grid, params)
+        generator = coverage.shares(stations, generators, params)
+        for points, got in ((grid, district), (generators, generator)):
+            assert np.array_equal(got, unchunked_nearest_shares(stations, points.x, points.y, points.population, 800.0))
         assert np.array_equal(evaluate(stations, grid, generators, params), district + generator)
 
     def test_sum_share_independent_of_batch(self):
@@ -510,58 +477,23 @@ class TestExactFastPaths:
         stations, grid, generators = random_instance(rng, 61, 3000, 12)
         params = CoverageParams(800.0)
         batch = evaluate(stations, grid, generators, params)
-        district = district_coverage(stations, grid, params)
-        generator = generator_coverage(stations, generators, params)
+        district = coverage.shares(stations, grid, params)
+        generator = coverage.shares(stations, generators, params)
         for i in range(len(stations)):
             one = stations[i : i + 1]
             assert evaluate(one, grid, generators, params)[0] == batch[i]
-            assert district_coverage(one, grid, params)[0] == district[i]
-            assert generator_coverage(one, generators, params)[0] == generator[i]
-
-    @pytest.mark.parametrize("mode", ["sum", "nearest"])
-    def test_generator_arrays_give_the_same_shares(self, mode):
-        rng = np.random.default_rng(37)
-        stations, grid, generators = random_instance(rng, 20, 500, 14, span=6000.0)
-        generators[3] = generators[5]  # a repeated generator shares a run in sum mode
-        params = CoverageParams(800.0, mode=mode)
-        arrays = coverage.GeneratorArrays.of(generators)
-        assert len(arrays) == len(generators)
-        assert np.array_equal(generator_coverage(stations, arrays, params),
-                              generator_coverage(stations, generators, params))
-        assert np.array_equal(evaluate(stations, grid, arrays, params), evaluate(stations, grid, generators, params))
-
-    @pytest.mark.parametrize("mode", ["sum", "nearest"])
-    def test_stage1_builds_generator_arrays_once(self, monkeypatch, mode):
-        from metronet import stations as stations_module
-        from metronet.evolve import GaConfig
-
-        built = []
-        real_of = coverage.GeneratorArrays.of.__func__
-
-        def counted_of(cls, generators):
-            built.append(len(generators))
-            return real_of(cls, generators)
-
-        monkeypatch.setattr(coverage.GeneratorArrays, "of", classmethod(counted_of))
-        rng = np.random.default_rng(41)
-        _, grid, generators = random_instance(rng, 1, 400, 6)
-        district = rect_district("d", -4000.0, -4000.0, 4000.0, 4000.0, 1000.0)
-        config = stations_module.StationStageConfig(
-            station_count=3, coverage=CoverageParams(800.0, mode=mode),
-            ga=GaConfig(population_size=6, generations=3, rng_seed=1),
-        )
-        stations_module.optimize_stations(grid, generators, [district], config)
-        assert built == [6]
+            assert coverage.shares(one, grid, params)[0] == district[i]
+            assert coverage.shares(one, generators, params)[0] == generator[i]
 
     @pytest.mark.parametrize("mode", ["sum", "nearest"])
     def test_peak_memory_does_not_scale_with_stations_times_cells(self, mode):
         rng = np.random.default_rng(31)
         k, n = 128, 100_000
-        stations, grid, _ = random_instance(rng, k, n, 0, span=30000.0)
+        stations, grid, generators = random_instance(rng, k, n, 0, span=30000.0)
         params = CoverageParams(800.0, mode=mode)
         tracemalloc.start()
         try:
-            evaluate(stations, grid, (), params)
+            evaluate(stations, grid, generators, params)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -15,6 +15,7 @@ from metronet.errors import EmptyGrid, InvalidPolygon, MissingDensity, NegativeV
 from metronet.geomodel import (
     EARTH_RADIUS_M,
     DemandGrid,
+    DemandPoints,
     District,
     GeoPoint,
     PlanarPolygon,
@@ -34,6 +35,7 @@ from metronet.geomodel import (
 from conftest import (
     DATA_DIR,
     MALFORMED_GEOMETRIES,
+    generator_names,
     planar_ring_to_geojson,
     rect_district,
     star_districts,
@@ -322,11 +324,23 @@ class TestLoadGenerators:
         region = load_region(selangor_paths["boundaries"], selangor_paths["densities"])
         generators = load_generators(selangor_paths["generators"], region)
         assert len(generators) == 14
-        by_name = {g.name: g for g in generators}
-        assert by_name["Sunway Pyramid"].daily_visitors == 50000
-        assert by_name["Cyberjaya"].daily_visitors == 100000
-        assert by_name["Sunway Lagoon"].daily_visitors == 8000
-        assert by_name["Petaling Jaya"].daily_visitors == 200000
+        visitors = dict(zip(generator_names(selangor_paths["generators"]), generators.population))
+        assert visitors["Sunway Pyramid"] == 50000
+        assert visitors["Cyberjaya"] == 100000
+        assert visitors["Sunway Lagoon"] == 8000
+        assert visitors["Petaling Jaya"] == 200000
+
+    def test_points_in_file_order(self, tmp_path, selangor_paths):
+        region = load_region(selangor_paths["boundaries"], selangor_paths["densities"])
+        table = tmp_path / "g.csv"
+        table.write_text("name,daily_visitors,latitude,longitude\n")
+        assert len(load_generators(table, region)) == 0
+        table.write_text("name,daily_visitors,latitude,longitude\nPark,7,3.1,101.4\nMall,5,3.0,101.5\n")
+        generators = load_generators(table, region)
+        x, y = project(np.array([3.1, 3.0]), np.array([101.4, 101.5]), region.origin)
+        assert generators.x.tolist() == x.tolist()
+        assert generators.y.tolist() == y.tolist()
+        assert generators.population.tolist() == [7.0, 5.0]
 
     def test_negative_visitors(self, tmp_path, selangor_paths):
         region = load_region(selangor_paths["boundaries"], selangor_paths["densities"])
@@ -381,10 +395,18 @@ class TestRasterize:
         with pytest.raises(EmptyGrid, match="cell_size="):
             rasterize([unit_square_km], 2000.0)
 
+    @pytest.mark.parametrize("population", [[1e308, 1e308], [1.0, math.nan]])
+    def test_non_finite_population_total_rejected(self, population):
+        xy = np.array([0.0, 500.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy overflow warning before the check
+            with pytest.raises(ValueError, match="total population must be finite"):
+                DemandPoints(xy, xy, np.array(population))
+
     def test_demand_grid_without_cells_rejected(self):
         empty = np.array([])
         with pytest.raises(EmptyGrid, match="no populated cell at cell_size=250.0"):
-            DemandGrid(250.0, empty, empty, empty)
+            DemandGrid(cell_size=250.0, x=empty, y=empty, population=empty)
 
     @pytest.mark.parametrize("cell_size", [math.nan, math.inf, -math.inf, 0.0, -500.0])
     def test_unusable_cell_size_rejected(self, unit_square_km, cell_size):

@@ -68,7 +68,7 @@ class TestInitPopulationMatchesReference:
         # a 100 m strip under a 5 km cell: a jitter lands within 50 m of it one time in 25,
         # so most stations miss 8 times and keep the centroid
         strip = rect_district("strip", 0.0, 0.0, 100.0, 10_000.0, 1000.0)
-        grid = DemandGrid(5000.0, np.array([50.0]), np.array([5000.0]), np.array([500.0]))
+        grid = DemandGrid(cell_size=5000.0, x=np.array([50.0]), y=np.array([5000.0]), population=np.array([500.0]))
         counts = assert_same_seeding(grid, [strip], 5, 4, 1)
         assert counts["rewind"] >= 5 and counts["centroid"] >= 5
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from metronet import coverage
 from metronet.coverage import CoverageParams, evaluate
 from metronet.evolve import GaConfig
-from metronet.geomodel import DemandGrid, GeneratorPoint, load_generators, load_region, point_in_region, rasterize
+from metronet.geomodel import DemandGrid, DemandPoints, load_generators, load_region, point_in_region, rasterize
 from metronet.stations import (
     StationStageConfig,
     crossover,
@@ -21,7 +21,7 @@ from metronet.stations import (
     suggest_station_count,
 )
 
-from conftest import rect_district, star_districts
+from conftest import NO_GENERATORS, rect_district, star_districts
 
 
 def genome_of(*xy):
@@ -35,7 +35,7 @@ def square_10km():
 
 class TestInitPopulation:
     def test_single_cell_forces_support(self, unit_square_km):
-        grid = DemandGrid(500.0, np.array([500.0]), np.array([500.0]), np.array([100.0]))
+        grid = DemandGrid(cell_size=500.0, x=np.array([500.0]), y=np.array([500.0]), population=np.array([100.0]))
         rng = np.random.default_rng(0)
         pop = init_population(grid, [unit_square_km], 3, 20, rng)
         for genome in pop:
@@ -45,7 +45,7 @@ class TestInitPopulation:
 
     def test_zero_population_cell_gets_no_mass(self, unit_square_km):
         grid = DemandGrid(
-            500.0, np.array([250.0, 750.0]), np.array([500.0, 500.0]), np.array([0.0, 100.0])
+            cell_size=500.0, x=np.array([250.0, 750.0]), y=np.array([500.0, 500.0]), population=np.array([0.0, 100.0])
         )
         rng = np.random.default_rng(1)
         pop = init_population(grid, [unit_square_km], 1, 200, rng)
@@ -54,10 +54,10 @@ class TestInitPopulation:
 
     def test_sampling_frequencies_follow_population(self, square_10km):
         grid = DemandGrid(
-            1000.0,
-            np.array([-2000.0, 2000.0]),
-            np.array([0.0, 0.0]),
-            np.array([100.0, 300.0]),
+            cell_size=1000.0,
+            x=np.array([-2000.0, 2000.0]),
+            y=np.array([0.0, 0.0]),
+            population=np.array([100.0, 300.0]),
         )
         rng = np.random.default_rng(2)
         pop = init_population(grid, [square_10km], 1, 10_000, rng)
@@ -168,14 +168,14 @@ class TestGenomeArrays:
 
 class TestOptimize:
     def test_single_cell_unique_optimum_basin(self, unit_square_km):
-        grid = DemandGrid(500.0, np.array([500.0]), np.array([500.0]), np.array([100.0]))
+        grid = DemandGrid(cell_size=500.0, x=np.array([500.0]), y=np.array([500.0]), population=np.array([100.0]))
         cfg = StationStageConfig(
             station_count=1,
             mutation_sigma=200.0,
             ga=GaConfig(population_size=20, generations=8, rng_seed=0),
             coverage=CoverageParams(800.0),
         )
-        best, serviced, _ = optimize_stations(grid, (), [unit_square_km], cfg)
+        best, serviced, _ = optimize_stations(grid, NO_GENERATORS, [unit_square_km], cfg)
         x, y = best[0]
         half_diagonal = math.hypot(250.0, 250.0)
         assert math.hypot(x - 500.0, y - 500.0) <= half_diagonal
@@ -185,7 +185,7 @@ class TestOptimize:
         grid = rasterize([square_10km], 500.0)
         params = CoverageParams(800.0)
         scan_best = max(
-            evaluate(np.array([(x, y)]), grid, (), params).sum()
+            evaluate(np.array([(x, y)]), grid, NO_GENERATORS, params).sum()
             for x, y in zip(grid.x, grid.y)
         )
         cfg = StationStageConfig(
@@ -194,7 +194,7 @@ class TestOptimize:
             ga=GaConfig(population_size=50, generations=10, rng_seed=3),
             coverage=params,
         )
-        _, serviced, _ = optimize_stations(grid, (), [square_10km], cfg)
+        _, serviced, _ = optimize_stations(grid, NO_GENERATORS, [square_10km], cfg)
         assert serviced.sum() >= 0.98 * scan_best
 
     def test_two_distant_clusters_get_one_station_each(self):
@@ -208,7 +208,7 @@ class TestOptimize:
             ga=GaConfig(population_size=40, generations=20, rng_seed=1),
             coverage=params,
         )
-        best, _, _ = optimize_stations(grid, (), [west, east], cfg)
+        best, _, _ = optimize_stations(grid, NO_GENERATORS, [west, east], cfg)
         centers = [(-10000.0, 0.0), (10000.0, 0.0)]
         assignments = set()
         for x, y in best:
@@ -223,7 +223,7 @@ class TestOptimize:
             station_count=3,
             ga=GaConfig(population_size=20, generations=8, elite_count=2, rng_seed=2),
         )
-        _, _, history = optimize_stations(grid, (), two_district_region, cfg)
+        _, _, history = optimize_stations(grid, NO_GENERATORS, two_district_region, cfg)
         best = [r.best_fitness for r in history.records]
         assert all(b2 >= b1 for b1, b2 in zip(best, best[1:]))
 
@@ -233,8 +233,8 @@ class TestOptimize:
             station_count=4,
             ga=GaConfig(population_size=15, generations=5, rng_seed=9),
         )
-        b1, s1, h1 = optimize_stations(grid, (), two_district_region, cfg)
-        b2, s2, h2 = optimize_stations(grid, (), two_district_region, cfg)
+        b1, s1, h1 = optimize_stations(grid, NO_GENERATORS, two_district_region, cfg)
+        b2, s2, h2 = optimize_stations(grid, NO_GENERATORS, two_district_region, cfg)
         assert np.array_equal(b1, b2)
         assert np.array_equal(s1, s2)
         assert h1.records == h2.records
@@ -244,10 +244,7 @@ class TestMemoizedCoverage:
     @pytest.fixture
     def instance(self, two_district_region):
         grid = rasterize(two_district_region, 500.0)
-        generators = (
-            GeneratorPoint("mall", 30000.0, -3000.0, 500.0),
-            GeneratorPoint("campus", 12000.0, 2500.0, -700.0),
-        )
+        generators = DemandPoints(np.array([-3000.0, 2500.0]), np.array([500.0, -700.0]), np.array([30000.0, 12000.0]))
         return grid, generators, two_district_region
 
     @pytest.mark.parametrize("mode", ["sum", "nearest"])
@@ -292,35 +289,42 @@ class TestMemoizedCoverage:
         assert set(computed) == genomes_seen
 
 
-# Digests of each seed's initial population and best stations, recorded
-# while init_population drew each station's jitter with two scalar
-# rng.uniform calls and tested it alone. Any change to a stage-1 random draw,
-# to which jittered point is kept, or to which genomes the GA keeps moves
-# them. At 3000 m cells on two_district_region a jittered station often
-# leaves the region and is redrawn: 35 times over the three seeds.
-@pytest.mark.parametrize("instance, seed, want_initial, want_best", [
-    ("selangor", 0, "6ed98a82e9029a27", "579ebcf3731203a8"),
-    ("selangor", 1, "b03e44b003ac977f", "6a4d77107e3669cc"),
-    ("selangor", 2, "647f92a08ff673ff", "de2bd34c499c04f8"),
-    ("two_district", 0, "c511c9371cc539ba", "d70b8f54d6a70c1d"),
-    ("two_district", 1, "19e1626238d3680d", "d850a832354ea6b6"),
-    ("two_district", 2, "86a2b0c396e2f0a2", "fc57bdd401ef134d"),
+# Digests of each seed's initial population, best stations and the best
+# stations' serviced counts, recorded while init_population drew each
+# station's jitter with two scalar rng.uniform calls and tested it alone (the
+# serviced digests and the nearest-mode row were recorded later, from the
+# same code). Any change to a stage-1 random draw, to which jittered point is
+# kept, to which genomes the GA keeps, or to a coverage bit moves them. At
+# 3000 m cells on two_district_region a jittered station often leaves the
+# region and is redrawn: 35 times over the three seeds.
+@pytest.mark.parametrize("instance, mode, seed, want_initial, want_best, want_serviced", [
+    ("selangor", "sum", 0, "6ed98a82e9029a27", "579ebcf3731203a8", "29d21edee729b1ed"),
+    ("selangor", "sum", 1, "b03e44b003ac977f", "6a4d77107e3669cc", "554d3d5035b2f997"),
+    ("selangor", "sum", 2, "647f92a08ff673ff", "de2bd34c499c04f8", "b72057cc37bc6d9a"),
+    ("selangor", "nearest", 0, "6ed98a82e9029a27", "07064eeedd95251e", "d50815a6f64ff395"),
+    ("two_district", "sum", 0, "c511c9371cc539ba", "d70b8f54d6a70c1d", "aa8439c0879581c4"),
+    ("two_district", "sum", 1, "19e1626238d3680d", "d850a832354ea6b6", "c91afd92020e0776"),
+    ("two_district", "sum", 2, "86a2b0c396e2f0a2", "fc57bdd401ef134d", "a2c5ee9bcf0b7dca"),
 ])
-def test_stage1_random_stream_pinned(instance, seed, want_initial, want_best, selangor_paths, two_district_region):
+def test_stage1_random_stream_pinned(instance, mode, seed, want_initial, want_best, want_serviced,
+                                     selangor_paths, two_district_region):
     if instance == "selangor":  # tests/data at 500 m: 61 stations, generators included
         region = load_region(selangor_paths["boundaries"], selangor_paths["densities"])
         districts, grid = region.districts, rasterize(region.districts, 500.0)
         generators, station_count = load_generators(selangor_paths["generators"], region), None
     else:
-        districts, grid, generators, station_count = two_district_region, rasterize(two_district_region, 3000.0), (), 8
-    cfg = StationStageConfig(station_count=station_count, ga=GaConfig(population_size=10, generations=3, rng_seed=seed))
+        districts, grid, station_count = two_district_region, rasterize(two_district_region, 3000.0), 8
+        generators = NO_GENERATORS
+    cfg = StationStageConfig(station_count=station_count, coverage=CoverageParams(mode=mode),
+                             ga=GaConfig(population_size=10, generations=3, rng_seed=seed))
     initial = []
-    best, _, _ = optimize_stations(
+    best, serviced, _ = optimize_stations(
         grid, generators, districts, cfg,
         on_generation=lambda gen, pop, fits: initial.extend(pop if gen == 0 else ()),
     )
     assert hashlib.sha256(np.stack(initial).tobytes()).hexdigest()[:16] == want_initial
     assert hashlib.sha256(best.tobytes()).hexdigest()[:16] == want_best
+    assert hashlib.sha256(serviced.tobytes()).hexdigest()[:16] == want_serviced
 
 
 def test_station_count_heuristic():
@@ -348,7 +352,7 @@ class TestStationStageConfig:
         grid = rasterize(two_district_region, 1000.0)
         ga = GaConfig(population_size=6, generations=2, rng_seed=5)
         sized = StationStageConfig(station_count=suggest_station_count(grid.total_population), ga=ga)
-        best, serviced, _ = optimize_stations(grid, (), two_district_region, StationStageConfig(ga=ga))
-        expected, expected_serviced, _ = optimize_stations(grid, (), two_district_region, sized)
+        best, serviced, _ = optimize_stations(grid, NO_GENERATORS, two_district_region, StationStageConfig(ga=ga))
+        expected, expected_serviced, _ = optimize_stations(grid, NO_GENERATORS, two_district_region, sized)
         assert np.array_equal(best, expected)
         assert np.array_equal(serviced, expected_serviced)
