@@ -17,6 +17,7 @@ from .geomodel import DemandPoints, PointRuns
 
 SIGMA_SOFT_MIN = 400.0
 SIGMA_SOFT_MAX = 3000.0
+SIGMA_HARD_MIN = 1.0
 SIGMA_HARD_MAX = 1e5
 
 
@@ -33,10 +34,8 @@ class CoverageParams:
     mode: str = "sum"
 
     def __post_init__(self):
-        if not (0.0 < self.sigma < SIGMA_HARD_MAX):
-            raise ValueError(f"sigma must lie in (0, {SIGMA_HARD_MAX:g}) meters, got {self.sigma}")
-        if self.sigma * self.sigma == 0.0:  # a point under a station would score 0 / 0
-            raise ValueError(f"sigma {self.sigma} is too small: its square underflows to 0")
+        if not (SIGMA_HARD_MIN <= self.sigma < SIGMA_HARD_MAX):
+            raise ValueError(f"sigma must lie in [{SIGMA_HARD_MIN:g}, {SIGMA_HARD_MAX:g}) meters, got {self.sigma}")
         if self.sigma < SIGMA_SOFT_MIN or self.sigma > SIGMA_SOFT_MAX:
             warnings.warn(
                 f"sigma={self.sigma} m is outside the usual access range "

@@ -20,7 +20,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import EmptyGrid, InvalidPolygon, MissingDensity, NegativeVisitors, ParseError
+from .errors import EmptyGrid, InvalidPolygon, ParseError
 
 EARTH_RADIUS_M = 6_371_000.0
 _DEG = math.pi / 180.0
@@ -278,24 +278,22 @@ def union_bounds(districts: Sequence[District]) -> tuple[float, float, float, fl
 
 
 def nearest_boundary_point(xy, districts: Sequence[District]) -> tuple[np.ndarray, float]:
-    """Closest point on any district ring to ``xy`` and its distance in meters."""
-    best, best_d2 = None, math.inf
-    xy = np.asarray(xy, dtype=float)
-    for d in districts:
-        a, b = d.edges[:, 0:2], d.edges[:, 2:4]
-        ab = b - a
-        ap = xy - a
-        seg_len2 = np.einsum("ij,ij->i", ab, ab)
-        t = np.clip(np.einsum("ij,ij->i", ap, ab) / np.where(seg_len2 == 0, 1.0, seg_len2), 0.0, 1.0)
-        closest = a + t[:, None] * ab
-        diff = closest - xy
-        d2 = np.einsum("ij,ij->i", diff, diff)
-        k = int(np.argmin(d2))
-        if d2[k] < best_d2:
-            best_d2 = float(d2[k])
-            best = closest[k].copy()
-    assert best is not None, "districts must carry at least one ring"
-    return best, math.sqrt(best_d2)
+    """Closest point on any district ring to ``xy`` and its distance in meters.
+
+    The edges of all districts are taken in district order, and the first
+    nearest edge wins a tie.
+    """
+    edges = np.concatenate([d.edges for d in districts])
+    a, b = edges[:, 0:2], edges[:, 2:4]
+    ab = b - a
+    ap = xy - a
+    seg_len2 = np.einsum("ij,ij->i", ab, ab)
+    t = np.clip(np.einsum("ij,ij->i", ap, ab) / np.where(seg_len2 == 0, 1.0, seg_len2), 0.0, 1.0)
+    closest = a + t[:, None] * ab
+    diff = closest - xy
+    d2 = np.einsum("ij,ij->i", diff, diff)
+    k = int(np.argmin(d2))
+    return closest[k], math.sqrt(d2[k])
 
 
 def points_in_region(points: np.ndarray, districts: Sequence[District], tol: float = SNAP_TOLERANCE_M) -> np.ndarray:
@@ -468,7 +466,7 @@ def load_region(boundaries_file: Path, densities_file: Path) -> Region:
     for district_id, (idx, polys) in raw.items():
         where = f"{boundaries_file}: feature {idx}"
         if district_id not in densities:
-            raise MissingDensity(district_id)
+            raise ParseError(f"{where}: district_id {district_id!r} has no row in {densities_file}")
         planar_polys = []
         for rings in polys:
             projected = [np.column_stack(project(ring[:, 1], ring[:, 0], origin)) for ring in rings]
@@ -502,10 +500,8 @@ def load_generators(path: Path, region: Region) -> DemandPoints:
             geo = GeoPoint(float(row["latitude"]), float(row["longitude"]))
         except (TypeError, ValueError, AttributeError) as exc:
             raise ParseError(f"{path}: row {i}: {exc}") from exc
-        if not math.isfinite(visitors):
-            raise ParseError(f"{path}: row {i}: daily visitors must be finite, got {visitors!r}")
-        if visitors < 0:
-            raise NegativeVisitors(i, visitors)
+        if not (0 <= visitors < math.inf):  # a NaN fails too
+            raise ParseError(f"{path}: row {i}: daily visitors must be finite and >= 0, got {visitors!r}")
         x, y = project(geo.lat, geo.lon, region.origin)
         m = GENERATOR_MARGIN_M
         if not (xmin - m <= x <= xmax + m and ymin - m <= y <= ymax + m):

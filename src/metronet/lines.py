@@ -12,7 +12,6 @@ numpy that changes ``choice`` fails there instead of shifting every layout.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -21,7 +20,7 @@ import numpy as np
 from . import evolve, netgraph
 from .errors import Disconnected, TooFewStations
 from .evolve import EvolutionHistory, GaConfig, GenerationHook
-from .geomodel import station_distances
+from .geomodel import PLANAR_BOUND_M, station_distances
 
 _MAX_MUTATION_TRIES = 16
 _CACHE_LIMIT = 200_000
@@ -47,8 +46,10 @@ class LineStageConfig:
     def __post_init__(self):
         if self.line_count < 1:
             raise ValueError("line_count must be >= 1")
-        if not (math.isfinite(self.transfer_penalty_m) and self.transfer_penalty_m >= 0):
-            raise ValueError(f"transfer_penalty_m must be finite and >= 0, got {self.transfer_penalty_m}")
+        if not (0 <= self.transfer_penalty_m <= PLANAR_BOUND_M):
+            raise ValueError(
+                f"transfer_penalty_m must lie in [0, {PLANAR_BOUND_M:g}] meters, got {self.transfer_penalty_m}"
+            )
 
 
 def line_fitness(genome: Layout, stations: np.ndarray,
@@ -346,14 +347,14 @@ def optimize_lines(
     # their work once per distinct key. repair attaches at the nearest line
     # end, so its output depends on orientation: it is keyed on the genome
     # itself. A line and its reverse are the same track, and line order does
-    # not matter, so fitness is keyed on the canonical layout; the first
-    # orientation seen prices it (another may differ in the last bits). A
-    # raw memo in front of that cache skips building the canonical key for a
-    # layout seen as it is; it is cleared with the cache, so it returns only
-    # what the cache holds.
+    # not matter, so fitness is priced once per canonical layout; the first
+    # orientation seen prices it (another may differ in the last bits). The
+    # fitness memo holds each value under the canonical layout and under the
+    # layout as drawn, which skips building the canonical key for a layout
+    # seen as it is. A canonical layout is its own canonical form, so the two
+    # keys never disagree.
     repaired: dict[Layout, Layout] = {}
-    cache: dict[tuple, LineFitness] = {}
-    raw: dict[Layout, float] = {}
+    fitnesses: dict[Layout, float] = {}
 
     def validator(genome: Layout) -> Layout:
         hit = repaired.get(genome)
@@ -365,21 +366,17 @@ def optimize_lines(
         return hit
 
     def fitness(genome: Layout) -> float:
-        value = raw.get(genome)
-        if value is not None:
-            return value
-        key = tuple(sorted([min(line, line[::-1]) for line in genome]))
-        hit = cache.get(key)
-        if hit is None:
-            if len(cache) >= _CACHE_LIMIT:
-                cache.clear()
-                raw.clear()
-            hit = line_fitness(genome, stations, s, config.transfer_penalty_m)
-            cache[key] = hit
-        if len(raw) >= _CACHE_LIMIT:
-            raw.clear()
-        raw[genome] = hit.value
-        return hit.value
+        value = fitnesses.get(genome)
+        if value is None:
+            key = tuple(sorted([min(line, line[::-1]) for line in genome]))
+            value = fitnesses.get(key)
+            if value is None:
+                value = line_fitness(genome, stations, s, config.transfer_penalty_m).value
+            if len(fitnesses) >= _CACHE_LIMIT:
+                fitnesses.clear()
+            fitnesses[key] = value
+            fitnesses[genome] = value
+        return value
 
     def mutation(genome: Layout, rng: np.random.Generator) -> Layout:
         return mutate_line(genome, len(stations), rng)

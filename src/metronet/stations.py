@@ -1,7 +1,6 @@
 """Stage 1: evolve station coordinates to maximize Gaussian demand coverage."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -11,6 +10,7 @@ from . import coverage, evolve
 from .coverage import CoverageParams
 from .evolve import EvolutionHistory, GaConfig, GenerationHook
 from .geomodel import (
+    PLANAR_BOUND_M,
     DemandGrid,
     DemandPoints,
     District,
@@ -43,8 +43,8 @@ class StationStageConfig:
     def __post_init__(self):
         if self.station_count is not None and self.station_count < 1:
             raise ValueError("station_count must be >= 1")
-        if not (math.isfinite(self.mutation_sigma) and self.mutation_sigma > 0):
-            raise ValueError(f"mutation_sigma must be finite and > 0, got {self.mutation_sigma}")
+        if not (0 < self.mutation_sigma <= PLANAR_BOUND_M):
+            raise ValueError(f"mutation_sigma must lie in (0, {PLANAR_BOUND_M:g}] meters, got {self.mutation_sigma}")
 
     def sized(self, total_population: float) -> StationStageConfig:
         """This config with an omitted station_count set by ``suggest_station_count``."""
@@ -74,7 +74,8 @@ def init_population(
     station order, a station that leaves the region retrying right after its
     miss (8 tries, then its cell centroid). The offsets of the stations left
     to place are drawn and tested at once; at the first miss the generator is
-    rewound, and the stations up to the miss draw again.
+    rewound to just past the missed station's offsets, and the next pass
+    starts at that station.
     """
     weights = grid.population / grid.total_population
     half = grid.cell_size / 2.0
@@ -82,26 +83,21 @@ def init_population(
     for _ in range(population_size):
         cells = rng.choice(len(grid), size=station_count, p=weights)
         points = np.column_stack([grid.x[cells], grid.y[cells]])
+        misses = np.zeros(station_count, dtype=int)
         k = 0
         while k < station_count:
             state = rng.bit_generator.state
             jittered = points[k:] + rng.uniform(-half, half, size=(station_count - k, 2))
             inside = points_in_region(jittered, districts)
-            if inside.all():
-                points[k:] = jittered
-                break
-            miss = k + int(inside.argmin())
-            points[k:miss] = jittered[:miss - k]
-            # rewind, then draw again up to and including the miss's first try
-            rng.bit_generator.state = state
-            rng.uniform(-half, half, size=(miss - k + 1, 2))
-            cx, cy = points[miss]  # fallback: the centroid itself is inside
-            for _ in range(_MAX_JITTER_TRIES - 1):
-                jittered = (cx + rng.uniform(-half, half), cy + rng.uniform(-half, half))
-                if point_in_region(jittered, districts):
-                    points[miss] = jittered
-                    break
-            k = miss + 1
+            placed = len(inside) if inside.all() else int(inside.argmin())
+            points[k:k + placed] = jittered[:placed]
+            k += placed
+            if k < station_count:
+                rng.bit_generator.state = state
+                rng.uniform(-half, half, size=(placed + 1, 2))
+                misses[k] += 1
+                if misses[k] == _MAX_JITTER_TRIES:  # the station keeps its centroid, which is inside
+                    k += 1
         population.append(_frozen(points))
     return population
 

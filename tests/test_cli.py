@@ -154,12 +154,15 @@ INVALID_SETTINGS = [
     ("--transfer-penalty-m", "-1"),
     ("--transfer-penalty-m", "nan"),
     ("--transfer-penalty-m", "inf"),
+    ("--transfer-penalty-m", "1e308"),
     ("--mutation-sigma", "-5"),
     ("--mutation-sigma", "nan"),
+    ("--mutation-sigma", "1e160"),
     ("--cell-size", "nan"),
     ("--cell-size", "inf"),
     ("--sigma", "0"),
     ("--sigma", "1e-200"),
+    ("--sigma", "1e-160"),
     ("--stage2-population-size", "1"),
     ("--stage2-seed", "-4"),
     ("--seed", "-4"),

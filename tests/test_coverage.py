@@ -60,9 +60,11 @@ def random_instance(rng, n_stations, n_cells, n_generators, span=4000.0):
 
 class TestParams:
     def test_hard_bounds(self):
-        for bad in (0.0, -1.0, 1e5, 2e5, 1e-200):  # 1e-200 squares to 0
-            with pytest.raises(ValueError):
+        for bad in (0.0, -1.0, 1e5, 2e5, 1e-200, 1e-160, 0.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="^sigma must lie in"):
                 CoverageParams(sigma=bad)
+        with pytest.warns(UserWarning):
+            assert CoverageParams(sigma=coverage.SIGMA_HARD_MIN).sigma == 1.0
 
     def test_range_endpoints_accepted_silently(self):
         with warnings.catch_warnings():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from metronet import artifacts, geomodel
 
-from metronet.errors import EmptyGrid, InvalidPolygon, MissingDensity, NegativeVisitors, ParseError
+from metronet.errors import EmptyGrid, InvalidPolygon, ParseError
 from metronet.geomodel import (
     EARTH_RADIUS_M,
     DemandGrid,
@@ -152,8 +152,9 @@ class TestLoadRegion:
     def test_missing_density(self, tmp_path):
         boundaries, densities = write_region_files(tmp_path, [("a", -500, -500, 500, 500, 10)])
         densities.write_text("district_id,density_per_km2\nother,5\n")
-        with pytest.raises(MissingDensity):
+        with pytest.raises(ParseError) as exc:
             load_region(boundaries, densities)
+        assert str(exc.value) == f"{boundaries}: feature 0: district_id 'a' has no row in {densities}"
 
     def test_multipolygon_two_disjoint_squares(self, tmp_path):
         ring1 = planar_ring_to_geojson([(-1500, -500), (-500, -500), (-500, 500), (-1500, 500)])
@@ -342,12 +343,14 @@ class TestLoadGenerators:
         assert generators.y.tolist() == y.tolist()
         assert generators.population.tolist() == [7.0, 5.0]
 
-    def test_negative_visitors(self, tmp_path, selangor_paths):
+    @pytest.mark.parametrize("visitors", ["-5", "nan", "inf", "-inf"])
+    def test_negative_visitors(self, tmp_path, selangor_paths, visitors):
         region = load_region(selangor_paths["boundaries"], selangor_paths["densities"])
         bad = tmp_path / "g.csv"
-        bad.write_text("name,daily_visitors,latitude,longitude\nBad,-5,3.0,101.5\n")
-        with pytest.raises(NegativeVisitors):
+        bad.write_text(f"name,daily_visitors,latitude,longitude\nGood,5,3.0,101.5\nBad,{visitors},3.0,101.5\n")
+        with pytest.raises(ParseError) as exc:
             load_generators(bad, region)
+        assert str(exc.value) == f"{bad}: row 3: daily visitors must be finite and >= 0, got {float(visitors)!r}"
 
     def test_bad_header(self, tmp_path, selangor_paths):
         region = load_region(selangor_paths["boundaries"], selangor_paths["densities"])
@@ -535,6 +538,36 @@ def reference_nearest_boundary_point(p, districts):
                 best_d2 = float(d2[k])
                 best = float(closest[k, 0]), float(closest[k, 1])
     return best, math.sqrt(best_d2)
+
+
+class TestNearestBoundaryPoint:
+    @given(districts=st.lists(star_districts(), min_size=1, max_size=3), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_ring_by_ring_reference(self, districts, data):
+        vertices = np.concatenate([ring for d in districts for ring in rings_of(d)])
+        drawn = data.draw(st.lists(st.tuples(st.integers(-5000, 5000), st.integers(-5000, 5000)),
+                                   min_size=1, max_size=10))
+        # vertices and edge midpoints are on a ring: zero distance, often to several edges at once
+        pts = np.concatenate([np.array(drawn, dtype=float), vertices[::7], (vertices[:-1:5] + vertices[1::5]) / 2])
+        for p in pts:
+            got, dist = nearest_boundary_point(p, districts)
+            assert (tuple(got.tolist()), dist) == reference_nearest_boundary_point(p, districts)
+
+    @pytest.mark.parametrize("first, want", [("east", [100.0, 0.0]), ("west", [-100.0, 0.0])])
+    def test_tie_across_districts_goes_to_the_first(self, first, want):
+        east = rect_district("east", 100.0, -50.0, 300.0, 50.0, 10.0)
+        west = rect_district("west", -300.0, -50.0, -100.0, 50.0, 10.0)
+        districts = [east, west] if first == "east" else [west, east]
+        got, dist = nearest_boundary_point(np.array([0.0, 0.0]), districts)
+        assert (got.tolist(), dist) == (want, 100.0)
+        assert reference_nearest_boundary_point(np.array([0.0, 0.0]), districts) == (tuple(want), 100.0)
+
+    def test_a_point_far_away_gets_a_finite_point_on_a_ring(self):
+        districts = [rect_district("a", 0.0, 0.0, 1000.0, 1000.0, 10.0),
+                     rect_district("b", 2000.0, 0.0, 3000.0, 500.0, 10.0)]
+        got, dist = nearest_boundary_point(np.array([1e9, 2e8]), districts)
+        assert got.tolist() == [3000.0, 500.0]  # the corner of the ring nearest to the point
+        assert dist == pytest.approx(math.hypot(1e9 - 3000.0, 2e8 - 500.0), rel=1e-15)
 
 
 class TestContainmentMatchesPerEdgeLoop:

@@ -14,7 +14,7 @@ from metronet import lines as lines_module
 from metronet import evolve, netgraph
 from metronet.errors import Disconnected, LineTooShort, LoopInLine, TooFewStations
 from metronet.evolve import GaConfig
-from metronet.geomodel import station_distances
+from metronet.geomodel import PLANAR_BOUND_M, station_distances
 from metronet.lines import (
     LineStageConfig,
     _draw_index,
@@ -527,12 +527,12 @@ def exhaustive_single_line_optimum(stations, s):
 
 
 class TestLineStageConfig:
-    @pytest.mark.parametrize("penalty", [math.nan, math.inf, -math.inf, -1.0])
+    @pytest.mark.parametrize("penalty", [math.nan, math.inf, -math.inf, -1.0, 1e308, 1.0000001e7])
     def test_transfer_penalty_must_be_finite_and_non_negative(self, penalty):
         with pytest.raises(ValueError, match="transfer_penalty_m"):
             LineStageConfig(transfer_penalty_m=penalty)
 
-    @pytest.mark.parametrize("penalty", [0.0, 250.0])
+    @pytest.mark.parametrize("penalty", [0.0, 250.0, PLANAR_BOUND_M])
     def test_finite_penalty_accepted(self, penalty):
         assert LineStageConfig(transfer_penalty_m=penalty).transfer_penalty_m == penalty
 
@@ -640,14 +640,17 @@ class TestOptimizeLines:
         assert best == want_best
         assert history.records == want_history.records
 
-    def test_memo_limits_change_nothing(self, monkeypatch):
+    @pytest.mark.parametrize("penalty", [0.0, 300.0])
+    @pytest.mark.parametrize("limit", [1, 2, 3])
+    def test_memo_limits_change_nothing(self, monkeypatch, limit, penalty):
         """Memos that fill and clear every few layouts give the same run."""
         rng = np.random.default_rng(23)
         stations = pts(*rng.uniform(-5000, 5000, (8, 2)))
         s = rng.uniform(100, 1000, 8)
-        cfg = LineStageConfig(line_count=3, ga=GaConfig(population_size=20, generations=20, rng_seed=1))
+        cfg = LineStageConfig(line_count=3, transfer_penalty_m=penalty,
+                              ga=GaConfig(population_size=20, generations=20, rng_seed=1))
         want = optimize_lines(stations, s, cfg)
-        monkeypatch.setattr(lines_module, "_CACHE_LIMIT", 3)
+        monkeypatch.setattr(lines_module, "_CACHE_LIMIT", limit)
         assert optimize_lines(stations, s, cfg) == want
 
     # Each seed's best layout and a digest of every generation's population,

@@ -11,7 +11,15 @@ from hypothesis import strategies as st
 from metronet import coverage
 from metronet.coverage import CoverageParams, evaluate
 from metronet.evolve import GaConfig
-from metronet.geomodel import DemandGrid, DemandPoints, load_generators, load_region, point_in_region, rasterize
+from metronet.geomodel import (
+    PLANAR_BOUND_M,
+    DemandGrid,
+    DemandPoints,
+    load_generators,
+    load_region,
+    point_in_region,
+    rasterize,
+)
 from metronet.stations import (
     StationStageConfig,
     crossover,
@@ -333,10 +341,13 @@ def test_station_count_heuristic():
 
 
 class TestStationStageConfig:
-    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf, 0.0, -5.0])
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf, 0.0, -5.0, 1e160, 1.0000001e7])
     def test_mutation_sigma_must_be_finite_and_positive(self, sigma):
         with pytest.raises(ValueError, match="mutation_sigma"):
             StationStageConfig(station_count=3, mutation_sigma=sigma)
+
+    def test_mutation_sigma_up_to_the_planar_bound_accepted(self):
+        assert StationStageConfig(mutation_sigma=PLANAR_BOUND_M).mutation_sigma == 1e7
 
     @pytest.mark.parametrize("count", [0, -3])
     def test_station_count_must_be_positive(self, count):
