@@ -20,7 +20,7 @@ import numpy as np
 
 from . import artifacts, coverage, lines, netgraph, stations
 from .coverage import CoverageParams
-from .errors import LineTooShort, LoopInLine, MetronetError, ParseError
+from .errors import InvalidLayout, MetronetError, ParseError
 from .evolve import GaConfig
 from .geomodel import DemandPoints, check_cell_size, load_generators, load_region, rasterize
 from .lines import LineStageConfig
@@ -300,7 +300,7 @@ def validate_artifacts(stations_file: Path, lines_file: Path) -> str | None:
     layout = artifacts.read_lines_geojson(lines_file)
     try:
         netgraph.build(layout, station_points)
-    except (LineTooShort, LoopInLine, ValueError) as exc:
+    except InvalidLayout as exc:
         return str(exc)
     if len(set(netgraph.components(layout, len(station_points)))) > 1:
         return "network is disconnected (some station unreachable)"

@@ -14,7 +14,7 @@ from typing import Callable, Literal, Sequence, TypeVar
 
 import numpy as np
 
-from .errors import FitnessNotFinite, InvalidInitialPopulation
+from .errors import MetronetError
 
 G = TypeVar("G")
 Sense = Literal["maximize", "minimize"]
@@ -142,7 +142,7 @@ def run(
     population = list(initial_population)
     n = config.population_size
     if len(population) != n:
-        raise InvalidInitialPopulation(f"expected {n} genomes, got {len(population)}")
+        raise MetronetError(f"expected {n} genomes, got {len(population)}")
 
     sense = config.objective_sense
     history = EvolutionHistory()
@@ -155,7 +155,7 @@ def run(
         for i, genome in enumerate(pop):
             value = float(fitness_fn(genome))
             if not math.isfinite(value):
-                raise FitnessNotFinite(gen, i, value)
+                raise MetronetError(f"fitness of genome {i} in generation {gen} is {value!r}")
             values.append(value)
         fits = np.array(values)
         idx = int(np.argmax(fits) if sense == "maximize" else np.argmin(fits))

@@ -20,7 +20,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import EmptyGrid, InvalidPolygon, ParseError
+from .errors import MetronetError, ParseError
 
 EARTH_RADIUS_M = 6_371_000.0
 _DEG = math.pi / 180.0
@@ -105,9 +105,9 @@ class District:
             raise ValueError(f"district {self.district_id!r}: density must be >= 0")
         short = [len(ring) for poly in self.polygons for ring in (poly.outer, *poly.holes) if len(ring) < 3]
         if short:
-            raise InvalidPolygon(f"district {self.district_id!r}: ring with {short[0]} vertices")
+            raise MetronetError(f"district {self.district_id!r}: ring with {short[0]} vertices")
         if self.area_km2 <= 0:
-            raise InvalidPolygon(f"district {self.district_id!r}: zero enclosed area")
+            raise MetronetError(f"district {self.district_id!r}: zero enclosed area")
 
     @cached_property
     def area_km2(self) -> float:
@@ -221,7 +221,7 @@ class DemandGrid(DemandPoints):
 
     def __post_init__(self):
         if len(self.x) == 0:
-            raise EmptyGrid(f"no populated cell at cell_size={self.cell_size}")
+            raise MetronetError(f"no populated cell at cell_size={self.cell_size}")
         super().__post_init__()
 
 
@@ -327,6 +327,13 @@ def point_in_region(xy, districts: Sequence[District], tol: float = SNAP_TOLERAN
 # file loading
 # ---------------------------------------------------------------------------
 
+# The largest density and daily visitors an input row may give: far above any
+# real district or venue, and low enough that coverage and the stage-2 cost
+# stay far from float overflow (under 1e19 at 200 stations on the Selangor
+# fixture with both at the bound).
+MAX_DENSITY_PER_KM2 = 1e9
+MAX_DAILY_VISITORS = 1e9
+
 
 def _geo_rings_of_feature(geometry: dict, where: str) -> list[list[np.ndarray]]:
     """Normalize a Polygon/MultiPolygon geometry to a list of polygons.
@@ -420,7 +427,10 @@ def _table_rows(path: Path, header: list[str]) -> Iterator[tuple[int, dict[str, 
 
 
 def load_densities(path: Path) -> dict[str, float]:
-    """Read the ``district_id,density_per_km2`` table; each district_id may appear once."""
+    """Read the ``district_id,density_per_km2`` table; each district_id may appear once.
+
+    A density outside [0, ``MAX_DENSITY_PER_KM2``] is rejected.
+    """
     path = Path(path)
     out = {}
     row_of = {}
@@ -429,8 +439,9 @@ def load_densities(path: Path) -> dict[str, float]:
             district_id, density = row["district_id"].strip(), float(row["density_per_km2"])
         except (TypeError, ValueError, AttributeError) as exc:
             raise ParseError(f"{path}: row {i}: {exc}") from exc
-        if not math.isfinite(density):
-            raise ParseError(f"{path}: row {i}: density must be finite, got {density!r}")
+        if not (0 <= density <= MAX_DENSITY_PER_KM2):  # a NaN fails too
+            raise ParseError(f"{path}: row {i}: density must be finite and in [0, {MAX_DENSITY_PER_KM2:g}], "
+                             f"got {density!r}")
         if district_id in row_of:
             raise ParseError(f"{path}: row {i}: district_id {district_id!r} repeats row {row_of[district_id]}")
         out[district_id] = density
@@ -473,7 +484,10 @@ def load_region(boundaries_file: Path, densities_file: Path) -> Region:
             if not all(np.all(np.abs(xy) < PLANAR_BOUND_M) for xy in projected):
                 raise ParseError(f"{where}: vertex {PLANAR_BOUND_M:.0f} m or more from the projection origin")
             planar_polys.append(PlanarPolygon(outer=projected[0], holes=tuple(projected[1:])))
-        districts.append(District(district_id, tuple(planar_polys), densities[district_id]))
+        try:
+            districts.append(District(district_id, tuple(planar_polys), densities[district_id]))
+        except MetronetError as exc:  # a ring of under 3 vertices or no area
+            raise ParseError(f"{where}: {exc}") from exc
 
     return Region(tuple(districts), origin, union_bounds(districts))
 
@@ -487,7 +501,8 @@ def load_generators(path: Path, region: Region) -> DemandPoints:
     Rows landing farther than 10 km outside the region bounding box are
     rejected as gross coordinate errors. A row whose name, latitude and
     longitude all repeat an earlier row is rejected too: its visitors would
-    count twice.
+    count twice. Daily visitors outside [0, ``MAX_DAILY_VISITORS``] are
+    rejected.
     """
     path = Path(path)
     xs, ys, all_visitors = [], [], []
@@ -500,8 +515,9 @@ def load_generators(path: Path, region: Region) -> DemandPoints:
             geo = GeoPoint(float(row["latitude"]), float(row["longitude"]))
         except (TypeError, ValueError, AttributeError) as exc:
             raise ParseError(f"{path}: row {i}: {exc}") from exc
-        if not (0 <= visitors < math.inf):  # a NaN fails too
-            raise ParseError(f"{path}: row {i}: daily visitors must be finite and >= 0, got {visitors!r}")
+        if not (0 <= visitors <= MAX_DAILY_VISITORS):  # a NaN fails too
+            raise ParseError(f"{path}: row {i}: daily visitors must be finite and in [0, {MAX_DAILY_VISITORS:g}], "
+                             f"got {visitors!r}")
         x, y = project(geo.lat, geo.lon, region.origin)
         m = GENERATOR_MARGIN_M
         if not (xmin - m <= x <= xmax + m and ymin - m <= y <= ymax + m):
@@ -537,7 +553,7 @@ def rasterize(districts: Sequence[District], cell_size: float) -> DemandGrid:
 
     A cell belongs to a district when its centroid passes the even-odd test;
     its population is density * cell area. Zero-population cells are dropped;
-    ``DemandGrid`` raises ``EmptyGrid`` when none is left. A lattice of more
+    ``DemandGrid`` raises ``MetronetError`` when none is left. A lattice of more
     than ``MAX_GRID_CELLS`` cells raises ValueError before it is allocated.
     """
     check_cell_size(cell_size)

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import evolve, netgraph
-from .errors import Disconnected, TooFewStations
+from .errors import InvalidLayout, MetronetError
 from .evolve import EvolutionHistory, GaConfig, GenerationHook
 from .geomodel import PLANAR_BOUND_M, station_distances
 
@@ -58,7 +58,7 @@ def line_fitness(genome: Layout, stations: np.ndarray,
 
     Only connected layouts have a cost: ``repair`` keeps every GA genome
     connected, and a layout that leaves some station unreachable raises
-    ``Disconnected``.
+    ``InvalidLayout``.
     """
     s = np.asarray(serviced, dtype=float)
     if len(s) != len(stations):
@@ -66,7 +66,7 @@ def line_fitness(genome: Layout, stations: np.ndarray,
     net = netgraph.build(genome, stations)
     d = netgraph.all_pairs_distances(net, transfer_penalty_m=transfer_penalty_m)
     if not np.isfinite(d).all():
-        raise Disconnected("line layout leaves some station unreachable")
+        raise InvalidLayout("line layout leaves some station unreachable")
     # d is symmetric with a zero diagonal, so the i < j pair sum weighs each row sum by its s_i
     return LineFitness(float((d.sum(axis=1) * s).sum()))
 
@@ -209,8 +209,8 @@ def repair(genome: Layout, dist: np.ndarray) -> Layout:
     ``dist`` is the stations' ``station_distances`` matrix. Precondition:
     every line is duplicate-free with at least two stations, as
     ``init_lines``, the six mutations and ``crossover_lines`` keep it;
-    ``netgraph.build`` raises ``LoopInLine`` or ``LineTooShort`` at fitness
-    time for a layout that breaks it. While the network is split, the
+    ``netgraph.build`` raises ``InvalidLayout`` at fitness time for a
+    layout that breaks it. While the network is split, the
     station outside the component of station 0 that is closest to it gets
     appended at the nearest end of a line inside that component (if station
     0 sits on no line yet, station 0 itself is appended to the globally
@@ -314,7 +314,7 @@ def init_lines(dist: np.ndarray, line_count: int,
     """
     n = len(dist)
     if n < 2:
-        raise TooFewStations(f"line layouts need >= 2 stations, got {n}")
+        raise MetronetError(f"line layouts need >= 2 stations, got {n}")
     population = []
     for _ in range(population_size):
         perm = rng.permutation(n)

@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import LineTooShort, LoopInLine
+from .errors import InvalidLayout
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,15 +45,15 @@ def build(lines: Sequence[Sequence[int]], stations: np.ndarray) -> LineNetwork:
 
 
 def _reject(li: int, line: Sequence[int], n: int) -> None:
-    """Raise for the first stop that breaks line li's rules."""
+    """Raise ``InvalidLayout`` for the first stop that breaks line li's rules."""
     if len(line) < 2:
-        raise LineTooShort(li, len(line))
+        raise InvalidLayout(f"line {li} has {len(line)} station(s), need >= 2")
     seen: set[int] = set()
     for s in line:
         if not (0 <= s < n):
-            raise ValueError(f"line {li}: station index {s} out of range [0, {n})")
+            raise InvalidLayout(f"line {li}: station index {s} out of range [0, {n})")
         if s in seen:
-            raise LoopInLine(li, s)
+            raise InvalidLayout(f"line {li}: loop, station {s} visited twice")
         seen.add(s)
 
 

@@ -61,6 +61,15 @@ def suggest_station_count(total_population: float) -> int:
     return max(2, round(total_population / 150_000.0))
 
 
+def _draw_cells(cdf: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
+    """``rng.choice(len(cdf), size=size, p=weights)``, the same cells and draws, for ``cdf`` built once.
+
+    ``cdf`` is ``np.cumsum(weights)`` divided by its last entry, which
+    ``choice`` rebuilds, with its checks on the weights, on every call.
+    """
+    return cdf.searchsorted(rng.random(size), side="right")
+
+
 def init_population(
     grid: DemandGrid,
     districts: Sequence[District],
@@ -70,18 +79,19 @@ def init_population(
 ) -> list[np.ndarray]:
     """Seed genomes by population-weighted cell sampling with in-cell jitter.
 
-    Per genome: one ``choice`` of cells, then each station's x and y offset in
+    Per genome: one draw of cells, then each station's x and y offset in
     station order, a station that leaves the region retrying right after its
     miss (8 tries, then its cell centroid). The offsets of the stations left
     to place are drawn and tested at once; at the first miss the generator is
     rewound to just past the missed station's offsets, and the next pass
     starts at that station.
     """
-    weights = grid.population / grid.total_population
+    cdf = np.cumsum(grid.population / grid.total_population)
+    cdf /= cdf[-1]
     half = grid.cell_size / 2.0
     population = []
     for _ in range(population_size):
-        cells = rng.choice(len(grid), size=station_count, p=weights)
+        cells = _draw_cells(cdf, station_count, rng)
         points = np.column_stack([grid.x[cells], grid.y[cells]])
         misses = np.zeros(station_count, dtype=int)
         k = 0

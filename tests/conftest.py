@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from metronet.errors import InvalidPolygon
+from metronet.errors import MetronetError
 from metronet.geomodel import (
     DemandPoints,
     District,
@@ -86,6 +86,9 @@ MALFORMED_GEOMETRIES = {
     "span_beyond_planar_bound": {
         "type": "Polygon", "coordinates": [[[-60.0, 3.0], [179.0, 3.0], [179.0, 3.1], [-60.0, 3.0]]]
     },
+    # well-formed vertices that District rejects once projected
+    "two_vertex_ring": {"type": "Polygon", "coordinates": [[[101.0, 3.0], [101.1, 3.0], [101.0, 3.0]]]},
+    "zero_area": {"type": "Polygon", "coordinates": [[[101.0, 3.0], [101.1, 3.0], [101.2, 3.0], [101.0, 3.0]]]},
 }
 
 
@@ -170,7 +173,7 @@ def star_districts(draw):
         polygons.append(PlanarPolygon(outer, holes))
     try:
         return District("star", tuple(polygons), 1000.0)
-    except InvalidPolygon:
+    except MetronetError:
         assume(False)
 
 

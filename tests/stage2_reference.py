@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from metronet.errors import LineTooShort, LoopInLine
+from metronet.errors import InvalidLayout
 from metronet.lines import Layout
 from metronet.netgraph import LineNetwork
 
@@ -23,13 +23,13 @@ def build_reference(lines: Sequence[Sequence[int]], stations: np.ndarray) -> Lin
     lengths = []
     for li, line in enumerate(lines):
         if len(line) < 2:
-            raise LineTooShort(li, len(line))
+            raise InvalidLayout(f"line {li} has {len(line)} station(s), need >= 2")
         seen: set[int] = set()
         for s in line:
             if not (0 <= s < n):
-                raise ValueError(f"line {li}: station index {s} out of range [0, {n})")
+                raise InvalidLayout(f"line {li}: station index {s} out of range [0, {n})")
             if s in seen:
-                raise LoopInLine(li, s)
+                raise InvalidLayout(f"line {li}: loop, station {s} visited twice")
             seen.add(s)
         stops = np.asarray(line, dtype=np.intp)
         lengths.append(np.hypot(*(stations[stops[:-1]] - stations[stops[1:]]).T))
@@ -181,7 +181,7 @@ def repair_reference(genome: Layout, dist: np.ndarray) -> Layout:
     ``dist`` is the stations' ``station_distances`` matrix. Precondition:
     every line is duplicate-free with at least two stations, as
     ``init_lines``, the six mutations and ``crossover_lines`` keep it;
-    ``netgraph.build`` raises ``LoopInLine`` or ``LineTooShort`` at fitness
+    ``netgraph.build`` raises ``InvalidLayout`` at fitness
     time for a layout that breaks it. While the network is split, the
     station outside the component of station 0 that is closest to it gets
     appended at the nearest end of a line inside that component (if station

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -45,6 +46,17 @@ def write_two_district_inputs(tmp_path):
         [("Central Mall", 30000, -4000.0, 0.0), ("Campus", 12000, 5000.0, 1000.0)],
     )
     return {"boundaries": boundaries, "densities": densities, "generators": generators}
+
+
+def data_generators_with(tmp_path, visitors: str, rows: int | None = None) -> Path:
+    """tests/data's generator table with the daily visitors of its first ``rows`` rows (all by default) set."""
+    header, *table = (DATA_DIR / "selangor_generators.csv").read_text().splitlines()
+    for i, line in enumerate(table[:rows]):
+        name, _, *place = line.split(",")
+        table[i] = ",".join([name, visitors, *place])
+    path = tmp_path / "generators.csv"
+    path.write_text("\n".join([header, *table]) + "\n")
+    return path
 
 
 @pytest.fixture
@@ -269,7 +281,7 @@ class TestGridCommand:
         argv = ["grid", "--boundaries", str(boundaries), "--densities", str(densities), "--out", str(tmp_path / "o")]
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "feature 1: " in err
+        assert err.startswith(f"error: {boundaries}: feature 1: ")
 
     def test_duplicate_district_id_exit_2(self, tmp_path, capsys):
         doc = json.loads((DATA_DIR / "selangor_boundary.geojson").read_text())
@@ -341,27 +353,53 @@ class TestGridCommand:
         err = capsys.readouterr().err
         assert "generators.csv: row 3" in err and "finite" in err
 
+    # Within the float range, 1e300 at 61 stations and 1e303 at 4 make a GA fitness inf,
+    # and 1e308 makes the demand total inf: each must stop at its row.
+    @pytest.mark.parametrize("density, extra", [
+        ("-1.0", []), ("1000000001.0", []),
+        ("1e+300", ["--station-count", "61"]), ("1e+303", ["--station-count", "4"]), ("1e+308", []),
+    ])
     @pytest.mark.parametrize("command", ["grid", "run"])
-    def test_overflowing_population_total_exit_2(self, tmp_path, capsys, command):
-        # every cell holds a finite population, their total does not: it used to reach
-        # suggest_station_count as inf and end in an OverflowError traceback
+    def test_density_out_of_bounds_exit_2(self, tmp_path, capsys, command, density, extra):
         densities = tmp_path / "densities.csv"
-        densities.write_text("district_id,density_per_km2\nselangor,1e308\n")
+        densities.write_text(f"district_id,density_per_km2\nselangor,{density}\n")
         argv = [command, "--boundaries", str(DATA_DIR / "selangor_boundary.geojson"),
-                "--densities", str(densities), "--out", str(tmp_path / "o")]
+                "--densities", str(densities), "--out", str(tmp_path / "o"), *extra]
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: total population must be finite, got inf") and "Traceback" not in err
+        assert err == f"error: {densities}: row 2: density must be finite and in [0, 1e+09], got {density}\n"
         assert not (tmp_path / "o").exists()
 
+    # 1e305 visitors on every row make stage 2's cost inf, and two rows of 1e308 the
+    # demand total: each must stop at its row
+    @pytest.mark.parametrize("visitors, rows", [(-1.0, 1), (1000000001.0, 1), (1e305, 14), (1e308, 2)])
     @pytest.mark.parametrize("command", ["grid", "run"])
-    def test_overflowing_visitor_total_exit_2(self, tmp_path, capsys, region_files, command):
-        generators = write_generator_file(tmp_path, [("Mall", 1e308, 0.0, 0.0), ("Park", 1e308, 1000.0, 0.0)])
-        code = cli.main([command, *base_args({**region_files, "generators": generators}, tmp_path / "o")])
-        assert code == 2
+    def test_visitors_out_of_bounds_exit_2(self, tmp_path, capsys, command, visitors, rows):
+        generators = data_generators_with(tmp_path, repr(visitors), rows)
+        argv = [command, "--boundaries", str(DATA_DIR / "selangor_boundary.geojson"),
+                "--densities", str(DATA_DIR / "selangor_densities.csv"), "--generators", str(generators),
+                "--out", str(tmp_path / "o"), "--station-count", "61"]
+        assert cli.main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: total population must be finite, got inf") and "Traceback" not in err
+        assert err == f"error: {generators}: row 2: daily visitors must be finite and in [0, 1e+09], got {visitors!r}\n"
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("extra", [
+        ["--station-count", "61"],
+        ["--station-count", "61", "--coverage-mode", "nearest", "--transfer-penalty-m", "300"],
+    ])
+    def test_densities_and_visitors_at_their_bounds_run(self, tmp_path, capsys, extra):
+        densities = tmp_path / "densities.csv"
+        densities.write_text("district_id,density_per_km2\nselangor,1e9\n")
+        generators = data_generators_with(tmp_path, "1e9")
+        argv = ["run", "--boundaries", str(DATA_DIR / "selangor_boundary.geojson"), "--densities", str(densities),
+                "--generators", str(generators), "--out", str(tmp_path / "o"),
+                "--population-size", "6", "--generations", "2", *extra]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main(argv) == 0
+        printed = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
+        assert all(math.isfinite(float(value)) for value in printed.values())
 
     def test_reference_generator_count(self, tmp_path, selangor_paths):
         out = tmp_path / "out"
@@ -651,6 +689,17 @@ class TestValidateCommand:
         code = cli.main(["validate", str(out / "stations.geojson"), str(out / "lines.geojson")])
         assert code == 4
         assert "loop" in capsys.readouterr().err
+
+    def test_only_layout_errors_are_violations(self, tmp_path, region_files, monkeypatch):
+        # an error that is not a broken layout rule is not a violation (exit 4)
+        out = self._run_once(tmp_path, region_files)
+
+        def broken_build(lines, stations):
+            raise ValueError("not a layout rule")
+
+        monkeypatch.setattr(cli.netgraph, "build", broken_build)
+        with pytest.raises(ValueError, match="not a layout rule"):
+            cli.validate_artifacts(out / "stations.geojson", out / "lines.geojson")
 
     def test_reports_first_layout_violation_only(self, tmp_path, region_files, capsys):
         out = self._run_once(tmp_path, region_files)

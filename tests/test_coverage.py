@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from metronet import coverage
 from metronet.coverage import CoverageParams, evaluate
-from metronet.errors import EmptyGrid
+from metronet.errors import MetronetError
 from metronet.geomodel import (
     DemandGrid,
     DemandPoints,
@@ -326,7 +326,7 @@ def raster_grids(draw):
         ]
     try:
         return rasterize(districts, draw(st.sampled_from([100.0, 150.0, 250.0])))
-    except EmptyGrid:
+    except MetronetError:
         assume(False)
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metronet.errors import FitnessNotFinite, InvalidInitialPopulation
+from metronet.errors import MetronetError
 from metronet.evolve import GaConfig, roulette_wheel, run, selection_weights
 
 
@@ -235,12 +235,12 @@ class TestRun:
 
     def test_wrong_population_size(self):
         cfg = GaConfig(population_size=10, generations=2)
-        with pytest.raises(InvalidInitialPopulation):
+        with pytest.raises(MetronetError, match="expected 10 genomes, got 9"):
             run(_toy_population(9), _fitness, _crossover, _mutation, _identity, cfg)
 
     def test_non_finite_fitness(self):
         cfg = GaConfig(population_size=10, generations=2)
-        with pytest.raises(FitnessNotFinite):
+        with pytest.raises(MetronetError, match="fitness of genome 0 in generation 0 is nan"):
             run(_toy_population(10), lambda x: math.nan, _crossover, _mutation, _identity, cfg)
 
     def test_minimize_sense(self):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import dijkstra_reference, layouts
 from metronet import lines as lines_module
 from metronet import evolve, netgraph
-from metronet.errors import Disconnected, LineTooShort, LoopInLine, TooFewStations
+from metronet.errors import InvalidLayout, MetronetError
 from metronet.evolve import GaConfig
 from metronet.geomodel import PLANAR_BOUND_M, station_distances
 from metronet.lines import (
@@ -113,10 +113,10 @@ class TestLineFitness:
     def test_disconnected_raises(self):
         stations = pts((0, 0), (1000, 0), (5000, 0), (6000, 0))
         s = [10.0, 10.0, 10.0, 10.0]
-        with pytest.raises(Disconnected, match="unreachable"):
+        with pytest.raises(InvalidLayout, match="unreachable"):
             line_fitness(((0, 1), (2, 3)), stations, s)
         # a station on no line is unreachable too
-        with pytest.raises(Disconnected):
+        with pytest.raises(InvalidLayout, match="unreachable"):
             line_fitness(((0, 1, 2),), stations, s)
         assert line_fitness(((0, 1, 2, 3),), stations, s).value == pytest.approx(440000.0)
 
@@ -135,7 +135,7 @@ class TestLineFitness:
                         want += d[i, j] * (s[i] + s[j])
                 assert line_fitness(genome, stations, s, penalty).value == pytest.approx(want, rel=1e-12)
             else:
-                with pytest.raises(Disconnected):
+                with pytest.raises(InvalidLayout, match="unreachable"):
                     line_fitness(genome, stations, s, penalty)
 
 
@@ -341,13 +341,14 @@ class TestRepair:
         assert_connected(repaired, stations)
         assert repaired == ((0, 1, 2),)
 
-    @pytest.mark.parametrize("line, error", [((0, 1, 0, 2), LoopInLine), ((0,), LineTooShort)])
+    @pytest.mark.parametrize("line, error", [((0, 1, 0, 2), "line 0: loop, station 0 visited twice"),
+                                             ((0,), "line 0 has 1 station")])
     def test_broken_line_left_for_fitness_to_reject(self, line, error):
         # repair only reconnects; netgraph.build owns the per-line checks
         stations = pts((0, 0), (1000, 0), (2000, 0))
         genome = (line, (0, 1, 2))
         assert repair(genome, station_distances(stations)) is genome
-        with pytest.raises(error):
+        with pytest.raises(InvalidLayout, match=error):
             line_fitness(genome, stations, [1.0, 1.0, 1.0])
 
     @pytest.mark.parametrize("seed", range(20))
@@ -479,7 +480,7 @@ class TestInitLines:
             assert oriented(genome) == ((0, 1),)
 
     def test_too_few_stations(self):
-        with pytest.raises(TooFewStations):
+        with pytest.raises(MetronetError, match="line layouts need >= 2 stations, got 1"):
             init_lines(station_distances(pts((0, 0))), 1, 5, np.random.default_rng(0))
 
     def test_more_lines_than_station_pairs(self):

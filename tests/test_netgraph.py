@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import dijkstra_reference, floyd_warshall_oracle, layouts, line_edges
-from metronet.errors import LineTooShort, LoopInLine
+from metronet.errors import InvalidLayout
 from metronet.geomodel import station_distances
 from metronet.lines import repair
 from metronet.netgraph import all_pairs_distances, build, components
@@ -46,15 +46,15 @@ class TestBuild:
         assert [w.tolist() for w in net.lengths] == [[1000.0, 2000.0]]
 
     def test_loop_in_line(self):
-        with pytest.raises(LoopInLine):
+        with pytest.raises(InvalidLayout, match="line 0: loop, station 0 visited twice"):
             build([[0, 1, 0]], pts((0, 0), (1000, 0)))
 
     def test_line_too_short(self):
-        with pytest.raises(LineTooShort):
+        with pytest.raises(InvalidLayout, match=r"line 0 has 1 station\(s\), need >= 2"):
             build([[0]], pts((0, 0), (1000, 0)))
 
     def test_index_out_of_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidLayout, match=r"line 0: station index 5 out of range \[0, 2\)"):
             build([[0, 5]], pts((0, 0), (1000, 0)))
 
     def test_shared_edge_kept_on_each_line(self):

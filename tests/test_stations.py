@@ -22,6 +22,7 @@ from metronet.geomodel import (
 )
 from metronet.stations import (
     StationStageConfig,
+    _draw_cells,
     crossover,
     init_population,
     mutate,
@@ -71,6 +72,22 @@ class TestInitPopulation:
         pop = init_population(grid, [square_10km], 1, 10_000, rng)
         near_first = sum(1 for g in pop if g[0, 0] < 0.0)
         assert near_first / 10_000 == pytest.approx(0.25, abs=0.02)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 2**64 - 1),
+        st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1e9)), min_size=1, max_size=60).filter(any),
+        st.integers(1, 200),
+    )
+    def test_draw_cells_is_choice(self, seed, population, size):
+        """The seeding draw is numpy's weighted ``choice``: the same cells and generator state."""
+        population = np.array(population)
+        weights = population / population.sum()
+        cdf = np.cumsum(weights)
+        cdf /= cdf[-1]
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert _draw_cells(cdf, size, rng).tolist() == twin.choice(len(weights), size=size, p=weights).tolist()
+        assert rng.bit_generator.state == twin.bit_generator.state
 
     def test_all_genomes_inside_districts(self, two_district_region):
         grid = rasterize(two_district_region, 500.0)
