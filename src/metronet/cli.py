@@ -204,12 +204,16 @@ def _fail(exc: Exception, code: int) -> int:
     return code
 
 
+def _key_lines(pairs: Sequence[tuple[str, object]]) -> str:
+    return "".join(f"{key} = {value}\n" for key, value in pairs)
+
+
 def _drive(args: argparse.Namespace) -> int:
     """Run one config command: resolve and load, then its body.
 
     Any error while resolving or loading exits 2. The body writes its files
-    through ``artifact(name)`` and returns the lines to print; any error in
-    it exits 3 and removes the files it had opened.
+    through ``artifact(name)`` and returns the (key, value) pairs to print;
+    any error in it exits 3 and removes the files it had opened.
     """
     try:
         cfg = resolve_config(args)
@@ -231,31 +235,27 @@ def _drive(args: argparse.Namespace) -> int:
         for path in written:
             path.unlink(missing_ok=True)
         return _fail(exc, EXIT_STAGE_FAILURE)
-    print("\n".join(printed))
+    print(_key_lines(printed), end="")
     return 0
 
 
-def _grid(cfg, region, grid, generators, _extra, artifact) -> list[str]:
+def _grid(cfg, region, grid, generators, _extra, artifact) -> list[tuple[str, object]]:
     """Rasterize the region and emit the demand grid plus a summary."""
     artifacts.write_grid_csv(artifact("grid.csv"), grid)
-    summary = [
-        f"districts = {len(region.districts)}",
-        f"cells = {len(grid)}",
-        f"total_population = {grid.total_population!r}",
-        f"generators = {len(generators)}",
-    ]
-    artifact("grid_summary.txt").write_text("\n".join(summary) + "\n")
+    summary = [("districts", len(region.districts)), ("cells", len(grid)),
+               ("total_population", repr(grid.total_population)), ("generators", len(generators))]
+    artifact("grid_summary.txt").write_text(_key_lines(summary))
     return summary
 
 
-def _optimize_stations(cfg, region, grid, generators, _extra, artifact) -> list[str]:
+def _optimize_stations(cfg, region, grid, generators, _extra, artifact) -> list[tuple[str, str]]:
     """Stage 1 only: station placement."""
     best, serviced, history = stations.optimize_stations(grid, generators, region.districts, cfg.stage1)
     artifacts.write_stations_geojson(artifact("stations.geojson"), best, serviced, region.origin)
     history.write_csv(artifact("history_stage1.csv"))
     results = [("stage1_best_fitness", repr(float(serviced.sum())))]
     artifacts.write_manifest(artifact("manifest.txt"), _manifest_entries(cfg), results)
-    return [f"{key} = {value}" for key, value in results]
+    return results
 
 
 def _read_stations(args: argparse.Namespace):
@@ -266,28 +266,23 @@ def _read_stations(args: argparse.Namespace):
     return station_points
 
 
-def _optimize_lines(cfg, region, grid, generators, station_points, artifact) -> list[str]:
+def _optimize_lines(cfg, region, grid, generators, station_points, artifact) -> list[tuple[str, str]]:
     """Stage 2 only, against a pre-existing stations artifact."""
     serviced = coverage.evaluate(station_points, grid, generators, cfg.stage1.coverage)
     best, history = lines.optimize_lines(station_points, serviced, cfg.stage2)
     artifacts.write_lines_geojson(artifact("lines.geojson"), best, station_points, region.origin)
     history.write_csv(artifact("history_stage2.csv"))
     fitness = lines.line_fitness(best, station_points, serviced, cfg.stage2.transfer_penalty_m)
-    return [f"stage2_best_fitness = {fitness.value!r}"]
+    return [("stage2_best_fitness", repr(fitness.value))]
 
 
-def _run(cfg, region, grid, generators, _extra, artifact) -> list[str]:
-    """Full pipeline: stage 1 stations feed their serviced counts into stage 2."""
-    best_st, serviced, hist1 = stations.optimize_stations(grid, generators, region.districts, cfg.stage1)
-    best_ln, hist2 = lines.optimize_lines(best_st, serviced, cfg.stage2)
-    fitness2 = lines.line_fitness(best_ln, best_st, serviced, cfg.stage2.transfer_penalty_m)
-    artifacts.write_stations_geojson(artifact("stations.geojson"), best_st, serviced, region.origin)
-    artifacts.write_lines_geojson(artifact("lines.geojson"), best_ln, best_st, region.origin)
-    hist1.write_csv(artifact("history_stage1.csv"))
-    hist2.write_csv(artifact("history_stage2.csv"))
-    results = [("stage1_best_fitness", repr(float(serviced.sum()))), ("stage2_best_fitness", repr(fitness2.value))]
+def _run(cfg, region, grid, generators, _extra, artifact) -> list[tuple[str, str]]:
+    """Full pipeline: optimize-stations, then optimize-lines on the stations it wrote."""
+    results = _optimize_stations(cfg, region, grid, generators, None, artifact)
+    station_points, _ = artifacts.read_stations_geojson(cfg.out / "stations.geojson")
+    results += _optimize_lines(cfg, region, grid, generators, station_points, artifact)
     artifacts.write_manifest(artifact("manifest.txt"), _manifest_entries(cfg), results)
-    return [f"{key} = {value}" for key, value in results]
+    return results
 
 
 def validate_artifacts(stations_file: Path, lines_file: Path) -> str | None:

@@ -80,32 +80,26 @@ class EvolutionHistory:
                 writer.writerow([r.generation, repr(r.best_fitness), repr(r.mean_fitness)])
 
 
-def _is_better(a: float, b: float, sense: Sense) -> bool:
-    return a > b if sense == "maximize" else a < b
+def selection_weights(scores: Sequence[float]) -> np.ndarray:
+    """Shifted roulette weights, strictly positive for any finite score list.
 
-
-def selection_weights(fitnesses: Sequence[float], sense: Sense) -> np.ndarray:
-    """Shifted roulette weights, strictly positive for any finite fitness list.
-
-    Maximize weights by f - min(f); minimize by max(f) - f; both offset by
-    eps = 1e-6 * (spread + 1) so equal fitnesses degrade to uniform draws.
+    Weights are s - min(s) + eps, with eps = 1e-6 * (spread + 1) so equal
+    scores degrade to uniform draws.
     """
-    fits = np.asarray(fitnesses, dtype=float)
-    lo, hi = fits.min(), fits.max()
-    eps = 1e-6 * ((hi - lo) + 1.0)
-    base = fits - lo if sense == "maximize" else hi - fits
-    return base + eps
+    values = np.asarray(scores, dtype=float)
+    lo, hi = values.min(), values.max()
+    return values - lo + 1e-6 * ((hi - lo) + 1.0)
 
 
-def roulette_wheel(fitnesses: Sequence[float], sense: Sense) -> Callable[[np.random.Generator], int]:
-    """Roulette wheel over the shifted selection weights of ``fitnesses``.
+def roulette_wheel(scores: Sequence[float]) -> Callable[[np.random.Generator], int]:
+    """Roulette wheel over the shifted selection weights of ``scores``.
 
     The returned ``spin(rng)`` draws one index with probability proportional
     to its weight, using exactly one ``rng.random()``.
     """
     # a list bisect finds the same slot as np.searchsorted(side="right") at a
     # fraction of its per-call cost
-    cum = np.cumsum(selection_weights(fitnesses, sense)).tolist()
+    cum = np.cumsum(selection_weights(scores)).tolist()
     total = cum[-1]
     last = len(cum) - 1
 
@@ -135,6 +129,9 @@ def run(
     invariant, like stage 1, passes the identity. The initial population
     must already hold every invariant: it does not go through the validator.
 
+    Genomes rank by one score, higher is better: the fitness, negated when
+    minimizing. The history and ``on_generation`` see the fitness as returned.
+
     Randomness comes from one stream per generation derived from
     (rng_seed, generation), so results do not depend on how fitness
     evaluations are scheduled.
@@ -144,13 +141,14 @@ def run(
     if len(population) != n:
         raise MetronetError(f"expected {n} genomes, got {len(population)}")
 
-    sense = config.objective_sense
+    sign = 1.0 if config.objective_sense == "maximize" else -1.0
     history = EvolutionHistory()
     best_genome: G | None = None
-    best_fit = -math.inf if sense == "maximize" else math.inf
+    best_score = -math.inf
 
     def evaluate(pop: list[G], gen: int) -> np.ndarray:
-        nonlocal best_genome, best_fit
+        """The generation's scores, ``sign * fitness``."""
+        nonlocal best_genome, best_score
         values = []
         for i, genome in enumerate(pop):
             value = float(fitness_fn(genome))
@@ -158,20 +156,21 @@ def run(
                 raise MetronetError(f"fitness of genome {i} in generation {gen} is {value!r}")
             values.append(value)
         fits = np.array(values)
-        idx = int(np.argmax(fits) if sense == "maximize" else np.argmin(fits))
-        if _is_better(fits[idx], best_fit, sense):
-            best_fit = float(fits[idx])
+        scores = sign * fits
+        idx = int(np.argmax(scores))
+        if scores[idx] > best_score:
+            best_score = float(scores[idx])
             best_genome = pop[idx]
         history.records.append(GenerationRecord(gen, float(fits[idx]), float(fits.mean())))
         if on_generation is not None:
             on_generation(gen, pop, fits)
-        return fits
+        return scores
 
-    fits = evaluate(population, 0)
+    scores = evaluate(population, 0)
     for gen in range(1, config.generations + 1):
         rng = np.random.default_rng(np.random.SeedSequence(config.rng_seed, spawn_key=(gen,)))
-        population = _breed(population, fits, config, rng, crossover_fn, mutation_fn, validator_fn)
-        fits = evaluate(population, gen)
+        population = _breed(population, scores, config, rng, crossover_fn, mutation_fn, validator_fn)
+        scores = evaluate(population, gen)
 
     assert best_genome is not None
     return best_genome, history
@@ -179,28 +178,26 @@ def run(
 
 def _breed(
     population: list[G],
-    fits: np.ndarray,
+    scores: np.ndarray,
     config: GaConfig,
     rng: np.random.Generator,
     crossover_fn: CrossoverFn,
     mutation_fn: MutationFn,
     validator_fn: ValidatorFn,
 ) -> list[G]:
-    sense = config.objective_sense
     n = config.population_size
-    values = fits.tolist()
-    key = (lambda i: (-values[i], i)) if sense == "maximize" else (lambda i: (values[i], i))
-    ranked = sorted(range(n), key=key)
+    values = scores.tolist()
+    ranked = sorted(range(n), key=lambda i: (-values[i], i))
     new_population = [population[i] for i in ranked[: config.elite_count]]
 
-    spin = roulette_wheel(fits, sense)
+    spin = roulette_wheel(scores)
     while len(new_population) < n:
         i = spin(rng)
         j = spin(rng)
         if rng.random() < config.crossover_rate:
             children = list(crossover_fn(population[i], population[j], rng))
         else:
-            fitter = i if not _is_better(values[j], values[i], sense) else j
+            fitter = j if values[j] > values[i] else i
             children = [population[fitter]]
         for child in children:
             if len(new_population) >= n:

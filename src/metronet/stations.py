@@ -21,6 +21,8 @@ from .geomodel import (
 
 _MAX_OFFSET_TRIES = 16
 _MAX_JITTER_TRIES = 8
+# Stage 2 holds n x n float matrices: 32 MB each at this count.
+MAX_STATIONS = 2_000
 
 
 def _frozen(stations: np.ndarray) -> np.ndarray:
@@ -41,8 +43,8 @@ class StationStageConfig:
     coverage: CoverageParams = CoverageParams()
 
     def __post_init__(self):
-        if self.station_count is not None and self.station_count < 1:
-            raise ValueError("station_count must be >= 1")
+        if self.station_count is not None and not (1 <= self.station_count <= MAX_STATIONS):
+            raise ValueError(f"station_count must lie in [1, {MAX_STATIONS}], got {self.station_count}")
         if not (0 < self.mutation_sigma <= PLANAR_BOUND_M):
             raise ValueError(f"mutation_sigma must lie in (0, {PLANAR_BOUND_M:g}] meters, got {self.mutation_sigma}")
 
@@ -50,7 +52,10 @@ class StationStageConfig:
         """This config with an omitted station_count set by ``suggest_station_count``."""
         if self.station_count is not None:
             return self
-        return replace(self, station_count=suggest_station_count(total_population))
+        try:
+            return replace(self, station_count=suggest_station_count(total_population))
+        except ValueError as exc:
+            raise ValueError(f"{exc}, sized from the grid population of {total_population!r}") from exc
 
 
 def suggest_station_count(total_population: float) -> int:
@@ -81,10 +86,11 @@ def init_population(
 
     Per genome: one draw of cells, then each station's x and y offset in
     station order, a station that leaves the region retrying right after its
-    miss (8 tries, then its cell centroid). The offsets of the stations left
-    to place are drawn and tested at once; at the first miss the generator is
-    rewound to just past the missed station's offsets, and the next pass
-    starts at that station.
+    miss (8 tries, then its cell centroid). The generator only moves forward:
+    the offsets of all K stations are drawn at once and tested from the
+    first station still to place. A missed station's offset is spent, each
+    later station takes the next offset in stream order, and a retry draws
+    one fresh offset at the end.
     """
     cdf = np.cumsum(grid.population / grid.total_population)
     cdf /= cdf[-1]
@@ -93,21 +99,21 @@ def init_population(
     for _ in range(population_size):
         cells = _draw_cells(cdf, station_count, rng)
         points = np.column_stack([grid.x[cells], grid.y[cells]])
-        misses = np.zeros(station_count, dtype=int)
-        k = 0
+        offsets = rng.uniform(-half, half, size=(station_count, 2))
+        k = misses = 0
         while k < station_count:
-            state = rng.bit_generator.state
-            jittered = points[k:] + rng.uniform(-half, half, size=(station_count - k, 2))
+            jittered = points[k:] + offsets
             inside = points_in_region(jittered, districts)
             placed = len(inside) if inside.all() else int(inside.argmin())
             points[k:k + placed] = jittered[:placed]
             k += placed
             if k < station_count:
-                rng.bit_generator.state = state
-                rng.uniform(-half, half, size=(placed + 1, 2))
-                misses[k] += 1
-                if misses[k] == _MAX_JITTER_TRIES:  # the station keeps its centroid, which is inside
-                    k += 1
+                offsets = offsets[placed + 1:]
+                misses = 1 if placed else misses + 1
+                if misses < _MAX_JITTER_TRIES:
+                    offsets = np.concatenate([offsets, rng.uniform(-half, half, size=(1, 2))])
+                else:  # the station keeps its centroid, which is inside
+                    k, misses = k + 1, 0
         population.append(_frozen(points))
     return population
 

@@ -162,6 +162,7 @@ NUMERIC_KEYS = [key for key, caster in cli.ALL_KEYS.items() if caster in (int, f
 INVALID_SETTINGS = [
     ("--station-count", "0"),
     ("--station-count", "-3"),
+    ("--station-count", "2001"),
     ("--line-count", "0"),
     ("--transfer-penalty-m", "-1"),
     ("--transfer-penalty-m", "nan"),
@@ -401,6 +402,20 @@ class TestGridCommand:
         printed = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
         assert all(math.isfinite(float(value)) for value in printed.values())
 
+    @pytest.mark.parametrize("command", ["optimize-stations", "run"])
+    def test_station_count_sized_over_the_bound_exit_2(self, tmp_path, capsys, command):
+        # 1e9 persons per km2 size an omitted station_count to 55,666,667 stations: it must
+        # stop before any GA allocates a genome
+        densities = tmp_path / "densities.csv"
+        densities.write_text("district_id,density_per_km2\nselangor,1e9\n")
+        argv = [command, "--boundaries", str(DATA_DIR / "selangor_boundary.geojson"), "--densities", str(densities),
+                "--out", str(tmp_path / "o")]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: station_count must lie in [1, 2000], got 55666667, sized from the grid population")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
     def test_reference_generator_count(self, tmp_path, selangor_paths):
         out = tmp_path / "out"
         code = cli.main(
@@ -600,27 +615,31 @@ class TestRunVariants:
 
 
 class TestStageCommands:
-    def test_optimize_stations_then_lines(self, tmp_path, region_files):
+    @pytest.mark.parametrize("mode", [[], ["--coverage-mode", "nearest", "--transfer-penalty-m", "300"]],
+                             ids=["sum", "nearest_penalty"])
+    def test_optimize_stations_then_lines(self, tmp_path, region_files, capsys, mode):
+        """``run`` is ``optimize-stations`` then ``optimize-lines`` on its stations: the same bytes."""
+        settings = ["--population-size", "10", "--generations", "3", "--seed", "2", *mode]
         out1 = tmp_path / "stage1"
-        code = cli.main(
-            ["optimize-stations", *base_args(region_files, out1, [
-                "--station-count", "4", "--population-size", "10", "--generations", "3", "--seed", "2",
-            ])]
-        )
+        code = cli.main(["optimize-stations", *base_args(region_files, out1, ["--station-count", "4", *settings])])
         assert code == 0
-        assert (out1 / "stations.geojson").exists()
-        assert (out1 / "history_stage1.csv").exists()
-
         out2 = tmp_path / "stage2"
         code = cli.main(
             ["optimize-lines", *base_args(region_files, out2, [
-                "--line-count", "2", "--population-size", "10", "--generations", "3", "--seed", "2",
-                "--stations", str(out1 / "stations.geojson"),
+                "--line-count", "2", *settings, "--stations", str(out1 / "stations.geojson"),
             ])]
         )
         assert code == 0
-        assert (out2 / "lines.geojson").exists()
-        assert (out2 / "history_stage2.csv").exists()
+        printed = capsys.readouterr().out
+
+        out = tmp_path / "run"
+        code = cli.main(["run", *base_args(region_files, out, ["--station-count", "4", "--line-count", "2", *settings])])
+        assert code == 0
+        assert capsys.readouterr().out == printed
+        assert printed.startswith("stage1_best_fitness = ") and "\nstage2_best_fitness = " in printed
+        for stage_out, name in [(out1, "stations.geojson"), (out1, "history_stage1.csv"),
+                                (out2, "lines.geojson"), (out2, "history_stage2.csv")]:
+            assert (out / name).read_bytes() == (stage_out / name).read_bytes(), name
 
     def test_optimize_lines_requires_stations(self, tmp_path, region_files, capsys):
         code = cli.main(

@@ -42,9 +42,9 @@ class TestRouletteSelect:
     """The wheel ``_breed`` spins for every parent draw."""
 
     def test_shifted_weight_proportionality(self):
-        # maximize weights are f - min(f) + eps: here about 0 : 1 : 3
+        # weights are s - min(s) + eps: here about 0 : 1 : 3
         rng = np.random.default_rng(0)
-        spin = roulette_wheel([1.0, 2.0, 4.0], "maximize")
+        spin = roulette_wheel([1.0, 2.0, 4.0])
         draws = Counter(spin(rng) for _ in range(100_000))
         assert draws[0] / 100_000 < 1e-3
         assert draws[1] / 100_000 == pytest.approx(0.25, abs=0.01)
@@ -52,25 +52,26 @@ class TestRouletteSelect:
 
     def test_all_equal_is_uniform(self):
         rng = np.random.default_rng(1)
-        spin = roulette_wheel([5.0, 5.0, 5.0], "maximize")
+        spin = roulette_wheel([5.0, 5.0, 5.0])
         draws = Counter(spin(rng) for _ in range(90_000))
         for i in range(3):
             assert draws[i] / 90_000 == pytest.approx(1 / 3, abs=0.01)
 
     def test_minimize_prefers_smallest(self):
+        # a minimized run ranks by negated costs
         rng = np.random.default_rng(2)
-        spin = roulette_wheel([10.0, 30.0], "minimize")
+        spin = roulette_wheel([-10.0, -30.0])
         draws = Counter(spin(rng) for _ in range(100_000))
         # weights (20 + eps) : eps, so index 0 dominates as eps -> 0
         assert draws[0] / 100_000 > 0.99
 
     def test_empirical_matches_weights_within_3_sigma(self):
         fits = [2.0, 5.0, 11.0, 3.0]
-        w = selection_weights(fits, "maximize")
+        w = selection_weights(fits)
         p = w / w.sum()
         rng = np.random.default_rng(4)
         n = 100_000
-        spin = roulette_wheel(fits, "maximize")
+        spin = roulette_wheel(fits)
         draws = Counter(spin(rng) for _ in range(n))
         for i, pi in enumerate(p):
             sigma = math.sqrt(pi * (1 - pi) / n)
@@ -79,8 +80,8 @@ class TestRouletteSelect:
     def test_one_uniform_draw_per_spin(self):
         # the GA's byte-identical histories rest on this exact draw sequence
         fits = [2.0, 5.0, 11.0, 3.0]
-        cum = np.cumsum(selection_weights(fits, "maximize"))
-        spin = roulette_wheel(fits, "maximize")
+        cum = np.cumsum(selection_weights(fits))
+        spin = roulette_wheel(fits)
         rng, twin = np.random.default_rng(5), np.random.default_rng(5)
         for _ in range(1000):
             want = min(int(np.searchsorted(cum, twin.random() * cum[-1], side="right")), len(fits) - 1)
@@ -106,9 +107,9 @@ fitness_lists = st.one_of(
 
 
 @settings(max_examples=300, deadline=None)
-@given(fitness_lists, st.sampled_from(["maximize", "minimize"]), st.data())
-def test_spin_matches_searchsorted(fits, sense, data):
-    cum = np.cumsum(selection_weights(fits, sense))
+@given(fitness_lists, st.data())
+def test_spin_matches_searchsorted(fits, data):
+    cum = np.cumsum(selection_weights(fits))
     total, last = cum[-1], len(fits) - 1
     u = data.draw(st.one_of(
         st.floats(0.0, 1.0, exclude_max=True),
@@ -117,7 +118,7 @@ def test_spin_matches_searchsorted(fits, sense, data):
         st.sampled_from(range(len(cum))).map(lambda k: float(cum[k] / total)),
     ))
     want = min(int(np.searchsorted(cum, u * total, side="right")), last)
-    assert roulette_wheel(fits, sense)(StubRng(u)) == want
+    assert roulette_wheel(fits)(StubRng(u)) == want
 
 
 # toy problem for run(): genome is a float, target value 7
@@ -251,6 +252,46 @@ class TestRun:
         assert abs(best - 7.0) < 0.5
         vals = [r.best_fitness for r in history.records]
         assert all(b2 <= b1 for b1, b2 in zip(vals, vals[1:]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        table=st.lists(st.one_of(st.sampled_from([-3.0, 0.0, 2.5]), finite_fitness), min_size=1, max_size=4),
+        data=st.data(),
+    )
+    def test_minimize_is_maximize_of_negation(self, table, data):
+        """Minimizing f and maximizing -f give the same populations and best genome, and negated records."""
+        n = data.draw(st.integers(2, 8), label="population_size")
+        cfg = GaConfig(
+            population_size=n,
+            generations=data.draw(st.integers(1, 4), label="generations"),
+            crossover_rate=data.draw(st.sampled_from([0.0, 0.5, 1.0]), label="crossover_rate"),
+            mutation_rate=data.draw(st.sampled_from([0.0, 0.5, 1.0]), label="mutation_rate"),
+            elite_count=data.draw(st.one_of(st.just(0), st.integers(0, n - 1)), label="elite_count"),
+            rng_seed=data.draw(st.integers(0, 2**64 - 1), label="rng_seed"),
+        )
+        initial = data.draw(st.lists(st.floats(-10, 10), min_size=n, max_size=n), label="initial")
+
+        def cost(x):
+            # genomes in one bucket tie, and a short table repeats values across buckets
+            return table[int(abs(x) * 3) % len(table)]
+
+        results = {}
+        for sense, fitness in (("minimize", cost), ("maximize", lambda x: -cost(x))):
+            seen = []
+            best, history = run(
+                initial, fitness, _crossover, _mutation, _identity, replace(cfg, objective_sense=sense),
+                on_generation=lambda gen, pop, fits, seen=seen: seen.append((list(map(repr, pop)), fits.copy())),
+            )
+            results[sense] = best, history.records, seen
+        best_min, records_min, seen_min = results["minimize"]
+        best_max, records_max, seen_max = results["maximize"]
+        assert repr(best_min) == repr(best_max)
+        assert [pop for pop, _ in seen_min] == [pop for pop, _ in seen_max]
+        for (_, fits_min), (_, fits_max) in zip(seen_min, seen_max):
+            assert np.array_equal(fits_min, -fits_max)
+        assert [(r.generation, r.best_fitness, r.mean_fitness) for r in records_min] == [
+            (r.generation, -r.best_fitness, -r.mean_fitness) for r in records_max
+        ]
 
 
 class TestHistoryCsv:

@@ -21,6 +21,7 @@ from metronet.geomodel import (
     rasterize,
 )
 from metronet.stations import (
+    MAX_STATIONS,
     StationStageConfig,
     _draw_cells,
     crossover,
@@ -366,10 +367,21 @@ class TestStationStageConfig:
     def test_mutation_sigma_up_to_the_planar_bound_accepted(self):
         assert StationStageConfig(mutation_sigma=PLANAR_BOUND_M).mutation_sigma == 1e7
 
-    @pytest.mark.parametrize("count", [0, -3])
-    def test_station_count_must_be_positive(self, count):
-        with pytest.raises(ValueError, match="station_count"):
+    @pytest.mark.parametrize("count", [0, -3, MAX_STATIONS + 1])
+    def test_station_count_must_be_in_range(self, count):
+        with pytest.raises(ValueError, match=rf"^station_count must lie in \[1, {MAX_STATIONS}\], got {count}$"):
             StationStageConfig(station_count=count)
+
+    def test_station_count_up_to_the_bound_accepted(self):
+        assert StationStageConfig(station_count=MAX_STATIONS).station_count == 2_000
+        assert StationStageConfig().sized(MAX_STATIONS * 150_000.0).station_count == MAX_STATIONS
+
+    def test_sized_station_count_over_the_bound_rejected(self):
+        # one station per 150k residents: 2,001 stations for this population
+        population = (MAX_STATIONS + 1) * 150_000.0
+        with pytest.raises(ValueError, match=r"^station_count must lie in \[1, 2000\], got 2001, "
+                                              r"sized from the grid population of 300150000\.0$"):
+            StationStageConfig().sized(population)
 
     def test_omitted_station_count_sized_from_population(self):
         assert StationStageConfig().sized(1_800_000).station_count == suggest_station_count(1_800_000)
