@@ -24,7 +24,7 @@ from .errors import InvalidLayout, MetronetError, ParseError
 from .evolve import GaConfig
 from .geomodel import DemandPoints, check_cell_size, load_generators, load_region, rasterize
 from .lines import LineStageConfig
-from .stations import StationStageConfig
+from .stations import MAX_STATIONS, StationStageConfig
 
 # Each key's type and the attribute of a RunConfig that holds its value.
 _BASE_KEYS: dict[str, tuple[type, str]] = {
@@ -89,7 +89,7 @@ def load_config_file(path: Path) -> dict[str, object]:
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     values: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -157,7 +157,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         """``cls`` from the set values that live directly on ``owner``, by field name.
 
         The config classes open each error message with the rejected field,
-        so a rejected value is reported under its key.
+        so a rejected value that was set is reported under its key.
         """
         fields, key_of = {}, {}
         for key, home in _HOMES.items():
@@ -168,12 +168,15 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
                     fields[field] = merged[key]
         try:
             return cls(**fields, **parts)
-        except ValueError as exc:
+        except MetronetError as exc:
             key = key_of.get(str(exc).split(" ", 1)[0])
-            if key is None:
+            if key not in merged:  # a rejected default: the class's message names both fields
                 raise
-            raise ValueError(f"{inherited.get(key, key)}: {exc}") from exc
+            raise MetronetError(f"{inherited.get(key, key)}: {exc}") from exc
 
+    # every stations.geojson written here may feed stage 2, so the CLI takes 2 stations or more
+    if (count := merged.get("station_count", 2)) not in range(2, MAX_STATIONS + 1):
+        raise MetronetError(f"station_count: station_count must lie in [2, {MAX_STATIONS}], got {count}")
     return RunConfig(
         **{key: Path(merged[key]) if key in merged else None for key in _PATH_KEYS},
         cell_size=merged["cell_size"],
@@ -211,16 +214,17 @@ def _key_lines(pairs: Sequence[tuple[str, object]]) -> str:
 def _drive(args: argparse.Namespace) -> int:
     """Run one config command: resolve and load, then its body.
 
-    Any error while resolving or loading exits 2. The body writes its files
-    through ``artifact(name)`` and returns the (key, value) pairs to print;
-    any error in it exits 3 and removes the files it had opened.
+    A rejection (``MetronetError``) while resolving or loading exits 2, and
+    any other error there propagates. The body writes its files through
+    ``artifact(name)`` and returns the (key, value) pairs to print; any error
+    in it exits 3 and removes the files it had opened.
     """
     try:
         cfg = resolve_config(args)
         region, grid, generators = _load_inputs(cfg)
         cfg = replace(cfg, stage1=cfg.stage1.sized(grid.total_population))
         extra = args.read_extra(args)
-    except (MetronetError, ValueError) as exc:
+    except MetronetError as exc:
         return _fail(exc, EXIT_LOAD_ERROR)
     written: list[Path] = []
 
@@ -263,6 +267,8 @@ def _read_stations(args: argparse.Namespace):
     if not args.stations:
         raise ParseError("optimize-lines requires --stations <stations.geojson>")
     station_points, _ = artifacts.read_stations_geojson(args.stations)
+    if len(station_points) < 2:
+        raise ParseError(f"{args.stations}: line layouts need >= 2 stations, got {len(station_points)}")
     return station_points
 
 
@@ -285,31 +291,27 @@ def _run(cfg, region, grid, generators, _extra, artifact) -> list[tuple[str, str
     return results
 
 
-def validate_artifacts(stations_file: Path, lines_file: Path) -> str | None:
-    """Re-check genome invariants on emitted artifacts; returns the violation, if any.
+def validate_artifacts(stations_file: Path, lines_file: Path) -> None:
+    """Re-check genome invariants on emitted artifacts; raises ``InvalidLayout`` on the first violation.
 
     ``netgraph.build`` makes the layout checks, so only the first broken
     line rule is reported; connectivity is checked once the layout holds.
     """
     station_points, _ = artifacts.read_stations_geojson(stations_file)
     layout = artifacts.read_lines_geojson(lines_file)
-    try:
-        netgraph.build(layout, station_points)
-    except InvalidLayout as exc:
-        return str(exc)
+    netgraph.build(layout, station_points)
     if len(set(netgraph.components(layout, len(station_points)))) > 1:
-        return "network is disconnected (some station unreachable)"
-    return None
+        raise InvalidLayout("network is disconnected (some station unreachable)")
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
     try:
-        violation = validate_artifacts(args.stations_file, args.lines_file)
+        validate_artifacts(args.stations_file, args.lines_file)
+    except InvalidLayout as exc:
+        print(f"violation: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     except MetronetError as exc:
         return _fail(exc, EXIT_LOAD_ERROR)
-    if violation is not None:
-        print(f"violation: {violation}", file=sys.stderr)
-        return EXIT_VALIDATION
     print("artifacts valid")
     return 0
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import MetronetError
 from .geomodel import DemandPoints, PointRuns
 
 SIGMA_SOFT_MIN = 400.0
@@ -35,7 +36,7 @@ class CoverageParams:
 
     def __post_init__(self):
         if not (SIGMA_HARD_MIN <= self.sigma < SIGMA_HARD_MAX):
-            raise ValueError(f"sigma must lie in [{SIGMA_HARD_MIN:g}, {SIGMA_HARD_MAX:g}) meters, got {self.sigma}")
+            raise MetronetError(f"sigma must lie in [{SIGMA_HARD_MIN:g}, {SIGMA_HARD_MAX:g}) meters, got {self.sigma}")
         if self.sigma < SIGMA_SOFT_MIN or self.sigma > SIGMA_SOFT_MAX:
             warnings.warn(
                 f"sigma={self.sigma} m is outside the usual access range "
@@ -43,7 +44,7 @@ class CoverageParams:
                 stacklevel=2,
             )
         if self.mode not in ("sum", "nearest"):
-            raise ValueError(f"mode must be 'sum' or 'nearest', got {self.mode!r}")
+            raise MetronetError(f"mode must be 'sum' or 'nearest', got {self.mode!r}")
 
 
 # Cells per block of the nearest-mode kernel: temporaries stay K x _NEAREST_CHUNK.

@@ -6,8 +6,8 @@ violation (exit 4).
 """
 
 
-class MetronetError(Exception):
-    """Anything metronet rejects: a bad polygon, an empty grid, a non-finite fitness."""
+class MetronetError(ValueError):
+    """Anything metronet rejects: a bad setting or polygon, an empty grid, a non-finite fitness."""
 
 
 class ParseError(MetronetError):

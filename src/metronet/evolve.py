@@ -44,19 +44,19 @@ class GaConfig:
 
     def __post_init__(self):
         if self.population_size < 2:
-            raise ValueError("population_size must be >= 2")
+            raise MetronetError("population_size must be >= 2")
         if self.generations < 1:
-            raise ValueError("generations must be >= 1")
+            raise MetronetError("generations must be >= 1")
         if not (0 <= self.elite_count < self.population_size):
-            raise ValueError("elite_count must satisfy 0 <= elite_count < population_size")
+            raise MetronetError("elite_count must satisfy 0 <= elite_count < population_size")
         for name in ("crossover_rate", "mutation_rate"):
             rate = getattr(self, name)
             if not (0.0 <= rate <= 1.0):
-                raise ValueError(f"{name} must lie in [0, 1]")
+                raise MetronetError(f"{name} must lie in [0, 1]")
         if not (0 <= self.rng_seed < 2**64):
-            raise ValueError("rng_seed must be an unsigned 64-bit integer")
+            raise MetronetError("rng_seed must be an unsigned 64-bit integer")
         if self.objective_sense not in ("maximize", "minimize"):
-            raise ValueError(f"unknown objective_sense {self.objective_sense!r}")
+            raise MetronetError(f"objective_sense must be 'maximize' or 'minimize', got {self.objective_sense!r}")
 
 
 @dataclass(frozen=True)

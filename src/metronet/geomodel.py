@@ -42,9 +42,9 @@ class GeoPoint:
 
     def __post_init__(self):
         if not (-90.0 <= self.lat <= 90.0):
-            raise ValueError(f"latitude {self.lat} outside [-90, 90]")
+            raise MetronetError(f"latitude {self.lat} outside [-90, 90]")
         if not (-180.0 <= self.lon <= 180.0):
-            raise ValueError(f"longitude {self.lon} outside [-180, 180]")
+            raise MetronetError(f"longitude {self.lon} outside [-180, 180]")
 
 
 def station_distances(stations: np.ndarray) -> np.ndarray:
@@ -102,7 +102,7 @@ class District:
 
     def __post_init__(self):
         if self.density < 0:
-            raise ValueError(f"district {self.district_id!r}: density must be >= 0")
+            raise MetronetError(f"district {self.district_id!r}: density must be >= 0")
         short = [len(ring) for poly in self.polygons for ring in (poly.outer, *poly.holes) if len(ring) < 3]
         if short:
             raise MetronetError(f"district {self.district_id!r}: ring with {short[0]} vertices")
@@ -195,9 +195,9 @@ class DemandPoints:
 
     def __post_init__(self):
         if np.any(self.population < 0):
-            raise ValueError("populations must be >= 0")
+            raise MetronetError("populations must be >= 0")
         if not math.isfinite(self.total_population):
-            raise ValueError(f"total population must be finite, got {self.total_population!r}")
+            raise MetronetError(f"total population must be finite, got {self.total_population!r}")
 
     @cached_property
     def total_population(self) -> float:
@@ -417,12 +417,12 @@ def _table_rows(path: Path, header: list[str]) -> Iterator[tuple[int, dict[str, 
     try:
         with path.open(newline="") as fh:
             reader = csv.DictReader(fh)
-            if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != header:
-                raise ParseError(f"{path}: expected header {','.join(header)}")
-            reader.fieldnames = header
+            found, reader.fieldnames = reader.fieldnames, header
             rows = list(reader)
-    except (OSError, csv.Error) as exc:
+    except (OSError, ValueError, csv.Error) as exc:  # unreadable, not UTF-8, or a NUL in the path
         raise ParseError(f"{path}: {exc}") from exc
+    if found is None or [f.strip() for f in found] != header:
+        raise ParseError(f"{path}: expected header {','.join(header)}")
     yield from enumerate(rows, start=2)
 
 
@@ -543,9 +543,9 @@ MAX_GRID_CELLS = 10_000_000
 
 
 def check_cell_size(cell_size: float) -> None:
-    """Raise ValueError unless ``cell_size`` is a usable raster cell edge in meters."""
+    """Raise MetronetError unless ``cell_size`` is a usable raster cell edge in meters."""
     if not (math.isfinite(cell_size) and cell_size > 0):
-        raise ValueError(f"cell_size must be finite and > 0, got {cell_size}")
+        raise MetronetError(f"cell_size must be finite and > 0, got {cell_size}")
 
 
 def rasterize(districts: Sequence[District], cell_size: float) -> DemandGrid:
@@ -554,18 +554,18 @@ def rasterize(districts: Sequence[District], cell_size: float) -> DemandGrid:
     A cell belongs to a district when its centroid passes the even-odd test;
     its population is density * cell area. Zero-population cells are dropped;
     ``DemandGrid`` raises ``MetronetError`` when none is left. A lattice of more
-    than ``MAX_GRID_CELLS`` cells raises ValueError before it is allocated.
+    than ``MAX_GRID_CELLS`` cells raises MetronetError before it is allocated.
     """
     check_cell_size(cell_size)
     if not districts:
-        raise ValueError("need at least one district")
+        raise MetronetError("need at least one district")
 
     xmin, ymin, xmax, ymax = union_bounds(districts)
     # the lattice size as Python floats first: a tiny cell_size makes it inf, not an error
     nx = max(1.0, float(np.ceil((xmax - xmin) / cell_size)))
     ny = max(1.0, float(np.ceil((ymax - ymin) / cell_size)))
     if nx * ny > MAX_GRID_CELLS:
-        raise ValueError(f"cell_size={cell_size!r} gives {nx * ny:.4g} lattice cells, over {MAX_GRID_CELLS:,}")
+        raise MetronetError(f"cell_size={cell_size!r} gives {nx * ny:.4g} lattice cells, over {MAX_GRID_CELLS:,}")
     nx, ny = int(nx), int(ny)
     cx = xmin + (np.arange(nx) + 0.5) * cell_size
     cy = ymin + (np.arange(ny) + 0.5) * cell_size

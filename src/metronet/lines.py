@@ -24,6 +24,7 @@ from .geomodel import PLANAR_BOUND_M, station_distances
 
 _MAX_MUTATION_TRIES = 16
 _CACHE_LIMIT = 200_000
+MAX_LINES = 1_000  # netgraph.components compares every pair of lines, for every child
 
 
 # A stage-2 genome: exactly L lines, each an ordered duplicate-free tuple of station indices.
@@ -44,10 +45,10 @@ class LineStageConfig:
     transfer_penalty_m: float = 0.0  # equivalent length per line change; 0 disables
 
     def __post_init__(self):
-        if self.line_count < 1:
-            raise ValueError("line_count must be >= 1")
+        if not (1 <= self.line_count <= MAX_LINES):
+            raise MetronetError(f"line_count must lie in [1, {MAX_LINES}], got {self.line_count}")
         if not (0 <= self.transfer_penalty_m <= PLANAR_BOUND_M):
-            raise ValueError(
+            raise MetronetError(
                 f"transfer_penalty_m must lie in [0, {PLANAR_BOUND_M:g}] meters, got {self.transfer_penalty_m}"
             )
 
@@ -62,7 +63,7 @@ def line_fitness(genome: Layout, stations: np.ndarray,
     """
     s = np.asarray(serviced, dtype=float)
     if len(s) != len(stations):
-        raise ValueError(f"serviced counts ({len(s)}) must match stations ({len(stations)})")
+        raise MetronetError(f"serviced counts ({len(s)}) must match stations ({len(stations)})")
     net = netgraph.build(genome, stations)
     d = netgraph.all_pairs_distances(net, transfer_penalty_m=transfer_penalty_m)
     if not np.isfinite(d).all():

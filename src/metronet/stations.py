@@ -8,6 +8,7 @@ import numpy as np
 
 from . import coverage, evolve
 from .coverage import CoverageParams
+from .errors import MetronetError
 from .evolve import EvolutionHistory, GaConfig, GenerationHook
 from .geomodel import (
     PLANAR_BOUND_M,
@@ -44,9 +45,9 @@ class StationStageConfig:
 
     def __post_init__(self):
         if self.station_count is not None and not (1 <= self.station_count <= MAX_STATIONS):
-            raise ValueError(f"station_count must lie in [1, {MAX_STATIONS}], got {self.station_count}")
+            raise MetronetError(f"station_count must lie in [1, {MAX_STATIONS}], got {self.station_count}")
         if not (0 < self.mutation_sigma <= PLANAR_BOUND_M):
-            raise ValueError(f"mutation_sigma must lie in (0, {PLANAR_BOUND_M:g}] meters, got {self.mutation_sigma}")
+            raise MetronetError(f"mutation_sigma must lie in (0, {PLANAR_BOUND_M:g}] meters, got {self.mutation_sigma}")
 
     def sized(self, total_population: float) -> StationStageConfig:
         """This config with an omitted station_count set by ``suggest_station_count``."""
@@ -54,8 +55,8 @@ class StationStageConfig:
             return self
         try:
             return replace(self, station_count=suggest_station_count(total_population))
-        except ValueError as exc:
-            raise ValueError(f"{exc}, sized from the grid population of {total_population!r}") from exc
+        except MetronetError as exc:
+            raise MetronetError(f"{exc}, sized from the grid population of {total_population!r}") from exc
 
 
 def suggest_station_count(total_population: float) -> int:

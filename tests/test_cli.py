@@ -7,19 +7,23 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from metronet import artifacts, cli
-from metronet.coverage import CoverageParams
-from metronet.errors import ParseError
+from metronet.coverage import SIGMA_HARD_MAX, SIGMA_HARD_MIN, CoverageParams
+from metronet.errors import MetronetError, ParseError
 from metronet.evolve import GaConfig
+from metronet.geomodel import PLANAR_BOUND_M, GeoPoint
 from metronet.lines import LineStageConfig
 from metronet.stations import StationStageConfig
 
@@ -163,7 +167,9 @@ INVALID_SETTINGS = [
     ("--station-count", "0"),
     ("--station-count", "-3"),
     ("--station-count", "2001"),
+    ("--station-count", "1"),
     ("--line-count", "0"),
+    ("--line-count", "1001"),
     ("--transfer-penalty-m", "-1"),
     ("--transfer-penalty-m", "nan"),
     ("--transfer-penalty-m", "inf"),
@@ -223,6 +229,35 @@ class TestSettingChecks:
         assert loads == []
         assert not out.exists()
 
+    @pytest.mark.parametrize("extra, message", [
+        (["--population-size", "2"], "elite_count must satisfy 0 <= elite_count < population_size"),
+        (["--elite-count", "5", "--population-size", "4"],
+         "elite_count: elite_count must satisfy 0 <= elite_count < population_size"),
+        (["--stage1-elite-count", "3", "--stage1-population-size", "3"],
+         "stage1_elite_count: elite_count must satisfy 0 <= elite_count < population_size"),
+    ], ids=["elite_count_default", "shared_keys", "stage_keys"])
+    def test_rejection_names_only_a_key_that_was_set(self, tmp_path, region_files, capsys, extra, message):
+        # elite_count left at its default is no key to blame: the message names both fields
+        assert cli.main(["run", *base_args(region_files, tmp_path / "o", extra)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("count", ["-3", "0", "1", "2001"])
+    def test_station_count_range_stated_once(self, tmp_path, region_files, capsys, count):
+        # StationStageConfig takes 1 station, but every CLI stage 1 may feed stage 2
+        assert cli.main(["optimize-stations", *base_args(region_files, tmp_path / "o", ["--station-count", count])]) == 2
+        assert capsys.readouterr().err == f"error: station_count: station_count must lie in [2, 2000], got {count}\n"
+
+    def test_plain_value_error_while_loading_is_not_a_load_error(self, tmp_path, region_files, monkeypatch):
+        # only a MetronetError is a rejection (exit 2): a ValueError from numpy or a bug propagates
+        def rasterize(districts, cell_size):
+            raise ValueError("not a rejection")
+
+        monkeypatch.setattr(cli, "rasterize", rasterize)
+        with pytest.raises(ValueError, match="^not a rejection$") as exc:
+            cli.main(["grid", *base_args(region_files, tmp_path / "o")])
+        assert type(exc.value) is ValueError
+        assert not (tmp_path / "o").exists()
+
     def test_grid_out_is_a_file_exits_3(self, tmp_path, region_files, capsys):
         out = tmp_path / "taken"
         out.write_text("keep\n")
@@ -241,10 +276,80 @@ class TestSettingChecks:
         argv = ["run", *(f"--{key.replace('_', '-')}={value!r}" for key, value in values.items())]
         try:
             cfg = cli.resolve_config(cli.build_parser().parse_args(argv))
-        except (ParseError, ValueError):
+        except MetronetError:
             return
         for name, number in _numbers(cfg):
             assert math.isfinite(number), name
+
+
+def _log_uniform(lo, hi):
+    """``lo``, ``hi`` or a float log-uniform between them."""
+    drawn = st.floats(math.log10(lo), math.log10(hi)).map(lambda e: min(max(10.0**e, lo), hi))
+    return st.one_of(st.sampled_from([lo, hi]), drawn)
+
+
+def _rate():
+    return st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+# A value from each numeric key's accepted range, endpoints included. The size keys
+# come from small ranges that include their lower ends, so a run stays short.
+_STAGE_GA_DRAWS = {"population_size": st.integers(2, 4), "generations": st.integers(1, 4),
+                   "crossover_rate": _rate(), "mutation_rate": _rate(), "elite_count": st.integers(0, 3),
+                   "seed": st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1))}
+ACCEPTED_DRAWS = {
+    "cell_size": _log_uniform(1000.0, 1e7),
+    "sigma": _log_uniform(SIGMA_HARD_MIN, math.nextafter(SIGMA_HARD_MAX, 0.0)),
+    "station_count": st.integers(2, 16),
+    "line_count": st.integers(1, 8),
+    "mutation_sigma": _log_uniform(5e-324, PLANAR_BOUND_M),
+    "transfer_penalty_m": st.one_of(st.just(0.0), _log_uniform(5e-324, PLANAR_BOUND_M)),
+    **_STAGE_GA_DRAWS,
+    **{f"stage{n}_{key}": draw for n in (1, 2) for key, draw in _STAGE_GA_DRAWS.items()},
+}
+assert sorted(ACCEPTED_DRAWS) == sorted(NUMERIC_KEYS)
+
+
+def _names_a_drawn_key(line, drawn):
+    if line.startswith("error: elite_count must satisfy"):  # a rejected default names both fields
+        return any(key.endswith(("elite_count", "population_size")) for key in drawn)
+    return any(re.search(rf"\b{key}\b", line) for key in drawn)
+
+
+@settings(max_examples=30, deadline=None)
+@given(values=st.fixed_dictionaries({}, optional=ACCEPTED_DRAWS))
+@example(values={"station_count": 1})
+@example(values={"station_count": 2_000})
+@example(values={"line_count": 1_000})
+@example(values={"line_count": 1_001})
+@example(values={"population_size": 2})
+@example(values={"cell_size": 1.0})
+@example(values={"seed": 2**64 - 1})
+def test_accepted_settings_run_or_exit_2(values):
+    """A run on tests/data with settings from the accepted ranges exits 0 with a finite
+    fitness that validates, or exits 2 with one error line that names a key it set."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        argv = ["run", "--boundaries", str(DATA_DIR / "selangor_boundary.geojson"),
+                "--densities", str(DATA_DIR / "selangor_densities.csv"),
+                "--generators", str(DATA_DIR / "selangor_generators.csv"), "--out", str(out),
+                "--station-count", "4", "--line-count", "2", "--population-size", "3", "--generations", "2",
+                *(f"--{key.replace('_', '-')}={value!r}" for key, value in values.items())]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("error", RuntimeWarning)
+            warnings.filterwarnings("ignore", message="sigma=", category=UserWarning)
+            code = cli.main(argv)
+            if code == 0:
+                assert cli.main(["validate", str(out / "stations.geojson"), str(out / "lines.geojson")]) == 0
+        if code == 2:
+            lines = stderr.getvalue().splitlines()
+            assert len(lines) == 1 and _names_a_drawn_key(lines[0], values), lines
+            assert not out.exists()
+            return
+        assert code == 0, stderr.getvalue()
+        printed = dict(line.split(" = ") for line in stdout.getvalue().splitlines() if " = " in line)
+        assert len(printed) == 2 and all(math.isfinite(float(value)) for value in printed.values())
 
 
 class TestGridCommand:
@@ -275,6 +380,30 @@ class TestGridCommand:
         )
         assert code == 2
         assert "nope.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target", ["densities", "generators", "config"])
+    def test_file_not_utf8_exit_2(self, tmp_path, capsys, region_files, target):
+        # a Latin-1 district name from a spreadsheet export: a UnicodeDecodeError is a ValueError
+        config = tmp_path / "run.cfg"
+        config.write_text("seed = 3\n")
+        bad = {**region_files, "config": config}[target]
+        bad.write_bytes(bad.read_bytes().replace(b"\n", b"\xff\n", 1))
+        out = tmp_path / "o"
+        assert cli.main(["run", *base_args(region_files, out, ["--config", str(config)])]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xff")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_nul_in_configured_path_exit_2(self, tmp_path, capsys, region_files):
+        # a path read from a config file may hold a NUL, which no argv path can
+        config = tmp_path / "run.cfg"
+        config.write_text(f"densities = {region_files['densities']}\0\n")
+        argv = ["grid", "--config", str(config), "--boundaries", str(region_files["boundaries"]),
+                "--out", str(tmp_path / "o")]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: {region_files['densities']}\0: embedded null byte\n"
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("shape", sorted(MALFORMED_GEOMETRIES))
     def test_malformed_coordinates_exit_2(self, tmp_path, capsys, shape):
@@ -600,16 +729,21 @@ class TestRunVariants:
         assert code == 0
         assert "transfer_penalty_m = 300.0" in (out / "manifest.txt").read_text()
 
-    def test_stage_failure_removes_partial_artifacts(self, tmp_path, region_files, capsys):
-        # a single station cannot host any line layout: stage 2 must fail
+    def test_stage_failure_removes_partial_artifacts(self, tmp_path, region_files, monkeypatch, capsys):
+        # stage 2 fails after stage 1 wrote its files
+        def optimize_lines(*args):
+            raise MetronetError("stage 2 failed")
+
+        monkeypatch.setattr(cli.lines, "optimize_lines", optimize_lines)
         out = tmp_path / "out"
         code = cli.main(
             ["run", *base_args(region_files, out, [
-                "--station-count", "1", "--line-count", "1",
+                "--station-count", "2", "--line-count", "1",
                 "--population-size", "10", "--generations", "2",
             ])]
         )
         assert code == 3
+        assert capsys.readouterr().err == "error: stage 2 failed\n"
         leftover = list(out.glob("*")) if out.exists() else []
         assert leftover == []
 
@@ -647,6 +781,15 @@ class TestStageCommands:
         )
         assert code == 2
         assert "--stations" in capsys.readouterr().err
+
+    def test_optimize_lines_on_one_station_exit_2(self, tmp_path, region_files, capsys):
+        stations_file = tmp_path / "stations.geojson"
+        artifacts.write_stations_geojson(stations_file, np.zeros((1, 2)), np.ones(1), GeoPoint(0.0, 0.0))
+        out = tmp_path / "o"
+        code = cli.main(["optimize-lines", *base_args(region_files, out, ["--stations", str(stations_file)])])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {stations_file}: line layouts need >= 2 stations, got 1\n"
+        assert not out.exists()
 
 
 def _station_value(key, literal):
@@ -767,9 +910,10 @@ class TestValidateCommand:
         doc["features"] = doc["features"][:1]
         doc["features"][0]["properties"]["station_ids"] = [0, 1, 2]
         (out / "lines.geojson").write_text(json.dumps(doc))
+        capsys.readouterr()
         code = cli.main(["validate", str(out / "stations.geojson"), str(out / "lines.geojson")])
         assert code == 4
-        assert "disconnected" in capsys.readouterr().err
+        assert capsys.readouterr().err == "violation: network is disconnected (some station unreachable)\n"
 
     def _edit(self, path, edit):
         doc = json.loads(path.read_text())

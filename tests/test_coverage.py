@@ -61,7 +61,7 @@ def random_instance(rng, n_stations, n_cells, n_generators, span=4000.0):
 class TestParams:
     def test_hard_bounds(self):
         for bad in (0.0, -1.0, 1e5, 2e5, 1e-200, 1e-160, 0.5, math.nan, math.inf):
-            with pytest.raises(ValueError, match="^sigma must lie in"):
+            with pytest.raises(MetronetError, match="^sigma must lie in"):
                 CoverageParams(sigma=bad)
         with pytest.warns(UserWarning):
             assert CoverageParams(sigma=coverage.SIGMA_HARD_MIN).sigma == 1.0
@@ -80,7 +80,7 @@ class TestParams:
             CoverageParams(sigma=3001.0)
 
     def test_bad_mode(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(MetronetError):
             CoverageParams(mode="weird")
 
 

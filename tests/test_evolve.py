@@ -34,7 +34,8 @@ class TestGaConfig:
         ],
     )
     def test_invalid_configs(self, kwargs):
-        with pytest.raises(ValueError):
+        # each message opens with the rejected field, which the CLI maps back to its key
+        with pytest.raises(MetronetError, match=f"^{next(iter(kwargs))} must "):
             GaConfig(**kwargs)
 
 

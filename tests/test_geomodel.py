@@ -86,9 +86,9 @@ class TestProjection:
         assert list(zip(*(c.tolist() for c in back))) == [unproject(*p, ORIGIN) for p in zip(x.tolist(), y.tolist())]
 
     def test_geopoint_bounds(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(MetronetError):
             GeoPoint(91.0, 0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(MetronetError):
             GeoPoint(0.0, -200.0)
 
 
@@ -128,7 +128,7 @@ class TestDistrict:
             District("flat", (PlanarPolygon(degenerate),), 10.0)
 
     def test_negative_density_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(MetronetError):
             rect_district("neg", 0, 0, 1000, 1000, -5.0)
 
     def test_union_bounds(self):
@@ -404,7 +404,7 @@ class TestRasterize:
         xy = np.array([0.0, 500.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no numpy overflow warning before the check
-            with pytest.raises(ValueError, match="total population must be finite"):
+            with pytest.raises(MetronetError, match="total population must be finite"):
                 DemandPoints(xy, xy, np.array(population))
 
     def test_demand_grid_without_cells_rejected(self):
@@ -416,7 +416,7 @@ class TestRasterize:
     def test_unusable_cell_size_rejected(self, unit_square_km, cell_size):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no numpy warning before the check
-            with pytest.raises(ValueError, match="cell_size must be finite and > 0"):
+            with pytest.raises(MetronetError, match="cell_size must be finite and > 0"):
                 rasterize([unit_square_km], cell_size)
 
     @pytest.mark.parametrize("cell_size", [1.0, 1e-300, 5e-324])
@@ -427,13 +427,13 @@ class TestRasterize:
         monkeypatch.setattr(np, "meshgrid", mock.Mock(side_effect=AssertionError("lattice allocated")))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=rf"cell_size={cell_size!r} gives .* lattice cells"):
+            with pytest.raises(MetronetError, match=rf"cell_size={cell_size!r} gives .* lattice cells"):
                 rasterize([d], cell_size)
 
     def test_max_grid_cells_is_inclusive(self, unit_square_km, monkeypatch):
         monkeypatch.setattr(geomodel, "MAX_GRID_CELLS", 4)
         assert len(rasterize([unit_square_km], 500.0)) == 4  # a 2 x 2 lattice
-        with pytest.raises(ValueError, match="cell_size=400.0 gives 9 lattice cells"):
+        with pytest.raises(MetronetError, match="cell_size=400.0 gives 9 lattice cells"):
             rasterize([unit_square_km], 400.0)  # 3 x 3
 
     def test_l_shaped_polygon(self):

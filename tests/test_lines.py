@@ -530,7 +530,7 @@ def exhaustive_single_line_optimum(stations, s):
 class TestLineStageConfig:
     @pytest.mark.parametrize("penalty", [math.nan, math.inf, -math.inf, -1.0, 1e308, 1.0000001e7])
     def test_transfer_penalty_must_be_finite_and_non_negative(self, penalty):
-        with pytest.raises(ValueError, match="transfer_penalty_m"):
+        with pytest.raises(MetronetError, match="transfer_penalty_m"):
             LineStageConfig(transfer_penalty_m=penalty)
 
     @pytest.mark.parametrize("penalty", [0.0, 250.0, PLANAR_BOUND_M])
@@ -538,8 +538,13 @@ class TestLineStageConfig:
         assert LineStageConfig(transfer_penalty_m=penalty).transfer_penalty_m == penalty
 
     def test_line_count_must_be_positive(self):
-        with pytest.raises(ValueError, match="line_count"):
+        with pytest.raises(MetronetError, match="line_count"):
             LineStageConfig(line_count=0)
+
+    def test_line_count_bounded_by_max_lines(self):
+        assert LineStageConfig(line_count=lines_module.MAX_LINES).line_count == 1_000
+        with pytest.raises(MetronetError, match=r"^line_count must lie in \[1, 1000\], got 1001$"):
+            LineStageConfig(line_count=lines_module.MAX_LINES + 1)
 
 
 class TestOptimizeLines:

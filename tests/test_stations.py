@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from metronet import coverage
 from metronet.coverage import CoverageParams, evaluate
+from metronet.errors import MetronetError
 from metronet.evolve import GaConfig
 from metronet.geomodel import (
     PLANAR_BOUND_M,
@@ -361,7 +362,7 @@ def test_station_count_heuristic():
 class TestStationStageConfig:
     @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf, 0.0, -5.0, 1e160, 1.0000001e7])
     def test_mutation_sigma_must_be_finite_and_positive(self, sigma):
-        with pytest.raises(ValueError, match="mutation_sigma"):
+        with pytest.raises(MetronetError, match="mutation_sigma"):
             StationStageConfig(station_count=3, mutation_sigma=sigma)
 
     def test_mutation_sigma_up_to_the_planar_bound_accepted(self):
@@ -369,7 +370,7 @@ class TestStationStageConfig:
 
     @pytest.mark.parametrize("count", [0, -3, MAX_STATIONS + 1])
     def test_station_count_must_be_in_range(self, count):
-        with pytest.raises(ValueError, match=rf"^station_count must lie in \[1, {MAX_STATIONS}\], got {count}$"):
+        with pytest.raises(MetronetError, match=rf"^station_count must lie in \[1, {MAX_STATIONS}\], got {count}$"):
             StationStageConfig(station_count=count)
 
     def test_station_count_up_to_the_bound_accepted(self):
@@ -379,7 +380,7 @@ class TestStationStageConfig:
     def test_sized_station_count_over_the_bound_rejected(self):
         # one station per 150k residents: 2,001 stations for this population
         population = (MAX_STATIONS + 1) * 150_000.0
-        with pytest.raises(ValueError, match=r"^station_count must lie in \[1, 2000\], got 2001, "
+        with pytest.raises(MetronetError, match=r"^station_count must lie in \[1, 2000\], got 2001, "
                                               r"sized from the grid population of 300150000\.0$"):
             StationStageConfig().sized(population)
 
