@@ -19,8 +19,8 @@ from .errors import MetronetError
 G = TypeVar("G")
 Sense = Literal["maximize", "minimize"]
 
-CrossoverFn = Callable[[G, G, np.random.Generator], tuple[G, G]]
-MutationFn = Callable[[G, np.random.Generator], G]
+CrossoverFn = Callable[[G, G, "Draws"], tuple[G, G]]
+MutationFn = Callable[[G, "Draws"], G]
 ValidatorFn = Callable[[G], G]
 FitnessFn = Callable[[G], float]
 GenerationHook = Callable[[int, Sequence[G], np.ndarray], None]
@@ -91,11 +91,71 @@ def selection_weights(scores: Sequence[float]) -> np.ndarray:
     return values - lo + 1e-6 * ((hi - lo) + 1.0)
 
 
-def roulette_wheel(scores: Sequence[float]) -> Callable[[np.random.Generator], int]:
+class Draws:
+    """One generation's random draws: the values a PCG64 ``Generator`` gives, at less cost.
+
+    ``random()`` and ``integers(n)`` read 64-bit words from the bit generator
+    and apply numpy's own arithmetic, so they return what the wrapped
+    generator would, without a numpy call per value:
+
+    - ``random()`` is ``(w >> 11) * 2**-53``, numpy's ``next_double``.
+    - ``integers(n)`` is Lemire's method on 32-bit halves, numpy's draw for
+      a range of at most 2**32: ``m = x * n``, drawn again while
+      ``m & 0xFFFFFFFF < (2**32 - n) % n``, then ``m >> 32``. A fresh word
+      gives its low half first and keeps its high half for the next 32-bit
+      request, as PCG64's ``has_uint32``/``uinteger`` do. ``n == 1`` draws
+      nothing, and ``n > 2**32`` takes numpy's 64-bit path, which never
+      touches the half-word buffer. ``n`` is a Python int of at least 1.
+
+    ``normal`` and a sized ``random`` go to the wrapped generator: they read
+    whole words and leave the buffer alone. The sampler must be the
+    generator's only 32-bit consumer, so it forwards nothing else; a
+    ``choice``, ``permutation`` or sized ``integers`` would read a buffer
+    out of step with this one.
+    """
+
+    __slots__ = ("generator", "normal", "_word", "_half")
+
+    def __init__(self, generator: np.random.Generator):
+        if not isinstance(generator.bit_generator, np.random.PCG64):
+            raise TypeError("Draws reproduces PCG64's arithmetic only")
+        self.generator = generator
+        self.normal = generator.normal
+        self._word = generator.bit_generator.random_raw
+        # the half word kept for the next 32-bit draw: PCG64's uinteger while has_uint32
+        self._half: int | None = None
+
+    def random(self, size: int | None = None):
+        if size is None:
+            return (self._word() >> 11) * 2.0**-53
+        return self.generator.random(size)
+
+    def integers(self, n: int) -> int:
+        if n == 1:
+            return 0
+        if n > 0x100000000:
+            return int(self.generator.integers(n))
+        while True:
+            half = self._half
+            if half is None:
+                word = self._word()
+                self._half = word >> 32
+                m = (word & 0xFFFFFFFF) * n
+            else:
+                self._half = None
+                m = half * n
+            low = m & 0xFFFFFFFF
+            # the threshold is below n, so numpy computes it only for a low part below n
+            if low >= n or low >= (0x100000000 - n) % n:
+                return m >> 32
+
+
+def roulette_wheel(scores: Sequence[float]) -> Callable[[Draws | np.random.Generator], int]:
     """Roulette wheel over the shifted selection weights of ``scores``.
 
     The returned ``spin(rng)`` draws one index with probability proportional
-    to its weight, using exactly one ``rng.random()``.
+    to its weight, using exactly one ``rng.random()``; ``rng`` is a
+    ``Draws`` or a ``Generator``.
     """
     # a list bisect finds the same slot as np.searchsorted(side="right") at a
     # fraction of its per-call cost
@@ -103,7 +163,7 @@ def roulette_wheel(scores: Sequence[float]) -> Callable[[np.random.Generator], i
     total = cum[-1]
     last = len(cum) - 1
 
-    def spin(rng: np.random.Generator) -> int:
+    def spin(rng: Draws | np.random.Generator) -> int:
         return min(bisect.bisect_right(cum, rng.random() * total), last)
 
     return spin
@@ -134,7 +194,8 @@ def run(
 
     Randomness comes from one stream per generation derived from
     (rng_seed, generation), so results do not depend on how fitness
-    evaluations are scheduled.
+    evaluations are scheduled. The selection, the rate tests and the
+    operators all draw from it through one ``Draws``.
     """
     population = list(initial_population)
     n = config.population_size
@@ -149,13 +210,11 @@ def run(
     def evaluate(pop: list[G], gen: int) -> np.ndarray:
         """The generation's scores, ``sign * fitness``."""
         nonlocal best_genome, best_score
-        values = []
-        for i, genome in enumerate(pop):
-            value = float(fitness_fn(genome))
-            if not math.isfinite(value):
-                raise MetronetError(f"fitness of genome {i} in generation {gen} is {value!r}")
-            values.append(value)
-        fits = np.array(values)
+        fits = np.array([float(fitness_fn(genome)) for genome in pop])
+        finite = np.isfinite(fits)
+        if not finite.all():
+            i = int(finite.argmin())
+            raise MetronetError(f"fitness of genome {i} in generation {gen} is {fits[i].item()!r}")
         scores = sign * fits
         idx = int(np.argmax(scores))
         if scores[idx] > best_score:
@@ -168,8 +227,8 @@ def run(
 
     scores = evaluate(population, 0)
     for gen in range(1, config.generations + 1):
-        rng = np.random.default_rng(np.random.SeedSequence(config.rng_seed, spawn_key=(gen,)))
-        population = _breed(population, scores, config, rng, crossover_fn, mutation_fn, validator_fn)
+        draws = Draws(np.random.default_rng(np.random.SeedSequence(config.rng_seed, spawn_key=(gen,))))
+        population = _breed(population, scores, config, draws, crossover_fn, mutation_fn, validator_fn)
         scores = evaluate(population, gen)
 
     assert best_genome is not None
@@ -180,7 +239,7 @@ def _breed(
     population: list[G],
     scores: np.ndarray,
     config: GaConfig,
-    rng: np.random.Generator,
+    draws: Draws,
     crossover_fn: CrossoverFn,
     mutation_fn: MutationFn,
     validator_fn: ValidatorFn,
@@ -191,18 +250,20 @@ def _breed(
     new_population = [population[i] for i in ranked[: config.elite_count]]
 
     spin = roulette_wheel(scores)
+    random = draws.random
+    crossover_rate, mutation_rate = config.crossover_rate, config.mutation_rate
     while len(new_population) < n:
-        i = spin(rng)
-        j = spin(rng)
-        if rng.random() < config.crossover_rate:
-            children = list(crossover_fn(population[i], population[j], rng))
+        i = spin(draws)
+        j = spin(draws)
+        if random() < crossover_rate:
+            children = crossover_fn(population[i], population[j], draws)
         else:
             fitter = j if values[j] > values[i] else i
-            children = [population[fitter]]
+            children = (population[fitter],)
         for child in children:
             if len(new_population) >= n:
                 break
-            if rng.random() < config.mutation_rate:
-                child = mutation_fn(child, rng)
+            if random() < mutation_rate:
+                child = mutation_fn(child, draws)
             new_population.append(validator_fn(child))
     return new_population

@@ -1,14 +1,13 @@
 """Stage 2: evolve line layouts minimizing demand-weighted network travel cost.
 
-The operators draw positions through two helpers that make fewer numpy calls
-than numpy's ``Generator.choice`` yet consume the generator exactly as the
-calls they replace. ``_draw_index(rng, n)`` is ``int(rng.integers(n))``,
-skipped when ``n == 1`` because a one-value range draws no bits.
-``_draw_two(rng, n)`` is ``choice(n, size=2, replace=False)``: for two of n,
-numpy always takes Floyd's algorithm, ``integers(n - 1)`` then
-``integers(n)`` (n - 1 on a repeat), and shuffles the pair with one
-``integers(2)``. The tests hold both helpers to numpy's own calls, so a
-numpy that changes ``choice`` fails there instead of shifting every layout.
+The operators draw from the generation's ``evolve.Draws``, whose
+``integers(n)`` returns what ``Generator.integers(n)`` would, an n of 1
+drawing nothing. ``_draw_two(rng, n)`` is ``choice(n, size=2,
+replace=False)`` from the same draws: for two of n, numpy always takes
+Floyd's algorithm, ``integers(n - 1)`` then ``integers(n)`` (n - 1 on a
+repeat), and shuffles the pair with one ``integers(2)``. The tests hold it
+to numpy's own ``choice``, so a numpy that changes ``choice`` fails there
+instead of shifting every layout.
 """
 from __future__ import annotations
 
@@ -19,7 +18,7 @@ import numpy as np
 
 from . import evolve, netgraph
 from .errors import InvalidLayout, MetronetError
-from .evolve import EvolutionHistory, GaConfig, GenerationHook
+from .evolve import Draws, EvolutionHistory, GaConfig, GenerationHook
 from .geomodel import PLANAR_BOUND_M, station_distances
 
 _MAX_MUTATION_TRIES = 16
@@ -77,48 +76,43 @@ def line_fitness(genome: Layout, stations: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def _draw_index(rng: np.random.Generator, n: int) -> int:
-    """``int(rng.integers(n))``; n == 1 gives 0 without a call, as it draws no bits."""
-    return 0 if n == 1 else int(rng.integers(n))
-
-
-def _draw_two(rng: np.random.Generator, n: int) -> tuple[int, int]:
+def _draw_two(rng: Draws, n: int) -> tuple[int, int]:
     """The pair ``choice(n, size=2, replace=False)`` returns, from the same draws."""
     integers = rng.integers
-    a = _draw_index(rng, n - 1)
-    b = int(integers(n))
+    a = integers(n - 1)
+    b = integers(n)
     if b == a:
         b = n - 1
     # the two-element shuffle swaps the pair when it draws 0
     return (a, b) if integers(2) else (b, a)
 
 
-def exchange_within_line(genome: Layout, rng: np.random.Generator) -> Layout | None:
+def exchange_within_line(genome: Layout, rng: Draws) -> Layout | None:
     """(a) Swap the positions of two stations within one line."""
-    li = _draw_index(rng, len(genome))
+    li = rng.integers(len(genome))
     line = list(genome[li])
     i, j = _draw_two(rng, len(line))
     line[i], line[j] = line[j], line[i]
     return genome[:li] + (tuple(line),) + genome[li + 1:]
 
 
-def reverse_segment(genome: Layout, rng: np.random.Generator) -> Layout | None:
+def reverse_segment(genome: Layout, rng: Draws) -> Layout | None:
     """(b) Reverse a contiguous sub-series of stations within one line."""
-    li = _draw_index(rng, len(genome))
+    li = rng.integers(len(genome))
     line = list(genome[li])
     i, j = sorted(_draw_two(rng, len(line)))
     line[i : j + 1] = line[i : j + 1][::-1]
     return genome[:li] + (tuple(line),) + genome[li + 1:]
 
 
-def swap_between_lines(genome: Layout, rng: np.random.Generator) -> Layout | None:
+def swap_between_lines(genome: Layout, rng: Draws) -> Layout | None:
     """(c) Exchange one station of line p with one station of line q."""
     if len(genome) < 2:
         return None
     p, q = _draw_two(rng, len(genome))
     line_p, line_q = list(genome[p]), list(genome[q])
-    ip = int(rng.integers(len(line_p)))
-    iq = int(rng.integers(len(line_q)))
+    ip = rng.integers(len(line_p))
+    iq = rng.integers(len(line_q))
     u, v = line_p[ip], line_q[iq]
     if u == v or v in line_p or u in line_q:
         return None
@@ -128,7 +122,7 @@ def swap_between_lines(genome: Layout, rng: np.random.Generator) -> Layout | Non
     return tuple(lines)
 
 
-def transfer_station(genome: Layout, rng: np.random.Generator) -> Layout | None:
+def transfer_station(genome: Layout, rng: Draws) -> Layout | None:
     """(d) Move one station from line p to a random position in line q."""
     if len(genome) < 2:
         return None
@@ -136,35 +130,35 @@ def transfer_station(genome: Layout, rng: np.random.Generator) -> Layout | None:
     line_p, line_q = list(genome[p]), list(genome[q])
     if len(line_p) < 3:  # the donor must keep >= 2 stations
         return None
-    u = line_p[int(rng.integers(len(line_p)))]
+    u = line_p[rng.integers(len(line_p))]
     if u in line_q:
         return None
     line_p.remove(u)
-    line_q.insert(int(rng.integers(len(line_q) + 1)), u)
+    line_q.insert(rng.integers(len(line_q) + 1), u)
     lines = list(genome)
     lines[p], lines[q] = tuple(line_p), tuple(line_q)
     return tuple(lines)
 
 
-def remove_station(genome: Layout, rng: np.random.Generator) -> Layout | None:
+def remove_station(genome: Layout, rng: Draws) -> Layout | None:
     """(e) Delete one station from a line of length >= 3."""
-    li = _draw_index(rng, len(genome))
+    li = rng.integers(len(genome))
     line = list(genome[li])
     if len(line) < 3:
         return None
-    del line[int(rng.integers(len(line)))]
+    del line[rng.integers(len(line))]
     return genome[:li] + (tuple(line),) + genome[li + 1:]
 
 
-def add_station(genome: Layout, station_count: int, rng: np.random.Generator) -> Layout | None:
+def add_station(genome: Layout, station_count: int, rng: Draws) -> Layout | None:
     """(f) Insert a station the line does not yet visit at a random position."""
-    li = _draw_index(rng, len(genome))
+    li = rng.integers(len(genome))
     line = list(genome[li])
     candidates = [s for s in range(station_count) if s not in line]
     if not candidates:
         return None
-    station = candidates[_draw_index(rng, len(candidates))]
-    line.insert(int(rng.integers(len(line) + 1)), station)
+    station = candidates[rng.integers(len(candidates))]
+    line.insert(rng.integers(len(line) + 1), station)
     return genome[:li] + (tuple(line),) + genome[li + 1:]
 
 
@@ -172,14 +166,14 @@ def add_station(genome: Layout, station_count: int, rng: np.random.Generator) ->
 _MUTATIONS = (exchange_within_line, reverse_segment, swap_between_lines, transfer_station, remove_station)
 
 
-def mutate_line(genome: Layout, station_count: int, rng: np.random.Generator) -> Layout:
+def mutate_line(genome: Layout, station_count: int, rng: Draws) -> Layout:
     """Apply one of the six mutation types chosen uniformly.
 
     Inapplicable draws are resampled up to 16 times, then the always-valid
     sub-series reversal is used.
     """
     for _ in range(_MAX_MUTATION_TRIES):
-        i = int(rng.integers(6))
+        i = rng.integers(6)
         mutated = _MUTATIONS[i](genome, rng) if i < 5 else add_station(genome, station_count, rng)
         if mutated is not None:
             return mutated
@@ -187,12 +181,12 @@ def mutate_line(genome: Layout, station_count: int, rng: np.random.Generator) ->
 
 
 def crossover_lines(parent_a: Layout, parent_b: Layout,
-                    rng: np.random.Generator) -> tuple[Layout, Layout]:
+                    rng: Draws) -> tuple[Layout, Layout]:
     """Swap one uniformly chosen line between the parents.
 
     Children may come out disconnected; callers put them through repair.
     """
-    k = _draw_index(rng, len(parent_a))
+    k = rng.integers(len(parent_a))
     lines_a = list(parent_a)
     lines_b = list(parent_b)
     lines_a[k], lines_b[k] = lines_b[k], lines_a[k]
@@ -379,7 +373,7 @@ def optimize_lines(
             fitnesses[genome] = value
         return value
 
-    def mutation(genome: Layout, rng: np.random.Generator) -> Layout:
+    def mutation(genome: Layout, rng: Draws) -> Layout:
         return mutate_line(genome, len(stations), rng)
 
     return evolve.run(

@@ -9,7 +9,7 @@ import numpy as np
 from . import coverage, evolve
 from .coverage import CoverageParams
 from .errors import MetronetError
-from .evolve import EvolutionHistory, GaConfig, GenerationHook
+from .evolve import Draws, EvolutionHistory, GaConfig, GenerationHook
 from .geomodel import (
     PLANAR_BOUND_M,
     DemandGrid,
@@ -122,7 +122,7 @@ def init_population(
 def mutate(
     genome: np.ndarray,
     mutation_sigma: float,
-    rng: np.random.Generator,
+    rng: Draws,
     districts: Sequence[District],
 ) -> np.ndarray:
     """Shift one uniformly chosen station by a Normal(0, sigma) offset per axis.
@@ -130,7 +130,7 @@ def mutate(
     Offsets that leave the study area are resampled up to 16 times; the last
     attempt is then clamped to the nearest district boundary point.
     """
-    k = int(rng.integers(len(genome)))
+    k = rng.integers(len(genome))
     for _ in range(_MAX_OFFSET_TRIES):
         moved = genome[k] + rng.normal(0.0, mutation_sigma, size=2)
         if point_in_region(moved, districts):
@@ -145,7 +145,7 @@ def mutate(
 def crossover(
     parent_a: np.ndarray,
     parent_b: np.ndarray,
-    rng: np.random.Generator,
+    rng: Draws,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Uniform per-slot crossover: each index swaps or keeps the parental pair."""
     swap = rng.random(len(parent_a))[:, None] < 0.5
@@ -196,7 +196,7 @@ def optimize_stations(
     def fitness(genome: np.ndarray) -> float:
         return float(coverage_of(genome).sum())
 
-    def mutation(genome: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    def mutation(genome: np.ndarray, rng: Draws) -> np.ndarray:
         return mutate(genome, config.mutation_sigma, rng, districts)
 
     # The operators keep every station inside, so the validator has nothing

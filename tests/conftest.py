@@ -11,6 +11,7 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from metronet.errors import MetronetError
+from metronet.evolve import Draws
 from metronet.geomodel import (
     DemandPoints,
     District,
@@ -27,6 +28,30 @@ FIXTURE_ORIGIN = GeoPoint(3.0, 101.5)
 
 # What the command line passes for demand when no generators file is given.
 NO_GENERATORS = DemandPoints(*np.zeros((3, 0)))
+
+
+def twin_draws(seed, earlier=()):
+    """A ``Draws`` and a plain ``Generator`` of one seed, each advanced by the same earlier draws.
+
+    ``earlier`` holds one ``integers`` bound per draw, or None for a ``random()``.
+    """
+    draws = Draws(np.random.default_rng(seed))
+    twin = np.random.default_rng(seed)
+    for bound in earlier:
+        for rng in (draws, twin):
+            rng.random() if bound is None else rng.integers(bound)
+    return draws, twin
+
+
+def assert_in_step(draws: Draws, twin: np.random.Generator) -> None:
+    """``draws`` consumed its generator as ``twin`` did: the same PCG64 state and the same half word kept.
+
+    The sampler keeps the half word itself, so its generator's own
+    ``has_uint32``/``uinteger`` are never read.
+    """
+    state = twin.bit_generator.state
+    assert draws.generator.bit_generator.state["state"] == state["state"]
+    assert draws._half == (state["uinteger"] if state["has_uint32"] else None)
 
 
 def rect_polygon(x0: float, y0: float, x1: float, y1: float) -> PlanarPolygon:

@@ -1,0 +1,83 @@
+"""The GA engine as it was before ``evolve.Draws``, kept as a reference.
+
+``run_reference`` is ``evolve.run`` with its breeding loop, copied unchanged
+but for their names: each generation draws from a plain PCG64 ``Generator``,
+one numpy call per value. The tests require ``evolve.run`` to give the same
+populations, fitnesses, histories and best genome, so a sampler that draws
+a different value, or a loop that spends one more draw, fails there.
+"""
+from __future__ import annotations
+
+import math
+from typing import Sequence
+
+import numpy as np
+
+from metronet.errors import MetronetError
+from metronet.evolve import EvolutionHistory, GaConfig, GenerationRecord, roulette_wheel
+
+
+def run_reference(initial_population, fitness_fn, crossover_fn, mutation_fn, validator_fn,
+                  config: GaConfig, on_generation=None):
+    population = list(initial_population)
+    n = config.population_size
+    if len(population) != n:
+        raise MetronetError(f"expected {n} genomes, got {len(population)}")
+
+    sign = 1.0 if config.objective_sense == "maximize" else -1.0
+    history = EvolutionHistory()
+    best_genome = None
+    best_score = -math.inf
+
+    def evaluate(pop, gen):
+        nonlocal best_genome, best_score
+        values = []
+        for i, genome in enumerate(pop):
+            value = float(fitness_fn(genome))
+            if not math.isfinite(value):
+                raise MetronetError(f"fitness of genome {i} in generation {gen} is {value!r}")
+            values.append(value)
+        fits = np.array(values)
+        scores = sign * fits
+        idx = int(np.argmax(scores))
+        if scores[idx] > best_score:
+            best_score = float(scores[idx])
+            best_genome = pop[idx]
+        history.records.append(GenerationRecord(gen, float(fits[idx]), float(fits.mean())))
+        if on_generation is not None:
+            on_generation(gen, pop, fits)
+        return scores
+
+    scores = evaluate(population, 0)
+    for gen in range(1, config.generations + 1):
+        rng = np.random.default_rng(np.random.SeedSequence(config.rng_seed, spawn_key=(gen,)))
+        population = _breed_reference(population, scores, config, rng, crossover_fn, mutation_fn, validator_fn)
+        scores = evaluate(population, gen)
+
+    assert best_genome is not None
+    return best_genome, history
+
+
+def _breed_reference(population: list, scores: np.ndarray, config: GaConfig, rng: np.random.Generator,
+                     crossover_fn, mutation_fn, validator_fn) -> Sequence:
+    n = config.population_size
+    values = scores.tolist()
+    ranked = sorted(range(n), key=lambda i: (-values[i], i))
+    new_population = [population[i] for i in ranked[: config.elite_count]]
+
+    spin = roulette_wheel(scores)
+    while len(new_population) < n:
+        i = spin(rng)
+        j = spin(rng)
+        if rng.random() < config.crossover_rate:
+            children = list(crossover_fn(population[i], population[j], rng))
+        else:
+            fitter = j if values[j] > values[i] else i
+            children = [population[fitter]]
+        for child in children:
+            if len(new_population) >= n:
+                break
+            if rng.random() < config.mutation_rate:
+                child = mutation_fn(child, rng)
+            new_population.append(validator_fn(child))
+    return new_population

@@ -352,6 +352,77 @@ def test_accepted_settings_run_or_exit_2(values):
         assert len(printed) == 2 and all(math.isfinite(float(value)) for value in printed.values())
 
 
+# Numbers an input file may carry in place of a real one. A JSON file spells the
+# non-finite ones as Python's json module reads them.
+EXTREME_NUMBERS = ["0", "-0.0", "-1", "5e-324", "1e-300", "1e9", "1e300", "1.7976931348623157e308", "-1e308",
+                   "1e309", "nan", "inf", "-inf", "1" + "0" * 400]
+JSON_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity", "1e309": "Infinity"}
+NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+
+
+@st.composite
+def mutated_input(draw):
+    """(file name, text): one of the three tests/data files with a repeated row, an extreme
+    number in place of one of its numbers, or (boundaries only) a moved vertex."""
+    name = draw(st.sampled_from(["selangor_densities.csv", "selangor_generators.csv", "selangor_boundary.geojson"]))
+    text = (DATA_DIR / name).read_text()
+    kinds = ["repeat", "extreme"] + (["move"] if name.endswith(".geojson") else [])
+    kind = draw(st.sampled_from(kinds), label="kind")
+    extreme = draw(st.sampled_from(EXTREME_NUMBERS), label="extreme")
+    if name.endswith(".csv"):
+        header, *rows = text.splitlines()
+        k = draw(st.integers(0, len(rows) - 1), label="row")
+        if kind == "repeat":
+            rows.insert(draw(st.integers(0, len(rows)), label="at"), rows[k])
+        else:
+            numbers = list(NUMBER.finditer(rows[k]))
+            m = numbers[draw(st.integers(0, len(numbers) - 1), label="number")]
+            rows[k] = rows[k][: m.start()] + extreme + rows[k][m.end():]
+        return name, "\n".join([header, *rows]) + "\n"
+    doc = json.loads(text)
+    ring = doc["features"][0]["geometry"]["coordinates"][0]
+    k = draw(st.integers(0, len(ring) - 1), label="vertex")
+    if kind == "repeat":
+        ring.insert(k, list(ring[k]))
+    elif kind == "move":
+        step = st.sampled_from([0.0, 1e-12, 0.01, 0.5, 0.9, 5.0, -0.01, -0.5, -0.9, -5.0])
+        ring[k] = [ring[k][0] + draw(step, label="dlon"), ring[k][1] + draw(step, label="dlat")]
+    else:
+        ring[k][draw(st.integers(0, 1), label="axis")] = "EXTREME"
+        return name, json.dumps(doc).replace('"EXTREME"', JSON_SPELLING.get(extreme, extreme))
+    return name, json.dumps(doc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_input())
+def test_mutated_inputs_run_or_exit_2(mutated):
+    """A run on a mutated copy of tests/data exits 0 with a finite fitness that validates, or
+    exits 2 with one error line; never a traceback, another exit code or a numpy warning."""
+    name, text = mutated
+    with tempfile.TemporaryDirectory() as tmp:
+        for source in ("selangor_densities.csv", "selangor_generators.csv", "selangor_boundary.geojson"):
+            (Path(tmp) / source).write_text(text if source == name else (DATA_DIR / source).read_text())
+        out = Path(tmp) / "out"
+        argv = ["run", "--boundaries", str(Path(tmp) / "selangor_boundary.geojson"),
+                "--densities", str(Path(tmp) / "selangor_densities.csv"),
+                "--generators", str(Path(tmp) / "selangor_generators.csv"), "--out", str(out),
+                "--cell-size", "5000", "--station-count", "4", "--line-count", "2",
+                "--population-size", "3", "--generations", "2"]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli.main(argv)
+            if code == 0:
+                assert cli.main(["validate", str(out / "stations.geojson"), str(out / "lines.geojson")]) == 0
+        if code == 2:
+            assert len(stderr.getvalue().splitlines()) == 1, stderr.getvalue()
+            assert not out.exists()
+            return
+        assert code == 0, stderr.getvalue()
+        printed = dict(line.split(" = ") for line in stdout.getvalue().splitlines() if " = " in line)
+        assert len(printed) == 2 and all(math.isfinite(float(value)) for value in printed.values())
+
+
 class TestGridCommand:
     def test_unit_square_grid(self, tmp_path):
         boundaries, densities = write_region_files(

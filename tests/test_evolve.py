@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_in_step, twin_draws
 from metronet.errors import MetronetError
-from metronet.evolve import GaConfig, roulette_wheel, run, selection_weights
+from metronet.evolve import Draws, GaConfig, roulette_wheel, run, selection_weights
 
 
 class TestGaConfig:
@@ -37,6 +38,73 @@ class TestGaConfig:
         # each message opens with the rejected field, which the CLI maps back to its key
         with pytest.raises(MetronetError, match=f"^{next(iter(kwargs))} must "):
             GaConfig(**kwargs)
+
+
+# integers(n) bounds: the one-value range, small ones, the largest 32-bit range, the
+# first ranges of numpy's 64-bit path, and ranges that Lemire's method rejects for
+# about half and a quarter of the 32-bit draws
+draw_bounds = st.one_of(st.sampled_from([1, 2, 3, 2_000, 2**32 - 1, 2**32, 2**32 + 5, 2**31 + 1, 3 * 2**30 + 1]),
+                        st.integers(1, 50))
+draw_calls = st.one_of(
+    st.just(("random", None)),
+    st.tuples(st.just("random"), st.integers(0, 4)),
+    st.tuples(st.just("integers"), draw_bounds),
+    st.just(("normal", 2)),
+)
+
+
+def _call(rng, name, arg):
+    if name == "random":
+        return rng.random() if arg is None else rng.random(arg).tolist()
+    if name == "normal":
+        return rng.normal(size=arg).tolist()
+    return int(rng.integers(arg))
+
+
+class TestDraws:
+    """The sampler returns what a twin ``Generator`` of the same seed returns, call for call."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**64 - 1), st.lists(draw_calls, max_size=40))
+    def test_interleaved_draws_match_generator(self, seed, calls):
+        draws, twin = twin_draws(seed)
+        for name, arg in calls:
+            assert _call(draws, name, arg) == _call(twin, name, arg)
+        assert_in_step(draws, twin)
+
+    def test_golden_draws(self):
+        # numpy's PCG64, SeedSequence and bounded-integer arithmetic as of numpy 2: a release
+        # that changes any of them fails here instead of silently shifting every layout
+        seed = np.random.SeedSequence(3, spawn_key=(1,))
+        calls = [("random", None), ("integers", 6), ("integers", 5), ("random", None), ("integers", 2),
+                 ("normal", 2), ("integers", 2**32 - 1), ("random", None), ("integers", 2_000),
+                 ("integers", 2**32 + 5), ("random", 2), ("integers", 3), ("integers", 7), ("integers", 2**31 + 1)]
+        # the last draw rejects the kept half word and accepts the low half of a fresh word
+        want = [0.10033602866159974, 0, 3, 0.5288834801304864, 1, [-0.4292570058374665, 0.178779970258533],
+                3924692143, 0.12287322479239682, 1335, 2221965653, [0.025755594066389498, 0.38101762556917707],
+                0, 3, 2046669414]
+        draws, twin = twin_draws(seed)
+        for rng in (draws, twin):
+            assert [_call(rng, name, arg) for name, arg in calls] == want
+        state = twin.bit_generator.state
+        assert (state["state"]["state"], state["has_uint32"], state["uinteger"]) == (
+            64744285871934355575467068743706361315, 1, 815794170)
+        assert_in_step(draws, twin)
+
+    def test_one_value_range_draws_nothing(self):
+        draws, twin = twin_draws(5, [7])  # a half word is kept
+        before = draws.generator.bit_generator.state
+        assert draws.integers(1) == 0
+        assert draws.generator.bit_generator.state == before
+        assert_in_step(draws, twin)
+
+    def test_only_the_draws_it_reproduces(self):
+        # any other 32-bit consumer of the generator would read a half-word buffer out of step
+        draws = Draws(np.random.default_rng(0))
+        for name in ("choice", "permutation", "shuffle", "uniform", "bit_generator"):
+            assert not hasattr(draws, name)
+        with pytest.raises(TypeError, match="PCG64"):
+            Draws(np.random.Generator(np.random.MT19937(0)))
 
 
 class TestRouletteSelect:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import dijkstra_reference, layouts
+from conftest import assert_in_step, dijkstra_reference, layouts, twin_draws
 from metronet import lines as lines_module
 from metronet import evolve, netgraph
 from metronet.errors import InvalidLayout, MetronetError
@@ -17,7 +17,6 @@ from metronet.evolve import GaConfig
 from metronet.geomodel import PLANAR_BOUND_M, station_distances
 from metronet.lines import (
     LineStageConfig,
-    _draw_index,
     _draw_two,
     add_station,
     crossover_lines,
@@ -72,17 +71,20 @@ SIXTY_BEST = (
 class ScriptedRng:
     """Replays queued ``integers`` draws so operator examples are checked verbatim.
 
-    A pair of distinct positions costs up to three draws, as in
-    ``choice(n, 2, replace=False)``: ``integers(n - 1)`` (none when n == 2),
-    then ``integers(n)``, then ``integers(2)``, whose 0 swaps the pair. A
-    one-line layout's line pick costs no draw.
+    Every ``integers(n)`` call takes the next value, which must lie in
+    [0, n): a one-value range takes a 0, which ``Draws`` returns without
+    drawing. A pair of distinct positions costs three calls, as in
+    ``choice(n, 2, replace=False)``: ``integers(n - 1)``, then
+    ``integers(n)``, then ``integers(2)``, whose 0 swaps the pair.
     """
 
     def __init__(self, integers=()):
         self._integers = list(integers)
 
-    def integers(self, *args, **kwargs):
-        return self._integers.pop(0)
+    def integers(self, n):
+        value = self._integers.pop(0)
+        assert 0 <= value < n, (value, n)
+        return value
 
 
 def assert_valid_genome(genome, station_count, line_count=None):
@@ -143,12 +145,12 @@ class TestMutationOperators:
     def test_reverse_segment_example(self):
         # positions 1..3 of a 5-station line flip in place
         genome = ((10, 11, 12, 13, 14),)
-        rng = ScriptedRng(integers=[1, 3, 1])  # positions 1 and 3, not swapped
+        rng = ScriptedRng(integers=[0, 1, 3, 1])  # the only line; positions 1 and 3, not swapped
         assert reverse_segment(genome, rng)[0] == (10, 13, 12, 11, 14)
 
     def test_exchange_example(self):
         genome = ((10, 11, 12, 13),)
-        rng = ScriptedRng(integers=[0, 2, 1])  # positions 0 and 2, not swapped
+        rng = ScriptedRng(integers=[0, 0, 2, 1])  # the only line; positions 0 and 2, not swapped
         assert exchange_within_line(genome, rng)[0] == (12, 11, 10, 13)
 
     def test_remove_guard_on_two_station_line(self):
@@ -158,43 +160,43 @@ class TestMutationOperators:
 
     def test_remove_from_long_line(self):
         genome = ((0, 1, 2),)
-        rng = ScriptedRng(integers=[1])  # the middle station
+        rng = ScriptedRng(integers=[0, 1])  # the only line; the middle station
         assert remove_station(genome, rng)[0] == (0, 2)
 
     def test_add_duplicate_is_inapplicable(self):
         genome = ((0, 1),)
-        # both stations already present: no candidates
+        # the only line, whose stations are all the stations: no candidates
         assert add_station(genome, 2, ScriptedRng(integers=[0])) is None
 
     def test_add_inserts_at_every_position(self):
         genome = ((0, 1),)
         results = set()
         for pos in range(3):
-            rng = ScriptedRng(integers=[pos])  # the only line and candidate 2 cost no draw
+            rng = ScriptedRng(integers=[0, 0, pos])  # the only line, the only candidate (2), the slot
             results.add(add_station(genome, 3, rng)[0])
         assert results == {(2, 0, 1), (0, 2, 1), (0, 1, 2)}
 
     def test_swap_between_lines(self):
         genome = ((0, 1), (2, 3))
-        rng = ScriptedRng(integers=[1, 1, 0, 1])  # lines 0 and 1, not swapped; station 0 with 3
+        rng = ScriptedRng(integers=[0, 1, 1, 0, 1])  # lines 0 and 1, not swapped; station 0 with 3
         swapped = swap_between_lines(genome, rng)
         assert swapped == ((3, 1), (2, 0))
 
     def test_swap_rejects_duplicate_result(self):
         # station 1 is shared; pulling it into line 0 would duplicate it there
         genome = ((0, 1), (1, 2))
-        rng = ScriptedRng(integers=[1, 1, 0, 0])  # lines 0 and 1, not swapped; station 0 with 1
+        rng = ScriptedRng(integers=[0, 1, 1, 0, 0])  # lines 0 and 1, not swapped; station 0 with 1
         assert swap_between_lines(genome, rng) is None
 
     def test_transfer_moves_one_station(self):
         genome = ((0, 1, 2), (3, 4))
-        rng = ScriptedRng(integers=[1, 1, 1, 1])  # lines 0 and 1, not swapped; station 1 to slot 1
+        rng = ScriptedRng(integers=[0, 1, 1, 1, 1])  # lines 0 and 1, not swapped; station 1 to slot 1
         moved = transfer_station(genome, rng)
         assert moved == ((0, 2), (3, 1, 4))
 
     def test_transfer_guard_short_donor(self):
         genome = ((0, 1), (2, 3))
-        rng = ScriptedRng(integers=[1, 1])  # lines 0 and 1, not swapped
+        rng = ScriptedRng(integers=[0, 1, 1])  # lines 0 and 1, not swapped
         assert transfer_station(genome, rng) is None
 
     @pytest.mark.parametrize("seed", range(40))
@@ -240,42 +242,16 @@ class TestMutationOperators:
 earlier_draws = st.lists(st.one_of(st.none(), st.integers(1, 2**40)), max_size=4)
 
 
-def twin_generators(seed, earlier):
-    """Two generators of one seed, each advanced by the same earlier draws."""
-    rngs = np.random.default_rng(seed), np.random.default_rng(seed)
-    for rng in rngs:
-        for bound in earlier:
-            if bound is None:
-                rng.random()
-            else:
-                rng.integers(bound)
-    return rngs
-
-
-class TestDrawHelpers:
-    """The operators' position draws are numpy's own calls, draw for draw."""
+class TestDrawTwo:
+    """The operators' pair of positions is numpy's own ``choice``, draw for draw."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 2**64 - 1), st.integers(2, 1000), earlier_draws)
     def test_draw_two_is_choice_without_replacement(self, seed, n, earlier):
-        rng, twin = twin_generators(seed, earlier)
+        draws, twin = twin_draws(seed, earlier)
         want = tuple(int(v) for v in twin.choice(n, size=2, replace=False))
-        assert _draw_two(rng, n) == want
-        assert rng.bit_generator.state == twin.bit_generator.state
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.integers(0, 2**64 - 1), st.integers(1, 1000), earlier_draws)
-    def test_draw_index_is_integers(self, seed, n, earlier):
-        rng, twin = twin_generators(seed, earlier)
-        assert _draw_index(rng, n) == int(twin.integers(n))
-        assert rng.bit_generator.state == twin.bit_generator.state
-
-    def test_draw_index_of_one_leaves_the_state(self):
-        rng = np.random.default_rng(5)
-        rng.random()
-        before = rng.bit_generator.state
-        assert _draw_index(rng, 1) == 0
-        assert rng.bit_generator.state == before
+        assert _draw_two(draws, n) == want
+        assert_in_step(draws, twin)
 
 
 class TestCrossover:
