@@ -94,9 +94,10 @@ def selection_weights(scores: Sequence[float]) -> np.ndarray:
 class Draws:
     """One generation's random draws: the values a PCG64 ``Generator`` gives, at less cost.
 
-    ``random()`` and ``integers(n)`` read 64-bit words from the bit generator
-    and apply numpy's own arithmetic, so they return what the wrapped
-    generator would, without a numpy call per value:
+    ``random()`` and ``integers(n)`` take 64-bit words from a read-ahead list
+    that one ``random_raw(BLOCK)`` call fills, and apply numpy's own
+    arithmetic, so they return what the wrapped generator would, without a
+    numpy call per value:
 
     - ``random()`` is ``(w >> 11) * 2**-53``, numpy's ``next_double``.
     - ``integers(n)`` is Lemire's method on 32-bit halves, numpy's draw for
@@ -107,27 +108,58 @@ class Draws:
       nothing, and ``n > 2**32`` takes numpy's 64-bit path, which never
       touches the half-word buffer. ``n`` is a Python int of at least 1.
 
-    ``normal`` and a sized ``random`` go to the wrapped generator: they read
-    whole words and leave the buffer alone. The sampler must be the
-    generator's only 32-bit consumer, so it forwards nothing else; a
-    ``choice``, ``permutation`` or sized ``integers`` would read a buffer
-    out of step with this one.
+    The read-ahead leaves the bit generator up to ``BLOCK`` words past the
+    next unread one. Reading ``generator`` rewinds it with
+    ``advance(2**128 - unread)`` and empties the list; PCG64 advances modulo
+    its period of 2**128, so the generator then stands exactly where the
+    per-value numpy calls would have left it. ``normal``, a sized ``random``
+    and a 64-bit ``integers`` go to the generator through that rewind: they
+    read whole words and leave the half-word buffer alone.
+
+    The sampler must be the generator's only consumer except through
+    ``generator``, so it forwards nothing else; a ``choice``,
+    ``permutation`` or sized ``integers`` would read a half-word buffer out
+    of step with this one.
     """
 
-    __slots__ = ("generator", "normal", "_word", "_half")
+    # words per random_raw call: a tiny_lines generation reads about 124 words, and 32-256
+    # time alike there; a stage-1 child rewinds, so a shorter block wastes less
+    BLOCK = 64
+
+    __slots__ = ("_generator", "_raw", "_words", "_half")
 
     def __init__(self, generator: np.random.Generator):
         if not isinstance(generator.bit_generator, np.random.PCG64):
             raise TypeError("Draws reproduces PCG64's arithmetic only")
-        self.generator = generator
-        self.normal = generator.normal
-        self._word = generator.bit_generator.random_raw
+        self._generator = generator
+        self._raw = generator.bit_generator.random_raw
+        # read-ahead words, the next one last so that pop() takes it
+        self._words: list[int] = []
         # the half word kept for the next 32-bit draw: PCG64's uinteger while has_uint32
         self._half: int | None = None
 
+    @property
+    def generator(self) -> np.random.Generator:
+        """The wrapped generator, rewound to the first word the sampler has not used."""
+        unread = len(self._words)
+        if unread:
+            self._generator.bit_generator.advance(2**128 - unread)
+            self._words = []
+        return self._generator
+
+    def _refill(self) -> int:
+        """Read the next block of words and take its first."""
+        words = self._words = self._raw(self.BLOCK).tolist()
+        words.reverse()
+        return words.pop()
+
+    def normal(self, loc: float = 0.0, scale: float = 1.0, size=None):
+        return self.generator.normal(loc, scale, size)
+
     def random(self, size: int | None = None):
         if size is None:
-            return (self._word() >> 11) * 2.0**-53
+            words = self._words
+            return ((words.pop() if words else self._refill()) >> 11) * 2.0**-53
         return self.generator.random(size)
 
     def integers(self, n: int) -> int:
@@ -138,7 +170,8 @@ class Draws:
         while True:
             half = self._half
             if half is None:
-                word = self._word()
+                words = self._words
+                word = words.pop() if words else self._refill()
                 self._half = word >> 32
                 m = (word & 0xFFFFFFFF) * n
             else:
@@ -158,13 +191,13 @@ def roulette_wheel(scores: Sequence[float]) -> Callable[[Draws | np.random.Gener
     ``Draws`` or a ``Generator``.
     """
     # a list bisect finds the same slot as np.searchsorted(side="right") at a
-    # fraction of its per-call cost
+    # fraction of its per-call cost; the list leaves out the total, so any
+    # product, however it rounds, lands in a slot no higher than the last
     cum = np.cumsum(selection_weights(scores)).tolist()
-    total = cum[-1]
-    last = len(cum) - 1
+    total = cum.pop()
 
     def spin(rng: Draws | np.random.Generator) -> int:
-        return min(bisect.bisect_right(cum, rng.random() * total), last)
+        return bisect.bisect_right(cum, rng.random() * total)
 
     return spin
 
@@ -246,7 +279,8 @@ def _breed(
 ) -> list[G]:
     n = config.population_size
     values = scores.tolist()
-    ranked = sorted(range(n), key=lambda i: (-values[i], i))
+    # a reverse sort is stable, so ties keep index order: the key (-score, i)
+    ranked = sorted(range(n), key=values.__getitem__, reverse=True)
     new_population = [population[i] for i in ranked[: config.elite_count]]
 
     spin = roulette_wheel(scores)

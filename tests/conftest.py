@@ -46,7 +46,9 @@ def twin_draws(seed, earlier=()):
 def assert_in_step(draws: Draws, twin: np.random.Generator) -> None:
     """``draws`` consumed its generator as ``twin`` did: the same PCG64 state and the same half word kept.
 
-    The sampler keeps the half word itself, so its generator's own
+    Reading ``draws.generator`` rewinds past the words read ahead, so the
+    state compared is the one at the sampler's next unread word. The sampler
+    keeps the half word itself, so its generator's own
     ``has_uint32``/``uinteger`` are never read.
     """
     state = twin.bit_generator.state

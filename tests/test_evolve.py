@@ -2,6 +2,7 @@
 import math
 from collections import Counter
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import assert_in_step, twin_draws
 from metronet.errors import MetronetError
-from metronet.evolve import Draws, GaConfig, roulette_wheel, run, selection_weights
+from metronet.evolve import Draws, GaConfig, _breed, roulette_wheel, run, selection_weights
 
 
 class TestGaConfig:
@@ -51,6 +52,17 @@ draw_calls = st.one_of(
     st.tuples(st.just("integers"), draw_bounds),
     st.just(("normal", 2)),
 )
+# the draws the sampler computes from its read-ahead words, and those it hands to the
+# generator after a rewind
+scalar_calls = st.one_of(
+    st.just(("random", None)),
+    st.tuples(st.just("integers"), st.one_of(st.integers(1, 50), st.sampled_from([2**31 + 1, 2**32]))),
+)
+forwarded_calls = st.one_of(
+    st.tuples(st.just("random"), st.integers(0, 4)),
+    st.just(("normal", 2)),
+    st.tuples(st.just("integers"), st.integers(2**32 + 1, 2**33)),
+)
 
 
 def _call(rng, name, arg):
@@ -64,13 +76,36 @@ def _call(rng, name, arg):
 class TestDraws:
     """The sampler returns what a twin ``Generator`` of the same seed returns, call for call."""
 
-    @settings(max_examples=300, deadline=None)
-    @given(st.integers(0, 2**64 - 1), st.lists(draw_calls, max_size=40))
-    def test_interleaved_draws_match_generator(self, seed, calls):
-        draws, twin = twin_draws(seed)
-        for name, arg in calls:
-            assert _call(draws, name, arg) == _call(twin, name, arg)
+    @pytest.mark.parametrize("block", [1, 2, 3, Draws.BLOCK])
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), data=st.data())
+    def test_interleaved_draws_match_generator(self, block, seed, data):
+        # runs of scalar draws, short or up to three blocks and more, each followed by a draw
+        # that rewinds, so reads cross block boundaries and rewinds land at every offset
+        run_length = st.one_of(st.integers(0, block), st.integers(block, 3 * block + 8))
+        runs = st.tuples(run_length.flatmap(lambda k: st.lists(scalar_calls, min_size=k, max_size=k)),
+                         st.one_of(st.none(), forwarded_calls))
+        calls = [call for scalars, forwarded in data.draw(st.lists(runs, min_size=1, max_size=4))
+                 for call in [*scalars, *([forwarded] if forwarded else [])]]
+        calls += data.draw(st.lists(draw_calls, max_size=40))
+        with patch.object(Draws, "BLOCK", block):
+            draws, twin = twin_draws(seed)
+            for name, arg in calls:
+                assert _call(draws, name, arg) == _call(twin, name, arg)
         assert_in_step(draws, twin)
+
+    def test_rewind_reads_no_word(self):
+        # a rewind only moves the generator back to the next unread word: doing it twice,
+        # or at a block's end, changes nothing, and the draws after it still match the twin
+        draws, twin = twin_draws(9, [None] * (Draws.BLOCK - 1) + [7])
+        assert not draws._words and draws._half is not None
+        for _ in range(2):
+            assert_in_step(draws, twin)
+        for rng in (draws, twin):
+            rng.random()
+        for _ in range(2):
+            assert_in_step(draws, twin)
+        assert [draws.integers(9) for _ in range(3)] == [int(twin.integers(9)) for _ in range(3)]
 
     def test_golden_draws(self):
         # numpy's PCG64, SeedSequence and bounded-integer arithmetic as of numpy 2: a release
@@ -92,7 +127,11 @@ class TestDraws:
         assert_in_step(draws, twin)
 
     def test_one_value_range_draws_nothing(self):
-        draws, twin = twin_draws(5, [7])  # a half word is kept
+        draws, twin = twin_draws(5, [7])  # a half word is kept and a block read ahead
+        unread = list(draws._words)
+        assert draws.integers(1) == 0
+        assert draws._words == unread
+        assert_in_step(draws, twin)
         before = draws.generator.bit_generator.state
         assert draws.integers(1) == 0
         assert draws.generator.bit_generator.state == before
@@ -155,6 +194,13 @@ class TestRouletteSelect:
         for _ in range(1000):
             want = min(int(np.searchsorted(cum, twin.random() * cum[-1], side="right")), len(fits) - 1)
             assert spin(rng) == want
+
+    @pytest.mark.parametrize("fits", [[1.0, 2.0, 4.0], [3.0, 1e9, -1e9, 0.1], [5.0] * 7, [0.0, 1e-300]])
+    @pytest.mark.parametrize("u", [1 - 2**-53, 1.0])
+    def test_top_of_the_wheel_is_the_last_slot(self, fits, u):
+        # the largest draw below 1, and a product equal to the total, land in the last slot
+        # as np.searchsorted clipped to the last index places them
+        assert roulette_wheel(fits)(StubRng(u)) == len(fits) - 1
 
 
 class StubRng:
@@ -361,6 +407,18 @@ class TestRun:
         assert [(r.generation, r.best_fitness, r.mean_fitness) for r in records_min] == [
             (r.generation, -r.best_fitness, -r.mean_fitness) for r in records_max
         ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(scores=st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), finite_fitness), min_size=2,
+                           max_size=12),
+           data=st.data())
+    def test_elites_rank_by_score_then_index(self, scores, data):
+        # ties, -0.0 against 0.0 included, keep index order, as the key (-score, i) orders them
+        n = len(scores)
+        cfg = GaConfig(population_size=n, elite_count=data.draw(st.integers(0, n - 1)))
+        bred = _breed(list(range(n)), np.array(scores), cfg, Draws(np.random.default_rng(0)),
+                      _crossover, _mutation, _identity)
+        assert bred[:cfg.elite_count] == sorted(range(n), key=lambda i: (-scores[i], i))[:cfg.elite_count]
 
 
 class TestHistoryCsv:
