@@ -7,10 +7,11 @@ from __future__ import annotations
 
 import bisect
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Literal, Sequence, TypeVar
+from typing import Callable, Iterator, Literal, Sequence, TypeVar
 
 import numpy as np
 
@@ -45,8 +46,9 @@ class GaConfig:
     def __post_init__(self):
         if self.population_size < 2:
             raise MetronetError("population_size must be >= 2")
-        if self.generations < 1:
-            raise MetronetError("generations must be >= 1")
+        # spawn_states mixes each generation in as one 32-bit spawn-key word
+        if not (1 <= self.generations < 2**32):
+            raise MetronetError("generations must lie in [1, 2**32)")
         if not (0 <= self.elite_count < self.population_size):
             raise MetronetError("elite_count must satisfy 0 <= elite_count < population_size")
         for name in ("crossover_rate", "mutation_rate"):
@@ -80,26 +82,77 @@ class EvolutionHistory:
                 writer.writerow([r.generation, repr(r.best_fitness), repr(r.mean_fitness)])
 
 
-def selection_weights(scores: Sequence[float]) -> np.ndarray:
-    """Shifted roulette weights, strictly positive for any finite score list.
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx) and PCG64's multiplier
+_MASK32, _MASK128 = 0xFFFFFFFF, 2**128 - 1
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# generations whose states one pass derives: memory stays this small whatever the run's length
+_STATE_BLOCK = 256
 
-    Weights are s - min(s) + eps, with eps = 1e-6 * (spread + 1) so equal
-    scores degrade to uniform draws.
+
+def _hash_constants(init: int, mult: int, count: int) -> list[int]:
+    """The constants of ``count`` hashing steps: step k xors with entry k and multiplies by entry k + 1."""
+    constants = [init]
+    for _ in range(count):
+        constants.append(constants[-1] * mult & _MASK32)
+    return constants
+
+
+# SeedSequence's two 32-bit operations, on Python ints below 2**32 or on uint32 arrays
+def _hashmix(value, xor, mult):
+    value = (value ^ xor) * mult & _MASK32
+    return value ^ (value >> 16)
+
+
+def _mix(x, y):
+    value = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
+    return value ^ (value >> 16)
+
+
+def spawn_states(seed: int, gens: range) -> Iterator[tuple[int, int]]:
+    """PCG64's ``(state, inc)`` as ``SeedSequence(seed, spawn_key=(gen,))`` seeds it, for each gen in ``gens``.
+
+    numpy's arithmetic, for a seed below 2**128 and unit-step ``gens`` below
+    2**32 (a one-word spawn key). The pool of the seed's words, padded to
+    four, and its cross-mix (steps 0-15) depend on the seed alone, so they
+    are computed once. Then, on uint32 arrays of ``_STATE_BLOCK``
+    generations, each generation's word is mixed into the pool (steps 16-19)
+    and ``generate_state(4, uint64)`` gives s0..s3; PCG64 seeds with
+    ``inc = 2 * s2:s3 + 1`` and ``state = (inc + s0:s1) * MULT + inc``, mod 2**128.
     """
-    values = np.asarray(scores, dtype=float)
-    lo, hi = values.min(), values.max()
-    return values - lo + 1e-6 * ((hi - lo) + 1.0)
+    a = _hash_constants(_INIT_A, _MULT_A, 20)
+    pool = [_hashmix(seed >> 32 * k & _MASK32, a[k], a[k + 1]) for k in range(4)]
+    k = 4
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], a[k], a[k + 1]))
+                k += 1
+    # one row per pool word, one column per generation
+    pool_col = np.array(pool, dtype=np.uint32)[:, None]
+    a_col = np.array(a[16:], dtype=np.uint32)[:, None]
+    b_col = np.array(_hash_constants(_INIT_B, _MULT_B, 8), dtype=np.uint32)[:, None]
+    for start in range(gens.start, gens.stop, _STATE_BLOCK):
+        words = np.arange(start, min(start + _STATE_BLOCK, gens.stop), dtype=np.uint32)
+        mixed = _mix(pool_col, _hashmix(words, a_col[:-1], a_col[1:]))
+        out = _hashmix(mixed[[0, 1, 2, 3, 0, 1, 2, 3]], b_col[:-1], b_col[1:]).astype(np.uint64)
+        for s0, s1, s2, s3 in zip(*(out[0::2] | out[1::2] << 32).tolist()):
+            inc = (s2 << 65 | s3 << 1 | 1) & _MASK128
+            yield ((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) & _MASK128, inc
 
 
 class Draws:
-    """One generation's random draws: the values a PCG64 ``Generator`` gives, at less cost.
+    """Random draws from one PCG64 ``Generator``: the values it gives, at less cost.
 
     ``random()`` and ``integers(n)`` take 64-bit words from a read-ahead list
     that one ``random_raw(BLOCK)`` call fills, and apply numpy's own
     arithmetic, so they return what the wrapped generator would, without a
     numpy call per value:
 
-    - ``random()`` is ``(w >> 11) * 2**-53``, numpy's ``next_double``.
+    - ``random()`` is ``(w >> 11) * 2**-53``, numpy's ``next_double``, and
+      ``random(size)`` applies it to the next ``size`` words in order, as
+      numpy fills the array.
     - ``integers(n)`` is Lemire's method on 32-bit halves, numpy's draw for
       a range of at most 2**32: ``m = x * n``, drawn again while
       ``m & 0xFFFFFFFF < (2**32 - n) % n``, then ``m >> 32``. A fresh word
@@ -112,9 +165,9 @@ class Draws:
     next unread one. Reading ``generator`` rewinds it with
     ``advance(2**128 - unread)`` and empties the list; PCG64 advances modulo
     its period of 2**128, so the generator then stands exactly where the
-    per-value numpy calls would have left it. ``normal``, a sized ``random``
-    and a 64-bit ``integers`` go to the generator through that rewind: they
-    read whole words and leave the half-word buffer alone.
+    per-value numpy calls would have left it. ``normal`` and a 64-bit
+    ``integers`` go to the generator through that rewind: they read whole
+    words and leave the half-word buffer alone.
 
     The sampler must be the generator's only consumer except through
     ``generator``, so it forwards nothing else; a ``choice``,
@@ -123,17 +176,19 @@ class Draws:
     """
 
     # words per random_raw call: a tiny_lines generation reads about 124 words, and 32-256
-    # time alike there; a stage-1 child rewinds, so a shorter block wastes less
+    # time alike there; a stage-1 mutation rewinds, so a shorter block wastes less
     BLOCK = 64
 
-    __slots__ = ("_generator", "_raw", "_words", "_half")
+    __slots__ = ("_generator", "_raw", "_block", "_words", "_half")
 
     def __init__(self, generator: np.random.Generator):
         if not isinstance(generator.bit_generator, np.random.PCG64):
             raise TypeError("Draws reproduces PCG64's arithmetic only")
         self._generator = generator
         self._raw = generator.bit_generator.random_raw
-        # read-ahead words, the next one last so that pop() takes it
+        # the last block read, whose last len(_words) entries are still unread, and those
+        # words as ints, the next one last so that pop() takes it
+        self._block = np.empty(0, dtype=np.uint64)
         self._words: list[int] = []
         # the half word kept for the next 32-bit draw: PCG64's uinteger while has_uint32
         self._half: int | None = None
@@ -147,9 +202,17 @@ class Draws:
             self._words = []
         return self._generator
 
+    def reseed(self, state: int, inc: int) -> None:
+        """Start over as a fresh generator seeded at PCG64 ``(state, inc)``: nothing read ahead, no half word kept."""
+        self._generator.bit_generator.state = {
+            "bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+        self._words = []
+        self._half = None
+
     def _refill(self) -> int:
         """Read the next block of words and take its first."""
-        words = self._words = self._raw(self.BLOCK).tolist()
+        self._block = self._raw(self.BLOCK)
+        words = self._words = self._block.tolist()
         words.reverse()
         return words.pop()
 
@@ -157,10 +220,18 @@ class Draws:
         return self.generator.normal(loc, scale, size)
 
     def random(self, size: int | None = None):
+        words = self._words
         if size is None:
-            words = self._words
             return ((words.pop() if words else self._refill()) >> 11) * 2.0**-53
-        return self.generator.random(size)
+        unread = len(words)
+        start = len(self._block) - unread
+        if size > unread:
+            taken = np.concatenate((self._block[start:], self._raw(size - unread)))
+            words.clear()
+        else:
+            taken = self._block[start:start + size]
+            del words[unread - size:]
+        return (taken >> 11) * 2.0**-53
 
     def integers(self, n: int) -> int:
         if n == 1:
@@ -184,16 +255,19 @@ class Draws:
 
 
 def roulette_wheel(scores: Sequence[float]) -> Callable[[Draws | np.random.Generator], int]:
-    """Roulette wheel over the shifted selection weights of ``scores``.
+    """Roulette wheel over shifted weights of ``scores``.
 
-    The returned ``spin(rng)`` draws one index with probability proportional
-    to its weight, using exactly one ``rng.random()``; ``rng`` is a
-    ``Draws`` or a ``Generator``.
+    The weights are s - min(s) + eps, with eps = 1e-6 * (spread + 1):
+    strictly positive for any finite score list, and uniform for equal
+    scores. The returned ``spin(rng)`` draws one index with probability
+    proportional to its weight, using exactly one ``rng.random()``; ``rng``
+    is a ``Draws`` or a ``Generator``.
     """
-    # a list bisect finds the same slot as np.searchsorted(side="right") at a
-    # fraction of its per-call cost; the list leaves out the total, so any
-    # product, however it rounds, lands in a slot no higher than the last
-    cum = np.cumsum(selection_weights(scores)).tolist()
+    lo, hi = min(scores), max(scores)
+    eps = 1e-6 * ((hi - lo) + 1.0)
+    # np.cumsum's sums, added in its order; a list bisect finds np.searchsorted's slot at a
+    # fraction of its cost, and without the total any product lands no higher than the last
+    cum = list(itertools.accumulate([(s - lo) + eps for s in scores]))
     total = cum.pop()
 
     def spin(rng: Draws | np.random.Generator) -> int:
@@ -227,8 +301,11 @@ def run(
 
     Randomness comes from one stream per generation derived from
     (rng_seed, generation), so results do not depend on how fitness
-    evaluations are scheduled. The selection, the rate tests and the
-    operators all draw from it through one ``Draws``.
+    evaluations are scheduled: the PCG64 state that
+    ``SeedSequence(rng_seed, spawn_key=(generation,))`` seeds, which
+    ``spawn_states`` derives. One ``Draws`` serves the run and is re-seeded
+    at each generation; the selection, the rate tests and the operators all
+    draw from it.
     """
     population = list(initial_population)
     n = config.population_size
@@ -240,27 +317,29 @@ def run(
     best_genome: G | None = None
     best_score = -math.inf
 
-    def evaluate(pop: list[G], gen: int) -> np.ndarray:
+    def evaluate(pop: list[G], gen: int) -> list[float]:
         """The generation's scores, ``sign * fitness``."""
         nonlocal best_genome, best_score
-        fits = np.array([float(fitness_fn(genome)) for genome in pop])
-        finite = np.isfinite(fits)
-        if not finite.all():
-            i = int(finite.argmin())
-            raise MetronetError(f"fitness of genome {i} in generation {gen} is {fits[i].item()!r}")
-        scores = sign * fits
-        idx = int(np.argmax(scores))
+        fits = [float(fitness_fn(genome)) for genome in pop]
+        if not all(map(math.isfinite, fits)):
+            i = next(i for i, f in enumerate(fits) if not math.isfinite(f))
+            raise MetronetError(f"fitness of genome {i} in generation {gen} is {fits[i]!r}")
+        scores = [sign * f for f in fits]
+        idx = scores.index(max(scores))
         if scores[idx] > best_score:
-            best_score = float(scores[idx])
+            best_score = scores[idx]
             best_genome = pop[idx]
-        history.records.append(GenerationRecord(gen, float(fits[idx]), float(fits.mean())))
+        # np.mean's pairwise sum, not sum(): the recorded mean keeps numpy's rounding
+        history.records.append(GenerationRecord(gen, fits[idx], float(np.mean(fits))))
         if on_generation is not None:
-            on_generation(gen, pop, fits)
+            on_generation(gen, pop, np.array(fits))
         return scores
 
     scores = evaluate(population, 0)
-    for gen in range(1, config.generations + 1):
-        draws = Draws(np.random.default_rng(np.random.SeedSequence(config.rng_seed, spawn_key=(gen,))))
+    draws = Draws(np.random.default_rng(0))  # the seed is a placeholder: each generation sets the state
+    gens = range(1, config.generations + 1)
+    for gen, (state, inc) in zip(gens, spawn_states(config.rng_seed, gens)):
+        draws.reseed(state, inc)
         population = _breed(population, scores, config, draws, crossover_fn, mutation_fn, validator_fn)
         scores = evaluate(population, gen)
 
@@ -270,7 +349,7 @@ def run(
 
 def _breed(
     population: list[G],
-    scores: np.ndarray,
+    scores: list[float],
     config: GaConfig,
     draws: Draws,
     crossover_fn: CrossoverFn,
@@ -278,9 +357,8 @@ def _breed(
     validator_fn: ValidatorFn,
 ) -> list[G]:
     n = config.population_size
-    values = scores.tolist()
     # a reverse sort is stable, so ties keep index order: the key (-score, i)
-    ranked = sorted(range(n), key=values.__getitem__, reverse=True)
+    ranked = sorted(range(n), key=scores.__getitem__, reverse=True)
     new_population = [population[i] for i in ranked[: config.elite_count]]
 
     spin = roulette_wheel(scores)
@@ -292,7 +370,7 @@ def _breed(
         if random() < crossover_rate:
             children = crossover_fn(population[i], population[j], draws)
         else:
-            fitter = j if values[j] > values[i] else i
+            fitter = j if scores[j] > scores[i] else i
             children = (population[fitter],)
         for child in children:
             if len(new_population) >= n:

@@ -1,10 +1,14 @@
 """The GA engine as it was before ``evolve.Draws``, kept as a reference.
 
 ``run_reference`` is ``evolve.run`` with its breeding loop, copied unchanged
-but for their names: each generation draws from a plain PCG64 ``Generator``,
-one numpy call per value. The tests require ``evolve.run`` to give the same
-populations, fitnesses, histories and best genome, so a sampler that draws
-a different value, or a loop that spends one more draw, fails there.
+but for their names, and with its own numpy pieces: each generation draws
+from a fresh ``default_rng(SeedSequence(rng_seed, spawn_key=(gen,)))``, one
+numpy call per value; the scores are numpy arrays; and the roulette wheel is
+``selection_weights``, ``np.cumsum`` and ``np.searchsorted``. The tests
+require ``evolve.run`` to give the same populations, fitnesses, histories
+and best genome, so a sampler that draws a different value, a derived seed
+state that differs from numpy's, a wheel that picks another slot, or a loop
+that spends one more draw, fails there.
 """
 from __future__ import annotations
 
@@ -14,7 +18,25 @@ from typing import Sequence
 import numpy as np
 
 from metronet.errors import MetronetError
-from metronet.evolve import EvolutionHistory, GaConfig, GenerationRecord, roulette_wheel
+from metronet.evolve import EvolutionHistory, GaConfig, GenerationRecord
+
+
+def selection_weights(scores: Sequence[float]) -> np.ndarray:
+    """Shifted roulette weights: s - min(s) + eps, with eps = 1e-6 * (spread + 1)."""
+    values = np.asarray(scores, dtype=float)
+    lo, hi = values.min(), values.max()
+    return values - lo + 1e-6 * ((hi - lo) + 1.0)
+
+
+def roulette_wheel_reference(scores: Sequence[float]):
+    """``spin(rng)``: the slot ``np.searchsorted`` finds for one ``rng.random()``, clipped to the last."""
+    cum = np.cumsum(selection_weights(scores))
+    last = len(cum) - 1
+
+    def spin(rng) -> int:
+        return min(int(np.searchsorted(cum, rng.random() * cum[-1], side="right")), last)
+
+    return spin
 
 
 def run_reference(initial_population, fitness_fn, crossover_fn, mutation_fn, validator_fn,
@@ -65,7 +87,7 @@ def _breed_reference(population: list, scores: np.ndarray, config: GaConfig, rng
     ranked = sorted(range(n), key=lambda i: (-values[i], i))
     new_population = [population[i] for i in ranked[: config.elite_count]]
 
-    spin = roulette_wheel(scores)
+    spin = roulette_wheel_reference(scores)
     while len(new_population) < n:
         i = spin(rng)
         j = spin(rng)

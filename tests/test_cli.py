@@ -183,6 +183,8 @@ INVALID_SETTINGS = [
     ("--sigma", "1e-200"),
     ("--sigma", "1e-160"),
     ("--stage2-population-size", "1"),
+    # a generation is one 32-bit spawn-key word
+    ("--generations", str(2**32)),
     ("--stage2-seed", "-4"),
     ("--seed", "-4"),
     ("--seed", str(2**64)),
@@ -1240,6 +1242,20 @@ def test_mutated_inputs_exit_0_or_2(grid_inputs_dir, data):
         code = cli.main(argv)
     assert code in ((2,) if kind == "duplicate" else (0, 2))
     assert code == 0 or stderr.getvalue().startswith("error: ")
+
+
+def test_run_never_imports_numpy_ma(tmp_path):
+    """A plain ``np.unique(x)`` imports ``numpy.ma`` on its first call, which every run would pay."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    argv = ["run", "--boundaries", str(DATA_DIR / "selangor_boundary.geojson"),
+            "--densities", str(DATA_DIR / "selangor_densities.csv"),
+            "--generators", str(DATA_DIR / "selangor_generators.csv"), "--out", str(tmp_path / "out"), "--seed", "3"]
+    probe = ("import sys; from metronet import cli; code = cli.main(sys.argv[1:]); "
+             "print(code, 'numpy.ma' in sys.modules, file=sys.stderr)")
+    result = subprocess.run([sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True,
+                            check=True)
+    assert result.stderr.splitlines()[-1] == "0 False"
 
 
 def test_cli_import_needs_no_scipy():

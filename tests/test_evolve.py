@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_in_step, twin_draws
+from evolve_reference import selection_weights
 from metronet.errors import MetronetError
-from metronet.evolve import Draws, GaConfig, _breed, roulette_wheel, run, selection_weights
+from metronet.evolve import Draws, GaConfig, _breed, roulette_wheel, run, spawn_states
 
 
 class TestGaConfig:
@@ -28,6 +29,7 @@ class TestGaConfig:
         [
             {"population_size": 1},
             {"generations": 0},
+            {"generations": 2**32},
             {"elite_count": 50},
             {"crossover_rate": 1.5},
             {"mutation_rate": -0.1},
@@ -39,6 +41,10 @@ class TestGaConfig:
         # each message opens with the rejected field, which the CLI maps back to its key
         with pytest.raises(MetronetError, match=f"^{next(iter(kwargs))} must "):
             GaConfig(**kwargs)
+
+    def test_largest_generation_count(self):
+        # every generation is one 32-bit spawn-key word
+        assert GaConfig(generations=2**32 - 1).generations == 2**32 - 1
 
 
 # integers(n) bounds: the one-value range, small ones, the largest 32-bit range, the
@@ -57,9 +63,10 @@ draw_calls = st.one_of(
 scalar_calls = st.one_of(
     st.just(("random", None)),
     st.tuples(st.just("integers"), st.one_of(st.integers(1, 50), st.sampled_from([2**31 + 1, 2**32]))),
+    # a sized random, short or longer than a block of the default size
+    st.tuples(st.just("random"), st.one_of(st.integers(0, 4), st.integers(60, 140))),
 )
 forwarded_calls = st.one_of(
-    st.tuples(st.just("random"), st.integers(0, 4)),
     st.just(("normal", 2)),
     st.tuples(st.just("integers"), st.integers(2**32 + 1, 2**33)),
 )
@@ -126,6 +133,26 @@ class TestDraws:
             64744285871934355575467068743706361315, 1, 815794170)
         assert_in_step(draws, twin)
 
+    def test_sized_random_reads_ahead(self):
+        # a sized random takes the words read ahead, and reads only the ones it lacks
+        draws, twin = twin_draws(4, [None, 3])
+        unread = len(draws._words)
+        assert draws.random(5).tolist() == twin.random(5).tolist()
+        assert len(draws._words) == unread - 5
+        assert draws.random(unread + 3).tolist() == twin.random(unread + 3).tolist()
+        assert draws._words == []
+        assert_in_step(draws, twin)
+
+    def test_reseed_starts_afresh(self):
+        # a half word kept and words read ahead from the last seed are dropped
+        draws, _ = twin_draws(2, [None, 5])
+        assert draws._words and draws._half is not None
+        draws.reseed(*next(spawn_states(11, range(4, 5))))
+        twin = np.random.default_rng(np.random.SeedSequence(11, spawn_key=(4,)))
+        assert_in_step(draws, twin)
+        assert [draws.integers(7) for _ in range(5)] == [int(twin.integers(7)) for _ in range(5)]
+        assert_in_step(draws, twin)
+
     def test_one_value_range_draws_nothing(self):
         draws, twin = twin_draws(5, [7])  # a half word is kept and a block read ahead
         unread = list(draws._words)
@@ -144,6 +171,31 @@ class TestDraws:
             assert not hasattr(draws, name)
         with pytest.raises(TypeError, match="PCG64"):
             Draws(np.random.Generator(np.random.MT19937(0)))
+
+
+class TestSpawnStates:
+    """``spawn_states`` derives the PCG64 state that numpy's ``SeedSequence`` spawn seeds."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]), st.integers(0, 2**64 - 1)),
+           gen=st.one_of(st.sampled_from([1, 2**32 - 1]), st.integers(1, 2**32 - 1)))
+    def test_state_is_seed_sequence_spawn(self, seed, gen):
+        want = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(gen,))).state["state"]
+        assert next(spawn_states(seed, range(gen, gen + 1))) == (want["state"], want["inc"])
+
+    def test_blocks_follow_one_another(self):
+        # generations on both sides of a block boundary, in order, one state each
+        gens = range(1, 600)
+        states = list(spawn_states(3, gens))
+        assert len(states) == len(gens)
+        for gen in (1, 255, 256, 257, 512, 513, 599):
+            want = np.random.PCG64(np.random.SeedSequence(3, spawn_key=(gen,))).state["state"]
+            assert states[gen - 1] == (want["state"], want["inc"])
+
+    def test_golden_state(self):
+        # computed by numpy 2's SeedSequence and PCG64 at the largest seed and generation
+        assert next(spawn_states(2**64 - 1, range(2**32 - 1, 2**32))) == (
+            264778359351002590074925962590327347280, 61398168700816838276898557696010144803)
 
 
 class TestRouletteSelect:
@@ -416,7 +468,7 @@ class TestRun:
         # ties, -0.0 against 0.0 included, keep index order, as the key (-score, i) orders them
         n = len(scores)
         cfg = GaConfig(population_size=n, elite_count=data.draw(st.integers(0, n - 1)))
-        bred = _breed(list(range(n)), np.array(scores), cfg, Draws(np.random.default_rng(0)),
+        bred = _breed(list(range(n)), scores, cfg, Draws(np.random.default_rng(0)),
                       _crossover, _mutation, _identity)
         assert bred[:cfg.elite_count] == sorted(range(n), key=lambda i: (-scores[i], i))[:cfg.elite_count]
 
