@@ -267,8 +267,11 @@ def _read_stations(args: argparse.Namespace):
     if not args.stations:
         raise ParseError("optimize-lines requires --stations <stations.geojson>")
     station_points, _ = artifacts.read_stations_geojson(args.stations)
-    if len(station_points) < 2:
-        raise ParseError(f"{args.stations}: line layouts need >= 2 stations, got {len(station_points)}")
+    count = len(station_points)
+    if count < 2:
+        raise ParseError(f"{args.stations}: line layouts need >= 2 stations, got {count}")
+    if count > MAX_STATIONS:  # stage 2 holds n x n matrices of the stations
+        raise ParseError(f"{args.stations}: line layouts take at most {MAX_STATIONS} stations, got {count}")
     return station_points
 
 

@@ -1,7 +1,8 @@
 """Generic seeded genetic-algorithm engine with roulette selection and elitism.
 
-Genomes are opaque immutable values; problem modules supply fitness,
-crossover, mutation, and a validating repair hook.
+Genomes are opaque immutable values; problem modules supply the seeding of
+the initial population, fitness, crossover, mutation, and a validating
+repair hook.
 """
 from __future__ import annotations
 
@@ -143,16 +144,15 @@ def spawn_states(seed: int, gens: range) -> Iterator[tuple[int, int]]:
 
 
 class Draws:
-    """Random draws from one PCG64 ``Generator``: the values it gives, at less cost.
+    """Random draws from one PCG64 ``Generator`` that the sampler owns: the values it gives, at less cost.
 
-    ``random()`` and ``integers(n)`` take 64-bit words from a read-ahead list
-    that one ``random_raw(BLOCK)`` call fills, and apply numpy's own
-    arithmetic, so they return what the wrapped generator would, without a
-    numpy call per value:
+    ``Draws(state, inc)`` starts where PCG64 seeded at ``(state, inc)``
+    starts, as ``reseed`` does. ``random()`` and ``integers(n)`` take 64-bit
+    words from a read-ahead list that one ``random_raw(BLOCK)`` call fills,
+    and apply numpy's own arithmetic, so they return what the generator
+    would, without a numpy call per value:
 
-    - ``random()`` is ``(w >> 11) * 2**-53``, numpy's ``next_double``, and
-      ``random(size)`` applies it to the next ``size`` words in order, as
-      numpy fills the array.
+    - ``random()`` is ``(w >> 11) * 2**-53``, numpy's ``next_double``.
     - ``integers(n)`` is Lemire's method on 32-bit halves, numpy's draw for
       a range of at most 2**32: ``m = x * n``, drawn again while
       ``m & 0xFFFFFFFF < (2**32 - n) % n``, then ``m >> 32``. A fresh word
@@ -165,9 +165,9 @@ class Draws:
     next unread one. Reading ``generator`` rewinds it with
     ``advance(2**128 - unread)`` and empties the list; PCG64 advances modulo
     its period of 2**128, so the generator then stands exactly where the
-    per-value numpy calls would have left it. ``normal`` and a 64-bit
-    ``integers`` go to the generator through that rewind: they read whole
-    words and leave the half-word buffer alone.
+    per-value numpy calls would have left it. A sized ``random``,
+    ``normal`` and a 64-bit ``integers`` go to the generator through that
+    rewind: they read whole words and leave the half-word buffer alone.
 
     The sampler must be the generator's only consumer except through
     ``generator``, so it forwards nothing else; a ``choice``,
@@ -176,26 +176,19 @@ class Draws:
     """
 
     # words per random_raw call: a tiny_lines generation reads about 124 words, and 32-256
-    # time alike there; a stage-1 mutation rewinds, so a shorter block wastes less
+    # time alike there; a stage-1 child rewinds, so a shorter block wastes less
     BLOCK = 64
 
-    __slots__ = ("_generator", "_raw", "_block", "_words", "_half")
+    __slots__ = ("_generator", "_raw", "_words", "_half")
 
-    def __init__(self, generator: np.random.Generator):
-        if not isinstance(generator.bit_generator, np.random.PCG64):
-            raise TypeError("Draws reproduces PCG64's arithmetic only")
-        self._generator = generator
-        self._raw = generator.bit_generator.random_raw
-        # the last block read, whose last len(_words) entries are still unread, and those
-        # words as ints, the next one last so that pop() takes it
-        self._block = np.empty(0, dtype=np.uint64)
-        self._words: list[int] = []
-        # the half word kept for the next 32-bit draw: PCG64's uinteger while has_uint32
-        self._half: int | None = None
+    def __init__(self, state: int, inc: int):
+        self._generator = np.random.Generator(np.random.PCG64())  # reseed replaces its seed
+        self._raw = self._generator.bit_generator.random_raw
+        self.reseed(state, inc)
 
     @property
     def generator(self) -> np.random.Generator:
-        """The wrapped generator, rewound to the first word the sampler has not used."""
+        """The generator, rewound to the first word the sampler has not used."""
         unread = len(self._words)
         if unread:
             self._generator.bit_generator.advance(2**128 - unread)
@@ -206,13 +199,14 @@ class Draws:
         """Start over as a fresh generator seeded at PCG64 ``(state, inc)``: nothing read ahead, no half word kept."""
         self._generator.bit_generator.state = {
             "bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
-        self._words = []
-        self._half = None
+        # the words read ahead as ints, the next one last so that pop() takes it
+        self._words: list[int] = []
+        # the half word kept for the next 32-bit draw: PCG64's uinteger while has_uint32
+        self._half: int | None = None
 
     def _refill(self) -> int:
         """Read the next block of words and take its first."""
-        self._block = self._raw(self.BLOCK)
-        words = self._words = self._block.tolist()
+        words = self._words = self._raw(self.BLOCK).tolist()
         words.reverse()
         return words.pop()
 
@@ -220,18 +214,10 @@ class Draws:
         return self.generator.normal(loc, scale, size)
 
     def random(self, size: int | None = None):
+        if size is not None:
+            return self.generator.random(size)
         words = self._words
-        if size is None:
-            return ((words.pop() if words else self._refill()) >> 11) * 2.0**-53
-        unread = len(words)
-        start = len(self._block) - unread
-        if size > unread:
-            taken = np.concatenate((self._block[start:], self._raw(size - unread)))
-            words.clear()
-        else:
-            taken = self._block[start:start + size]
-            del words[unread - size:]
-        return (taken >> 11) * 2.0**-53
+        return ((words.pop() if words else self._refill()) >> 11) * 2.0**-53
 
     def integers(self, n: int) -> int:
         if n == 1:
@@ -277,7 +263,7 @@ def roulette_wheel(scores: Sequence[float]) -> Callable[[Draws | np.random.Gener
 
 
 def run(
-    initial_population: Sequence[G],
+    seed_population: Callable[[np.random.Generator], Sequence[G]],
     fitness_fn: FitnessFn,
     crossover_fn: CrossoverFn,
     mutation_fn: MutationFn,
@@ -285,16 +271,18 @@ def run(
     config: GaConfig,
     on_generation: GenerationHook | None = None,
 ) -> tuple[G, EvolutionHistory]:
-    """Evolve the population and return the best-ever genome plus its history.
+    """Evolve a seeded population and return the best-ever genome plus its history.
 
-    Each generation copies the elite_count best genomes unchanged, then fills
-    the rest with roulette-selected parents put through crossover (with
-    probability crossover_rate, else the fitter parent is cloned), mutation
-    (with probability mutation_rate), and the validating repair hook. The
-    validator restores only what crossover and mutation can break (stage 2
-    reconnects a split layout); a problem whose operators keep every
-    invariant, like stage 1, passes the identity. The initial population
-    must already hold every invariant: it does not go through the validator.
+    ``seed_population(rng)`` returns the initial population_size genomes,
+    drawn from ``rng``, which it must not keep. Each generation copies the
+    elite_count best genomes unchanged, then fills the rest with
+    roulette-selected parents put through crossover (with probability
+    crossover_rate, else the fitter parent is cloned), mutation (with
+    probability mutation_rate), and the validating repair hook. The validator
+    restores only what crossover and mutation can break (stage 2 reconnects a
+    split layout); a problem whose operators keep every invariant, like stage
+    1, passes the identity. The initial population must already hold every
+    invariant: it does not go through the validator.
 
     Genomes rank by one score, higher is better: the fitness, negated when
     minimizing. The history and ``on_generation`` see the fitness as returned.
@@ -303,11 +291,15 @@ def run(
     (rng_seed, generation), so results do not depend on how fitness
     evaluations are scheduled: the PCG64 state that
     ``SeedSequence(rng_seed, spawn_key=(generation,))`` seeds, which
-    ``spawn_states`` derives. One ``Draws`` serves the run and is re-seeded
-    at each generation; the selection, the rate tests and the operators all
-    draw from it.
+    ``spawn_states`` derives. One ``Draws`` serves the run: generation 0's
+    stream seeds the population through ``Draws.generator``, and the
+    sampler is re-seeded at each later generation, so what seeding drew
+    does not carry over; the selection, the rate tests and the operators
+    all draw from it.
     """
-    population = list(initial_population)
+    states = spawn_states(config.rng_seed, range(config.generations + 1))
+    draws = Draws(*next(states))
+    population = list(seed_population(draws.generator))
     n = config.population_size
     if len(population) != n:
         raise MetronetError(f"expected {n} genomes, got {len(population)}")
@@ -336,9 +328,7 @@ def run(
         return scores
 
     scores = evaluate(population, 0)
-    draws = Draws(np.random.default_rng(0))  # the seed is a placeholder: each generation sets the state
-    gens = range(1, config.generations + 1)
-    for gen, (state, inc) in zip(gens, spawn_states(config.rng_seed, gens)):
+    for gen, (state, inc) in enumerate(states, start=1):
         draws.reseed(state, inc)
         population = _breed(population, scores, config, draws, crossover_fn, mutation_fn, validator_fn)
         scores = evaluate(population, gen)

@@ -335,8 +335,6 @@ def optimize_lines(
     dist = station_distances(stations)
     s = np.asarray(serviced, dtype=float)
     ga = replace(config.ga, objective_sense="minimize")
-    init_rng = np.random.default_rng(np.random.SeedSequence(ga.rng_seed, spawn_key=(0,)))
-    initial = init_lines(dist, config.line_count, ga.population_size, init_rng)
 
     # Most children repeat a layout already seen, so both memos below do
     # their work once per distinct key. repair attaches at the nearest line
@@ -377,7 +375,7 @@ def optimize_lines(
         return mutate_line(genome, len(stations), rng)
 
     return evolve.run(
-        initial,
+        lambda rng: init_lines(dist, config.line_count, ga.population_size, rng),
         fitness,
         crossover_lines,
         mutation,

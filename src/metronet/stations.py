@@ -188,9 +188,6 @@ def optimize_stations(
     """Run the stage-1 GA; returns the best (K, 2) station array, its per-station coverage, and history."""
     config = config.sized(grid.total_population)
     ga = replace(config.ga, objective_sense="maximize")
-    init_rng = np.random.default_rng(np.random.SeedSequence(ga.rng_seed, spawn_key=(0,)))
-    initial = init_population(grid, districts, config.station_count, ga.population_size, init_rng)
-
     coverage_of = _coverage_of(grid, generators, config.coverage)
 
     def fitness(genome: np.ndarray) -> float:
@@ -205,7 +202,7 @@ def optimize_stations(
     # mutate resamples, then clamps onto the boundary, which point_in_region
     # accepts within SNAP_TOLERANCE_M; crossover only swaps coordinates.
     best, history = evolve.run(
-        initial,
+        lambda rng: init_population(grid, districts, config.station_count, ga.population_size, rng),
         fitness,
         crossover,
         mutation,

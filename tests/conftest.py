@@ -33,10 +33,11 @@ NO_GENERATORS = DemandPoints(*np.zeros((3, 0)))
 def twin_draws(seed, earlier=()):
     """A ``Draws`` and a plain ``Generator`` of one seed, each advanced by the same earlier draws.
 
-    ``earlier`` holds one ``integers`` bound per draw, or None for a ``random()``.
+    The sampler starts at the twin's PCG64 state. ``earlier`` holds one
+    ``integers`` bound per draw, or None for a ``random()``.
     """
-    draws = Draws(np.random.default_rng(seed))
     twin = np.random.default_rng(seed)
+    draws = Draws(**twin.bit_generator.state["state"])
     for bound in earlier:
         for rng in (draws, twin):
             rng.random() if bound is None else rng.integers(bound)

@@ -1,14 +1,15 @@
 """The GA engine as it was before ``evolve.Draws``, kept as a reference.
 
 ``run_reference`` is ``evolve.run`` with its breeding loop, copied unchanged
-but for their names, and with its own numpy pieces: each generation draws
-from a fresh ``default_rng(SeedSequence(rng_seed, spawn_key=(gen,)))``, one
-numpy call per value; the scores are numpy arrays; and the roulette wheel is
-``selection_weights``, ``np.cumsum`` and ``np.searchsorted``. The tests
-require ``evolve.run`` to give the same populations, fitnesses, histories
-and best genome, so a sampler that draws a different value, a derived seed
-state that differs from numpy's, a wheel that picks another slot, or a loop
-that spends one more draw, fails there.
+but for their names, and with its own numpy pieces: the seeding function
+and then each generation draw from a fresh
+``default_rng(SeedSequence(rng_seed, spawn_key=(gen,)))``, generation 0 for
+the seeding, one numpy call per value; the scores are numpy arrays; and the
+roulette wheel is ``selection_weights``, ``np.cumsum`` and
+``np.searchsorted``. The tests require ``evolve.run`` to give the same
+populations, fitnesses, histories and best genome, so a sampler that draws
+a different value, a derived seed state that differs from numpy's, a wheel
+that picks another slot, or a loop that spends one more draw, fails there.
 """
 from __future__ import annotations
 
@@ -39,9 +40,13 @@ def roulette_wheel_reference(scores: Sequence[float]):
     return spin
 
 
-def run_reference(initial_population, fitness_fn, crossover_fn, mutation_fn, validator_fn,
+def _stream(config: GaConfig, gen: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(config.rng_seed, spawn_key=(gen,)))
+
+
+def run_reference(seed_population, fitness_fn, crossover_fn, mutation_fn, validator_fn,
                   config: GaConfig, on_generation=None):
-    population = list(initial_population)
+    population = list(seed_population(_stream(config, 0)))
     n = config.population_size
     if len(population) != n:
         raise MetronetError(f"expected {n} genomes, got {len(population)}")
@@ -72,8 +77,8 @@ def run_reference(initial_population, fitness_fn, crossover_fn, mutation_fn, val
 
     scores = evaluate(population, 0)
     for gen in range(1, config.generations + 1):
-        rng = np.random.default_rng(np.random.SeedSequence(config.rng_seed, spawn_key=(gen,)))
-        population = _breed_reference(population, scores, config, rng, crossover_fn, mutation_fn, validator_fn)
+        population = _breed_reference(population, scores, config, _stream(config, gen),
+                                      crossover_fn, mutation_fn, validator_fn)
         scores = evaluate(population, gen)
 
     assert best_genome is not None

@@ -3,6 +3,7 @@ import contextlib
 import copy
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -25,7 +26,7 @@ from metronet.errors import MetronetError, ParseError
 from metronet.evolve import GaConfig
 from metronet.geomodel import PLANAR_BOUND_M, GeoPoint
 from metronet.lines import LineStageConfig
-from metronet.stations import StationStageConfig
+from metronet.stations import MAX_STATIONS, StationStageConfig
 
 from conftest import (
     DATA_DIR,
@@ -864,6 +865,19 @@ class TestStageCommands:
         assert capsys.readouterr().err == f"error: {stations_file}: line layouts need >= 2 stations, got 1\n"
         assert not out.exists()
 
+    def test_optimize_lines_past_max_stations_exit_2(self, tmp_path, region_files, capsys):
+        # stage 2 would hold n x n matrices of the stations: the file is refused before any is built
+        stations_file = tmp_path / "stations.geojson"
+        count = MAX_STATIONS + 1
+        xy = np.column_stack([np.linspace(-3000.0, 3000.0, count), np.zeros(count)])
+        artifacts.write_stations_geojson(stations_file, xy, np.ones(count), GeoPoint(3.0, 101.5))
+        out = tmp_path / "o"
+        code = cli.main(["optimize-lines", *base_args(region_files, out, ["--stations", str(stations_file)])])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {stations_file}: line layouts take at most {MAX_STATIONS} stations, got {count}\n")
+        assert not out.exists()
+
 
 def _station_value(key, literal):
     """An edit of stations.geojson text that sets feature 0's ``key`` to the raw JSON ``literal``."""
@@ -1069,6 +1083,36 @@ def data_run(tmp_path_factory):
     return out
 
 
+def test_default_run_pinned(tmp_path, capsys):
+    """``metronet run`` on tests/data with the defaults at seed 3, pinned end to end.
+
+    The pins hold the whole command-line path at once: both stages seeded
+    from generation 0 of their streams, stage 2 at ``seed + 1``, the stations
+    read back from ``stations.geojson``, and the coverage evaluated again for
+    stage 2. A change to any random draw, to the stage-2 seed, to the
+    round trip or to a coverage bit moves them.
+    """
+    out = tmp_path / "out"
+    code = cli.main([
+        "run",
+        "--boundaries", str(DATA_DIR / "selangor_boundary.geojson"),
+        "--densities", str(DATA_DIR / "selangor_densities.csv"),
+        "--generators", str(DATA_DIR / "selangor_generators.csv"),
+        "--out", str(out), "--seed", "3",
+    ])
+    assert code == 0
+    assert capsys.readouterr().out == (
+        "stage1_best_fitness = 628216.3940570421\nstage2_best_fitness = 2064396389445.408\n")
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()[:16]
+               for name in ("stations.geojson", "lines.geojson", "history_stage1.csv", "history_stage2.csv")}
+    assert digests == {
+        "stations.geojson": "4c4cdb981825f820",
+        "lines.geojson": "d235690c42608efa",
+        "history_stage1.csv": "d517ce57f8a31257",
+        "history_stage2.csv": "bf7f962fffd7fb93",
+    }
+
+
 @pytest.fixture(scope="module")
 def round_trip_inputs(tmp_path_factory):
     """The region_files inputs, written once for the module."""
@@ -1259,9 +1303,13 @@ def test_run_never_imports_numpy_ma(tmp_path):
 
 
 def test_cli_import_needs_no_scipy():
-    """numpy is the only runtime dependency; scipy must never be imported."""
+    """numpy is the only runtime dependency; scipy must never be imported.
+
+    Importing the CLI does not import ``numpy.random`` either: only a GA run
+    needs it, and its import costs every command about 15 ms and 6 MB.
+    """
     src = Path(cli.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    probe = "import sys, metronet.cli; print('scipy' in sys.modules)"
+    probe = "import sys, metronet.cli; print('scipy' in sys.modules, 'numpy.random' in sys.modules)"
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "False False"

@@ -602,7 +602,6 @@ class TestOptimizeLines:
 
         dist = station_distances(stations)
         ga = replace(cfg.ga, objective_sense="minimize")
-        init_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
         reconnected = []
 
         def plain_repair(genome):
@@ -611,7 +610,7 @@ class TestOptimizeLines:
             return out
 
         want_best, want_history = evolve.run(
-            init_lines(dist, cfg.line_count, ga.population_size, init_rng),
+            lambda rng: init_lines(dist, cfg.line_count, ga.population_size, rng),
             lambda g: line_fitness(g, stations, s, penalty).value,
             crossover_lines,
             lambda g, r: mutate_line(g, len(stations), r),
