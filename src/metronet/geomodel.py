@@ -237,11 +237,27 @@ def shoelace_area(ring: np.ndarray) -> float:
     return float(0.5 * np.sum(x * y2 - x2 * y))
 
 
-# Point x edge entries per block of the even-odd test, unless the points
-# alone are more. 64 KB float temporaries stay below glibc's 128 KB mmap
-# threshold; at 16,384 entries the peak RSS of a run on 500-vertex
-# districts rose by about 0.4 MB.
+# Point x edge entries per block of the even-odd test, unless the points alone
+# are more; rasterize's lattice row x edge chunks too. 64 KB float temporaries
+# stay below glibc's 128 KB mmap threshold; at 16,384 entries the peak RSS of
+# a run on 500-vertex districts rose by about 0.4 MB.
 _CONTAIN_BLOCK = 8_192
+
+
+def _edge_crossings(ys: np.ndarray, edge_columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each edge has exactly one end above the line at each y, and where it crosses that line.
+
+    ``edge_columns`` is the x1, y1, x2, y2 of non-horizontal edges, four arrays that broadcast against ``ys``.
+    A crossing is (x2 - x1) * (y - y1) / (y2 - y1) + x1, updated in place: one float temporary.
+    """
+    ex1, ey1, ex2, ey2 = edge_columns
+    straddles = ey1 > ys
+    straddles ^= ey2 > ys
+    cross_x = ys - ey1
+    cross_x *= ex2 - ex1
+    cross_x /= ey2 - ey1
+    cross_x += ex1
+    return straddles, cross_x
 
 
 def points_in_rings(xs: np.ndarray, ys: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -257,14 +273,7 @@ def points_in_rings(xs: np.ndarray, ys: np.ndarray, edges: np.ndarray) -> np.nda
     inside = np.zeros(len(xs), dtype=bool)
     step = max(1, _CONTAIN_BLOCK // max(1, len(xs)))
     for e0 in range(0, len(edges), step):
-        ex1, ey1, ex2, ey2 = (edges[e0:e0 + step, j, None] for j in range(4))
-        straddles = ey1 > ys
-        straddles ^= ey2 > ys
-        # (x2 - x1) * (y - y1) / (y2 - y1) + x1, updated in place: one float temporary
-        cross_x = ys - ey1
-        cross_x *= ex2 - ex1
-        cross_x /= ey2 - ey1
-        cross_x += ex1
+        straddles, cross_x = _edge_crossings(ys, edges[e0:e0 + step].T[:, :, None])  # edges x points
         hits = xs < cross_x
         hits &= straddles
         inside ^= np.logical_xor.reduce(hits, axis=0)
@@ -362,7 +371,7 @@ def _geo_rings_of_feature(geometry: dict, where: str) -> list[list[np.ndarray]]:
         for ring in poly:
             if not isinstance(ring, list):
                 raise ParseError(f"{where}: ring {ring!r:.60} is not a list of vertices")
-            lon_lat = np.array([_lon_lat(vertex, where) for vertex in ring], dtype=float).reshape(-1, 2)
+            lon_lat = _ring_lon_lat(ring, where)
             if len(lon_lat) > 1 and (lon_lat[0] == lon_lat[-1]).all():  # the closing vertex repeats the first
                 lon_lat = lon_lat[:-1]
             bad = lon_lat[~(np.abs(lon_lat) <= (180.0, 90.0)).all(axis=1)]  # a NaN is out of range too
@@ -381,6 +390,17 @@ def json_number(value: object) -> float:
         except OverflowError:
             pass
     raise ValueError(f"expected a number that fits a float, got {type(value).__name__}")
+
+
+def _ring_lon_lat(ring: list, where: str) -> np.ndarray:
+    """A GeoJSON ring as (N, 2) lon, lat rows: at once if each vertex is two ints or floats, else vertex by vertex."""
+    if (set(map(type, ring)) <= {list} and set(map(len, ring)) <= {2}
+            and {type(c) for vertex in ring for c in vertex} <= {int, float}):
+        try:
+            return np.array(ring, dtype=float).reshape(-1, 2)
+        except OverflowError:
+            pass
+    return np.array([_lon_lat(vertex, where) for vertex in ring], dtype=float).reshape(-1, 2)
 
 
 def _lon_lat(vertex: object, where: str) -> tuple[float, float]:
@@ -555,6 +575,9 @@ def rasterize(districts: Sequence[District], cell_size: float) -> DemandGrid:
     its population is density * cell area. Zero-population cells are dropped;
     ``DemandGrid`` raises ``MetronetError`` when none is left. A lattice of more
     than ``MAX_GRID_CELLS`` cells raises MetronetError before it is allocated.
+
+    Lattice rows near a district are scanned a chunk at a time: each row's edge crossings are computed once, as
+    ``points_in_rings`` computes them, and a centroid is inside when an odd number of them lie to its right.
     """
     check_cell_size(cell_size)
     if not districts:
@@ -567,23 +590,29 @@ def rasterize(districts: Sequence[District], cell_size: float) -> DemandGrid:
     if nx * ny > MAX_GRID_CELLS:
         raise MetronetError(f"cell_size={cell_size!r} gives {nx * ny:.4g} lattice cells, over {MAX_GRID_CELLS:,}")
     nx, ny = int(nx), int(ny)
-    cx = xmin + (np.arange(nx) + 0.5) * cell_size
+    cx = xmin + (np.arange(nx) + 0.5) * cell_size  # both ascending, so a box of centroids is a block of the lattice
     cy = ymin + (np.arange(ny) + 0.5) * cell_size
-    gx, gy = np.meshgrid(cx, cy)
-    gx, gy = gx.ravel(), gy.ravel()
 
     cell_km2 = (cell_size / 1000.0) ** 2
-    pop = np.zeros(len(gx))
+    pop = np.zeros((ny, nx))
     for d in districts:
         if d.density == 0:
             continue
         bx0, by0, bx1, by1 = d.bounds
-        cand = (gx >= bx0 - cell_size) & (gx <= bx1 + cell_size) & (gy >= by0 - cell_size) & (gy <= by1 + cell_size)
-        idx = np.nonzero(cand)[0]
-        if len(idx) == 0:
-            continue
-        hits = points_in_rings(gx[idx], gy[idx], d.crossing_edges)
-        pop[idx[hits]] += d.density * cell_km2
+        c0, c1 = int(np.searchsorted(cx, bx0 - cell_size, "left")), int(np.searchsorted(cx, bx1 + cell_size, "right"))
+        r0, r1 = int(np.searchsorted(cy, by0 - cell_size, "left")), int(np.searchsorted(cy, by1 + cell_size, "right"))
+        step = _CONTAIN_BLOCK // len(d.crossing_edges) or 1
+        for a in range(r0, r1, step):
+            chunk = slice(a, min(a + step, r1))
+            straddles, cross_x = _edge_crossings(cy[chunk, None], d.crossing_edges.T)  # rows x edges
+            row = np.nonzero(straddles)[0]  # the row of each crossing, in row order
+            counts = np.bincount(row, minlength=len(straddles))
+            col = np.arange(len(row)) - np.repeat(np.cumsum(counts) - counts, counts)  # its place in its row
+            crossings = np.full((len(counts), counts.max()), -np.inf)  # each row's crossings, then -inf
+            crossings[row, col] = cross_x[straddles]
+            inside = np.logical_xor.reduce(cx[c0:c1] < crossings[:, :, None], axis=1)
+            np.add(pop[chunk, c0:c1], d.density * cell_km2, out=pop[chunk, c0:c1], where=inside)
 
     keep = pop > 0
-    return DemandGrid(gx[keep], gy[keep], pop[keep], cell_size)
+    rows, cols = np.nonzero(keep)
+    return DemandGrid(cx[cols], cy[rows], pop[keep], cell_size)

@@ -1,6 +1,7 @@
 """Projection, loading, and rasterization tests."""
 import json
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -31,6 +32,8 @@ from metronet.geomodel import (
     union_bounds,
     unproject,
 )
+
+from stage1_reference import rasterize_reference
 
 from conftest import (
     DATA_DIR,
@@ -291,6 +294,46 @@ def test_loaded_rings_equal_per_vertex_projection(star_files_dir, district):
             assert not got.flags.writeable
 
 
+def per_vertex_ring(ring, where):
+    """A GeoJSON ring read one vertex at a time: the reference for ``geomodel._ring_lon_lat``."""
+    return np.array([geomodel._lon_lat(vertex, where) for vertex in ring], dtype=float).reshape(-1, 2)
+
+
+def circle_ring(n):
+    """A closed GeoJSON ring of ``n`` vertices on a circle around 101.5 E, 3.0 N."""
+    ring = [[101.5 + 0.1 * math.cos(2 * math.pi * k / n), 3.0 + 0.1 * math.sin(2 * math.pi * k / n)] for k in range(n)]
+    return ring + [ring[0]]
+
+
+class TestRingParsing:
+    @pytest.mark.parametrize("big", [2**53 + 1, 2**63, 2**64 + 1, 10**300])
+    def test_big_ints_convert_as_float_does(self, big):
+        ring = json.loads(json.dumps([[big, 3.0], [101.5, big], [big, -big], [1, 2.5]]))
+        whole = np.array(ring, dtype=float)  # the one conversion of the fast path
+        assert whole.tobytes() == per_vertex_ring(ring, "w").tobytes()
+        assert geomodel._ring_lon_lat(ring, "w").tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("bad", [
+        [True, 3.0], [101.5, False], ["101.5", 3.0], None, [None, 3.0], [101.5, 3.0, 0.0],
+        [2**1024, 3.0], [101.5, -(2**1030)], [math.nan, 3.0], [101.5, math.inf],
+    ])
+    def test_a_bad_vertex_mid_ring_gives_the_per_vertex_error(self, bad):
+        ring = circle_ring(500)
+        ring[250], ring[400] = bad, [200.0, 3.0]  # the first bad vertex is the one named
+        geometry = json.loads(json.dumps({"type": "Polygon", "coordinates": [ring]}))  # NaN and Infinity too
+        with pytest.raises(ParseError) as fast:
+            geomodel._geo_rings_of_feature(geometry, "feature 0")
+        with mock.patch.object(geomodel, "_ring_lon_lat", per_vertex_ring):
+            with pytest.raises(ParseError) as slow:
+                geomodel._geo_rings_of_feature(geometry, "feature 0")
+        assert str(fast.value) == str(slow.value)
+        assert f"vertex {bad!r:.60}" in str(fast.value)
+
+    def test_a_good_ring_reads_as_vertex_by_vertex(self):
+        ring = json.loads(json.dumps(circle_ring(500)[:-1] + [[101, 3], [101.5, 2]]))
+        assert geomodel._ring_lon_lat(ring, "w").tobytes() == per_vertex_ring(ring, "w").tobytes()
+
+
 # Documents every GeoJSON reader rejects, with the message each must give.
 MALFORMED_COLLECTIONS = {
     "not_a_collection": (json.dumps({"type": "Feature", "properties": {}, "geometry": None}),
@@ -424,7 +467,7 @@ class TestRasterize:
         # a 10 km square holds 1e8 cells at 1 m, 1e608 (inf as a float) at 1e-300, and an
         # infinite count at the smallest subnormal
         d = rect_district("ten", 0.0, 0.0, 10_000.0, 10_000.0, 100.0)
-        monkeypatch.setattr(np, "meshgrid", mock.Mock(side_effect=AssertionError("lattice allocated")))
+        monkeypatch.setattr(np, "zeros", mock.Mock(side_effect=AssertionError("lattice allocated")))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(MetronetError, match=rf"cell_size={cell_size!r} gives .* lattice cells"):
@@ -480,6 +523,29 @@ class TestRasterize:
         grid = rasterize([empty, full], 500.0)
         assert np.all(grid.population > 0)
         assert np.all(grid.x > 0)  # only cells in the populated half remain
+
+
+def wiggly_star(cx, cy, n=500, radius=1650.0):
+    """A star-shaped district of ``n`` vertices, its radius modulated by a few harmonics."""
+    t = 2 * np.pi * np.arange(n) / n
+    r = radius * (1.0 + 0.04 * np.sin(3 * t + 1.0) + 0.03 * np.sin(17 * t) + 0.02 * np.sin(41 * t + 2.0))
+    ring = np.column_stack([cx + r * np.cos(t), cy + r * np.sin(t)])
+    return District(f"star{cx:+.0f}{cy:+.0f}", (PlanarPolygon(ring),), 2000.0)
+
+
+def test_raster_peak_memory_no_higher_than_reference():
+    districts = [wiggly_star(5000.0 * i, 5000.0 * j) for j in range(2) for i in range(4)]
+    rasterize(districts, 1000.0)  # fill every district's cached edges and bounds first
+
+    def peak(rasterizer):
+        tracemalloc.start()
+        try:
+            rasterizer(districts, 20.0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(rasterize) <= peak(rasterize_reference)
 
 
 class TestPointHelpers:
@@ -571,10 +637,68 @@ class TestNearestBoundaryPoint:
         assert dist == pytest.approx(math.hypot(1e9 - 3000.0, 2e8 - 500.0), rel=1e-15)
 
 
+def comb_district(cell, teeth, base_rows, tooth_rows, density):
+    """A comb of ``teeth`` 250 m teeth standing on a bar, lowest of all raster test shapes.
+
+    Its bottom is y = -4500 and every vertex height is a lattice row centroid
+    height when the comb sets the lattice's minimum y, so rows run exactly
+    through vertices. A row through the teeth straddles 2 * ``teeth`` edges.
+    """
+    x0, y0, w = -3000.0, -4500.0, 250.0
+    base, top = y0 + (base_rows + 0.5) * cell, y0 + (base_rows + tooth_rows + 0.5) * cell
+    ring = [(x0, y0), (x0 + (2 * teeth - 1) * w, y0)]
+    for i in reversed(range(teeth)):
+        right, left = x0 + (2 * i + 1) * w, x0 + 2 * i * w
+        ring += [(right, top), (left, top)] + ([(left, base)] if i else [])
+    return District("comb", (PlanarPolygon(np.array(ring)),), density)
+
+
+def zigzag_pair(xs, density_west, density_east):
+    """Two districts above the star shapes that share every edge of a zigzag from y = 4000 to y = 6000."""
+    zig = [(float(x), 4000.0 + 2000.0 * k / (len(xs) - 1)) for k, x in enumerate(xs)]
+    west = np.array([(-3000.0, 6000.0), (-3000.0, 4000.0), *zig])
+    east = np.array([(3000.0, 4000.0), (3000.0, 6000.0), *zig[::-1]])
+    return (District("west", (PlanarPolygon(west),), density_west),
+            District("east", (PlanarPolygon(east),), density_east))
+
+
+DENSITIES = st.sampled_from([0.0, 777.7, 1000.0, 3141.59])
+
+
+@st.composite
+def raster_cases(draw):
+    """A star district, the districts rasterized with it, in drawn order, and a cell size.
+
+    The star may have holes and two parts. With it may come a comb whose rows
+    run through its vertices and straddle 10 or more edges, and two districts
+    sharing a zigzag edge. Any district but the star may have zero density.
+    """
+    star = draw(star_districts())
+    cell = draw(st.sampled_from([20.0, 50.0, 97.0, 250.0]))
+    districts = [star]
+    if draw(st.booleans()):
+        rows = draw(st.integers(0, 1)), draw(st.integers(1, 3))
+        districts.append(comb_district(cell, draw(st.integers(5, 12)), *rows, draw(DENSITIES)))
+    if draw(st.booleans()):
+        xs = draw(st.lists(st.integers(-2500, 2500), min_size=2, max_size=12))
+        districts += zigzag_pair(xs, draw(DENSITIES), draw(DENSITIES))
+    return star, draw(st.permutations(districts)), cell
+
+
+def raster_or_error(rasterizer, districts, cell):
+    """The grid's x, y and population, or the message of the MetronetError raised for an empty grid."""
+    try:
+        grid = rasterizer(districts, cell)
+    except MetronetError as exc:  # overlapping parts cancel under even-odd, so the grid may be empty
+        return str(exc)
+    return grid.x, grid.y, grid.population
+
+
 class TestContainmentMatchesPerEdgeLoop:
-    @given(district=star_districts(), data=st.data())
+    @given(case=raster_cases(), data=st.data())
     @settings(max_examples=60, deadline=None)
-    def test_points_district_and_raster_match(self, district, data):
+    def test_points_district_and_raster_match(self, case, data):
+        district, districts, cell = case
         xmin, ymin, xmax, ymax = district.bounds
         rings = rings_of(district)
         vertices = np.concatenate(rings)
@@ -598,19 +722,26 @@ class TestContainmentMatchesPerEdgeLoop:
             got, dist = nearest_boundary_point(p, [district])
             assert (tuple(got.tolist()), dist) == reference_nearest_boundary_point(p, [district])
 
-        cell = data.draw(st.sampled_from([97.0, 250.0]))
+        # small blocks put chunk boundaries between rows, and chunks of rows that straddle no edge
+        with mock.patch.object(geomodel, "_CONTAIN_BLOCK", data.draw(st.sampled_from([1, 50, 8_192]))):
+            got = raster_or_error(rasterize, districts, cell)
+        want = raster_or_error(rasterize_reference, districts, cell)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert not isinstance(got, str)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
-        def raster():
-            # overlapping parts cancel under even-odd, so the grid may be empty
-            try:
-                grid = rasterize([district], cell)
-            except MetronetError:
-                return None
-            return grid.x.tolist(), grid.y.tolist(), grid.population.tolist()
-
-        got = raster()
-        with mock.patch.object(geomodel, "points_in_rings", per_edge_crossings):
-            assert got == raster()
+    def test_comb_rows_run_through_vertices_and_straddle_many_edges(self):
+        cell = 50.0
+        comb = comb_district(cell, 5, 1, 2, 1000.0)
+        cy = comb.bounds[1] + (np.arange(40) + 0.5) * cell  # the lattice's row centroids
+        assert set(comb.edges[:, 1].tolist()) <= set(cy.tolist()) | {comb.bounds[1]}
+        tooth_row = comb.bounds[1] + 2.5 * cell
+        edges = comb.crossing_edges
+        assert int(np.sum((edges[:, 1] > tooth_row) != (edges[:, 3] > tooth_row))) == 10
+        west, east = zigzag_pair([-100, 200, 0], 1000.0, 2000.0)
+        assert {tuple(e) for e in west.edges[2:4, :]} == {(e[2], e[3], e[0], e[1]) for e in east.edges[2:4, :]}
 
     def test_bounds_prefilter_is_exact_at_the_box(self):
         d = rect_district("box", -1000.0, -1000.0, 1000.0, 1000.0, 10.0)
