@@ -3,6 +3,9 @@ import csv
 import heapq
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
+import metronet
 from metronet.errors import MetronetError
 from metronet.evolve import Draws
 from metronet.geomodel import (
@@ -22,12 +26,24 @@ from metronet.geomodel import (
 
 DATA_DIR = Path(__file__).parent / "data"
 
+# The directory the metronet under test was imported from, so that a child process runs the same code.
+SRC = Path(metronet.__file__).resolve().parents[1]
+
 # Symmetric about the planar origin so the recomputed bbox-center origin of
 # written GeoJSON matches the origin used to generate it.
 FIXTURE_ORIGIN = GeoPoint(3.0, 101.5)
 
 # What the command line passes for demand when no generators file is given.
 NO_GENERATORS = DemandPoints(*np.zeros((3, 0)))
+
+
+def run_python(*args: str, flags=(), env=None) -> subprocess.CompletedProcess:
+    """Run ``sys.executable`` with ``flags`` and ``args``, SRC first on PYTHONPATH and ``env`` added; it must exit 0."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, *flags, *args], env={**os.environ, **(env or {}), "PYTHONPATH": path},
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return result
 
 
 def twin_draws(seed, earlier=()):
@@ -128,6 +144,29 @@ def write_malformed_region(tmp_path: Path, geometry: dict):
     doc = json.loads(boundaries.read_text())
     doc["features"][1]["geometry"] = geometry
     boundaries.write_text(json.dumps(doc))
+    return boundaries, densities
+
+
+def write_star_district(tmp_path: Path):
+    """Boundaries and densities of one district: a 2,000-vertex star ring around a hole, plus a second part.
+
+    Its raster rows cross many edges, unlike tests/data's rectangle. At 50 m it has 44,286 cells.
+    """
+    def ring(lon, lat, radius, n, wiggle):
+        pts = []
+        for k in range(n):
+            t = 2 * math.pi * k / n
+            r = radius * (1 + wiggle * math.sin(7 * t) + 0.3 * wiggle * math.sin(113 * t))
+            pts.append([lon + r * math.cos(t), lat + r * math.sin(t)])
+        return pts + [pts[0]]
+
+    parts = [[ring(101.5, 3.0, 0.05, 2000, 0.2), ring(101.5, 3.0, 0.01, 40, 0.0)], [ring(101.62, 3.0, 0.02, 60, 0.1)]]
+    feature = {"type": "Feature", "properties": {"district_id": "star"},
+               "geometry": {"type": "MultiPolygon", "coordinates": parts}}
+    boundaries = tmp_path / "star.geojson"
+    densities = tmp_path / "star_densities.csv"
+    boundaries.write_text(json.dumps({"type": "FeatureCollection", "features": [feature]}))
+    densities.write_text("district_id,density_per_km2\nstar,3000\n")
     return boundaries, densities
 
 

@@ -7,10 +7,7 @@ import hashlib
 import io
 import json
 import math
-import os
 import re
-import subprocess
-import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -31,6 +28,7 @@ from metronet.stations import MAX_STATIONS, StationStageConfig
 from conftest import (
     DATA_DIR,
     MALFORMED_GEOMETRIES,
+    run_python,
     write_generator_file,
     write_malformed_region,
     write_region_files,
@@ -479,13 +477,19 @@ class TestGridCommand:
         assert capsys.readouterr().err == f"error: {region_files['densities']}\0: embedded null byte\n"
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("shape", sorted(MALFORMED_GEOMETRIES))
+    # a FeatureCollection without features has no coordinates at all
+    @pytest.mark.parametrize("shape", [*sorted(MALFORMED_GEOMETRIES), "no_features"])
     def test_malformed_coordinates_exit_2(self, tmp_path, capsys, shape):
-        boundaries, densities = write_malformed_region(tmp_path, MALFORMED_GEOMETRIES[shape])
+        boundaries, densities = write_malformed_region(tmp_path, MALFORMED_GEOMETRIES.get(shape))
+        message = "feature 1: "
+        if shape == "no_features":
+            boundaries.write_text(json.dumps({"type": "FeatureCollection", "features": []}))
+            message = "expected a non-empty FeatureCollection\n"
         argv = ["grid", "--boundaries", str(boundaries), "--densities", str(densities), "--out", str(tmp_path / "o")]
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {boundaries}: feature 1: ")
+        assert err.startswith(f"error: {boundaries}: {message}")
+        assert not (tmp_path / "o").exists()
 
     def test_duplicate_district_id_exit_2(self, tmp_path, capsys):
         doc = json.loads((DATA_DIR / "selangor_boundary.geojson").read_text())
@@ -500,14 +504,19 @@ class TestGridCommand:
         assert err.startswith("error: ")
         assert f"feature {len(doc['features']) - 1}: district_id {district_id!r} repeats feature 0" in err
 
-    @pytest.mark.parametrize("cell_size", ["1", "5e-324"])
-    def test_lattice_too_large_exit_2(self, tmp_path, capsys, cell_size):
+    # a cell larger than the region leaves no populated cell, the other end of the range
+    @pytest.mark.parametrize("cell_size, message", [
+        ("1", "error: cell_size=1.0 gives "),
+        ("5e-324", "error: cell_size=5e-324 gives "),
+        ("10000000", "error: no populated cell at cell_size=10000000.0\n"),
+    ], ids=["1", "5e-324", "10000000"])
+    def test_lattice_too_large_exit_2(self, tmp_path, capsys, cell_size, message):
         argv = ["grid", "--boundaries", str(DATA_DIR / "selangor_boundary.geojson"),
                 "--densities", str(DATA_DIR / "selangor_densities.csv"),
                 "--out", str(tmp_path / "o"), "--cell-size", cell_size]
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: cell_size={float(cell_size)!r} gives ") and "Traceback" not in err
+        assert err.startswith(message) and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("density", ["inf", "-inf", "nan"])
@@ -1290,16 +1299,12 @@ def test_mutated_inputs_exit_0_or_2(grid_inputs_dir, data):
 
 def test_run_never_imports_numpy_ma(tmp_path):
     """A plain ``np.unique(x)`` imports ``numpy.ma`` on its first call, which every run would pay."""
-    src = Path(cli.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
     argv = ["run", "--boundaries", str(DATA_DIR / "selangor_boundary.geojson"),
             "--densities", str(DATA_DIR / "selangor_densities.csv"),
             "--generators", str(DATA_DIR / "selangor_generators.csv"), "--out", str(tmp_path / "out"), "--seed", "3"]
     probe = ("import sys; from metronet import cli; code = cli.main(sys.argv[1:]); "
              "print(code, 'numpy.ma' in sys.modules, file=sys.stderr)")
-    result = subprocess.run([sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True,
-                            check=True)
-    assert result.stderr.splitlines()[-1] == "0 False"
+    assert run_python("-c", probe, *argv).stderr.splitlines()[-1] == "0 False"
 
 
 def test_cli_import_needs_no_scipy():
@@ -1308,8 +1313,5 @@ def test_cli_import_needs_no_scipy():
     Importing the CLI does not import ``numpy.random`` either: only a GA run
     needs it, and its import costs every command about 15 ms and 6 MB.
     """
-    src = Path(cli.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
     probe = "import sys, metronet.cli; print('scipy' in sys.modules, 'numpy.random' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "False False"
+    assert run_python("-c", probe).stdout.strip() == "False False"

@@ -5,16 +5,9 @@ its rounding, and with it a GA's choices, can change with the host's core
 count. The program uses numpy reductions only, whose order is fixed.
 """
 import ast
-import os
-import subprocess
-import sys
-from pathlib import Path
 
-from metronet import cli
+from conftest import DATA_DIR, SRC, run_python
 
-from conftest import DATA_DIR
-
-SRC = Path(cli.__file__).resolve().parents[1]
 BLAS_CALLS = {"dot", "vdot", "inner", "matmul", "tensordot"}
 ARTIFACTS = ("stations.geojson", "lines.geojson", "history_stage1.csv", "history_stage2.csv")
 
@@ -52,21 +45,14 @@ def test_artifacts_identical_at_one_and_two_blas_threads(tmp_path):
     outs = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads_{threads}"
-        env = {
-            **os.environ,
-            "OPENBLAS_NUM_THREADS": threads,
-            "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])),
-        }
-        subprocess.run(
-            [
-                sys.executable, "-m", "metronet.cli", "run",
-                "--boundaries", str(DATA_DIR / "selangor_boundary.geojson"),
-                "--densities", str(DATA_DIR / "selangor_densities.csv"),
-                "--generators", str(DATA_DIR / "selangor_generators.csv"),
-                "--out", str(out),
-                "--population-size", "10", "--generations", "3", "--seed", "3",
-            ],
-            env=env, capture_output=True, text=True, check=True,
+        run_python(
+            "-m", "metronet.cli", "run",
+            "--boundaries", str(DATA_DIR / "selangor_boundary.geojson"),
+            "--densities", str(DATA_DIR / "selangor_densities.csv"),
+            "--generators", str(DATA_DIR / "selangor_generators.csv"),
+            "--out", str(out),
+            "--population-size", "10", "--generations", "3", "--seed", "3",
+            env={"OPENBLAS_NUM_THREADS": threads},
         )
         outs.append(out)
     mismatched = [name for name in ARTIFACTS if (outs[0] / name).read_bytes() != (outs[1] / name).read_bytes()]
