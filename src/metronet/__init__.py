@@ -24,7 +24,7 @@ from .lines import LineFitness, LineStageConfig, optimize_lines
 from .netgraph import LineNetwork
 from .stations import StationStageConfig, optimize_stations
 
-__version__ = "0.1.0"
+__version__ = "0.1.0"  # [project] version in pyproject.toml, which a test holds it to
 
 __all__ = [
     "CoverageParams",

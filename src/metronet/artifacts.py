@@ -8,11 +8,13 @@ from __future__ import annotations
 
 import csv
 import json
+import platform
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from . import __version__
 from .errors import ParseError
 from .geomodel import PLANAR_BOUND_M, DemandGrid, GeoPoint, json_number, read_feature_collection, unproject
 from .lines import Layout
@@ -120,8 +122,14 @@ def write_grid_csv(path: Path, grid: DemandGrid) -> None:
 
 def write_manifest(path: Path, entries: Sequence[tuple[str, str]],
                    results: Sequence[tuple[str, str]] = ()) -> None:
-    """Write the resolved configuration; the file is itself loadable via --config."""
-    out = ["# metronet run manifest (reusable as a --config file)"]
+    """Write the resolved configuration; the file is itself loadable via --config.
+
+    ``#`` lines record the versions that ran and the results, and the loader skips them.
+    """
+    out = ["# metronet run manifest (reusable as a --config file)",
+           f"# metronet_version = {__version__}",
+           f"# python_version = {platform.python_version()}",
+           f"# numpy_version = {np.__version__}"]
     out += [f"{key} = {value}" for key, value in entries]
     out += [f"# result_{key} = {value}" for key, value in results]
     Path(path).write_text("\n".join(out) + "\n")

@@ -9,6 +9,8 @@ have defaults of their own here.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import re
 import sys
 from dataclasses import dataclass, replace
@@ -18,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import artifacts, coverage, lines, netgraph, stations
+from . import __version__, artifacts, coverage, lines, netgraph, stations
 from .coverage import CoverageParams
 from .errors import InvalidLayout, MetronetError, ParseError
 from .evolve import GaConfig
@@ -252,14 +254,23 @@ def _grid(cfg, region, grid, generators, _extra, artifact) -> list[tuple[str, ob
     return summary
 
 
-def _optimize_stations(cfg, region, grid, generators, _extra, artifact) -> list[tuple[str, str]]:
-    """Stage 1 only: station placement."""
+def _stage1(cfg, region, grid, generators, artifact) -> list[tuple[str, str]]:
+    """Station placement: writes the stations and their history, returns the stage-1 result."""
     best, serviced, history = stations.optimize_stations(grid, generators, region.districts, cfg.stage1)
     artifacts.write_stations_geojson(artifact("stations.geojson"), best, serviced, region.origin)
     history.write_csv(artifact("history_stage1.csv"))
-    results = [("stage1_best_fitness", repr(float(serviced.sum())))]
+    return [("stage1_best_fitness", repr(float(serviced.sum())))]
+
+
+def _with_manifest(cfg, results, artifact) -> list[tuple[str, str]]:
+    """Write ``manifest.txt`` holding the settings and ``results``; return ``results``."""
     artifacts.write_manifest(artifact("manifest.txt"), _manifest_entries(cfg), results)
     return results
+
+
+def _optimize_stations(cfg, region, grid, generators, _extra, artifact) -> list[tuple[str, str]]:
+    """Stage 1 only: station placement."""
+    return _with_manifest(cfg, _stage1(cfg, region, grid, generators, artifact), artifact)
 
 
 def _read_stations(args: argparse.Namespace):
@@ -286,12 +297,11 @@ def _optimize_lines(cfg, region, grid, generators, station_points, artifact) -> 
 
 
 def _run(cfg, region, grid, generators, _extra, artifact) -> list[tuple[str, str]]:
-    """Full pipeline: optimize-stations, then optimize-lines on the stations it wrote."""
-    results = _optimize_stations(cfg, region, grid, generators, None, artifact)
+    """Full pipeline: stage 1, then optimize-lines on the stations it wrote, then one manifest."""
+    results = _stage1(cfg, region, grid, generators, artifact)
     station_points, _ = artifacts.read_stations_geojson(cfg.out / "stations.geojson")
     results += _optimize_lines(cfg, region, grid, generators, station_points, artifact)
-    artifacts.write_manifest(artifact("manifest.txt"), _manifest_entries(cfg), results)
-    return results
+    return _with_manifest(cfg, results, artifact)
 
 
 def validate_artifacts(stations_file: Path, lines_file: Path) -> None:
@@ -341,6 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="metronet",
         description="Design a metro network from geospatial demand data with a two-stage GA.",
     )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     flags = _config_flags()
     _add_config_command(sub, flags, "grid", "rasterize the region into a demand grid", _grid)
@@ -360,6 +371,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    # The interpreter's last collection at exit would free numpy's and
+    # metronet's import-time objects one by one, about 20 ms that the OS
+    # reclaims anyway: freezing them at exit makes it skip them. Nothing is
+    # frozen while the process runs, and repeated calls register once.
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     args = build_parser().parse_args(argv)
     return args.func(args)
 

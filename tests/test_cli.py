@@ -1,12 +1,15 @@
 """CLI tests: config resolution, subcommands, artifacts, exit codes."""
+import atexit
 import contextlib
 import copy
 import csv
 import dataclasses
+import gc
 import hashlib
 import io
 import json
 import math
+import platform
 import re
 import tempfile
 import warnings
@@ -17,6 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import metronet
 from metronet import artifacts, cli
 from metronet.coverage import SIGMA_HARD_MAX, SIGMA_HARD_MIN, CoverageParams
 from metronet.errors import MetronetError, ParseError
@@ -754,6 +758,26 @@ class TestRunCommand:
         for artifact in ("stations.geojson", "lines.geojson", "history_stage1.csv", "history_stage2.csv"):
             assert (out1 / artifact).read_bytes() == (out2 / artifact).read_bytes()
 
+    def test_manifest_written_once_with_versions(self, tmp_path, region_files, monkeypatch):
+        """``run`` writes its manifest once, after both stages; ``#`` lines name the versions that ran."""
+        written, write_manifest = [], artifacts.write_manifest
+
+        def counted(path, *args):
+            written.append(path)
+            write_manifest(path, *args)
+
+        monkeypatch.setattr(artifacts, "write_manifest", counted)
+        out = tmp_path / "out"
+        assert cli.main(["run", *base_args(region_files, out, ["--station-count", "3", "--line-count", "2",
+                                                               "--population-size", "6", "--generations", "2"])]) == 0
+        assert written == [out / "manifest.txt"]
+        manifest = (out / "manifest.txt").read_text().splitlines()
+        assert manifest[1:4] == [f"# metronet_version = {metronet.__version__}",
+                                 f"# python_version = {platform.python_version()}",
+                                 f"# numpy_version = {np.__version__}"]
+        assert [line.partition(" = ")[0] for line in manifest[-2:]] == [
+            "# result_stage1_best_fitness", "# result_stage2_best_fitness"]
+
     @pytest.mark.parametrize("key, value", [("out", "runs #3"), ("densities", "d.csv "), ("generators", "g\n.csv")])
     def test_unreplayable_path_exit_2(self, tmp_path, region_files, capsys, key, value):
         files = dict(region_files)
@@ -1298,13 +1322,50 @@ def test_mutated_inputs_exit_0_or_2(grid_inputs_dir, data):
 
 
 def test_run_never_imports_numpy_ma(tmp_path):
-    """A plain ``np.unique(x)`` imports ``numpy.ma`` on its first call, which every run would pay."""
+    """A plain ``np.unique(x)`` imports ``numpy.ma`` on its first call, which every run would pay.
+
+    The same child checks the exit policy: nothing is frozen when ``main``
+    returns, and the probe's own exit hook, registered first and so run
+    last, sees the heap frozen by the ``gc.freeze`` that ``main`` registered.
+    """
     argv = ["run", "--boundaries", str(DATA_DIR / "selangor_boundary.geojson"),
             "--densities", str(DATA_DIR / "selangor_densities.csv"),
             "--generators", str(DATA_DIR / "selangor_generators.csv"), "--out", str(tmp_path / "out"), "--seed", "3"]
-    probe = ("import sys; from metronet import cli; code = cli.main(sys.argv[1:]); "
-             "print(code, 'numpy.ma' in sys.modules, file=sys.stderr)")
-    assert run_python("-c", probe, *argv).stderr.splitlines()[-1] == "0 False"
+    probe = ("import atexit, gc, sys; from metronet import cli; "
+             "atexit.register(lambda: print(gc.get_freeze_count() > 0, file=sys.stderr)); "
+             "code = cli.main(sys.argv[1:]); "
+             "print(code, 'numpy.ma' in sys.modules, gc.get_freeze_count(), file=sys.stderr)")
+    assert run_python("-c", probe, *argv).stderr.splitlines()[-2:] == ["0 False 0", "True"]
+
+
+def test_main_registers_one_exit_freeze(tmp_path, region_files, monkeypatch):
+    """Repeated ``main`` calls leave one ``gc.freeze`` registered at exit, and none freezes anything itself.
+
+    The registry stands in for ``atexit``'s, whose slot count does not fall when a handler is unregistered.
+    """
+    registered = []
+
+    def unregister(fn):
+        registered[:] = [f for f in registered if f != fn]
+
+    monkeypatch.setattr(atexit, "register", registered.append)
+    monkeypatch.setattr(atexit, "unregister", unregister)
+    frozen = gc.get_freeze_count()
+    for name in ("one", "two"):
+        assert cli.main(["grid", *base_args(region_files, tmp_path / name)]) == 0
+        assert gc.get_freeze_count() == frozen
+    assert registered == [gc.freeze]
+
+
+def test_version_is_the_project_version(capsys):
+    """``metronet --version`` prints ``__version__``, which is ``[project] version`` in pyproject.toml."""
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    declared = re.search(r'^\[project\]\n(?:(?!\[).*\n)*?version\s*=\s*"([^"]+)"', pyproject, re.M).group(1)
+    assert metronet.__version__ == declared
+    with pytest.raises(SystemExit) as exited:
+        cli.main(["--version"])
+    assert exited.value.code == 0
+    assert capsys.readouterr().out == f"metronet {declared}\n"
 
 
 def test_cli_import_needs_no_scipy():
