@@ -52,18 +52,28 @@ class LineStageConfig:
             )
 
 
+def _canonical(genome: Layout) -> Layout:
+    """The layout's track set: each line from its smaller end, the lines sorted."""
+    return tuple(sorted([min(line, line[::-1]) for line in genome]))
+
+
 def line_fitness(genome: Layout, stations: np.ndarray,
                  serviced: Sequence[float], transfer_penalty_m: float = 0.0) -> LineFitness:
     """Sum over unordered station pairs of d_ij * (s_i + s_j); ``stations`` is an (N, 2) array.
 
-    Only connected layouts have a cost: ``repair`` keeps every GA genome
-    connected, and a layout that leaves some station unreachable raises
-    ``InvalidLayout``.
+    The cost is a function of the track set: it prices the canonical form,
+    so reversing or reordering lines keeps its bits. Only connected layouts
+    have a cost: ``repair`` keeps every GA genome connected, and a layout
+    that leaves some station unreachable raises ``InvalidLayout``.
     """
     s = np.asarray(serviced, dtype=float)
     if len(s) != len(stations):
         raise MetronetError(f"serviced counts ({len(s)}) must match stations ({len(stations)})")
-    net = netgraph.build(genome, stations)
+    try:
+        net = netgraph.build(_canonical(genome), stations)
+    except InvalidLayout:
+        netgraph.build(genome, stations)  # raises again, numbering the lines as the caller does
+        raise
     d = netgraph.all_pairs_distances(net, transfer_penalty_m=transfer_penalty_m)
     if not np.isfinite(d).all():
         raise InvalidLayout("line layout leaves some station unreachable")
@@ -339,13 +349,9 @@ def optimize_lines(
     # Most children repeat a layout already seen, so both memos below do
     # their work once per distinct key. repair attaches at the nearest line
     # end, so its output depends on orientation: it is keyed on the genome
-    # itself. A line and its reverse are the same track, and line order does
-    # not matter, so fitness is priced once per canonical layout; the first
-    # orientation seen prices it (another may differ in the last bits). The
-    # fitness memo holds each value under the canonical layout and under the
-    # layout as drawn, which skips building the canonical key for a layout
-    # seen as it is. A canonical layout is its own canonical form, so the two
-    # keys never disagree.
+    # itself. Fitness is a function of the track set, so its memo holds each
+    # value under the canonical layout and under the layout as drawn, which
+    # skips building the canonical key for a layout seen as it is.
     repaired: dict[Layout, Layout] = {}
     fitnesses: dict[Layout, float] = {}
 
@@ -361,7 +367,7 @@ def optimize_lines(
     def fitness(genome: Layout) -> float:
         value = fitnesses.get(genome)
         if value is None:
-            key = tuple(sorted([min(line, line[::-1]) for line in genome]))
+            key = _canonical(genome)
             value = fitnesses.get(key)
             if value is None:
                 value = line_fitness(genome, stations, s, config.transfer_penalty_m).value

@@ -22,6 +22,7 @@ from .geomodel import (
 
 _MAX_OFFSET_TRIES = 16
 _MAX_JITTER_TRIES = 8
+_CACHE_LIMIT = 200_000
 # Stage 2 holds n x n float matrices: 32 MB each at this count.
 MAX_STATIONS = 2_000
 
@@ -159,16 +160,18 @@ def _coverage_of(
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Per-station coverage of a station array, memoized per (x, y) coordinate in sum mode.
 
-    A sum-mode share depends only on the station's own coordinate, so each
-    coordinate is evaluated once and the shares are assembled from the memo;
-    they equal ``coverage.evaluate`` of the whole array bit for bit. Nearest
-    mode is not separable and evaluates every array in full.
+    A sum-mode share depends only on the station's own coordinate, so a
+    coordinate is evaluated once while the memo holds it; the shares equal
+    ``coverage.evaluate`` of the whole array bit for bit, cleared or not.
+    Nearest mode is not separable and evaluates every array in full.
     """
     if params.mode != "sum":
         return lambda stations: coverage.evaluate(stations, grid, generators, params)
     shares: dict[tuple[float, float], float] = {}
 
     def per_station(stations: np.ndarray) -> np.ndarray:
+        if len(shares) >= _CACHE_LIMIT:
+            shares.clear()
         points = [tuple(p) for p in stations.tolist()]
         missing = list(dict.fromkeys(p for p in points if p not in shares))
         if missing:

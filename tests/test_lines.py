@@ -68,6 +68,26 @@ SIXTY_BEST = (
 )
 
 
+def pinned_instance(instance, seed, transfer_penalty_m=0.0):
+    """Stations, serviced counts and stage-2 config of a ``test_random_stream_pinned`` instance."""
+    if instance == "sixty":  # 60 stations on 5 lines over 3 generations
+        rng = np.random.default_rng(89)
+        stations = rng.uniform(-20000, 20000, (60, 2))
+        s = rng.uniform(100, 1000, 60)
+        cfg = LineStageConfig(line_count=5, ga=GaConfig(population_size=20, generations=3, rng_seed=seed))
+    elif instance == "criterion4":  # the acceptance test's stations, over 20 generations
+        rng = np.random.default_rng(77)
+        stations = rng.uniform(-5000, 5000, (5, 2))
+        s = [float(v) for v in rng.uniform(100.0, 2000.0, 5)]
+        cfg = LineStageConfig(line_count=1, ga=GaConfig(population_size=40, generations=20, rng_seed=seed))
+    else:  # 8 stations on 3 lines
+        rng = np.random.default_rng(23)
+        stations = rng.uniform(-5000, 5000, (8, 2))
+        s = rng.uniform(100, 1000, 8)
+        cfg = LineStageConfig(line_count=3, ga=GaConfig(population_size=20, generations=20, rng_seed=seed))
+    return stations, s, replace(cfg, transfer_penalty_m=transfer_penalty_m)
+
+
 class ScriptedRng:
     """Replays queued ``integers`` draws so operator examples are checked verbatim.
 
@@ -139,6 +159,20 @@ class TestLineFitness:
             else:
                 with pytest.raises(InvalidLayout, match="unreachable"):
                     line_fitness(genome, stations, s, penalty)
+
+    @settings(max_examples=200, deadline=None)
+    @given(layouts(), st.data())
+    def test_cost_is_a_function_of_the_track_set(self, layout, data):
+        """Reversing any lines and reordering them leaves the cost bit-identical."""
+        n, stations, lines = layout
+        # repair joins the drawn lines into one network, so lines share stations
+        genome = repair(tuple(map(tuple, lines)), station_distances(stations))
+        s = data.draw(st.lists(st.floats(0.0, 1e6, allow_subnormal=False), min_size=n, max_size=n))
+        flips = data.draw(st.lists(st.booleans(), min_size=len(genome), max_size=len(genome)))
+        order = data.draw(st.permutations(range(len(genome))))
+        drawn = tuple(genome[i][::-1] if flips[i] else genome[i] for i in order)
+        for penalty in (0.0, 300.0):
+            assert line_fitness(drawn, stations, s, penalty) == line_fitness(genome, stations, s, penalty)
 
 
 class TestMutationOperators:
@@ -320,12 +354,14 @@ class TestRepair:
     @pytest.mark.parametrize("line, error", [((0, 1, 0, 2), "line 0: loop, station 0 visited twice"),
                                              ((0,), "line 0 has 1 station")])
     def test_broken_line_left_for_fitness_to_reject(self, line, error):
-        # repair only reconnects; netgraph.build owns the per-line checks
+        # repair only reconnects; netgraph.build owns the per-line checks. The
+        # error names the line as the caller numbers it, though line_fitness
+        # prices the sorted layout, which puts the broken line first in both
         stations = pts((0, 0), (1000, 0), (2000, 0))
-        genome = (line, (0, 1, 2))
-        assert repair(genome, station_distances(stations)) is genome
-        with pytest.raises(InvalidLayout, match=error):
-            line_fitness(genome, stations, [1.0, 1.0, 1.0])
+        for genome, index in [((line, (0, 1, 2)), "line 0"), (((0, 1, 2), line), "line 1")]:
+            assert repair(genome, station_distances(stations)) is genome
+            with pytest.raises(InvalidLayout, match=error.replace("line 0", index)):
+                line_fitness(genome, stations, [1.0, 1.0, 1.0])
 
     @pytest.mark.parametrize("seed", range(20))
     def test_idempotent_on_random_genomes(self, seed):
@@ -621,15 +657,12 @@ class TestOptimizeLines:
         assert best == want_best
         assert history.records == want_history.records
 
-    @pytest.mark.parametrize("penalty", [0.0, 300.0])
+    @pytest.mark.parametrize("instance, penalty", [("eight", 0.0), ("eight", 300.0), ("sixty", 0.0), ("sixty", 300.0)],
+                             ids=["0.0", "300.0", "sixty", "sixty_penalty"])
     @pytest.mark.parametrize("limit", [1, 2, 3])
-    def test_memo_limits_change_nothing(self, monkeypatch, limit, penalty):
+    def test_memo_limits_change_nothing(self, monkeypatch, limit, instance, penalty):
         """Memos that fill and clear every few layouts give the same run."""
-        rng = np.random.default_rng(23)
-        stations = pts(*rng.uniform(-5000, 5000, (8, 2)))
-        s = rng.uniform(100, 1000, 8)
-        cfg = LineStageConfig(line_count=3, transfer_penalty_m=penalty,
-                              ga=GaConfig(population_size=20, generations=20, rng_seed=1))
+        stations, s, cfg = pinned_instance(instance, 1, penalty)
         want = optimize_lines(stations, s, cfg)
         monkeypatch.setattr(lines_module, "_CACHE_LIMIT", limit)
         assert optimize_lines(stations, s, cfg) == want
@@ -655,22 +688,8 @@ class TestOptimizeLines:
         ("sixty_penalty", 1, SIXTY_BEST[2], "517ace92058e75ca"),
     ])
     def test_random_stream_pinned(self, instance, seed, want_best, want_digest):
-        if instance.startswith("sixty"):  # 60 stations on 5 lines over 3 generations, 300 m per transfer or none
-            rng = np.random.default_rng(89)
-            stations = rng.uniform(-20000, 20000, (60, 2))
-            s = rng.uniform(100, 1000, 60)
-            cfg = LineStageConfig(line_count=5, transfer_penalty_m=300.0 if instance == "sixty_penalty" else 0.0,
-                                  ga=GaConfig(population_size=20, generations=3, rng_seed=seed))
-        elif instance == "criterion4":  # the acceptance test's stations, over 20 generations
-            rng = np.random.default_rng(77)
-            stations = rng.uniform(-5000, 5000, (5, 2))
-            s = [float(v) for v in rng.uniform(100.0, 2000.0, 5)]
-            cfg = LineStageConfig(line_count=1, ga=GaConfig(population_size=40, generations=20, rng_seed=seed))
-        else:  # 8 stations on 3 lines
-            rng = np.random.default_rng(23)
-            stations = rng.uniform(-5000, 5000, (8, 2))
-            s = rng.uniform(100, 1000, 8)
-            cfg = LineStageConfig(line_count=3, ga=GaConfig(population_size=20, generations=20, rng_seed=seed))
+        penalty = 300.0 if instance == "sixty_penalty" else 0.0
+        stations, s, cfg = pinned_instance(instance.removesuffix("_penalty"), seed, penalty)
         digest = hashlib.sha256()
 
         def record(gen, population, fits):

@@ -7,6 +7,7 @@ Every ``lines.geojson`` a row writes must pass ``validate`` against the
 stations it was built on.
 """
 import contextlib
+import csv
 import io
 import json
 import os
@@ -131,11 +132,18 @@ def test_scenario_reproduces_and_validates(runs, row):
     for name in row.compare:
         assert (child / row.name / name).read_bytes() == (here / row.name / name).read_bytes(), name
     stations = None
-    for k in range(len(row.steps)):
+    for k, (_, stdout, _) in enumerate(printed[row.name]):
         step = here / row.name / str(k)
         stations = step / "stations.geojson" if (step / "stations.geojson").exists() else stations
         if (step / "lines.geojson").exists():
             assert cli.main(["validate", str(stations), str(step / "lines.geojson")]) == 0
+        # the printed best is the history's best, digit for digit
+        keys = dict(line.split(" = ") for line in stdout.splitlines())
+        for stage, best in (("stage1", max), ("stage2", min)):
+            if (step / f"history_{stage}.csv").exists():
+                with (step / f"history_{stage}.csv").open() as fh:
+                    column = [record["best_fitness"] for record in csv.DictReader(fh)]
+                assert keys[f"{stage}_best_fitness"] == best(column, key=float), (k, stage)
 
 
 def test_star_district_cells(runs):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metronet import coverage
+from metronet import stations as stations_module
 from metronet.coverage import CoverageParams, evaluate
 from metronet.errors import MetronetError
 from metronet.evolve import GaConfig
@@ -314,6 +315,30 @@ class TestMemoizedCoverage:
         )
         assert max(Counter(computed).values()) == 1
         assert set(computed) == genomes_seen
+
+    @pytest.mark.parametrize("limit", [1, 2, 3])
+    def test_memo_limits_change_nothing(self, monkeypatch, instance, limit):
+        """A memo that fills and clears every few coordinates gives the same run."""
+        grid, generators, districts = instance
+        cfg = StationStageConfig(
+            station_count=6,
+            ga=GaConfig(population_size=12, generations=6, mutation_rate=0.6, rng_seed=4),
+        )
+        want_best, want_serviced, want_history = optimize_stations(grid, generators, districts, cfg)
+        computed = []
+        original = coverage.evaluate
+
+        def counting(points, *args):
+            computed.extend(map(tuple, points.tolist()))
+            return original(points, *args)
+
+        monkeypatch.setattr(coverage, "evaluate", counting)
+        monkeypatch.setattr(stations_module, "_CACHE_LIMIT", limit)
+        best, serviced, history = optimize_stations(grid, generators, districts, cfg)
+        assert max(Counter(computed).values()) > 1  # cleared coordinates were evaluated again
+        assert np.array_equal(best, want_best)
+        assert np.array_equal(serviced, want_serviced)
+        assert history.records == want_history.records
 
 
 # Digests of each seed's initial population, best stations and the best
