@@ -330,12 +330,21 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _config_flags() -> argparse.ArgumentParser:
-    """A parent parser holding ``--config`` and one flag per config key, shared by the config subcommands."""
+    """A parent parser holding ``--config`` and one flag per config key, shared by the config subcommands.
+
+    Each flag's help names its type and the value ``resolve_config`` gives
+    the key when nothing is set, the value the manifest records.
+    """
+    defaults = dict(_manifest_entries(resolve_config(argparse.Namespace())))
     flags = argparse.ArgumentParser(add_help=False)
     flags.add_argument("--config", type=Path, default=None, help="key = value config file")
     for key, caster in ALL_KEYS.items():
-        flag = "--" + key.replace("_", "-")
-        flags.add_argument(flag, dest=key, type=caster, default=None, help=argparse.SUPPRESS)
+        name = key.replace("_", "-")
+        note = f"default: {defaults.get(key, 'unset')}"
+        if key in _GA_KEYS:
+            note = f"sets --stage1-{name} and --stage2-{name} where unset"
+            note += " (stage 2 takes seed + 1)" if key == "seed" else ""
+        flags.add_argument("--" + name, dest=key, type=caster, default=None, help=f"{caster.__name__}; {note}")
     return flags
 
 

@@ -41,7 +41,7 @@ class CoverageParams:
             warnings.warn(
                 f"sigma={self.sigma} m is outside the usual access range "
                 f"[{SIGMA_SOFT_MIN:g}, {SIGMA_SOFT_MAX:g}] m",
-                stacklevel=2,
+                stacklevel=3,  # the caller of the generated __init__
             )
         if self.mode not in ("sum", "nearest"):
             raise MetronetError(f"mode must be 'sum' or 'nearest', got {self.mode!r}")

@@ -12,6 +12,7 @@ instead of shifting every layout.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache, partial
 from typing import Sequence
 
 import numpy as np
@@ -346,36 +347,13 @@ def optimize_lines(
     s = np.asarray(serviced, dtype=float)
     ga = replace(config.ga, objective_sense="minimize")
 
-    # Most children repeat a layout already seen, so both memos below do
-    # their work once per distinct key. repair attaches at the nearest line
-    # end, so its output depends on orientation: it is keyed on the genome
-    # itself. Fitness is a function of the track set, so its memo holds each
-    # value under the canonical layout and under the layout as drawn, which
-    # skips building the canonical key for a layout seen as it is.
-    repaired: dict[Layout, Layout] = {}
-    fitnesses: dict[Layout, float] = {}
-
-    def validator(genome: Layout) -> Layout:
-        hit = repaired.get(genome)
-        if hit is None:
-            if len(repaired) >= _CACHE_LIMIT:
-                repaired.clear()
-            hit = repair(genome, dist)
-            repaired[genome] = hit
-        return hit
-
-    def fitness(genome: Layout) -> float:
-        value = fitnesses.get(genome)
-        if value is None:
-            key = _canonical(genome)
-            value = fitnesses.get(key)
-            if value is None:
-                value = line_fitness(genome, stations, s, config.transfer_penalty_m).value
-            if len(fitnesses) >= _CACHE_LIMIT:
-                fitnesses.clear()
-            fitnesses[key] = value
-            fitnesses[genome] = value
-        return value
+    # Most children repeat a layout already seen. repair depends on
+    # orientation, so it is cached on the genome as drawn; the cost is
+    # cached on the track set, behind an as-drawn cache that skips building
+    # the canonical key for a layout seen as it is.
+    validator = lru_cache(_CACHE_LIMIT)(partial(repair, dist=dist))
+    price = lru_cache(_CACHE_LIMIT)(lambda key: line_fitness(key, stations, s, config.transfer_penalty_m).value)
+    fitness = lru_cache(_CACHE_LIMIT)(lambda genome: price(_canonical(genome)))
 
     def mutation(genome: Layout, rng: Draws) -> Layout:
         return mutate_line(genome, len(stations), rng)

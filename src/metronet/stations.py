@@ -163,6 +163,8 @@ def _coverage_of(
     A sum-mode share depends only on the station's own coordinate, so a
     coordinate is evaluated once while the memo holds it; the shares equal
     ``coverage.evaluate`` of the whole array bit for bit, cleared or not.
+    The memo is a dict, not a per-key ``lru_cache``, because a genome's
+    missing coordinates go to ``coverage.evaluate`` in one batch.
     Nearest mode is not separable and evaluates every array in full.
     """
     if params.mode != "sum":

@@ -1368,6 +1368,20 @@ def test_version_is_the_project_version(capsys):
     assert capsys.readouterr().out == f"metronet {declared}\n"
 
 
+def test_run_help_lists_every_setting(capsys):
+    """``run --help`` names every key's flag with its type, and the defaults are the config classes'."""
+    with pytest.raises(SystemExit) as exited:
+        cli.main(["run", "--help"])
+    assert exited.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for key, caster in cli.ALL_KEYS.items():
+        assert f"--{key.replace('_', '-')} {key.upper()} {caster.__name__}; " in text
+    assert f"--sigma SIGMA float; default: {CoverageParams().sigma} " in text
+    assert f"--line-count LINE_COUNT int; default: {LineStageConfig().line_count} " in text
+    assert f"--stage1-seed STAGE1_SEED int; default: {GaConfig().rng_seed} " in text
+    assert f"--stage2-seed STAGE2_SEED int; default: {GaConfig().rng_seed + 1}" in text
+
+
 def test_cli_import_needs_no_scipy():
     """numpy is the only runtime dependency; scipy must never be imported.
 

@@ -74,10 +74,10 @@ class TestParams:
             CoverageParams(sigma=800.0)
 
     def test_outside_range_warns(self):
-        with pytest.warns(UserWarning):
-            CoverageParams(sigma=399.0)
-        with pytest.warns(UserWarning):
-            CoverageParams(sigma=3001.0)
+        for sigma in (399.0, 3001.0):
+            with pytest.warns(UserWarning) as record:
+                CoverageParams(sigma=sigma)
+            assert record[0].filename == __file__  # names the caller, not the generated __init__
 
     def test_bad_mode(self):
         with pytest.raises(MetronetError):

@@ -1,6 +1,7 @@
 """Line-layout stage tests: fitness, the six mutations, repair, small optimizations."""
 import hashlib
 import math
+from collections import Counter
 from dataclasses import replace
 from itertools import combinations, permutations
 
@@ -17,6 +18,7 @@ from metronet.evolve import GaConfig
 from metronet.geomodel import PLANAR_BOUND_M, station_distances
 from metronet.lines import (
     LineStageConfig,
+    _canonical,
     _draw_two,
     add_station,
     crossover_lines,
@@ -86,6 +88,43 @@ def pinned_instance(instance, seed, transfer_penalty_m=0.0):
         s = rng.uniform(100, 1000, 8)
         cfg = LineStageConfig(line_count=3, ga=GaConfig(population_size=20, generations=20, rng_seed=seed))
     return stations, s, replace(cfg, transfer_penalty_m=transfer_penalty_m)
+
+
+def counted_optimize_lines(monkeypatch, stations, s, cfg):
+    """``optimize_lines``' result and, in call order, what its GA handed the validator, what
+    ``repair`` computed for it, what the GA scored, and the track sets ``line_fitness`` priced.
+    """
+    children, repaired, scored, priced = [], [], [], []
+    validating = []
+    real_run, real_repair, real_fitness = evolve.run, lines_module.repair, lines_module.line_fitness
+
+    def run(init_fn, fitness_fn, crossover_fn, mutation_fn, validator_fn, *args, **kwargs):
+        def validator(genome):
+            children.append(genome)
+            validating.append(genome)
+            try:
+                return validator_fn(genome)
+            finally:
+                validating.pop()
+
+        return real_run(init_fn, lambda g: scored.append(g) or fitness_fn(g),
+                        crossover_fn, mutation_fn, validator, *args, **kwargs)
+
+    def counted_repair(genome, *args, **kwargs):
+        if validating:  # init_lines repairs its chains directly
+            repaired.append(genome)
+        return real_repair(genome, *args, **kwargs)
+
+    def counted_fitness(genome, *args):
+        priced.append(_canonical(genome))
+        return real_fitness(genome, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(evolve, "run", run)
+        patch.setattr(lines_module, "repair", counted_repair)
+        patch.setattr(lines_module, "line_fitness", counted_fitness)
+        result = optimize_lines(stations, s, cfg)
+    return result, children, repaired, scored, priced
 
 
 class ScriptedRng:
@@ -661,11 +700,16 @@ class TestOptimizeLines:
                              ids=["0.0", "300.0", "sixty", "sixty_penalty"])
     @pytest.mark.parametrize("limit", [1, 2, 3])
     def test_memo_limits_change_nothing(self, monkeypatch, limit, instance, penalty):
-        """Memos that fill and clear every few layouts give the same run."""
+        """Memos that evict every few layouts give the same run, though they recompute."""
         stations, s, cfg = pinned_instance(instance, 1, penalty)
-        want = optimize_lines(stations, s, cfg)
+        want, children, repaired, scored, priced = counted_optimize_lines(monkeypatch, stations, s, cfg)
+        assert max(Counter(repaired).values()) == 1 and set(repaired) == set(children)
+        assert max(Counter(priced).values()) == 1 and set(priced) == set(map(_canonical, scored))
         monkeypatch.setattr(lines_module, "_CACHE_LIMIT", limit)
-        assert optimize_lines(stations, s, cfg) == want
+        got, _, repaired, _, priced = counted_optimize_lines(monkeypatch, stations, s, cfg)
+        # an evicted child was repaired again, or an evicted track set priced again
+        assert max(Counter(repaired).values()) > 1 or max(Counter(priced).values()) > 1
+        assert got == want
 
     # Each seed's best layout and a digest of every generation's population,
     # recorded while the operators still drew positions with rng.choice (the
