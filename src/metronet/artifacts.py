@@ -21,7 +21,7 @@ from .lines import Layout
 
 
 def _dump_geojson(path: Path, doc: dict) -> None:
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
 def write_stations_geojson(path: Path, stations: np.ndarray, serviced: np.ndarray,
@@ -113,7 +113,7 @@ def read_lines_geojson(path: Path) -> Layout:
 
 
 def write_grid_csv(path: Path, grid: DemandGrid) -> None:
-    with Path(path).open("w", newline="") as fh:
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "y", "population"])
         for cx, cy, pop in zip(grid.x, grid.y, grid.population):
@@ -132,4 +132,4 @@ def write_manifest(path: Path, entries: Sequence[tuple[str, str]],
            f"# numpy_version = {np.__version__}"]
     out += [f"{key} = {value}" for key, value in entries]
     out += [f"# result_{key} = {value}" for key, value in results]
-    Path(path).write_text("\n".join(out) + "\n")
+    Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")

@@ -14,6 +14,7 @@ import gc
 import re
 import sys
 from dataclasses import dataclass, replace
+from functools import partial
 from operator import attrgetter
 from pathlib import Path
 from typing import Sequence
@@ -90,10 +91,11 @@ def load_config_file(path: Path) -> dict[str, object]:
     """Parse a flat key = value file; '#' at line start or after whitespace starts a comment."""
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     values: dict[str, object] = {}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw)
         if not line:
@@ -104,6 +106,9 @@ def load_config_file(path: Path) -> dict[str, object]:
             raise ParseError(f"{path}: line {lineno}: expected 'key = value'")
         if key not in ALL_KEYS:
             raise ParseError(f"{path}: line {lineno}: unknown key {key!r}")
+        if key in first_line:  # a later line would otherwise silently replace the first
+            raise ParseError(f"{path}: line {lineno}: key {key!r} repeats line {first_line[key]}")
+        first_line[key] = lineno
         try:
             values[key] = ALL_KEYS[key](value)
         except ValueError as exc:
@@ -217,17 +222,20 @@ def _drive(args: argparse.Namespace) -> int:
     """Run one config command: resolve and load, then its body.
 
     A rejection (``MetronetError``) while resolving or loading exits 2, and
-    any other error there propagates. The body writes its files through
-    ``artifact(name)`` and returns the (key, value) pairs to print; any error
-    in it exits 3 and removes the files it had opened.
+    any other error there propagates. The commands that place stations size
+    an omitted station_count here, before any file is written. The body
+    writes its files through ``artifact(name)`` and returns the (key, value)
+    pairs to print; an error in it removes the files it had opened and exits
+    2 for a ``ParseError``, an input file at fault, or 3 for any other error.
     """
     try:
         cfg = resolve_config(args)
         region, grid, generators = _load_inputs(cfg)
-        cfg = replace(cfg, stage1=cfg.stage1.sized(grid.total_population))
-        extra = args.read_extra(args)
+        if args.command in ("optimize-stations", "run"):
+            cfg = replace(cfg, stage1=cfg.stage1.sized(grid.total_population))
     except MetronetError as exc:
         return _fail(exc, EXIT_LOAD_ERROR)
+    body = partial(args.body, args.stations) if args.command == "optimize-lines" else args.body
     written: list[Path] = []
 
     def artifact(name: str) -> Path:
@@ -236,21 +244,21 @@ def _drive(args: argparse.Namespace) -> int:
         return written[-1]
 
     try:
-        printed = args.body(cfg, region, grid, generators, extra, artifact)
+        printed = body(cfg, region, grid, generators, artifact)
     except Exception as exc:
         for path in written:
             path.unlink(missing_ok=True)
-        return _fail(exc, EXIT_STAGE_FAILURE)
+        return _fail(exc, EXIT_LOAD_ERROR if isinstance(exc, ParseError) else EXIT_STAGE_FAILURE)
     print(_key_lines(printed), end="")
     return 0
 
 
-def _grid(cfg, region, grid, generators, _extra, artifact) -> list[tuple[str, object]]:
+def _grid(cfg, region, grid, generators, artifact) -> list[tuple[str, object]]:
     """Rasterize the region and emit the demand grid plus a summary."""
     artifacts.write_grid_csv(artifact("grid.csv"), grid)
     summary = [("districts", len(region.districts)), ("cells", len(grid)),
                ("total_population", repr(grid.total_population)), ("generators", len(generators))]
-    artifact("grid_summary.txt").write_text(_key_lines(summary))
+    artifact("grid_summary.txt").write_text(_key_lines(summary), encoding="utf-8")
     return summary
 
 
@@ -268,39 +276,32 @@ def _with_manifest(cfg, results, artifact) -> list[tuple[str, str]]:
     return results
 
 
-def _optimize_stations(cfg, region, grid, generators, _extra, artifact) -> list[tuple[str, str]]:
+def _optimize_stations(cfg, region, grid, generators, artifact) -> list[tuple[str, str]]:
     """Stage 1 only: station placement."""
     return _with_manifest(cfg, _stage1(cfg, region, grid, generators, artifact), artifact)
 
 
-def _read_stations(args: argparse.Namespace):
-    """The station coordinates of the --stations artifact optimize-lines builds on."""
-    if not args.stations:
+def _optimize_lines(stations_file, cfg, region, grid, generators, artifact) -> list[tuple[str, str]]:
+    """Stage 2 on the stations in ``stations_file``; the result is the GA's cost of the layout it returns."""
+    if stations_file is None:
         raise ParseError("optimize-lines requires --stations <stations.geojson>")
-    station_points, _ = artifacts.read_stations_geojson(args.stations)
+    station_points, _ = artifacts.read_stations_geojson(stations_file)
     count = len(station_points)
     if count < 2:
-        raise ParseError(f"{args.stations}: line layouts need >= 2 stations, got {count}")
+        raise ParseError(f"{stations_file}: line layouts need >= 2 stations, got {count}")
     if count > MAX_STATIONS:  # stage 2 holds n x n matrices of the stations
-        raise ParseError(f"{args.stations}: line layouts take at most {MAX_STATIONS} stations, got {count}")
-    return station_points
-
-
-def _optimize_lines(cfg, region, grid, generators, station_points, artifact) -> list[tuple[str, str]]:
-    """Stage 2 only, against a pre-existing stations artifact."""
+        raise ParseError(f"{stations_file}: line layouts take at most {MAX_STATIONS} stations, got {count}")
     serviced = coverage.evaluate(station_points, grid, generators, cfg.stage1.coverage)
     best, history = lines.optimize_lines(station_points, serviced, cfg.stage2)
     artifacts.write_lines_geojson(artifact("lines.geojson"), best, station_points, region.origin)
     history.write_csv(artifact("history_stage2.csv"))
-    fitness = lines.line_fitness(best, station_points, serviced, cfg.stage2.transfer_penalty_m)
-    return [("stage2_best_fitness", repr(fitness.value))]
+    return [("stage2_best_fitness", repr(min(r.best_fitness for r in history.records)))]
 
 
-def _run(cfg, region, grid, generators, _extra, artifact) -> list[tuple[str, str]]:
+def _run(cfg, region, grid, generators, artifact) -> list[tuple[str, str]]:
     """Full pipeline: stage 1, then optimize-lines on the stations it wrote, then one manifest."""
     results = _stage1(cfg, region, grid, generators, artifact)
-    station_points, _ = artifacts.read_stations_geojson(cfg.out / "stations.geojson")
-    results += _optimize_lines(cfg, region, grid, generators, station_points, artifact)
+    results += _optimize_lines(cfg.out / "stations.geojson", cfg, region, grid, generators, artifact)
     return _with_manifest(cfg, results, artifact)
 
 
@@ -348,10 +349,10 @@ def _config_flags() -> argparse.ArgumentParser:
     return flags
 
 
-def _add_config_command(sub, flags, name: str, summary: str, body, read_extra=lambda args: None):
+def _add_config_command(sub, flags, name: str, summary: str, body):
     """A subcommand taking every config key as a flag, run by ``_drive`` with ``body``."""
     parser = sub.add_parser(name, help=summary, parents=[flags])
-    parser.set_defaults(func=_drive, body=body, read_extra=read_extra)
+    parser.set_defaults(func=_drive, body=body)
     return parser
 
 
@@ -365,9 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     flags = _config_flags()
     _add_config_command(sub, flags, "grid", "rasterize the region into a demand grid", _grid)
     _add_config_command(sub, flags, "optimize-stations", "run stage 1 (station placement)", _optimize_stations)
-    p_ln = _add_config_command(
-        sub, flags, "optimize-lines", "run stage 2 against existing stations", _optimize_lines, _read_stations
-    )
+    p_ln = _add_config_command(sub, flags, "optimize-lines", "run stage 2 against existing stations", _optimize_lines)
     p_ln.add_argument("--stations", type=Path, default=None, help="stations.geojson from a prior run")
     _add_config_command(sub, flags, "run", "full two-stage pipeline", _run)
 

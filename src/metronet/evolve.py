@@ -76,7 +76,7 @@ class EvolutionHistory:
     records: list[GenerationRecord] = field(default_factory=list)
 
     def write_csv(self, path: Path) -> None:
-        with Path(path).open("w", newline="") as fh:
+        with Path(path).open("w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["generation", "best_fitness", "mean_fitness"])
             for r in self.records:

@@ -417,7 +417,7 @@ def read_feature_collection(path: Path) -> list[dict]:
     """The features of a non-empty GeoJSON FeatureCollection, each with object properties."""
     path = Path(path)
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(encoding="utf-8-sig"))
     except (OSError, ValueError, RecursionError) as exc:  # malformed, nested too deep, or over the digit limit
         raise ParseError(f"{path}: {exc}") from exc
     features = doc.get("features") if isinstance(doc, dict) else None
@@ -435,7 +435,7 @@ def _table_rows(path: Path, header: list[str]) -> Iterator[tuple[int, dict[str, 
     The rows are keyed by ``header``, and the file is closed before the first row is yielded.
     """
     try:
-        with path.open(newline="") as fh:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
             reader = csv.DictReader(fh)
             found, reader.fieldnames = reader.fieldnames, header
             rows = list(reader)

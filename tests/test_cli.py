@@ -1,5 +1,6 @@
 """CLI tests: config resolution, subcommands, artifacts, exit codes."""
 import atexit
+import codecs
 import contextlib
 import copy
 import csv
@@ -110,6 +111,14 @@ class TestConfigResolution:
         cfg_file.write_text("walrus = 9\n")
         with pytest.raises(ParseError):
             cli.load_config_file(cfg_file)
+
+    def test_repeated_key_exits_2(self, tmp_path, capsys):
+        # a later line would otherwise silently replace the first, as a repeated densities row would
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("seed = 1\n# seed = 5\nsigma = 900\nseed = 2\n")
+        assert cli.main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {cfg_file}: line 4: key 'seed' repeats line 1\n"
+        assert not (tmp_path / "o").exists()
 
     def test_flag_overrides_file(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
@@ -471,6 +480,19 @@ class TestGridCommand:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("target", ["boundaries", "densities", "generators", "config"])
+    def test_file_with_bom_loads(self, tmp_path, capsys, region_files, target):
+        # Excel's "CSV UTF-8" starts the file with a byte order mark
+        config = tmp_path / "run.cfg"
+        config.write_text("cell_size = 1000\n")
+        assert cli.main(["grid", *base_args(region_files, tmp_path / "plain", ["--config", str(config)])]) == 0
+        plain = capsys.readouterr().out
+        marked = {**region_files, "config": config}[target]
+        marked.write_bytes(codecs.BOM_UTF8 + marked.read_bytes())
+        assert cli.main(["grid", *base_args(region_files, tmp_path / "marked", ["--config", str(config)])]) == 0
+        assert capsys.readouterr().out == plain
+        assert (tmp_path / "marked" / "grid.csv").read_bytes() == (tmp_path / "plain" / "grid.csv").read_bytes()
+
     def test_nul_in_configured_path_exit_2(self, tmp_path, capsys, region_files):
         # a path read from a config file may hold a NUL, which no argv path can
         config = tmp_path / "run.cfg"
@@ -631,6 +653,23 @@ class TestGridCommand:
         assert err.startswith("error: station_count must lie in [1, 2000], got 55666667, sized from the grid population")
         assert err.count("\n") == 1
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["grid", "optimize-lines"])
+    def test_station_count_not_sized_where_no_station_is_placed(self, tmp_path, capsys, command):
+        # the region that sizes stage 1 to 55,666,667 stations above: grid and stage 2 never use the count
+        densities = tmp_path / "densities.csv"
+        densities.write_text("district_id,density_per_km2\nselangor,1e9\n")
+        argv = [command, "--boundaries", str(DATA_DIR / "selangor_boundary.geojson"), "--densities", str(densities),
+                "--out", str(tmp_path / "o")]
+        if command == "optimize-lines":
+            stations_file = tmp_path / "stations.geojson"
+            xy = np.array([[-2000.0, 0.0], [0.0, 1000.0], [2000.0, 0.0], [0.0, -1000.0]])
+            artifacts.write_stations_geojson(stations_file, xy, np.ones(4), GeoPoint(3.0, 101.5))
+            argv += ["--stations", str(stations_file), "--line-count", "2", "--population-size", "6",
+                     "--generations", "2"]
+        assert cli.main(argv) == 0
+        printed = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
+        assert all(math.isfinite(float(value)) for key, value in printed.items() if key != "cells")
 
     def test_reference_generator_count(self, tmp_path, selangor_paths):
         out = tmp_path / "out"
@@ -853,6 +892,28 @@ class TestRunVariants:
         assert capsys.readouterr().err == "error: stage 2 failed\n"
         leftover = list(out.glob("*")) if out.exists() else []
         assert leftover == []
+
+
+    def test_input_at_fault_in_a_stage_exits_2(self, tmp_path, region_files, monkeypatch, capsys):
+        # stage 2 reads the stations file stage 1 wrote: a ParseError exits 2 wherever it is raised
+        out = tmp_path / "out"
+        found = []
+
+        def read_stations_geojson(path):
+            found.extend(sorted(p.name for p in out.iterdir()))
+            raise ParseError(f"{path}: unreadable")
+
+        monkeypatch.setattr(artifacts, "read_stations_geojson", read_stations_geojson)
+        code = cli.main(
+            ["run", *base_args(region_files, out, [
+                "--station-count", "2", "--line-count", "1",
+                "--population-size", "10", "--generations", "2",
+            ])]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {out / 'stations.geojson'}: unreadable\n"
+        assert found == ["history_stage1.csv", "stations.geojson"]
+        assert list(out.iterdir()) == []
 
 
 class TestStageCommands:
@@ -1336,6 +1397,19 @@ def test_run_never_imports_numpy_ma(tmp_path):
              "code = cli.main(sys.argv[1:]); "
              "print(code, 'numpy.ma' in sys.modules, gc.get_freeze_count(), file=sys.stderr)")
     assert run_python("-c", probe, *argv).stderr.splitlines()[-2:] == ["0 False 0", "True"]
+
+
+def test_no_file_opened_in_the_locale_encoding(tmp_path):
+    """Every file is read and written as UTF-8, never in the locale's encoding, which varies by machine."""
+    inputs = ["--boundaries", str(DATA_DIR / "selangor_boundary.geojson"),
+              "--densities", str(DATA_DIR / "selangor_densities.csv"),
+              "--generators", str(DATA_DIR / "selangor_generators.csv")]
+    out = tmp_path / "out"
+    flags = ("-X", "warn_default_encoding", "-W", "error::EncodingWarning")
+    for argv in (["grid", *inputs, "--out", str(tmp_path / "grid")],
+                 ["run", *inputs, "--out", str(out), "--population-size", "6", "--generations", "2", "--seed", "3"],
+                 ["validate", str(out / "stations.geojson"), str(out / "lines.geojson")]):
+        run_python("-m", "metronet.cli", *argv, flags=flags)
 
 
 def test_main_registers_one_exit_freeze(tmp_path, region_files, monkeypatch):
