@@ -1,6 +1,6 @@
 """Gaussian demand coverage: the station-placement fitness and per-station loads.
 
-Sum mode works on the row runs of ``geomodel.group_runs`` in blocks of
+Sum mode works on the row runs of ``DemandPoints.runs`` in blocks of
 stations: one exp per distinct x and y, one reduceat over the runs' columns
 and one over each row's runs, with each block's temporaries capped at
 ``_SUM_BLOCK`` float entries. Nearest mode works on the points themselves

@@ -4,16 +4,18 @@ All downstream math runs in a local planar frame (meters east/north of a
 region-centroid origin) produced by an equirectangular projection. A planar
 point is a length-2 float row x, y; a station set is an (N, 2) float array.
 Demand is ``DemandPoints``, the raster cells and the generators alike; it
-reaches the sum-mode coverage kernel as row runs (``group_runs``): stretches
-of one row over consecutive columns that share one weight, O(runs + distinct
-x + distinct y) memory.
+reaches the sum-mode coverage kernel as row runs: stretches of one row over
+consecutive columns that share one weight, O(runs + distinct x + distinct y)
+memory. A raster's runs come from the lattice ``rasterize`` kept
+(``lattice_runs``); points off the lattice are sorted into runs by
+``group_runs``.
 """
 from __future__ import annotations
 
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence
@@ -181,6 +183,31 @@ def group_runs(x: np.ndarray, y: np.ndarray, weight: np.ndarray) -> PointRuns:
     return PointRuns(xs, ys, bounds, weight[first], row_starts)
 
 
+def lattice_runs(cx: np.ndarray, cy: np.ndarray, keep: np.ndarray, weight: np.ndarray) -> PointRuns:
+    """Row runs of the lattice cells ``keep`` marks, equal to ``group_runs`` on their x, y and weight.
+
+    ``cx`` and ``cy`` are the lattice's column and row centroids, both strictly
+    ascending, and ``weight`` holds the kept cells' weights in row-major order.
+    Without the columns that keep no cell, a lattice column is an index into
+    the distinct xs, so no cell is sorted: a cell starts a run unless its left
+    neighbour is kept with the same weight. The temporaries are booleans, one
+    per lattice cell or per kept cell, and arrays of one int per run.
+    """
+    cols = keep.any(axis=0)
+    kept = keep[:, cols]
+    mark = np.zeros_like(kept)
+    mark[:, 1:] = kept[:, :-1]  # the left neighbour is kept
+    first = ~mark[kept]
+    first[1:] |= weight[1:] != weight[:-1]  # the neighbour is the cell before whenever it is kept
+    mark.fill(False)
+    mark[kept] = first
+    run_row, start = np.nonzero(mark)
+    mark[kept] = np.append(first[1:], True)  # a run's last cell precedes the next run's first
+    end = np.nonzero(mark)[1]
+    row_starts = np.flatnonzero(np.diff(run_row, prepend=-1))
+    return PointRuns(cx[cols], cy[keep.any(axis=1)], np.column_stack([start, end + 1]), weight[first], row_starts)
+
+
 @dataclass(frozen=True, eq=False)
 class DemandPoints:
     """Weighted demand points in planar meters: raster cells or trip generators.
@@ -215,14 +242,27 @@ class DemandPoints:
 
 @dataclass(frozen=True, eq=False)
 class DemandGrid(DemandPoints):
-    """Raster of populated cells; the quadrature nodes for coverage integrals."""
+    """Raster of populated cells; the quadrature nodes for coverage integrals.
+
+    ``rasterize`` hands over its lattice as ``_lattice``: the column and row
+    centroids and the mask of kept cells, from which ``runs`` is built without
+    a sort. A grid made any other way is grouped by ``group_runs``.
+    """
 
     cell_size: float
+    _lattice: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if len(self.x) == 0:
             raise MetronetError(f"no populated cell at cell_size={self.cell_size}")
         super().__post_init__()
+
+    @cached_property
+    def runs(self) -> PointRuns:
+        """The cells as row runs, for the separable sum-mode coverage kernel."""
+        if self._lattice is None:
+            return group_runs(self.x, self.y, self.population)
+        return lattice_runs(*self._lattice, self.population)
 
 
 # ---------------------------------------------------------------------------
@@ -578,6 +618,8 @@ def rasterize(districts: Sequence[District], cell_size: float) -> DemandGrid:
 
     Lattice rows near a district are scanned a chunk at a time: each row's edge crossings are computed once, as
     ``points_in_rings`` computes them, and a centroid is inside when an odd number of them lie to its right.
+    The grid keeps the centroids and the mask of kept cells, one byte per lattice cell, and builds its row runs
+    from them on first use (``lattice_runs``).
     """
     check_cell_size(cell_size)
     if not districts:
@@ -614,5 +656,9 @@ def rasterize(districts: Sequence[District], cell_size: float) -> DemandGrid:
             np.add(pop[chunk, c0:c1], d.density * cell_km2, out=pop[chunk, c0:c1], where=inside)
 
     keep = pop > 0
-    rows, cols = np.nonzero(keep)
-    return DemandGrid(cx[cols], cy[rows], pop[keep], cell_size)
+    population = pop[keep]
+    del pop  # the float lattice goes before the cells' x and y are made
+    x, y = np.broadcast_to(cx, keep.shape)[keep], np.broadcast_to(cy[:, None], keep.shape)[keep]
+    # tiny cells far from the origin can round centroids together; group_runs then merges their columns or rows
+    ascending = bool(np.all(cx[1:] > cx[:-1]) and np.all(cy[1:] > cy[:-1]))
+    return DemandGrid(x, y, population, cell_size, (cx, cy, keep) if ascending else None)

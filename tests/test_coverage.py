@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from metronet import coverage
+from metronet import coverage, geomodel
 from metronet.coverage import CoverageParams, evaluate
 from metronet.errors import MetronetError
 from metronet.geomodel import (
@@ -397,6 +397,15 @@ class TestRunLayout:
         assert np.array_equal(y, grid.y)
         assert np.array_equal(population, grid.population)
 
+    def test_sum_mode_on_a_raster_never_groups_its_cells(self, two_district_region):
+        stations = np.array([(0.0, 0.0), (1500.0, -700.0), (-3000.0, 2500.0)])
+        grid = rasterize(two_district_region, 100.0)
+        cells = DemandGrid(grid.x, grid.y, grid.population, grid.cell_size)  # no lattice: grouped by group_runs
+        want = evaluate(stations, cells, NO_GENERATORS, CoverageParams())
+        with patch.object(geomodel, "group_runs", side_effect=AssertionError("group_runs called")):
+            got = evaluate(stations, grid, NO_GENERATORS, CoverageParams())
+        assert np.array_equal(got, want)
+
     def test_repeated_points_fall_into_separate_runs(self):
         x = np.array([0.0, 0.0, 1.0, 1.0, 2.0])
         y = np.zeros(5)
@@ -438,6 +447,22 @@ class TestNearestMode:
         total_sum = evaluate(stations, grid, generators, CoverageParams(800.0, mode="sum")).sum()
         total_near = evaluate(stations, grid, generators, CoverageParams(800.0, mode="nearest")).sum()
         assert total_near <= total_sum + 1e-9
+
+    @given(grid=raster_grids(), seed=st.integers(0, 2**32 - 1), k=st.integers(1, 40), g=st.integers(0, 30))
+    @settings(max_examples=60, deadline=None)
+    def test_credits_no_more_demand_than_exists(self, grid, seed, k, g):
+        """Each point goes to one station with a kernel of at most 1, so the credit stays within the demand.
+
+        The rounding bound is a relative n * 2**-52, n the points plus the
+        stations: the float error of summing the credit and the demand in
+        different orders. Stations on the generators credit them in full.
+        """
+        rng = np.random.default_rng(seed)
+        generators = DemandPoints(*rng.uniform(-3000.0, 3000.0, (2, g)), rng.uniform(0.0, 5e4, g))
+        stations = np.vstack([rng.uniform(-3000.0, 3000.0, (k, 2)), np.column_stack([generators.x, generators.y])])
+        credited = evaluate(stations, grid, generators, CoverageParams(800.0, mode="nearest")).sum()
+        exists = grid.total_population + generators.total_population
+        assert credited <= exists * (1.0 + (len(grid) + len(generators) + len(stations)) * 2.0**-52)
 
     def test_each_point_counted_once(self):
         # two stations, one cell: only the closer station earns the cell

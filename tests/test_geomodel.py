@@ -20,6 +20,8 @@ from metronet.geomodel import (
     District,
     GeoPoint,
     PlanarPolygon,
+    PointRuns,
+    group_runs,
     load_generators,
     load_region,
     nearest_boundary_point,
@@ -548,6 +550,21 @@ def test_raster_peak_memory_no_higher_than_reference():
     assert peak(rasterize) <= peak(rasterize_reference)
 
 
+def test_lattice_runs_peak_below_grouping_the_cells():
+    districts = [wiggly_star(5000.0 * i, 5000.0 * j) for j in range(2) for i in range(4)]
+    rasterize(districts, 1000.0)  # fill every district's cached edges and bounds first
+
+    def peak(runs_of):
+        tracemalloc.start()
+        try:
+            runs_of(rasterize(districts, 20.0))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(lambda grid: grid.runs) < peak(lambda grid: group_runs(grid.x, grid.y, grid.population))
+
+
 class TestPointHelpers:
     def test_point_in_region_snap_tolerance(self, unit_square_km):
         inside = np.array([500.0, 500.0])
@@ -692,6 +709,71 @@ def raster_or_error(rasterizer, districts, cell):
     except MetronetError as exc:  # overlapping parts cancel under even-odd, so the grid may be empty
         return str(exc)
     return grid.x, grid.y, grid.population
+
+
+def assert_same_runs(got, want):
+    """Two ``PointRuns`` hold the same arrays: values, dtypes and shapes."""
+    for name, g, w in zip(PointRuns._fields, got, want):
+        assert (g.dtype, g.shape) == (w.dtype, w.shape), name
+        assert np.array_equal(g, w), name
+
+
+@st.composite
+def run_raster_cases(draw):
+    """The districts and cell size of a ``raster_cases`` case, perhaps with districts that shape the runs.
+
+    East of every other shape, past a gap of lattice columns that no row
+    keeps, two rectangles of drawn densities share an edge, so one row may
+    hold two densities. A rectangle over the middle of the star overlaps it,
+    so their shared cells sum two densities.
+    """
+    star, districts, cell = draw(raster_cases())
+    districts = list(districts)
+    if draw(st.booleans()):
+        x0 = 3500.0 + draw(st.integers(2, 5)) * cell  # star parts end by x = 3500
+        x1 = x0 + draw(st.integers(1, 6)) * 250.0
+        districts += [rect_district("east0", x0, -1000.0, x1, 1000.0, draw(DENSITIES)),
+                      rect_district("east1", x1, -1000.0, x1 + 500.0, 1000.0, draw(DENSITIES))]
+    if draw(st.booleans()):
+        bx0, by0, bx1, by1 = star.bounds
+        w, h = (bx1 - bx0) / 4.0, (by1 - by0) / 4.0
+        districts.append(rect_district("over", bx0 + w, by0 + h, bx1 - w, by1 - h, draw(DENSITIES)))
+    return draw(st.permutations(districts)), cell
+
+
+class TestLatticeRuns:
+    @given(case=run_raster_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_runs_equal_grouping_the_cells(self, case):
+        districts, cell = case
+        try:
+            grid = rasterize(districts, cell)
+        except MetronetError:  # overlapping parts cancel under even-odd, so the grid may be empty
+            return
+        assert_same_runs(grid.runs, group_runs(grid.x, grid.y, grid.population))
+
+    @pytest.mark.parametrize("districts, want_bounds", [
+        # a gap of two lattice columns that no row keeps: each row is one run across it
+        ([rect_district("w", 0, 0, 1000, 1000, 800.0), rect_district("e", 1500, 0, 2500, 1000, 800.0)], [[0, 8]]),
+        # two densities side by side
+        ([rect_district("w", 0, 0, 1000, 1000, 800.0), rect_district("e", 1000, 0, 2000, 1000, 900.0)],
+         [[0, 4], [4, 8]]),
+        # overlapping districts sum where they meet
+        ([rect_district("big", 0, 0, 2000, 1000, 800.0), rect_district("mid", 500, 0, 1500, 1000, 100.0)],
+         [[0, 2], [2, 6], [6, 8]]),
+    ])
+    def test_a_run_breaks_where_the_weight_changes_or_a_row_keeps_no_cell(self, districts, want_bounds):
+        grid = rasterize(districts, 250.0)
+        assert_same_runs(grid.runs, group_runs(grid.x, grid.y, grid.population))
+        assert grid.runs.bounds.tolist() == want_bounds * 4  # four identical rows
+        assert grid.runs.row_starts.tolist() == list(range(0, 4 * len(want_bounds), len(want_bounds)))
+
+    def test_centroids_that_round_together_are_grouped(self):
+        # 1e-10 m cells at 1e6 m: ten lattice columns round to fewer distinct x
+        speck = rect_district("speck", 1e6, 1e6, 1e6 + 1e-9, 1e6 + 1e-9, 1e9)
+        grid = rasterize([speck], 1e-10)
+        assert len(np.unique(grid.x)) < math.isqrt(len(grid))
+        assert_same_runs(grid.runs, group_runs(grid.x, grid.y, grid.population))
 
 
 class TestContainmentMatchesPerEdgeLoop:

@@ -62,6 +62,28 @@ def crowded_layouts(draw):
     return 150, stations, lines
 
 
+@st.composite
+def all_transfer_layouts(draw):
+    """Up to 60 stations on 2-6 lines, every station on two lines or more, so every station is a transfer.
+
+    Coordinates are random, or on a 4 x 4 lattice of 1 km so that lengths
+    and distances tie exactly.
+    """
+    n, line_count = draw(st.integers(2, 60)), draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        stations = rng.integers(0, 4, (n, 2)).astype(float) * 1000.0
+    else:
+        stations = rng.uniform(-20000.0, 20000.0, (n, 2))
+    on = np.zeros((line_count, n), dtype=bool)  # on[l, s]: station s is a stop of line l
+    for s in range(n):
+        on[rng.choice(line_count, size=rng.integers(2, line_count + 1), replace=False), s] = True
+    for row in on:
+        if row.sum() < 2:  # a line needs two stops
+            row[rng.choice(np.flatnonzero(~row), size=2 - row.sum(), replace=False)] = True
+    return n, stations, [[int(s) for s in rng.permutation(np.flatnonzero(row))] for row in on]
+
+
 def same_distances(stations, lines):
     for penalty in PENALTIES:
         got = all_pairs_distances(build(lines, stations), transfer_penalty_m=penalty)
@@ -82,6 +104,14 @@ def test_distances_match_reference(layout):
 @given(crowded_layouts())
 def test_distances_match_reference_on_crowded_layouts(layout):
     _, stations, lines = layout
+    same_distances(stations, lines)
+
+
+@settings(max_examples=60, deadline=None)
+@given(all_transfer_layouts())
+def test_distances_match_reference_when_every_station_is_a_transfer(layout):
+    n, stations, lines = layout
+    assert all(count >= 2 for count in np.bincount([s for stops in lines for s in stops], minlength=n))
     same_distances(stations, lines)
 
 
